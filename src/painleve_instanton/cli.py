@@ -25,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PainleveInstantonError
-from .instanton import duality_residual, DualitySign
-from .isomonodromy import extract_y, jimbo_miwa_params, make_family
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
-from .report import build_verification_report, default_tolerances, profile_for
-from .stepper import fd_weights
+from .report import build_verification_report, line_transcendent, profile_for
 from .twistor import mu_pair, trace_csv_row
 
 log = logging.getLogger("painleve_instanton")
@@ -92,24 +89,13 @@ def cmd_profile(cfg):
 
 
 def cmd_trace(cfg):
-    prof = profile_for(cfg.n)
-    ts = prof.sample_ts(cfg.t_min, cfg.t_max, cfg.samples)
-    fam = make_family(prof, ts, gauge="line")
-
-    twistor_lines = ["t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq"]
-    for F in fam.samples:
-        twistor_lines.append(trace_csv_row(F))
-
-    mu_lines = ["t,mu_plus,mu_minus,mu_product"]
-    for t in ts:
-        mp, mm = mu_pair(t)
-        mu_lines.append(",".join(f"{v:.17g}" for v in (t, mp, mm, mp * mm)))
-
-    ys = np.array([extract_y(F, "plus") for F in fam.samples])
-    sample = PviSample(ts=ts, xs=fam.xs, ys=ys)
-    params = jimbo_miwa_params(fam.samples[len(fam) // 2], "plus")
-    residuals = [float("nan")] * len(ts)
-    for k in range(2, len(ts) - 2):
+    if cfg.fmt == "csv" and cfg.out is None:
+        raise ValueError("csv trace needs --out (three files are written)")
+    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
+                                               cfg.samples)
+    mus = [mu_pair(t) for t in sample.ts]
+    residuals = [float("nan")] * len(sample)
+    for k in range(2, len(sample) - 2):
         residuals[k] = abs(pvi_residual(sample, params, k))
 
     if cfg.fmt == "json":
@@ -118,18 +104,16 @@ def cmd_trace(cfg):
             "delta_variant": select_delta_variant(params.delta.real, cfg.n),
             "twistor": [F.to_json_dict() for F in fam.samples],
             "mu": [{"t": float(t), "mu_plus": mp, "mu_minus": mm}
-                   for t, (mp, mm) in zip(ts, (mu_pair(t) for t in ts))],
-            "pvi": [{"t": float(sample.ts[k]),
-                     "x_re": float(sample.xs[k].real),
-                     "x_im": float(sample.xs[k].imag),
-                     "y_re": float(sample.ys[k].real),
-                     "y_im": float(sample.ys[k].imag),
-                     "residual_abs": residuals[k]} for k in range(len(ts))],
+                   for t, (mp, mm) in zip(sample.ts, mus)],
+            "pvi": sample.to_json_rows(residuals),
         }
         _emit(cfg, json.dumps(payload) + "\n")
         return 0
-    if cfg.out is None:
-        raise ValueError("csv trace needs --out (three files are written)")
+    twistor_lines = ["t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq"]
+    twistor_lines += [trace_csv_row(F) for F in fam.samples]
+    mu_lines = ["t,mu_plus,mu_minus,mu_product"]
+    mu_lines += [",".join(f"{v:.17g}" for v in (t, mp, mm, mp * mm))
+                 for t, (mp, mm) in zip(sample.ts, mus)]
     _emit(cfg, "\n".join(twistor_lines) + "\n", suffix=".twistor.csv")
     _emit(cfg, "\n".join(mu_lines) + "\n", suffix=".mu.csv")
     _emit(cfg, sample.to_csv(residuals), suffix=".pvi.csv")
@@ -150,24 +134,18 @@ def cmd_verify(cfg):
 
 
 def cmd_pvi_integrate(cfg):
-    prof = profile_for(cfg.n)
-    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.samples)
-    fam = make_family(prof, ts, gauge="line")
-    ys = np.array([extract_y(F, "plus") for F in fam.samples])
-    params = jimbo_miwa_params(fam.samples[len(fam) // 2], "plus")
-    xs = fam.xs.real
-
-    w1 = fd_weights(xs[:5], xs[2], 1)
-    y, yp = ys[2], np.dot(w1, ys[:5])
-    rows = ["t,x_re,x_im,y_re,y_im,residual_abs"]
-    x = xs[2]
-    rows.append(",".join(f"{v:.17g}" for v in (ts[2], x, 0.0, y.real, y.imag, 0.0)))
-    for k in range(3, len(xs)):
-        y, yp = pvi_integrate(params, x, y, yp, xs[k])
-        x = xs[k]
-        rows.append(",".join(f"{v:.17g}" for v in (
-            ts[k], x, 0.0, y.real, y.imag, abs(y - ys[k]))))
-    _emit(cfg, "\n".join(rows) + "\n")
+    _, _, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
+                                             cfg.samples)
+    # seeded at k = 2, the first sample with a centred 5-point slope
+    xs = sample.xs.real
+    y, yp = sample.ys[2], sample.slope(2)
+    ys, residuals = [y], [0.0]
+    for k in range(3, len(sample)):
+        y, yp = pvi_integrate(params, xs[k - 1], y, yp, xs[k])
+        ys.append(y)
+        residuals.append(abs(y - sample.ys[k]))
+    integrated = PviSample(ts=sample.ts[2:], xs=sample.xs[2:], ys=np.array(ys))
+    _emit(cfg, integrated.to_csv(residuals))
     return 0
 
 

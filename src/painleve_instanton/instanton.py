@@ -64,18 +64,26 @@ def _coeff_order(sign):
     return (1, 2, 3) if sign is DualitySign.ANTI_SELF_DUAL else (1, 3, 2)
 
 
-def asd_rhs(sign, t, a):
-    """Right-hand side (da1, da2, da3)/dt of the chosen duality branch."""
-    a = np.asarray(a, dtype=float)
+def _duality_terms(sign, t, a):
+    """Coefficients sigma*K_i/2 and sources a_j a_k - a_i of the branch
+    sigma*K_i/2 * da_i/dt = a_j a_k - a_i."""
     order = _coeff_order(sign)
-    out = np.empty(3)
+    coef = np.empty(3)
+    source = np.empty(3)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         K = coeff_K(order[i], t)
         if abs(K) < 1e-14:
             raise DegenerateCoefficient(f"K{order[i]}({t}) = {K}")
-        out[i] = (a[j] * a[k] - a[i]) / (sign.sigma * 0.5 * K)
-    return out
+        coef[i] = sign.sigma * 0.5 * K
+        source[i] = a[j] * a[k] - a[i]
+    return coef, source
+
+
+def asd_rhs(sign, t, a):
+    """Right-hand side (da1, da2, da3)/dt of the chosen duality branch."""
+    coef, source = _duality_terms(sign, t, np.asarray(a, dtype=float))
+    return source / coef
 
 
 # --------------------------------------------------------------------------
@@ -234,15 +242,8 @@ def duality_residual(profile, sign, t, global_negation=False):
     da = profile.derivative(t)
     if global_negation:
         a, da = -a, -da
-    order = _coeff_order(sign)
-    out = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        K = coeff_K(order[i], t)
-        if abs(K) < 1e-14:
-            raise DegenerateCoefficient(f"K{order[i]}({t}) = {K}")
-        out[i] = sign.sigma * 0.5 * K * da[i] - (a[j] * a[k] - a[i])
-    return out
+    coef, source = _duality_terms(sign, t, a)
+    return coef * da - source
 
 
 # --------------------------------------------------------------------------

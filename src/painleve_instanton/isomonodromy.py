@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
-                     ReducibleSystem)
+from .errors import (BadDeformationParameter, IndeterminateY, OnDivisor,
+                     PathTooClose, ReducibleSystem, SingularMatrix)
 from .liealg import commutator, det2, eigen2, trace_sq
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
@@ -78,15 +78,15 @@ def gauge_rate(profile, t):
             B = (transverse_form(profile, t, lam)
                  + connection_form(profile, t, lam) * dlambda_dt_at_normalized(t, probe))
             return B + xd * Ax / (probe - x)
-        except Exception:
+        except (SingularMatrix, OnDivisor):
             continue
     raise RuntimeError(f"no usable probe point at t = {t}")
 
 
-def make_family(profile, ts, gauge="line", label=None, rtol=1e-12):
+def make_family(profile, ts, gauge="line"):
     """Sample the residue family; gauge is "line" (raw) or "schlesinger"."""
     ts = np.asarray(ts, dtype=float)
-    label = label or f"n={profile.n}:{profile.kind.value}"
+    label = f"n={profile.n}:{profile.kind.value}"
     raw = [fuchsian_data(profile, t) for t in ts]
     if gauge == "line":
         return FuchsianFamily(label=label, gauge="line", ts=ts, samples=tuple(raw))
@@ -96,7 +96,7 @@ def make_family(profile, ts, gauge="line", label=None, rtol=1e-12):
     def flow(t, g):
         return (-gauge_rate(profile, t) @ g.reshape(2, 2)).ravel()
 
-    gs = rk45_path(flow, ts, np.eye(2, dtype=complex).ravel(), rtol=rtol, atol=1e-14)
+    gs = rk45_path(flow, ts, np.eye(2, dtype=complex).ravel(), rtol=1e-12, atol=1e-14)
     samples = tuple(F.conjugated(g.reshape(2, 2)) for F, g in zip(raw, gs))
     return FuchsianFamily(label=label, gauge="schlesinger", ts=ts, samples=samples)
 
@@ -105,16 +105,18 @@ def make_family(profile, ts, gauge="line", label=None, rtol=1e-12):
 # Schlesinger equations
 # --------------------------------------------------------------------------
 
-def schlesinger_rhs(F):
-    """(dA0, dA1, dAx)/dx of the Schlesinger system at the sample F."""
-    x = F.x
+def schlesinger_field(x, A0, A1, Ax):
+    """(dA0, dA1, dAx)/dx of the Schlesinger system."""
     if min(abs(x), abs(x - 1.0)) < 1e-12:
         raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
-    c0x = commutator(F.A0, F.Ax)
-    c1x = commutator(F.A1, F.Ax)
-    d0 = c0x / x
-    d1 = c1x / (x - 1.0)
+    d0 = commutator(A0, Ax) / x
+    d1 = commutator(A1, Ax) / (x - 1.0)
     return d0, d1, -d0 - d1
+
+
+def schlesinger_rhs(F):
+    """The Schlesinger field at the sample F."""
+    return schlesinger_field(F.x, F.A0, F.A1, F.Ax)
 
 
 def schlesinger_residual(fam, k):
@@ -173,14 +175,7 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
         return F0
 
     def flow(x, vec):
-        A0, A1, Ax = vec.reshape(3, 2, 2)
-        if min(abs(x), abs(x - 1.0)) < 1e-12:
-            raise BadDeformationParameter(f"x = {x}")
-        c0x = commutator(A0, Ax)
-        c1x = commutator(A1, Ax)
-        d0 = c0x / x
-        d1 = c1x / (x - 1.0)
-        return np.concatenate([d0.ravel(), d1.ravel(), (-d0 - d1).ravel()])
+        return np.concatenate(schlesinger_field(x, *vec.reshape(3, 2, 2))).ravel()
 
     y0 = np.concatenate([m.ravel() for m in (F0.A0, F0.A1, F0.Ax)]).astype(complex)
     y1 = rk45(flow, x0.real, y0, x1.real, rtol=rtol, atol=1e-13)

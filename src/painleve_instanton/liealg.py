@@ -24,24 +24,9 @@ for _m in (X1, X2, X3):
     _m.setflags(write=False)
 
 
-def su2_basis():
-    return X1, X2, X3
-
-
 def su2_combination(c1, c2, c3):
     """c1*X1 + c2*X2 + c3*X3 (traceless by construction)."""
     return np.array([[1j * c1, c2 + 1j * c3], [-c2 + 1j * c3, -1j * c1]])
-
-
-def is_traceless(m, tol=1e-12):
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return abs(m[0, 0] + m[1, 1]) <= tol * scale
-
-
-def require_traceless(m, tol=1e-12):
-    if not is_traceless(m, tol):
-        raise ValueError(f"matrix is not traceless: tr = {m[0, 0] + m[1, 1]}")
-    return m
 
 
 def commutator(a, b):

@@ -6,7 +6,6 @@ published delta variants; the library measures which one is realised).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,8 @@ class PviSample:
     xs: np.ndarray
     ys: np.ndarray
 
+    COLUMNS = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
+
     def __len__(self):
         return len(self.xs)
 
@@ -46,14 +47,30 @@ class PviSample:
                 bad.append(k)
         return bad
 
-    def to_csv(self, residuals=None):
-        lines = ["t,x_re,x_im,y_re,y_im,residual_abs"]
+    def _rows(self, residuals=None):
+        """One `COLUMNS` tuple per sample; residual_abs is NaN if not given."""
         for k in range(len(self.xs)):
             r = float("nan") if residuals is None else residuals[k]
-            lines.append(",".join(f"{v:.17g}" for v in (
-                self.ts[k], self.xs[k].real, self.xs[k].imag,
-                self.ys[k].real, self.ys[k].imag, r)))
+            yield (self.ts[k], self.xs[k].real, self.xs[k].imag,
+                   self.ys[k].real, self.ys[k].imag, r)
+
+    def to_csv(self, residuals=None):
+        lines = [",".join(self.COLUMNS)]
+        lines += [",".join(f"{v:.17g}" for v in row) for row in self._rows(residuals)]
         return "\n".join(lines) + "\n"
+
+    def to_json_rows(self, residuals):
+        """The CSV rows as dicts keyed by `COLUMNS`."""
+        return [{c: float(v) for c, v in zip(self.COLUMNS, row)}
+                for row in self._rows(residuals)]
+
+    def slope(self, k):
+        """dy/dx at sample k from the 5-point stencil centred on it."""
+        if not 2 <= k <= len(self) - 3:
+            raise IndexError("5-point stencil needs 2 <= k <= len-3")
+        window = slice(k - 2, k + 3)
+        w1 = fd_weights(self.xs[window].real, self.xs[k].real, 1)
+        return np.dot(w1, self.ys[window])
 
 
 def pvi_second_derivative(params, x, y, yp):
@@ -75,13 +92,9 @@ def pvi_second_derivative(params, x, y, yp):
 
 def pvi_residual(sample, params, k):
     """y'' (5-point finite differences in x) minus the PVI right-hand side."""
-    if not 2 <= k <= len(sample) - 3:
-        raise IndexError("5-point stencil needs 2 <= k <= len-3")
+    yp = sample.slope(k)
     window = slice(k - 2, k + 3)
-    xs = sample.xs[window].real
-    w1 = fd_weights(xs, sample.xs[k].real, 1)
-    w2 = fd_weights(xs, sample.xs[k].real, 2)
-    yp = np.dot(w1, sample.ys[window])
+    w2 = fd_weights(sample.xs[window].real, sample.xs[k].real, 2)
     ypp = np.dot(w2, sample.ys[window])
     return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
 
@@ -146,15 +159,3 @@ def select_delta_variant(measured, n, tol=1e-6):
         return "theorem"
     raise ValueError(f"measured delta {measured} matches neither variant "
                      f"({intro} / {theorem})")
-
-
-def sample_to_json(sample, params, variant, residuals=None):
-    pts = []
-    for k in range(len(sample)):
-        pts.append({"t": float(sample.ts[k]),
-                    "x_re": float(sample.xs[k].real), "x_im": float(sample.xs[k].imag),
-                    "y_re": float(sample.ys[k].real), "y_im": float(sample.ys[k].imag),
-                    "residual_abs": (float("nan") if residuals is None
-                                     else float(residuals[k]))})
-    return json.dumps({"params": params.as_dict(), "delta_variant": variant,
-                       "points": pts})

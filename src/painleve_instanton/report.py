@@ -7,26 +7,16 @@ from __future__ import annotations
 import numpy as np
 
 from .instanton import BvpConfig, asd_closed_profile, solve_bvp
-from .isomonodromy import (default_verification_ts, extract_y,
-                           isospectral_drift, jimbo_miwa_params, make_family,
-                           max_schlesinger_residual, pair_invariants,
-                           schlesinger_integrate)
+from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
+                           make_family, max_schlesinger_residual,
+                           pair_invariants, schlesinger_integrate)
 from .painleve import (PviSample, max_pvi_residual, pvi_integrate,
-                       pvi_residual, select_delta_variant)
-from .stepper import fd_weights
-
-_PROFILE_CACHE = {}
+                       select_delta_variant)
 
 
-def profile_for(n, prefer_closed=True):
+def profile_for(n):
     """Profile used by the pipelines: closed form for n in {1, 3}, else BVP."""
-    key = (n, prefer_closed)
-    if key not in _PROFILE_CACHE:
-        if prefer_closed and n in (1, 3):
-            _PROFILE_CACHE[key] = asd_closed_profile(n)
-        else:
-            _PROFILE_CACHE[key] = solve_bvp(BvpConfig(n=n))
-    return _PROFILE_CACHE[key]
+    return asd_closed_profile(n) if n in (1, 3) else solve_bvp(BvpConfig(n=n))
 
 
 def default_tolerances(n):
@@ -42,27 +32,35 @@ def extract_transcendent(fam, branch):
     return PviSample(ts=fam.ts, xs=fam.xs, ys=ys)
 
 
+def line_transcendent(n, t_min, t_max, samples):
+    """The stage shared by verify, trace and pvi-integrate: profile ->
+    line-gauge residue family on `profile.sample_ts` -> y(x) on the "plus"
+    eigen-branch, with the PVI parameters of the middle sample.
+
+    Returns (profile, family, sample, params).
+    """
+    profile = profile_for(n)
+    fam = make_family(profile, profile.sample_ts(t_min, t_max, samples), gauge="line")
+    params = jimbo_miwa_params(fam.samples[len(fam) // 2], "plus")
+    return profile, fam, extract_transcendent(fam, "plus"), params
+
+
 def _step_oracle_error(sample, params, k):
     """Integrate PVI over one inter-sample step and compare with extraction."""
-    window = slice(k - 2, k + 3)
-    w1 = fd_weights(sample.xs[window].real, sample.xs[k].real, 1)
-    yp = np.dot(w1, sample.ys[window])
-    y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k], yp,
-                             sample.xs[k + 1].real)
+    y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k],
+                             sample.slope(k), sample.xs[k + 1].real)
     return abs(y_end - sample.ys[k + 1])
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
-                              tol_override=None, prefer_closed=True):
+                              tol_override=None):
     """Run the verification suite for one n and return the report dict."""
     tols = default_tolerances(n)
     if tol_override is not None:
         tols = {k: tol_override for k in tols}
 
-    profile = profile_for(n, prefer_closed)
-    ts = default_verification_ts(t_min, t_max, samples)
-    raw = make_family(profile, ts, gauge="line")
-    gauged = make_family(profile, ts, gauge="schlesinger")
+    profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
+    gauged = make_family(profile, raw.ts, gauge="schlesinger")
 
     schl = max_schlesinger_residual(gauged)
     drift = isospectral_drift(raw)
@@ -77,8 +75,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
                                   - pair_invariants(gauged.samples[k1]))))
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
-    params_by_branch = {b: jimbo_miwa_params(raw.samples[mid], b)
-                        for b in ("plus", "minus")}
+    params_by_branch = {"plus": params_plus,
+                        "minus": jimbo_miwa_params(raw.samples[mid], "minus")}
     a_by_branch = {b: params_by_branch[b].alpha.real for b in ("plus", "minus")}
     hi_branch = max(a_by_branch, key=a_by_branch.get)
     lo_branch = min(a_by_branch, key=a_by_branch.get)
@@ -90,13 +88,10 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
 
     pvi_max = {}
     step_err = {}
-    samples_by_branch = {}
     for b in ("plus", "minus"):
-        sample = extract_transcendent(raw, b)
-        samples_by_branch[b] = sample
-        p = params_by_branch[b]
-        pvi_max[b] = float(max_pvi_residual(sample, p))
-        step_err[b] = float(_step_oracle_error(sample, p, mid))
+        sample = plus if b == "plus" else extract_transcendent(raw, b)
+        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b]))
+        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], mid))
 
     report = {
         "n": n,
@@ -125,8 +120,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "y_samples": [
             {"x_re": float(x.real), "x_im": float(x.imag),
              "y_re": float(y.real), "y_im": float(y.imag)}
-            for x, y in zip(samples_by_branch["plus"].xs,
-                            samples_by_branch["plus"].ys)
+            for x, y in zip(plus.xs, plus.ys)
         ],
         "tolerances": tols,
     }

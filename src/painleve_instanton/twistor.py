@@ -20,14 +20,13 @@ Conventions fixed here (and relied on everywhere downstream):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
-from .liealg import X1, X2, X3, su2_combination, trace_sq, solve3
+from .liealg import su2_combination, trace_sq, solve3
 
 SQRT3 = math.sqrt(3.0)
 
@@ -51,11 +50,6 @@ def delta(t, lam):
     """Quartic whose roots are the four divisor poles of the line."""
     S = t**4 + 18.0 * t * t - 27.0
     return (8.0 * t**3 * lam**4 - 2.0 * S * lam * lam + 8.0 * t**3) / 3.0
-
-
-def _delta_prime(t, lam):
-    S = t**4 + 18.0 * t * t - 27.0
-    return (32.0 * t**3 * lam**3 - 4.0 * S * lam) / 3.0
 
 
 def line_point(t, lam):
@@ -189,11 +183,6 @@ def mobius_apply(co, z):
 def mobius_inverse(co):
     a, b, c, d = co
     return (d, -b, -c, a)
-
-
-def mobius_derivative(co, z):
-    a, b, c, d = co
-    return (a * d - b * c) / (c * z + d) ** 2
 
 
 def _inverse_pack(t):
@@ -391,9 +380,6 @@ class FuchsianData:
                 "x": {"re": float(self.x.real), "im": float(self.x.imag)},
                 "residues": {"p0": mat(self.A0), "p1": mat(self.A1),
                              "px": mat(self.Ax), "pinf": mat(self.Ainf)}}
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
 
 
 def fuchsian_data(profile, t):

@@ -8,13 +8,12 @@ parameter range.
 import time
 
 import numpy as np
-import pytest
 
-from painleve_instanton.instanton import (BvpConfig, DualitySign, ProfileKind,
+from painleve_instanton.instanton import (DualitySign, ProfileKind,
                                           closed_form_profile,
-                                          duality_residual, solve_bvp)
+                                          duality_residual)
 from painleve_instanton.isomonodromy import (default_verification_ts,
-                                             extract_y, isospectral_drift,
+                                             isospectral_drift,
                                              jimbo_miwa_params, make_family,
                                              max_schlesinger_residual,
                                              pair_invariants,

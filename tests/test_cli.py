@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from painleve_instanton.cli import main
 
@@ -81,6 +80,12 @@ def test_trace_files(tmp_path, capsys):
     assert pvi[0] == "t,x_re,x_im,y_re,y_im,residual_abs"
 
 
+def test_trace_csv_needs_out(capsys):
+    code, _, err = run(capsys, "trace", "--n", "3", "--samples", "11")
+    assert code == 1
+    assert "--out" in err
+
+
 def test_trace_deterministic_files(tmp_path, capsys):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     run(capsys, "trace", "--n", "1", "--samples", "11", "--t-min", "0.5", "--out", a)
@@ -116,3 +121,43 @@ def test_pvi_integrate_command(capsys):
     assert lines[0] == "t,x_re,x_im,y_re,y_im,residual_abs"
     final_residual = float(lines[-1].split(",")[5])
     assert final_residual < 1e-5
+
+
+def _csv_rows(text):
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in text.strip().splitlines()[1:]])
+
+
+TRACE_WINDOW = ("--n", "3", "--samples", "21", "--t-min", "0.5")
+
+
+def test_trace_json_matches_csv(tmp_path, capsys):
+    stem = str(tmp_path / "tr")
+    assert run(capsys, "trace", *TRACE_WINDOW, "--out", stem)[0] == 0
+    code, out, _ = run(capsys, "trace", *TRACE_WINDOW, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["twistor"]) == 21
+
+    pvi_csv = _csv_rows((tmp_path / "tr.pvi.csv").read_text())
+    cols = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
+    pvi_json = np.array([[row[c] for c in cols] for row in doc["pvi"]])
+    np.testing.assert_array_equal(pvi_json, pvi_csv)  # NaN matches NaN
+    assert np.isnan(pvi_csv[:2, 5]).all() and np.isnan(pvi_csv[-2:, 5]).all()
+
+    mu_csv = _csv_rows((tmp_path / "tr.mu.csv").read_text())
+    mu_json = np.array([[row[c] for c in ("t", "mu_plus", "mu_minus")]
+                        for row in doc["mu"]])
+    np.testing.assert_array_equal(mu_json, mu_csv[:, :3])
+
+
+def test_pvi_integrate_starts_on_trace_samples(tmp_path, capsys):
+    stem = str(tmp_path / "tr")
+    assert run(capsys, "trace", *TRACE_WINDOW, "--out", stem)[0] == 0
+    code, out, _ = run(capsys, "pvi-integrate", *TRACE_WINDOW)
+    assert code == 0
+    traced = _csv_rows((tmp_path / "tr.pvi.csv").read_text())[2:]
+    integrated = _csv_rows(out)
+    np.testing.assert_array_equal(integrated[:, :3], traced[:, :3])  # t, x
+    np.testing.assert_array_equal(integrated[0, 3:5], traced[0, 3:5])  # seed y
+    assert integrated[0, 5] == 0.0

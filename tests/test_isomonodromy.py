@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from painleve_instanton import isomonodromy
 from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
                                        PathTooClose, ReducibleSystem)
 from painleve_instanton.isomonodromy import (extract_y, common_eigenvector,
+                                             gauge_rate,
                                              isospectral_drift,
-                                             jimbo_miwa_params, make_family,
+                                             jimbo_miwa_params,
                                              max_schlesinger_residual,
                                              pair_invariants,
                                              schlesinger_integrate,
@@ -39,6 +41,16 @@ def test_schlesinger_rhs_bad_parameter():
     F = _synthetic(np.diag([1, -1]), np.diag([0.5, -0.5]), np.diag([-0.2, 0.2]), x=1.0)
     with pytest.raises(BadDeformationParameter):
         schlesinger_rhs(F)
+
+
+def test_gauge_rate_propagates_unexpected_errors(prof3, monkeypatch):
+    # only divisor hits move on to the next probe point; anything else is a bug
+    def broken(*args):
+        raise TypeError("broken transverse form")
+
+    monkeypatch.setattr(isomonodromy, "transverse_form", broken)
+    with pytest.raises(TypeError):
+        gauge_rate(prof3, 0.7)
 
 
 def test_schlesinger_residual_gauged(fam1_gauged, fam3_gauged):

@@ -3,8 +3,7 @@ import pytest
 
 from painleve_instanton.errors import (SingularArgument,
                                        SingularityEncountered)
-from painleve_instanton.isomonodromy import (extract_y, jimbo_miwa_params,
-                                             make_family)
+from painleve_instanton.isomonodromy import jimbo_miwa_params
 from painleve_instanton.painleve import (PviParams, PviSample,
                                          max_pvi_residual, params_from_n,
                                          pvi_integrate, pvi_residual,
