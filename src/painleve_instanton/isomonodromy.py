@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadDeformationParameter, IndeterminateY, OnDivisor,
-                     PathTooClose, ReducibleSystem, SingularMatrix)
+                     PathTooClose, ReducibleSystem)
 from .liealg import commutator, det2, eigen2, trace_sq
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
 from .twistor import (FuchsianData, connection_form, cross_ratio,
-                      cross_ratio_derivative, dlambda_dt_at_normalized,
-                      fuchsian_data, lambda_of_normalized, transverse_form)
+                      cross_ratio_derivative, fuchsian_data,
+                      lambda_and_dt_at_normalized, transverse_form)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,12 @@ def gauge_rate(profile, t):
     xd = cross_ratio_derivative(t)
     Ax = fuchsian_data(profile, t).Ax
     for probe in _PROBES:
+        lam, lam_t = lambda_and_dt_at_normalized(t, probe)
         try:
-            lam = lambda_of_normalized(t, probe)
-            B = (transverse_form(profile, t, lam)
-                 + connection_form(profile, t, lam) * dlambda_dt_at_normalized(t, probe))
-            return B + xd * Ax / (probe - x)
-        except (SingularMatrix, OnDivisor):
+            B = transverse_form(profile, t, lam) + connection_form(profile, t, lam) * lam_t
+        except OnDivisor:
             continue
+        return B + xd * Ax / (probe - x)
     raise RuntimeError(f"no usable probe point at t = {t}")
 
 

@@ -4,7 +4,8 @@ evaluation.
 
 The integrator is a plain Dormand-Prince pair working on (possibly complex)
 numpy vectors; it propagates the 5th-order solution and controls the step
-with the embedded 4th-order error estimate.
+with the embedded 4th-order error estimate.  `rk45_path` reads intermediate
+nodes from the pair's continuous extension instead of stopping at them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,31 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 
 
-def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, max_steps=1_000_000, h0=None):
-    """Integrate dy/dt = f(t, y) from t0 to t1, returning y(t1).
+# Dormand-Prince 4th-order continuous extension (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6): y(t + theta h) = y + h (K @ _P) @ [theta, ..., theta^4]
+# with K the seven stages; row sums give _B5 and the theta-derivative at 1 is
+# the FSAL stage, so the interpolant is C^1 across steps.
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
-    Works for real or complex state vectors; t may run backwards.
+
+def _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0, on_step=None):
+    """Accepted-step loop shared by rk45 and rk45_path; returns y(t1).
+
+    After each accepted step from (t, y) to t_new with step h and stages ks,
+    calls on_step(t, y, h, ks, t_new) if given.
     """
     y = np.array(y0, copy=True)
     t = float(t0)
@@ -57,18 +79,54 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, max_steps=1_000_000, h0=None):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))) + 1e-300
         if err <= 1.0:
-            t = t1 if abs(t + h - t1) < 1e-15 * span else t + h
+            t_new = t1 if abs(t + h - t1) < 1e-15 * span else t + h
+            if on_step is not None:
+                on_step(t, y, h, ks, t_new)
+            t = t_new
             y = y5
             k1 = ks[6]  # FSAL
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
     return y
 
 
+def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, max_steps=1_000_000, h0=None):
+    """Integrate dy/dt = f(t, y) from t0 to t1, returning y(t1).
+
+    Works for real or complex state vectors; t may run backwards.
+    """
+    return _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0)
+
+
 def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
-    """Integrate through the node sequence ts, returning y at every node."""
+    """Integrate once from ts[0] to ts[-1], returning y at every node.
+
+    The nodes must be strictly monotone (either direction).  Steps are not
+    clipped at interior nodes: each is read from the 4th-order continuous
+    extension of the step that covers it.  The last node is exactly rk45's
+    y(ts[-1]).
+    """
+    ts = np.asarray(ts, dtype=float)
     out = [np.array(y0, copy=True)]
-    for a, b in zip(ts[:-1], ts[1:]):
-        out.append(rk45(f, a, out[-1], b, rtol=rtol, atol=atol))
+    if len(ts) < 2:
+        return out
+    direction = 1.0 if ts[-1] > ts[0] else -1.0
+    if not np.all(np.diff(ts) * direction > 0):
+        raise ValueError("rk45_path: nodes must be strictly monotone")
+    last = len(ts) - 1
+
+    def read_nodes(t, y, h, ks, t_new):
+        j = len(out)
+        covered = j
+        while covered < last and (ts[covered] - t_new) * direction <= 0:
+            covered += 1
+        if covered == j:
+            return
+        KP = np.column_stack(ks) @ _P
+        for node in ts[j:covered]:
+            theta = (node - t) / h
+            out.append(y + h * (KP @ (theta ** np.arange(1, 5))))
+
+    out.append(_dopri(f, ts[0], y0, ts[-1], rtol, atol, 1_000_000, None, read_nodes))
     return out
 
 

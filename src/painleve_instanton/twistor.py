@@ -88,6 +88,22 @@ def alpha_inv_tangent(t, lam):
     return np.array([c1, c2, c3])
 
 
+def alpha_inv_transverse(t, lam):
+    """Closed-form coefficients (c1, c2, c3) of alpha^{-1} on the transverse
+    direction `line_transverse`.
+
+    Cross-validated against the 3x3 solve route in the test suite; raises
+    OnDivisor when Delta vanishes (the point lies on the divisor).
+    """
+    d = delta(t, lam)
+    if abs(d) <= 1e-13:
+        raise OnDivisor(f"Delta({t}, {lam}) = {d}")
+    c1 = -2j * t * t * (lam * lam - 1.0) * (lam * lam + 1.0) / (3.0 * d)
+    c2 = lam * (lam * lam - 1.0) * (t + 3.0) ** 2 / (3.0 * d)
+    c3 = 1j * lam * (lam * lam + 1.0) * (t - 3.0) ** 2 / (3.0 * d)
+    return np.array([c1, c2, c3])
+
+
 # --------------------------------------------------------------------------
 # line geometry
 # --------------------------------------------------------------------------
@@ -205,10 +221,12 @@ def lambda_of_normalized(t, w):
     return (A * w + B) / (C * w + D)
 
 
-def dlambda_dt_at_normalized(t, w):
+def lambda_and_dt_at_normalized(t, w):
+    """(lam, d lam/dt at fixed w) at the normalised point w, from one
+    evaluation of the line geometry."""
     (A, B, C, D), (Ad, Bd, Cd, Dd) = _inverse_pack(t)
     num = (Ad * w + Bd) * (C * w + D) - (A * w + B) * (Cd * w + Dd)
-    return num / (C * w + D) ** 2
+    return (A * w + B) / (C * w + D), num / (C * w + D) ** 2
 
 
 def dlambda_dw(t, w):
@@ -339,7 +357,7 @@ def connection_form(profile, t, lam):
 def transverse_form(profile, t, lam):
     """Matrix of the flat connection on the transverse (d/dt) direction."""
     a = profile.oriented_values(t)
-    c = alpha_inv(t, lam, line_transverse(t, lam))
+    c = alpha_inv_transverse(t, lam)
     return su2_combination(-a[0] * c[0], -a[1] * c[1], -a[2] * c[2])
 
 

@@ -53,6 +53,20 @@ def test_gauge_rate_propagates_unexpected_errors(prof3, monkeypatch):
         gauge_rate(prof3, 0.7)
 
 
+def test_gauge_transport_evaluation_count(prof3, ts_default, monkeypatch):
+    # one Dormand-Prince sweep over the window, not a restart per sample
+    calls = []
+
+    def counted(profile, t):
+        calls.append(t)
+        return gauge_rate(profile, t)
+
+    monkeypatch.setattr(isomonodromy, "gauge_rate", counted)
+    isomonodromy.make_family(prof3, ts_default, gauge="schlesinger")
+    assert len(ts_default) == 201
+    assert len(calls) < 1000
+
+
 def test_schlesinger_residual_gauged(fam1_gauged, fam3_gauged):
     assert max_schlesinger_residual(fam1_gauged) < 1e-6
     assert max_schlesinger_residual(fam3_gauged) < 1e-6

@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+
+from painleve_instanton.stepper import rk45, rk45_path
+
+# y' = M y with M = [[a, b], [-b, a]]: y(t) = e^{a t} R(b t) y(0), with R the
+# (complex-angle) rotation, so every node has a closed-form reference.
+A, B = -0.3 + 0.5j, 1.2 - 0.4j
+M = np.array([[A, B], [-B, A]])
+Y0 = np.array([1.0 - 0.5j, 0.25 + 2.0j])
+
+
+def exact(t):
+    c, s = np.cos(B * t), np.sin(B * t)
+    return np.exp(A * t) * (np.array([[c, s], [-s, c]]) @ Y0)
+
+
+class Counted:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return M @ y
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
+def test_rk45_matches_closed_form(t0, t1):
+    y = rk45(Counted(), t0, exact(t0), t1)
+    assert np.max(np.abs(y - exact(t1))) < 1e-10
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
+@pytest.mark.parametrize("nodes", [3, 1001])
+def test_rk45_path_matches_closed_form(t0, t1, nodes):
+    # 3 nodes are sparser and 1001 nodes denser than the accepted steps
+    ts = np.linspace(t0, t1, nodes)
+    ys = rk45_path(Counted(), ts, exact(t0))
+    assert len(ys) == nodes
+    assert max(np.max(np.abs(y - exact(t))) for t, y in zip(ts, ys)) < 1e-10
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
+def test_rk45_path_is_one_sweep(t0, t1):
+    # interior nodes cost no evaluations, and the last node is rk45's result
+    sweep, single = Counted(), Counted()
+    ys = rk45_path(sweep, np.linspace(t0, t1, 1001), exact(t0))
+    y1 = rk45(single, t0, exact(t0), t1)
+    assert np.array_equal(ys[-1], y1)
+    assert sweep.calls == single.calls
+
+
+def test_rk45_path_single_node_and_bad_nodes():
+    ys = rk45_path(Counted(), [0.3], Y0)
+    assert len(ys) == 1 and np.array_equal(ys[0], Y0)
+    with pytest.raises(ValueError):
+        rk45_path(Counted(), [0.0, 1.0, 0.5, 2.0], Y0)
+
+
+def test_rk45_step_limit():
+    with pytest.raises(RuntimeError, match="step limit"):
+        rk45(Counted(), 0.0, Y0, 2.0, max_steps=3)
+
+
+def test_rk45_zero_length_returns_copy():
+    y = rk45(Counted(), 1.0, Y0, 1.0)
+    assert np.array_equal(y, Y0) and y is not Y0

@@ -9,8 +9,9 @@ from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
 from painleve_instanton.liealg import trace_sq
 from painleve_instanton.twistor import (COMPLEX_BASIS, POLE_LABELS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
-                                        alpha_matrix, connection_form,
-                                        cross_ratio, cross_ratio_derivative,
+                                        alpha_inv_transverse, alpha_matrix,
+                                        connection_form, cross_ratio,
+                                        cross_ratio_derivative,
                                         delta, fuchsian_data, line_point,
                                         line_tangent, mobius_apply,
                                         mobius_inverse, mobius_normalize,
@@ -71,8 +72,9 @@ def test_alpha_inv_tangent_closed_form(rng):
 
 def test_alpha_inv_tangent_on_divisor():
     g = poles(0.5)
-    with pytest.raises(OnDivisor):
-        alpha_inv_tangent(0.5, g.poles_lambda[2])
+    for closed in (alpha_inv_tangent, alpha_inv_transverse):
+        with pytest.raises(OnDivisor):
+            closed(0.5, g.poles_lambda[2])
 
 
 def test_mu_pair_product_and_quadratic():
