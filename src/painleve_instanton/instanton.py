@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
-from .stepper import barycentric, cos_nodes, fd_weights, rk45, stencil5
+from .stepper import barycentric, cos_nodes, fd_weights, rk45_path, stencil5
 
 
 class DualitySign(enum.Enum):
@@ -171,7 +171,7 @@ class ProfileTriple:
             return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
         k = int(np.argmin(np.abs(self.ts - t)))
         win = stencil5(self.ts, k)
-        w = fd_weights(self.ts[win], t, 1)
+        w = fd_weights(self.ts[win], t, 1)[1]
         return self.values_grid[:, win] @ w
 
     @property
@@ -405,31 +405,33 @@ def endpoint_series(n, side, order, params=None):
 # boundary-value solver
 # --------------------------------------------------------------------------
 
-@dataclass
-class BvpConfig:
-    n: int
-    grid_size: int = 385
-    match_point: float = 0.5
-    series_order: int = 10
-    newton_tol: float = 1e-10
-    max_iter: int = 50
-    launch_offset: float = 1e-4
-    rtol: float = 1e-12
-    atol: float = 1e-13
-    seed: tuple | None = None
-
-    def validate(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"n must be odd and positive (|n| label), got {self.n}")
-        if self.grid_size < 64:
-            raise ValueError("grid_size must be >= 64")
-        if not 0.0 < self.match_point < 1.0:
-            raise ValueError("match_point must lie in (0, 1)")
-        if self.series_order < 3:
-            raise ValueError("series_order must be >= 3")
+GRID_SIZE = 385
+MATCH_POINT = 0.5
+SERIES_ORDER = 10
+NEWTON_TOL = 1e-10
+MAX_ITER = 50
+LAUNCH_OFFSET = 1e-4
+RTOL = 1e-12
+ATOL = 1e-13
 
 
-_KNOWN_SEEDS = {1: (1.0, 0.0, 1.0), 3: (2.0, 2.0, -1.5), 5: (2.8, 4.8, 1.875)}
+def _seed(n):
+    """Closed-form shooting parameters (p, r, q) for odd n, with k = (n-1)/2:
+
+        p = prod_j (3j+1)/(3j-1),   r = 2/3 (prod_j (3j+2)/(3j-2) - p),
+        q = prod_j -(2j+1)/(2j),    j = 1..k.
+
+    Exact for n = 1, 3, 5; for larger n, p and r match the converged values
+    to ~1e-9 and q (the resonant amplitude, weakly determined by the defect)
+    to ~1e-7.  Integer products keep each value one correctly rounded
+    division.
+    """
+    js = range(1, (n - 1) // 2 + 1)
+    p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
+    s_num, s_den = math.prod(3 * j + 2 for j in js), math.prod(3 * j - 2 for j in js)
+    r = 2 * (s_num * p_den - p_num * s_den) / (3 * s_den * p_den)
+    q = (-1) ** len(js) * math.prod(2 * j + 1 for j in js) / math.prod(2 * j for j in js)
+    return p_num / p_den, r, q
 
 
 def _asd_flow(t, a):
@@ -438,156 +440,135 @@ def _asd_flow(t, a):
     return asd_rhs(DualitySign.ANTI_SELF_DUAL, t, a)
 
 
-def _launch_offset(series, depths, floor):
+_DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3)
+
+
+def _launch_depth(series):
     """Deepest interior launch at which the series tail is at machine level.
 
     Integrating from the very endpoint amplifies noise along the resonant
     modes (factor (s/eps)^(n-1)/2 on the t1 side), so the launch goes as far
-    inside as the truncated series stays accurate.
+    inside as the truncated series stays accurate; LAUNCH_OFFSET if no
+    depth in _DEPTHS qualifies.
     """
-    for s in depths:
-        c = series.coeffs
-        order = c.shape[1] - 1
+    c = series.coeffs
+    order = c.shape[1] - 1
+    for s in _DEPTHS:
         tail = sum(float(np.max(np.abs(c[:, m]))) * s**m
                    for m in range(max(order - 2, 1), order + 1))
         if tail < 1e-14 * max(1.0, float(np.max(np.abs(c[:, 0]))) + 1.0):
             return s
-    return floor
+    return LAUNCH_OFFSET
 
 
-_DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3)
+def _sweep(series, t_launch, ts, cols, grid):
+    """One side of the shot: series values at the nodes `cols` (ordered from
+    the endpoint inward) up to the launch point, then one rk45_path sweep
+    from the launch point through the remaining nodes to MATCH_POINT.
+    Fills grid[:, cols] and returns a(MATCH_POINT)."""
+    direction = 1.0 if t_launch < MATCH_POINT else -1.0
+    swept = []
+    for k in cols:
+        if (ts[k] - t_launch) * direction > 0:
+            swept.append(k)
+        else:
+            grid[:, k] = series.eval(ts[k])
+    path = rk45_path(_asd_flow, [t_launch, *ts[swept], MATCH_POINT],
+                     series.eval(t_launch), rtol=RTOL, atol=ATOL)
+    for k, a in zip(swept, path[1:-1]):
+        grid[:, k] = a
+    return path[-1]
 
 
-def _launches(cfg, params):
+def _shoot(n, ts, params):
+    """Shoot from both endpoint series to MATCH_POINT.
+
+    Returns (grid, defect): the profile at every node of `ts` (series values
+    beyond the launch points, the two sweeps in between) and
+    a_left(MATCH_POINT) - a_right(MATCH_POINT).
+    """
     p, r, q = params
-    s_left = endpoint_series(cfg.n, "t0", cfg.series_order, (p, r))
-    s_right = endpoint_series(cfg.n, "t1", cfg.series_order, (q,))
-    eps = cfg.launch_offset
-    d0 = max(_launch_offset(s_left, _DEPTHS, eps), eps)
-    d1 = max(_launch_offset(s_right, _DEPTHS, eps), eps)
-    return s_left, s_right, d0, 1.0 - d1
+    s_left = endpoint_series(n, "t0", SERIES_ORDER, (p, r))
+    s_right = endpoint_series(n, "t1", SERIES_ORDER, (q,))
+    mid = int(np.searchsorted(ts, MATCH_POINT))
+    grid = np.empty((3, len(ts)))
+    left = _sweep(s_left, _launch_depth(s_left), ts, range(mid), grid)
+    right = _sweep(s_right, 1.0 - _launch_depth(s_right), ts,
+                   range(len(ts) - 1, mid - 1, -1), grid)
+    return grid, left - right
 
 
-def _defect(cfg, params):
-    s_left, s_right, t_lo, t_hi = _launches(cfg, params)
-    yl = rk45(_asd_flow, t_lo, s_left.eval(t_lo), cfg.match_point,
-              rtol=cfg.rtol, atol=cfg.atol, h0=t_lo / 10.0)
-    yr = rk45(_asd_flow, t_hi, s_right.eval(t_hi), cfg.match_point,
-              rtol=cfg.rtol, atol=cfg.atol, h0=(1.0 - t_hi) / 10.0)
-    return yl - yr
-
-
-def _seed_scan(cfg):
-    n = cfg.n
-    best = (math.inf, None)
-    coarse = BvpConfig(n=n, series_order=8, rtol=1e-8, atol=1e-10,
-                       launch_offset=cfg.launch_offset, match_point=cfg.match_point)
-    ps = np.linspace(0.5, 1.2 * n, 6)
-    rs = np.linspace(0.0, 1.5 * n, 5)
-    qs = np.linspace(-0.8 * n * n, 0.8 * n * n, 9)
-    for p in ps:
-        for r in rs:
-            for q in qs:
-                try:
-                    nrm = float(np.linalg.norm(_defect(coarse, (p, r, q))))
-                except (OverflowError, DegenerateCoefficient):
-                    continue
-                if not math.isfinite(nrm):
-                    continue
-                if nrm < best[0]:
-                    best = (nrm, (p, r, q))
-    if best[1] is None:
-        raise NoConvergence(0, math.inf)
-    return best[1]
-
-
-def solve_bvp(cfg):
+def solve_bvp(n):
     """Two-sided shooting solve of the anti-self-dual boundary-value problem.
 
-    Launches on the endpoint series at t = eps and t = 1 - eps, integrates
-    both branches to the matching point and drives the three-component
-    defect to zero with a damped Newton iteration in the three shooting
-    parameters (p, r, q).
+    Launches on the endpoint series near t = 0 and t = 1, integrates both
+    branches to MATCH_POINT and drives the three-component defect to zero
+    with a damped Newton iteration in the shooting parameters (p, r, q),
+    started at the closed-form `_seed(n)`.  Below NEWTON_TOL it keeps taking
+    full steps with the last Jacobian while each at least halves the
+    defect, so the profile is polished to the roundoff floor.  The profile is the grid of the shot
+    Newton accepted last: its jump at MATCH_POINT is the final defect.
     """
-    cfg.validate()
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"n must be odd and positive (|n| label), got {n}")
+    ts = cos_nodes(LAUNCH_OFFSET, 1.0 - LAUNCH_OFFSET, GRID_SIZE)
 
-    def try_defect(params):
+    def try_shoot(params):
         try:
-            F = _defect(cfg, params)
+            grid, F = _shoot(n, ts, params)
         except (OverflowError, DegenerateCoefficient):
             return None
-        return F if np.all(np.isfinite(F)) else None
+        return (grid, F) if np.all(np.isfinite(F)) else None
 
-    x = np.array(cfg.seed if cfg.seed is not None
-                 else _KNOWN_SEEDS.get(cfg.n) or _seed_scan(cfg), dtype=float)
-    F = try_defect(x)
-    if F is None:
+    x = np.array(_seed(n), dtype=float)
+    shot = try_shoot(x)
+    if shot is None:
         raise NoConvergence(0, math.inf)
+    grid, F = shot
     norm = float(np.linalg.norm(F))
-    for it in range(cfg.max_iter):
-        if norm < cfg.newton_tol:
-            break
-        J = np.empty((3, 3))
-        for j in range(3):
-            xp = x.copy()
-            xp[j] += 1e-6
-            Fp = try_defect(xp)
-            if Fp is None:
-                raise NoConvergence(it, norm)
-            J[:, j] = (Fp - F) / 1e-6
+    J = None
+    for it in range(MAX_ITER):
+        # at the roundoff floor a fresh difference Jacobian is no better
+        # than the last one
+        if J is None or norm >= NEWTON_TOL:
+            J = np.empty((3, 3))
+            for j in range(3):
+                xp = x.copy()
+                xp[j] += 1e-6
+                shot = try_shoot(xp)
+                if shot is None:
+                    raise NoConvergence(it, norm)
+                J[:, j] = (shot[1] - F) / 1e-6
         try:
             dx = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(it, norm) from exc
-        lam = 1.0
-        for _ in range(30):
-            xn = x + lam * dx
-            Fn = try_defect(xn)
-            if Fn is not None and float(np.linalg.norm(Fn)) < norm:
+        if norm < NEWTON_TOL:
+            shot = try_shoot(x + dx)
+            if shot is None or not float(np.linalg.norm(shot[1])) < 0.5 * norm:
                 break
-            lam *= 0.5
+            x = x + dx
         else:
-            raise NoConvergence(it, norm)
-        x, F = xn, Fn
+            lam = 1.0
+            for _ in range(30):
+                shot = try_shoot(x + lam * dx)
+                if shot is not None and float(np.linalg.norm(shot[1])) < norm:
+                    break
+                lam *= 0.5
+            else:
+                raise NoConvergence(it, norm)
+            x = x + lam * dx
+        grid, F = shot
         norm = float(np.linalg.norm(F))
     else:
-        raise NoConvergence(cfg.max_iter, norm)
+        raise NoConvergence(MAX_ITER, norm)
 
     p, r, q = x
-    eps = cfg.launch_offset
-    ts = cos_nodes(eps, 1.0 - eps, cfg.grid_size)
-    grid = np.empty((3, cfg.grid_size))
-    mid = int(np.searchsorted(ts, cfg.match_point))
-    # final sampling: series values wherever the series is machine-accurate,
-    # near-machine-tolerance integration chains in between (the residual
-    # check differentiates node values, so per-node noise must stay at the
-    # defect level)
-    fine_r, fine_a = 1e-13, 1e-14
-    s_left, s_right, t_lo, t_hi = _launches(cfg, x)
-    a = None
-    for k in range(0, mid):
-        if ts[k] <= t_lo or a is None and ts[k] < t_lo:
-            grid[:, k] = s_left.eval(ts[k])
-        else:
-            prev = s_left.eval(t_lo) if a is None else a
-            start = t_lo if a is None else ts[k - 1]
-            a = rk45(_asd_flow, start, prev, ts[k], rtol=fine_r, atol=fine_a)
-            grid[:, k] = a
-    a = None
-    for k in range(cfg.grid_size - 1, mid - 1, -1):
-        if ts[k] >= t_hi:
-            grid[:, k] = s_right.eval(ts[k])
-        else:
-            prev = s_right.eval(t_hi) if a is None else a
-            start = t_hi if a is None else ts[k + 1]
-            a = rk45(_asd_flow, start, prev, ts[k], rtol=fine_r, atol=fine_a)
-            grid[:, k] = a
-
     return ProfileTriple(
-        kind=ProfileKind.NUMERIC, n=cfg.n, ts=ts, values_grid=grid,
+        kind=ProfileKind.NUMERIC, n=n, ts=ts, values_grid=grid,
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"p": float(p), "r": float(r), "q": float(q),
-              "match_defect": norm, "launch_offset": eps},
+              "match_defect": norm, "launch_offset": LAUNCH_OFFSET},
     )
 
 

@@ -125,7 +125,7 @@ def schlesinger_residual(fam, k):
         raise IndexError("5-point stencil needs 2 <= k <= len-3")
     xs = fam.xs
     window = slice(k - 2, k + 3)
-    w = fd_weights(xs[window].real, xs[k].real, 1)
+    w = fd_weights(xs[window].real, xs[k].real, 1)[1]
     rhs = schlesinger_rhs(fam.samples[k])
     total = 0.0
     for p, want in zip(range(3), rhs):
@@ -203,38 +203,27 @@ def extract_y(F, branch="plus"):
     """Position y of the apparent singularity for the chosen eigen-branch.
 
     In the frame diagonalising Ainf = diag(lam, -lam), y is the zero of the
-    numerator of the (2,1) entry of the residue sum A(zeta); there the
-    lam-eigenvector of Ainf is a common eigenvector of A(y) and Ainf.  The
-    root is checked a posteriori against the numerator polynomial.
+    numerator c2 z^2 + c1 z + c0 of the (2,1) entry of the residue sum
+    A(zeta); there the lam-eigenvector of Ainf is a common eigenvector of
+    A(y) and Ainf.  On a consistent quadruple, Ainf = -(A0 + A1 + Ax), the
+    leading coefficient c2 = -(P^-1 Ainf P)_21 vanishes and y = -c0/c1; a
+    quadruple with |c2| above roundoff of the residues raises.
     """
     lam, P, Pi = _branch_frame(F, branch)
     x = F.x
     b = [(Pi @ A @ P)[1, 0] for A in (F.A0, F.A1, F.Ax)]
+    size = max(1.0, float(max(np.max(np.abs(A)) for A in F.residues())))
     scale = max(abs(v) for v in b)
-    if scale < 1e-12 * max(1.0, float(max(np.max(np.abs(A)) for A in F.residues()))):
+    if scale < 1e-12 * size:
         raise ReducibleSystem("all off-diagonal couplings vanish")
     c2 = b[0] + b[1] + b[2]
+    if abs(c2) > 1e-12 * size:
+        raise IndeterminateY(f"inconsistent residues at t = {F.t} ({branch} branch): "
+                             f"|c2| = {abs(c2):.3e}")
     c1 = -b[0] * (1.0 + x) - b[1] * x - b[2]
-    c0 = b[0] * x
-
-    def excluded(z):
-        return min(abs(z), abs(z - 1.0), abs(z - x)) < 1e-10
-
-    if abs(c2) > 1e-9 * scale:
-        # inconsistent quadruple (Ainf != -(A0+A1+Ax)): genuine quadratic
-        disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0 + 0j)
-        roots = [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
-        good = [z for z in roots if not excluded(z)]
-        if not good:
-            raise IndeterminateY("both numerator roots lie in {0, 1, x, inf}")
-        y = good[0]
-    else:
-        if abs(c1) < 1e-12 * scale:
-            raise IndeterminateY("numerator polynomial is degenerate")
-        y = -c0 / c1
-    if abs(c2 * y * y + c1 * y + c0) > 1e-10 * scale * max(1.0, abs(y)) ** 2:
-        raise IndeterminateY("root fails the a-posteriori numerator bound")
-    return y
+    if abs(c1) < 1e-12 * scale:
+        raise IndeterminateY("numerator polynomial is degenerate")
+    return -b[0] * x / c1
 
 
 def common_eigenvector(F, branch="plus"):

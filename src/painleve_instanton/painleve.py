@@ -64,13 +64,18 @@ class PviSample:
         return [{c: float(v) for c, v in zip(self.COLUMNS, row)}
                 for row in self._rows(residuals)]
 
-    def slope(self, k):
-        """dy/dx at sample k from the 5-point stencil centred on it."""
+    def stencil(self, k, order):
+        """Fornberg weights (rows 0..order) and y values of the 5-point
+        stencil centred on sample k."""
         if not 2 <= k <= len(self) - 3:
             raise IndexError("5-point stencil needs 2 <= k <= len-3")
         window = slice(k - 2, k + 3)
-        w1 = fd_weights(self.xs[window].real, self.xs[k].real, 1)
-        return np.dot(w1, self.ys[window])
+        return fd_weights(self.xs[window].real, self.xs[k].real, order), self.ys[window]
+
+    def slope(self, k):
+        """dy/dx at sample k from the 5-point stencil centred on it."""
+        w, ys = self.stencil(k, 1)
+        return np.dot(w[1], ys)
 
 
 def pvi_second_derivative(params, x, y, yp):
@@ -92,10 +97,9 @@ def pvi_second_derivative(params, x, y, yp):
 
 def pvi_residual(sample, params, k):
     """y'' (5-point finite differences in x) minus the PVI right-hand side."""
-    yp = sample.slope(k)
-    window = slice(k - 2, k + 3)
-    w2 = fd_weights(sample.xs[window].real, sample.xs[k].real, 2)
-    ypp = np.dot(w2, sample.ys[window])
+    w, ys = sample.stencil(k, 2)
+    yp = np.dot(w[1], ys)
+    ypp = np.dot(w[2], ys)
     return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instanton import BvpConfig, asd_closed_profile, solve_bvp
+from .instanton import asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
@@ -16,7 +16,7 @@ from .painleve import (PviSample, max_pvi_residual, pvi_integrate,
 
 def profile_for(n):
     """Profile used by the pipelines: closed form for n in {1, 3}, else BVP."""
-    return asd_closed_profile(n) if n in (1, 3) else solve_bvp(BvpConfig(n=n))
+    return asd_closed_profile(n) if n in (1, 3) else solve_bvp(n)
 
 
 def default_tolerances(n):

@@ -131,7 +131,8 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
 
 
 def fd_weights(nodes, x0, order):
-    """Fornberg weights for the `order`-th derivative at x0 over `nodes`."""
+    """Fornberg weights at x0 over `nodes`: row m of the returned
+    (order + 1, len(nodes)) table gives the m-th derivative, m = 0..order."""
     nodes = np.asarray(nodes)
     n = len(nodes)
     w = np.zeros((order + 1, n), dtype=nodes.dtype)
@@ -154,7 +155,7 @@ def fd_weights(nodes, x0, order):
                 w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
             w[0, j] = c4 * w[0, j] / c3
         c1 = c2
-    return w[order]
+    return w
 
 
 def stencil5(xs, k):

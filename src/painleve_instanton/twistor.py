@@ -156,16 +156,6 @@ def poles(t):
                         poles_lambda=(z1, z2, z3, z4), mobius=mob, x=x)
 
 
-def pole_velocities(t):
-    """d/dt of the four poles."""
-    d_plus, d_minus = mu_pair_derivative(t)
-    g = poles(t)
-    z1, z2, _, _ = g.poles_lambda
-    dz1 = d_minus / (2.0 * z1)
-    dz2 = d_plus / (2.0 * z2)
-    return dz1, dz2, -dz2, -dz1
-
-
 def cross_ratio(t):
     """Cross ratio of the four poles under the normalisation z1,z2,z4 -> 0,1,inf."""
     if not 0.0 < t < 1.0:
@@ -203,10 +193,12 @@ def mobius_inverse(co):
 
 def _inverse_pack(t):
     """Inverse-map coefficients lam(w) = (A w + B)/(C w + D) and their
-    t-derivatives at fixed w."""
-    g = poles(t)
-    z1, z2, _, z4 = g.poles_lambda
-    d1, d2, _, d4 = pole_velocities(t)
+    t-derivatives at fixed w; the poles move as d z^2/dt = d mu/dt."""
+    z1, z2, _, z4 = poles(t).poles_lambda
+    d_plus, d_minus = mu_pair_derivative(t)
+    d1 = d_minus / (2.0 * z1)
+    d2 = d_plus / (2.0 * z2)
+    d4 = -d1
     A, B = z4 * (z2 - z1), -z1 * (z2 - z4)
     C, D = z2 - z1, -(z2 - z4)
     Ad = d4 * (z2 - z1) + z4 * (d2 - d1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from painleve_instanton.instanton import BvpConfig, asd_closed_profile, solve_bvp
+from painleve_instanton.instanton import asd_closed_profile, solve_bvp
 from painleve_instanton.isomonodromy import default_verification_ts, make_family
 
 
@@ -22,7 +22,7 @@ def prof3():
 
 @pytest.fixture(scope="session")
 def prof5():
-    return solve_bvp(BvpConfig(n=5))
+    return solve_bvp(5)
 
 
 @pytest.fixture(scope="session")

@@ -148,7 +148,7 @@ def test_criterion_7_pvi_closure(fam3_raw):
         params = jimbo_miwa_params(fam3_raw.samples[100], branch)
         worst_res = max(worst_res, max_pvi_residual(sample, params))
         k = 100
-        w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)
+        w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)[1]
         yp = np.dot(w1, sample.ys[k - 2:k + 3])
         y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k], yp,
                                  sample.xs[k + 1].real)

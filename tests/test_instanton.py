@@ -1,13 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
+from painleve_instanton import instanton
 from painleve_instanton.errors import NoConvergence, PoleAtEndpoint
-from painleve_instanton.instanton import (BvpConfig, DualitySign, ProfileKind,
+from painleve_instanton.instanton import (DualitySign, ProfileKind,
                                           ProfileTriple, asd_closed_profile,
                                           asd_rhs, closed_form_profile,
                                           coeff_K, conserved_tr,
                                           duality_residual, endpoint_series,
                                           solve_bvp)
+from painleve_instanton.report import build_verification_report
 
 SD = DualitySign.SELF_DUAL
 ASD = DualitySign.ANTI_SELF_DUAL
@@ -120,7 +124,7 @@ def test_endpoint_series_residual_order():
 
 
 def test_solve_bvp_n1():
-    prof = solve_bvp(BvpConfig(n=1))
+    prof = solve_bvp(1)
     for t in np.linspace(0.05, 0.95, 21):
         assert np.max(np.abs(prof.values(t) - 1.0)) < 1e-8
     assert abs(prof.meta["p"] - 1.0) < 1e-9
@@ -128,7 +132,7 @@ def test_solve_bvp_n1():
 
 
 def test_solve_bvp_n3_matches_closed_form():
-    prof = solve_bvp(BvpConfig(n=3))
+    prof = solve_bvp(3)
     ref = closed_form_profile(ProfileKind.E_MINUS_3)
     # discover the per-component sign pattern, then compare sup-norm
     signs = np.sign(prof.values(0.5) * ref.values(0.5))
@@ -141,7 +145,7 @@ def test_solve_bvp_n3_matches_closed_form():
 
 
 def test_solve_bvp_grid_residual(prof5):
-    for prof in (solve_bvp(BvpConfig(n=3)), prof5):
+    for prof in (solve_bvp(3), prof5):
         for k in range(2, len(prof.ts) - 2):
             t = prof.ts[k]
             if not 1e-3 < t < 1 - 1e-3:
@@ -157,18 +161,76 @@ def test_solve_bvp_boundary_data(prof5):
     assert np.max(np.abs(a1 - np.array([0.0, 5.0, 0.0]))) < 1e-8
 
 
-def test_solve_bvp_no_convergence():
-    with pytest.raises(NoConvergence):
-        solve_bvp(BvpConfig(n=3, seed=(40.0, -30.0, 55.0), max_iter=2))
+def test_solve_bvp_no_convergence(monkeypatch):
+    monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence) as err:
+        solve_bvp(3)
+    # the seed shot itself blows up: no Jacobian, no line search
+    assert err.value.iterations == 0 and err.value.defect == float("inf")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_bvp_config_validation():
     with pytest.raises(ValueError):
-        BvpConfig(n=2).validate()
+        solve_bvp(2)
     with pytest.raises(ValueError):
-        BvpConfig(n=3, grid_size=32).validate()
-    with pytest.raises(ValueError):
-        BvpConfig(n=3, series_order=1).validate()
+        solve_bvp(-1)
+
+
+def test_seed_law_closed_forms():
+    # the closed-form seeds of n = 1, 3, 5 are exact
+    assert instanton._seed(1) == (1.0, 0.0, 1.0)
+    assert instanton._seed(3) == (2.0, 2.0, -1.5)
+    assert instanton._seed(5) == (2.8, 4.8, 1.875)
+
+
+@pytest.fixture(scope="module")
+def prof7_counted():
+    # solve n = 7 once, counting the endpoint-series builds of the shots
+    calls = []
+    real = instanton.endpoint_series
+    instanton.endpoint_series = lambda *args: calls.append(args) or real(*args)
+    try:
+        return solve_bvp(7), len(calls)
+    finally:
+        instanton.endpoint_series = real
+
+
+def test_solve_bvp_endpoint_series_count(prof7_counted):
+    # one series pair per shot: the seed and a few Newton steps, no scan
+    assert prof7_counted[1] < 60
+
+
+def test_seed_law_matches_converged(prof5, prof7_counted):
+    for prof in (prof5, prof7_counted[0], solve_bvp(9)):
+        p, r, q = instanton._seed(prof.n)
+        assert abs(prof.meta["p"] - p) < 1e-8
+        assert abs(prof.meta["r"] - r) < 1e-8
+        assert abs(prof.meta["q"] - q) < 1e-6
+
+
+def test_solve_bvp_no_seam(prof7_counted):
+    # the profile is the accepted shot itself, so the duality residual at
+    # the matching point stays at the 5-point-stencil level of the rest of
+    # the grid: no jump beyond the final defect
+    prof = prof7_counted[0]
+    assert prof.meta["match_defect"] < 1e-12
+
+    def residual(k):
+        return np.max(np.abs(duality_residual(prof, ASD, prof.ts[k])))
+
+    mid = int(np.searchsorted(prof.ts, instanton.MATCH_POINT))
+    seam = max(residual(k) for k in range(mid - 4, mid + 4))
+    typical = np.median([residual(k) for k in range(2, len(prof.ts) - 2)
+                         if 0.05 < prof.ts[k] < 0.95])
+    assert seam < 3.0 * typical
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_verify_passes_bvp(n):
+    rep = build_verification_report(n)
+    assert rep["passed"], {k: v for k, v in rep["checks"].items() if not v}
 
 
 def test_conserved_tr_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from painleve_instanton import isomonodromy
 from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
@@ -145,13 +147,33 @@ def test_extract_y_common_eigenvector(prof3, fam3_raw):
 
 
 def test_extract_y_excluded_roots():
-    # inconsistent quadruple whose numerator roots are the excluded {1, x}
+    # inconsistent quadruple (Ainf != -(A0 + A1 + Ax)): the numerator keeps
+    # a quadratic term, so y is not determined
     A0 = np.array([[-1.25, 0.0], [1.0, 1.25]])
     F = FuchsianData(t=float("nan"), x=2.5 + 0j,
                      A0=A0, A1=np.diag([0.3, -0.3]), Ax=np.diag([0.2, -0.2]),
                      Ainf=np.diag([0.75, -0.75]) + 0j)
     with pytest.raises(IndeterminateY):
         extract_y(F, "plus")
+
+
+_entries = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 200), re=st.lists(_entries, min_size=4, max_size=4),
+       im=st.lists(_entries, min_size=4, max_size=4), c=st.floats(0.1, 10.0))
+def test_extract_y_invariance(fam3_raw, k, re, im, c):
+    # y is a conjugation invariant of the quadruple and does not see its scale
+    g = np.eye(2) + 0.5 * (np.array(re) + 1j * np.array(im)).reshape(2, 2)
+    assume(np.linalg.cond(g) < 10.0)
+    F = fam3_raw.samples[k]
+    scaled = FuchsianData(t=F.t, x=F.x, A0=c * F.A0, A1=c * F.A1, Ax=c * F.Ax,
+                          Ainf=c * F.Ainf)
+    for branch in ("plus", "minus"):
+        y = extract_y(F, branch)
+        for G in (F.conjugated(g), scaled):
+            assert abs(extract_y(G, branch) - y) < 1e-10 * max(1.0, abs(y))
 
 
 def test_extract_y_reducible():

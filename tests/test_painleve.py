@@ -80,7 +80,7 @@ def test_pvi_integrate_single_step(fam1_raw, fam3_raw):
         sample = extract_transcendent(fam, "plus")
         params = jimbo_miwa_params(fam.samples[100], "plus")
         k = 100
-        w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)
+        w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)[1]
         yp = np.dot(w1, sample.ys[k - 2:k + 3])
         y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k], yp,
                                  sample.xs[k + 1].real)
@@ -108,7 +108,7 @@ def test_pvi_integrate_delta_discrimination(fam3_raw):
     good = jimbo_miwa_params(fam3_raw.samples[100], "plus")
     bad = PviParams(good.alpha, good.beta, good.gamma, -1.0)  # rejected variant
     k0, k1 = 100, 120
-    w1 = fd_weights(sample.xs[k0 - 2:k0 + 3].real, sample.xs[k0].real, 1)
+    w1 = fd_weights(sample.xs[k0 - 2:k0 + 3].real, sample.xs[k0].real, 1)[1]
     yp = np.dot(w1, sample.ys[k0 - 2:k0 + 3])
     y_good, yp_g = pvi_integrate(good, sample.xs[k0].real, sample.ys[k0], yp,
                                  sample.xs[k1].real)
