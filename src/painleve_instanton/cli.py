@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,29 +32,14 @@ from .twistor import mu_pair, trace_csv_row
 log = logging.getLogger("painleve_instanton")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 3
-    t_min: float = 0.05
-    t_max: float = 0.95
-    samples: int = 101
-    fmt: str = "csv"
-    out: str | None = None
-    tol: float | None = None
-    delta_variant: str = "auto"
-
-    def validate(self):
-        if not 0.0 < self.t_min < self.t_max < 1.0:
-            raise ValueError("need 0 < t-min < t-max < 1")
-        if self.samples < 5:
-            raise ValueError("samples must be >= 5")
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError("n must be a positive odd label")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        if self.delta_variant not in ("auto", "intro", "theorem"):
-            raise ValueError("delta-variant must be auto, intro or theorem")
+def _check_ranges(args):
+    """The ranges argparse cannot express; raises ValueError."""
+    if not 0.0 < args.t_min < args.t_max < 1.0:
+        raise ValueError("need 0 < t-min < t-max < 1")
+    if args.samples < 5:
+        raise ValueError("samples must be >= 5")
+    if args.n < 1 or args.n % 2 == 0:
+        raise ValueError("n must be a positive odd label")
 
 
 def _atomic_write(path, text):
@@ -185,17 +169,9 @@ def main(argv=None):
     level = os.environ.get("PAINLEVE_INSTANTON_LOG", "error").upper()
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, n=args.n, t_min=args.t_min,
-                    t_max=args.t_max, samples=args.samples, fmt=args.fmt,
-                    out=args.out, tol=args.tol,
-                    delta_variant=args.delta_variant)
     try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[cfg.command](cfg)
+        _check_ranges(args)
+        return _COMMANDS[args.command](args)
     except NoConvergence as exc:
         print(json.dumps({"error": "NoConvergence", "detail": str(exc)}),
               file=sys.stderr)

@@ -355,11 +355,6 @@ class EndpointSeries:
         s = t if self.side == "t0" else t - 1.0
         return np.array([np.polyval(c[::-1], s) for c in self.coeffs])
 
-    @property
-    def constant_terms(self):
-        return self.coeffs[:, 0].copy()
-
-
 def endpoint_series(n, side, order, params=None):
     """Analytic endpoint branch of the anti-self-dual system.
 

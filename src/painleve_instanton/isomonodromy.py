@@ -18,6 +18,7 @@ between the two gauges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,15 @@ from .liealg import commutator, det2, eigen2, trace_sq
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
 from .twistor import (FuchsianData, connection_form, cross_ratio,
-                      cross_ratio_derivative, fuchsian_data,
-                      lambda_and_dt_at_normalized, transverse_form)
+                      cross_ratio_derivative, form_matrix, fuchsian_data,
+                      lambda_and_dt_at_normalized, residue_closed_form,
+                      transverse_form)
 
 
 @dataclass(frozen=True)
 class FuchsianFamily:
     """Fuchsian residue data sampled along the line family, ordered by t."""
 
-    label: str
     gauge: str
     ts: np.ndarray
     samples: tuple  # of FuchsianData
@@ -45,22 +46,12 @@ class FuchsianFamily:
         if not np.all(np.diff(xs.real) > 0):
             raise ValueError("deformation parameter x is not strictly monotone")
 
-    @property
+    @cached_property
     def xs(self):
         return np.array([F.x for F in self.samples])
 
     def __len__(self):
         return len(self.samples)
-
-
-def default_verification_ts(t_min=0.5, t_max=0.95, samples=201):
-    """Default sampling window for the finite-difference residual suites.
-
-    For t below ~0.4 the poles 1 and x collide (x -> 1 with dx/dt -> 0) and
-    absolute finite-difference verification becomes ill-conditioned; the
-    pointwise (non-differencing) checks cover the full range instead.
-    """
-    return np.linspace(t_min, t_max, samples)
 
 
 _PROBES = (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j)
@@ -71,7 +62,7 @@ def gauge_rate(profile, t):
     coordinate; computed at a probe point and independent of it."""
     x = cross_ratio(t)
     xd = cross_ratio_derivative(t)
-    Ax = fuchsian_data(profile, t).Ax
+    Ax = form_matrix(profile.oriented_values(t), residue_closed_form(t).column("x"))
     for probe in _PROBES:
         lam, lam_t = lambda_and_dt_at_normalized(t, probe)
         try:
@@ -85,10 +76,9 @@ def gauge_rate(profile, t):
 def make_family(profile, ts, gauge="line"):
     """Sample the residue family; gauge is "line" (raw) or "schlesinger"."""
     ts = np.asarray(ts, dtype=float)
-    label = f"n={profile.n}:{profile.kind.value}"
     raw = [fuchsian_data(profile, t) for t in ts]
     if gauge == "line":
-        return FuchsianFamily(label=label, gauge="line", ts=ts, samples=tuple(raw))
+        return FuchsianFamily(gauge="line", ts=ts, samples=tuple(raw))
     if gauge != "schlesinger":
         raise ValueError(f"unknown gauge {gauge!r}")
 
@@ -97,7 +87,7 @@ def make_family(profile, ts, gauge="line"):
 
     gs = rk45_path(flow, ts, np.eye(2, dtype=complex).ravel(), rtol=1e-12, atol=1e-14)
     samples = tuple(F.conjugated(g.reshape(2, 2)) for F, g in zip(raw, gs))
-    return FuchsianFamily(label=label, gauge="schlesinger", ts=ts, samples=samples)
+    return FuchsianFamily(gauge="schlesinger", ts=ts, samples=samples)
 
 
 # --------------------------------------------------------------------------
@@ -224,12 +214,6 @@ def extract_y(F, branch="plus"):
     if abs(c1) < 1e-12 * scale:
         raise IndeterminateY("numerator polynomial is degenerate")
     return -b[0] * x / c1
-
-
-def common_eigenvector(F, branch="plus"):
-    """The Ainf eigenvector shared with A(y) for this branch."""
-    lam, P, _ = _branch_frame(F, branch)
-    return P[:, 0]
 
 
 def jimbo_miwa_params(F, branch="plus"):

@@ -39,14 +39,6 @@ class PviSample:
     def __len__(self):
         return len(self.xs)
 
-    def flagged_points(self, tol=1e-10):
-        """Indices where y falls into the excluded set {0, 1, x, inf}."""
-        bad = []
-        for k, (x, y) in enumerate(zip(self.xs, self.ys)):
-            if min(abs(y), abs(y - 1.0), abs(y - x)) < tol or abs(y) > 1.0 / tol:
-                bad.append(k)
-        return bad
-
     def _rows(self, residuals=None):
         """One `COLUMNS` tuple per sample; residual_abs is NaN if not given."""
         for k in range(len(self.xs)):
@@ -126,9 +118,6 @@ def pvi_integrate(params, x0, y0, yp0, x1, rtol=1e-11, atol=1e-13):
     state = rk45(flow, x0, np.array([y0, yp0], dtype=complex), x1,
                  rtol=rtol, atol=atol)
     return complex(state[0]), complex(state[1])
-
-
-DELTA_VARIANTS = ("intro", "theorem")
 
 
 def params_from_n(n, variant="intro", branch="plus"):

@@ -48,11 +48,15 @@ _P = np.array([
 ])
 
 
-def _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0, on_step=None):
-    """Accepted-step loop shared by rk45 and rk45_path; returns y(t1).
+MAX_STEPS = 1_000_000
 
-    After each accepted step from (t, y) to t_new with step h and stages ks,
-    calls on_step(t, y, h, ks, t_new) if given.
+
+def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
+    """Integrate dy/dt = f(t, y) from t0 to t1, returning y(t1).
+
+    Works for real or complex state vectors; t may run backwards.  After
+    each accepted step from (t, y) to t_new with step h and stages ks, calls
+    on_step(t, y, h, ks, t_new) if given.
     """
     y = np.array(y0, copy=True)
     t = float(t0)
@@ -61,12 +65,12 @@ def _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0, on_step=None):
         return y
     direction = 1.0 if t1 > t else -1.0
     span = abs(t1 - t)
-    h = direction * (h0 if h0 is not None else min(1e-2 * span, 1e-3))
+    h = direction * min(1e-2 * span, 1e-3)
     k1 = np.asarray(f(t, y))
     steps = 0
     while (t1 - t) * direction > 0:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise RuntimeError(f"rk45: step limit exceeded at t={t}")
         if (t + h - t1) * direction > 0:
             h = t1 - t
@@ -87,14 +91,6 @@ def _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0, on_step=None):
             k1 = ks[6]  # FSAL
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
     return y
-
-
-def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, max_steps=1_000_000, h0=None):
-    """Integrate dy/dt = f(t, y) from t0 to t1, returning y(t1).
-
-    Works for real or complex state vectors; t may run backwards.
-    """
-    return _dopri(f, t0, y0, t1, rtol, atol, max_steps, h0)
 
 
 def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
@@ -126,7 +122,7 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
             theta = (node - t) / h
             out.append(y + h * (KP @ (theta ** np.arange(1, 5))))
 
-    out.append(_dopri(f, ts[0], y0, ts[-1], rtol, atol, 1_000_000, None, read_nodes))
+    out.append(rk45(f, ts[0], y0, ts[-1], rtol, atol, on_step=read_nodes))
     return out
 
 

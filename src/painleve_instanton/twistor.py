@@ -175,20 +175,9 @@ def mobius_from_poles(z1, z2, z4):
     return (z2 - z4, -z1 * (z2 - z4), z2 - z1, -z4 * (z2 - z1))
 
 
-def mobius_normalize(geom):
-    """Moebius map sending (z1, z2, z4) to (0, 1, infinity)."""
-    z1, z2, _, z4 = geom.poles_lambda
-    return mobius_from_poles(z1, z2, z4)
-
-
 def mobius_apply(co, z):
     a, b, c, d = co
     return (a * z + b) / (c * z + d)
-
-
-def mobius_inverse(co):
-    a, b, c, d = co
-    return (d, -b, -c, a)
 
 
 def _inverse_pack(t):
@@ -239,9 +228,6 @@ class ResidueTable:
 
     def get(self, i, p):
         return self.entries[i - 1, POLE_LABELS.index(str(p))]
-
-    def row(self, i):
-        return self.entries[i - 1].copy()
 
     def column(self, p):
         return self.entries[:, POLE_LABELS.index(str(p))].copy()
@@ -339,18 +325,21 @@ def residue_numeric(t, i, pole, n_points=256):
 # connection family
 # --------------------------------------------------------------------------
 
+def form_matrix(a, c):
+    """The matrix -sum_i a_i c_i X_i of profile values a and scalar
+    coefficients c on (X1, X2, X3): a connection form or, with c a residue
+    table column, the residue at that pole."""
+    return su2_combination(-a[0] * c[0], -a[1] * c[1], -a[2] * c[2])
+
+
 def connection_form(profile, t, lam):
     """Matrix of the flat connection along the line at parameter lam."""
-    a = profile.oriented_values(t)
-    c = alpha_inv_tangent(t, lam)
-    return su2_combination(-a[0] * c[0], -a[1] * c[1], -a[2] * c[2])
+    return form_matrix(profile.oriented_values(t), alpha_inv_tangent(t, lam))
 
 
 def transverse_form(profile, t, lam):
     """Matrix of the flat connection on the transverse (d/dt) direction."""
-    a = profile.oriented_values(t)
-    c = alpha_inv_transverse(t, lam)
-    return su2_combination(-a[0] * c[0], -a[1] * c[1], -a[2] * c[2])
+    return form_matrix(profile.oriented_values(t), alpha_inv_transverse(t, lam))
 
 
 @dataclass(frozen=True)
@@ -364,9 +353,6 @@ class FuchsianData:
     Ax: np.ndarray
     Ainf: np.ndarray
     gauge: str = "line"
-
-    def residue(self, p):
-        return {"0": self.A0, "1": self.A1, "x": self.Ax, "inf": self.Ainf}[str(p)]
 
     def residues(self):
         return self.A0, self.A1, self.Ax, self.Ainf
@@ -396,13 +382,9 @@ def fuchsian_data(profile, t):
     """Assemble the four residues A_p = -sum_i a_i alpha_{i,p} X_i."""
     a = profile.oriented_values(t)
     tab = residue_closed_form(t)
-
-    def res(p):
-        r = tab.column(p)
-        return su2_combination(-a[0] * r[0], -a[1] * r[1], -a[2] * r[2])
-
-    return FuchsianData(t=t, x=cross_ratio(t), A0=res("0"), A1=res("1"),
-                        Ax=res("x"), Ainf=res("inf"), gauge="line")
+    A0, A1, Ax, Ainf = (form_matrix(a, tab.column(p)) for p in POLE_LABELS)
+    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf,
+                        gauge="line")
 
 
 def trace_csv_row(F):

@@ -26,6 +26,12 @@ def test_profile_rejects_bad_samples(capsys):
     assert "samples" in err
 
 
+def test_profile_rejects_inverted_window(capsys):
+    code, _, err = run(capsys, "profile", "--n", "3", "--t-min", "0.9", "--t-max", "0.5")
+    assert code == 1
+    assert "t-min" in err
+
+
 def test_profile_rejects_even_n(capsys):
     code, _, _ = run(capsys, "profile", "--n", "4")
     assert code == 1

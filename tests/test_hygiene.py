@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+every public function, class and method is referenced somewhere in src/."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,11 @@ from pathlib import Path
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "painleve_instanton").glob("*.py"))
+
+# Independent oracles the tests check the pipeline against; the pipeline
+# itself never calls them.
+ORACLES = ("residue_numeric", "residue_table_printed", "line_transverse",
+           "duality_residual", "conserved_tr", "params_from_n")
 
 
 def unused_imports(tree):
@@ -37,3 +43,42 @@ def test_detects_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom math import pi, tau\nprint(pi)\n")
     assert unused_imports(tree) == [(2, "os"), (3, "tau")]
+
+
+def unreferenced_public_names(trees):
+    """Public top-level functions and classes, and public methods of
+    top-level classes, whose name no module loads as a name or attribute."""
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {item.name for item in node.body
+                            if isinstance(item, ast.FunctionDef)}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(name for name in defined - used if not name.startswith("_"))
+
+
+def test_no_public_name_without_a_caller():
+    found = unreferenced_public_names([ast.parse(p.read_text(), filename=str(p))
+                                       for p in SRC])
+    extra = [name for name in found if name not in ORACLES]
+    assert extra == [], f"public names nothing in src/ references: {extra}"
+    stale = [name for name in ORACLES if name not in found]
+    assert stale == [], f"ORACLES entries src/ defines and references, or lacks: {stale}"
+
+
+def test_detects_a_public_name_without_a_caller():
+    tree = ast.parse("def used():\n    return Box().size()\n\n\n"
+                     "def unused():\n    return used()\n\n\n"
+                     "def _private():\n    pass\n\n\n"
+                     "class Box:\n    def size(self):\n        return 1\n\n"
+                     "    def spare(self):\n        return self._private\n")
+    assert unreferenced_public_names([tree]) == ["spare", "unused"]

@@ -86,15 +86,15 @@ def test_sign_orbit_property(rng):
 
 def test_endpoint_series_t0():
     s = endpoint_series(1, "t0", 2, (1.0, 0.0))
-    assert np.allclose(s.constant_terms, [1.0, 1.0, 1.0])
+    assert np.allclose(s.coeffs[:, 0], [1.0, 1.0, 1.0])
     # p is the shared value a2(0) = a3(0)
     s = endpoint_series(3, "t0", 2, (2.0, 2.0))
-    assert np.allclose(s.constant_terms, [1.0, 2.0, 2.0])
+    assert np.allclose(s.coeffs[:, 0], [1.0, 2.0, 2.0])
 
 
 def test_endpoint_series_t1():
     s = endpoint_series(3, "t1", 1, (-1.5,))
-    assert np.allclose(s.constant_terms, [0.0, 3.0, 0.0])
+    assert np.allclose(s.coeffs[:, 0], [0.0, 3.0, 0.0])
 
 
 def test_endpoint_series_matches_closed_form():

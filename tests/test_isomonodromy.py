@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from painleve_instanton import isomonodromy
 from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
                                        PathTooClose, ReducibleSystem)
-from painleve_instanton.isomonodromy import (extract_y, common_eigenvector,
-                                             gauge_rate,
+from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              isospectral_drift,
                                              jimbo_miwa_params,
                                              max_schlesinger_residual,
@@ -15,7 +14,7 @@ from painleve_instanton.isomonodromy import (extract_y, common_eigenvector,
                                              schlesinger_integrate,
                                              schlesinger_residual,
                                              schlesinger_rhs)
-from painleve_instanton.liealg import trace_sq
+from painleve_instanton.liealg import eigen2, trace_sq
 from painleve_instanton.twistor import (FuchsianData, connection_form,
                                         lambda_of_normalized)
 
@@ -87,8 +86,8 @@ def test_schlesinger_residual_perturbation(fam3_gauged):
                           Ainf=F.Ainf, gauge=F.gauge)
     hacked = list(fam3_gauged.samples)
     hacked[k] = bumped
-    fam = type(fam3_gauged)(label="perturbed", gauge="schlesinger",
-                            ts=fam3_gauged.ts, samples=tuple(hacked))
+    fam = type(fam3_gauged)(gauge="schlesinger", ts=fam3_gauged.ts,
+                            samples=tuple(hacked))
     assert schlesinger_residual(fam, k) > 1e-4
 
 
@@ -117,8 +116,7 @@ def test_isospectral_drift_negative_control(fam3_raw):
         FuchsianData(t=F.t, x=F.x, A0=(1 + F.t) * F.A0, A1=(1 + F.t) * F.A1,
                      Ax=(1 + F.t) * F.Ax, Ainf=(1 + F.t) * F.Ainf)
         for F in fam3_raw.samples)
-    fam = type(fam3_raw)(label="scaled", gauge="line", ts=fam3_raw.ts,
-                         samples=scaled)
+    fam = type(fam3_raw)(gauge="line", ts=fam3_raw.ts, samples=scaled)
     assert max(isospectral_drift(fam)) > 0.1
 
 
@@ -139,7 +137,9 @@ def test_extract_y_common_eigenvector(prof3, fam3_raw):
     F = fam3_raw.samples[k]
     for branch in ("plus", "minus"):
         y = extract_y(F, branch)
-        v = common_eigenvector(F, branch)
+        # the Ainf eigenvector of this branch is shared with A(y)
+        _, v_plus, v_minus = eigen2(F.Ainf)
+        v = v_plus if branch == "plus" else v_minus
         lam = lambda_of_normalized(F.t, y)
         M = connection_form(prof3, F.t, lam)
         eta = np.conj(v) @ (M @ v)
@@ -225,5 +225,5 @@ def test_x_monotone(fam3_raw):
 
 def test_family_rejects_nonmonotone(fam3_raw):
     with pytest.raises(ValueError):
-        type(fam3_raw)(label="bad", gauge="line", ts=fam3_raw.ts[[0, 2, 1]],
+        type(fam3_raw)(gauge="line", ts=fam3_raw.ts[[0, 2, 1]],
                        samples=tuple(fam3_raw.samples[k] for k in (0, 2, 1)))

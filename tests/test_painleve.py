@@ -4,9 +4,9 @@ import pytest
 from painleve_instanton.errors import (SingularArgument,
                                        SingularityEncountered)
 from painleve_instanton.isomonodromy import jimbo_miwa_params
-from painleve_instanton.painleve import (PviParams, PviSample,
-                                         max_pvi_residual, params_from_n,
-                                         pvi_integrate, pvi_residual,
+from painleve_instanton.painleve import (PviParams, max_pvi_residual,
+                                         params_from_n, pvi_integrate,
+                                         pvi_residual,
                                          pvi_second_derivative,
                                          select_delta_variant)
 from painleve_instanton.report import extract_transcendent
@@ -140,13 +140,6 @@ def test_select_delta_variant():
     assert select_delta_variant(-1.0, 3) == "theorem"
     with pytest.raises(ValueError):
         select_delta_variant(-0.8, 3)
-
-
-def test_sample_flagging():
-    xs = np.array([2.0, 3.0], dtype=complex)
-    sample = PviSample(ts=np.array([0.1, 0.2]), xs=xs,
-                       ys=np.array([0.5, 3.0 + 1e-12j]))
-    assert sample.flagged_points() == [1]  # y == x there
 
 
 def test_pvi_residual_stencil_bounds(fam3_raw):

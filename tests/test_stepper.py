@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from painleve_instanton import stepper
 from painleve_instanton.stepper import rk45, rk45_path
 
 # y' = M y with M = [[a, b], [-b, a]]: y(t) = e^{a t} R(b t) y(0), with R the
@@ -57,9 +58,10 @@ def test_rk45_path_single_node_and_bad_nodes():
         rk45_path(Counted(), [0.0, 1.0, 0.5, 2.0], Y0)
 
 
-def test_rk45_step_limit():
+def test_rk45_step_limit(monkeypatch):
+    monkeypatch.setattr(stepper, "MAX_STEPS", 3)
     with pytest.raises(RuntimeError, match="step limit"):
-        rk45(Counted(), 0.0, Y0, 2.0, max_steps=3)
+        rk45(Counted(), 0.0, Y0, 2.0)
 
 
 def test_rk45_zero_length_returns_copy():

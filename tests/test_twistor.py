@@ -14,7 +14,6 @@ from painleve_instanton.twistor import (COMPLEX_BASIS, POLE_LABELS, SQRT3,
                                         cross_ratio_derivative,
                                         delta, fuchsian_data, line_point,
                                         line_tangent, mobius_apply,
-                                        mobius_inverse, mobius_normalize,
                                         mu_pair, mu_pair_derivative, poles,
                                         residue_closed_form, residue_numeric,
                                         residue_table_printed)
@@ -149,14 +148,14 @@ def test_cross_ratio_derivative(rng):
 
 def test_mobius_normalize():
     g = poles(0.37)
-    co = mobius_normalize(g)
+    co = g.mobius
     z1, z2, z3, z4 = g.poles_lambda
     assert abs(mobius_apply(co, z1)) < 1e-11
     assert abs(mobius_apply(co, z2) - 1.0) < 1e-11
     assert abs(mobius_apply(co, z3) - g.x) < 1e-11
     a, b, c, d = co
     assert abs(c * z4 + d) < 1e-13 * max(abs(c), abs(d))  # z4 -> infinity
-    inv = mobius_inverse(co)
+    inv = (d, -b, -c, a)
     for z in (0.3 + 0.4j, -1.0 + 2.0j):
         assert abs(mobius_apply(inv, mobius_apply(co, z)) - z) < 1e-11
 
