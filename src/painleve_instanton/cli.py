@@ -27,7 +27,7 @@ from .errors import NoConvergence, PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
 from .report import build_verification_report, line_transcendent, profile_for
-from .twistor import mu_pair, trace_csv_row
+from .twistor import mu_pair, trace_csv_rows
 
 log = logging.getLogger("painleve_instanton")
 
@@ -77,27 +77,26 @@ def cmd_trace(cfg):
         raise ValueError("csv trace needs --out (three files are written)")
     _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
                                                cfg.samples)
-    mus = [mu_pair(t) for t in sample.ts]
-    residuals = [float("nan")] * len(sample)
-    for k in range(2, len(sample) - 2):
-        residuals[k] = abs(pvi_residual(sample, params, k))
+    mus = np.column_stack((sample.ts,) + mu_pair(sample.ts))
+    residuals = np.full(len(sample), np.nan)
+    residuals[2:-2] = np.abs(pvi_residual(sample, params))
 
     if cfg.fmt == "json":
         payload = {
             "params": params.as_dict(),
             "delta_variant": select_delta_variant(params.delta.real, cfg.n),
-            "twistor": [F.to_json_dict() for F in fam.samples],
-            "mu": [{"t": float(t), "mu_plus": mp, "mu_minus": mm}
-                   for t, (mp, mm) in zip(sample.ts, mus)],
+            "twistor": [fam[k].to_json_dict() for k in range(len(fam))],
+            "mu": [{"t": float(t), "mu_plus": float(mp), "mu_minus": float(mm)}
+                   for t, mp, mm in mus],
             "pvi": sample.to_json_rows(residuals),
         }
         _emit(cfg, json.dumps(payload) + "\n")
         return 0
     twistor_lines = ["t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq"]
-    twistor_lines += [trace_csv_row(F) for F in fam.samples]
+    twistor_lines += trace_csv_rows(fam)
     mu_lines = ["t,mu_plus,mu_minus,mu_product"]
     mu_lines += [",".join(f"{v:.17g}" for v in (t, mp, mm, mp * mm))
-                 for t, (mp, mm) in zip(sample.ts, mus)]
+                 for t, mp, mm in mus]
     _emit(cfg, "\n".join(twistor_lines) + "\n", suffix=".twistor.csv")
     _emit(cfg, "\n".join(mu_lines) + "\n", suffix=".mu.csv")
     _emit(cfg, sample.to_csv(residuals), suffix=".pvi.csv")
@@ -121,15 +120,10 @@ def cmd_pvi_integrate(cfg):
     _, _, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
                                              cfg.samples)
     # seeded at k = 2, the first sample with a centred 5-point slope
-    xs = sample.xs.real
-    y, yp = sample.ys[2], sample.slope(2)
-    ys, residuals = [y], [0.0]
-    for k in range(3, len(sample)):
-        y, yp = pvi_integrate(params, xs[k - 1], y, yp, xs[k])
-        ys.append(y)
-        residuals.append(abs(y - sample.ys[k]))
-    integrated = PviSample(ts=sample.ts[2:], xs=sample.xs[2:], ys=np.array(ys))
-    _emit(cfg, integrated.to_csv(residuals))
+    slopes, _ = sample.derivatives()
+    ys, _ = pvi_integrate(params, sample.xs[2:].real, sample.ys[2], slopes[0])
+    integrated = PviSample(ts=sample.ts[2:], xs=sample.xs[2:], ys=ys)
+    _emit(cfg, integrated.to_csv(np.abs(ys - sample.ys[2:])))
     return 0
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
+from .liealg import stack_trailing
 from .stepper import barycentric, cos_nodes, fd_weights, rk45_path, stencil5
 
 
@@ -100,15 +101,15 @@ class ProfileKind(enum.Enum):
 def _closed_values(kind, t):
     d = t * t + 3.0
     if kind is ProfileKind.TRIVIAL:
-        return np.array([1.0, 1.0, 1.0])
+        return np.ones(np.shape(t) + (3,))
     if kind is ProfileKind.HOPF_SD:
-        return np.array([(t * t - 9.0) / d,
-                         -2.0 * t * (t + 3.0) / d,
-                         -2.0 * t * (t - 3.0) / d])
+        return stack_trailing([(t * t - 9.0) / d,
+                               -2.0 * t * (t + 3.0) / d,
+                               -2.0 * t * (t - 3.0) / d])
     if kind is ProfileKind.E_MINUS_3:
-        return np.array([3.0 * (1.0 - t * t) / d,
-                         -6.0 * (t + 1.0) / d,
-                         -6.0 * (t - 1.0) / d])
+        return stack_trailing([3.0 * (1.0 - t * t) / d,
+                               -6.0 * (t + 1.0) / d,
+                               -6.0 * (t - 1.0) / d])
     raise ValueError(kind)
 
 
@@ -153,6 +154,7 @@ class ProfileTriple:
                 raise ValueError("grid must be strictly increasing inside (0, 1)")
 
     def values(self, t):
+        """(a1, a2, a3) at t, shape (..., 3) for t of shape (...)."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_values(self.kind, t) * np.asarray(self.component_signs)
         return barycentric(self.ts, self.values_grid, t)
@@ -162,7 +164,7 @@ class ProfileTriple:
         machinery: self-dual profiles couple with axes 2 and 3 exchanged."""
         a = self.values(t)
         if self.kind is ProfileKind.HOPF_SD:
-            return a[[0, 2, 1]]
+            return a[..., [0, 2, 1]]
         return a
 
     def derivative(self, t):
@@ -189,18 +191,13 @@ class ProfileTriple:
         return np.linspace(t_min, t_max, samples)
 
     def to_csv(self, ts):
-        lines = ["t,a1,a2,a3"]
-        for t in ts:
-            a = self.values(t)
-            lines.append(",".join(f"{v:.17g}" for v in (t, a[0], a[1], a[2])))
+        rows = np.column_stack([ts, self.values(np.asarray(ts))])
+        lines = ["t,a1,a2,a3"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self, ts):
-        points = []
-        for t in ts:
-            a = self.values(t)
-            points.append({"t": float(t), "a1": float(a[0]),
-                           "a2": float(a[1]), "a3": float(a[2])})
+        points = [{"t": float(t), "a1": float(a1), "a2": float(a2), "a3": float(a3)}
+                  for t, a1, a2, a3 in np.column_stack([ts, self.values(np.asarray(ts))])]
         return json.dumps({"n": self.n, "kind": self.kind.value,
                            "sign_convention": self.sign_convention,
                            "points": points})

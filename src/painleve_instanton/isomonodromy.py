@@ -17,42 +17,18 @@ between the two gauges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadDeformationParameter, IndeterminateY, OnDivisor,
                      PathTooClose, ReducibleSystem)
-from .liealg import commutator, det2, eigen2, trace_sq
+from .liealg import commutator, det2, eigen2, inv2
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
 from .twistor import (FuchsianData, connection_form, cross_ratio,
                       cross_ratio_derivative, form_matrix, fuchsian_data,
                       lambda_and_dt_at_normalized, residue_closed_form,
                       transverse_form)
-
-
-@dataclass(frozen=True)
-class FuchsianFamily:
-    """Fuchsian residue data sampled along the line family, ordered by t."""
-
-    gauge: str
-    ts: np.ndarray
-    samples: tuple  # of FuchsianData
-
-    def __post_init__(self):
-        xs = self.xs
-        if not np.all(np.diff(xs.real) > 0):
-            raise ValueError("deformation parameter x is not strictly monotone")
-
-    @cached_property
-    def xs(self):
-        return np.array([F.x for F in self.samples])
-
-    def __len__(self):
-        return len(self.samples)
-
 
 _PROBES = (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j)
 
@@ -74,11 +50,14 @@ def gauge_rate(profile, t):
 
 
 def make_family(profile, ts, gauge="line"):
-    """Sample the residue family; gauge is "line" (raw) or "schlesinger"."""
+    """Sample the residue family at the increasing ts, as one FuchsianData
+    stack; gauge is "line" (raw) or "schlesinger"."""
     ts = np.asarray(ts, dtype=float)
-    raw = [fuchsian_data(profile, t) for t in ts]
+    raw = fuchsian_data(profile, ts)
+    if not np.all(np.diff(raw.x.real) > 0):
+        raise ValueError("deformation parameter x is not strictly monotone")
     if gauge == "line":
-        return FuchsianFamily(gauge="line", ts=ts, samples=tuple(raw))
+        return raw
     if gauge != "schlesinger":
         raise ValueError(f"unknown gauge {gauge!r}")
 
@@ -86,8 +65,7 @@ def make_family(profile, ts, gauge="line"):
         return (-gauge_rate(profile, t) @ g.reshape(2, 2)).ravel()
 
     gs = rk45_path(flow, ts, np.eye(2, dtype=complex).ravel(), rtol=1e-12, atol=1e-14)
-    samples = tuple(F.conjugated(g.reshape(2, 2)) for F, g in zip(raw, gs))
-    return FuchsianFamily(gauge="schlesinger", ts=ts, samples=samples)
+    return raw.conjugated(np.reshape(gs, (-1, 2, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -96,54 +74,44 @@ def make_family(profile, ts, gauge="line"):
 
 def schlesinger_field(x, A0, A1, Ax):
     """(dA0, dA1, dAx)/dx of the Schlesinger system."""
-    if min(abs(x), abs(x - 1.0)) < 1e-12:
-        raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
+    x = np.asarray(x)[..., None, None]
+    near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
+    if near.any():
+        raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
     d0 = commutator(A0, Ax) / x
     d1 = commutator(A1, Ax) / (x - 1.0)
     return d0, d1, -d0 - d1
 
 
-def schlesinger_rhs(F):
-    """The Schlesinger field at the sample F."""
-    return schlesinger_field(F.x, F.A0, F.A1, F.Ax)
-
-
-def schlesinger_residual(fam, k):
+def schlesinger_residual(fam):
     """Frobenius-norm defect of the finite-difference x-derivatives of
-    (A0, A1, Ax) against the Schlesinger right-hand side at sample k."""
-    if not 2 <= k <= len(fam) - 3:
-        raise IndexError("5-point stencil needs 2 <= k <= len-3")
-    xs = fam.xs
-    window = slice(k - 2, k + 3)
-    w = fd_weights(xs[window].real, xs[k].real, 1)[1]
-    rhs = schlesinger_rhs(fam.samples[k])
+    (A0, A1, Ax) against the Schlesinger right-hand side, at every interior
+    sample k = 2..len-3 (5-point stencils centred on k)."""
+    xs = fam.x.real
+    w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1, None, None, :]
+    inner = fam[2:-2]
+    rhs = schlesinger_field(inner.x, inner.A0, inner.A1, inner.Ax)
     total = 0.0
-    for p, want in zip(range(3), rhs):
-        mats = [fam.samples[k - 2 + j].residues()[p] for j in range(5)]
-        got = sum(wj * m for wj, m in zip(w, mats))
-        total += float(np.sqrt(np.sum(np.abs(got - want) ** 2)))
+    for A, want in zip(fam.residues(), rhs):
+        got = np.sum(w * sliding_window_view(A, 5, axis=0), axis=-1)
+        total = total + np.sqrt(np.sum(np.abs(got - want) ** 2, axis=(-2, -1)))
     return total
 
 
 def max_schlesinger_residual(fam):
-    return max(schlesinger_residual(fam, k) for k in range(2, len(fam) - 2))
+    return float(np.max(schlesinger_residual(fam)))
 
 
 def isospectral_drift(fam):
     """max - min of tr(A_p^2) over the family, for each of the four poles."""
-    traces = np.array([[trace_sq(m) for m in F.residues()] for F in fam.samples])
-    return tuple(float(np.max(np.abs(traces[:, p] - traces[0, p])))
-                 for p in range(4))
+    traces = np.stack(fam.trace_squares(), axis=-1)
+    return tuple(float(d) for d in np.max(np.abs(traces - traces[0]), axis=0))
 
 
 def pair_invariants(F):
-    """Conjugation invariants tr(A_i A_j) for all pole pairs (4x4)."""
-    mats = F.residues()
-    out = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = np.trace(mats[i] @ mats[j])
-    return out
+    """Conjugation invariants tr(A_i A_j) for all pole pairs (..., 4, 4)."""
+    mats = np.stack(F.residues(), axis=-3)
+    return np.einsum("...iab,...jba->...ij", mats, mats)
 
 
 def schlesinger_integrate(F0, x_target, rtol=1e-11):
@@ -183,10 +151,8 @@ def _branch_frame(F, branch):
         lam, v_plus, v_minus = -lam, v_minus, v_plus
     elif branch != "plus":
         raise ValueError("branch must be 'plus' or 'minus'")
-    P = np.column_stack([v_plus, v_minus])
-    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    Pi = np.array([[P[1, 1], -P[0, 1]], [-P[1, 0], P[0, 0]]]) / det
-    return lam, P, Pi
+    P = np.stack([v_plus, v_minus], axis=-1)
+    return lam, P, inv2(P)
 
 
 def extract_y(F, branch="plus"):
@@ -197,22 +163,25 @@ def extract_y(F, branch="plus"):
     A(zeta); there the lam-eigenvector of Ainf is a common eigenvector of
     A(y) and Ainf.  On a consistent quadruple, Ainf = -(A0 + A1 + Ax), the
     leading coefficient c2 = -(P^-1 Ainf P)_21 vanishes and y = -c0/c1; a
-    quadruple with |c2| above roundoff of the residues raises.
+    quadruple with |c2| above roundoff of the residues raises, naming the t
+    of the first such sample.
     """
     lam, P, Pi = _branch_frame(F, branch)
     x = F.x
-    b = [(Pi @ A @ P)[1, 0] for A in (F.A0, F.A1, F.Ax)]
-    size = max(1.0, float(max(np.max(np.abs(A)) for A in F.residues())))
-    scale = max(abs(v) for v in b)
-    if scale < 1e-12 * size:
-        raise ReducibleSystem("all off-diagonal couplings vanish")
+    b = [(Pi @ A @ P)[..., 1, 0] for A in (F.A0, F.A1, F.Ax)]
+    size = np.maximum(1.0, np.max(np.abs(np.stack(F.residues(), -3)), axis=(-3, -2, -1)))
+    scale = np.max(np.abs(b), axis=0)
     c2 = b[0] + b[1] + b[2]
-    if abs(c2) > 1e-12 * size:
-        raise IndeterminateY(f"inconsistent residues at t = {F.t} ({branch} branch): "
-                             f"|c2| = {abs(c2):.3e}")
     c1 = -b[0] * (1.0 + x) - b[1] * x - b[2]
-    if abs(c1) < 1e-12 * scale:
-        raise IndeterminateY("numerator polynomial is degenerate")
+    faults = ((scale < 1e-12 * size, ReducibleSystem, "all off-diagonal couplings vanish"),
+              (np.abs(c2) > 1e-12 * size, IndeterminateY, "inconsistent residues"),
+              (np.abs(c1) < 1e-12 * scale, IndeterminateY, "degenerate numerator"))
+    bad = np.ravel(np.logical_or.reduce([mask for mask, _, _ in faults]))
+    if bad.any():
+        k = np.argmax(bad)
+        error, what = next(f[1:] for f in faults if np.ravel(f[0])[k])
+        raise error(f"{what} at t = {np.ravel(F.t)[k]} ({branch} branch): "
+                    f"|c2| = {np.ravel(np.abs(c2))[k]:.3e}")
     return -b[0] * x / c1
 
 

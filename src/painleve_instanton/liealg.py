@@ -2,7 +2,8 @@
 eigen-decomposition, and a pivoted 3x3 solve.
 
 Matrices are plain numpy arrays used as immutable values; nothing here calls
-numpy.linalg. The su(2) basis is
+numpy.linalg.  The 2x2 kernels broadcast: leading axes index samples, the
+trailing two are the matrix. The su(2) basis is
 
     X1 = [[i, 0], [0, -i]],  X2 = [[0, 1], [-1, 0]],  X3 = [[0, i], [i, 0]],
 
@@ -24,9 +25,18 @@ for _m in (X1, X2, X3):
     _m.setflags(write=False)
 
 
+def stack_trailing(rows):
+    """np.array(rows) for a list, or a list of lists, of equally shaped
+    entries, with the entries' own (sample) axes leading and the one or two
+    axes of the list trailing."""
+    m = np.array(rows)
+    k = 2 if isinstance(rows[0], list) else 1
+    return m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
+
+
 def su2_combination(c1, c2, c3):
     """c1*X1 + c2*X2 + c3*X3 (traceless by construction)."""
-    return np.array([[1j * c1, c2 + 1j * c3], [-c2 + 1j * c3, -1j * c1]])
+    return stack_trailing([[1j * c1, c2 + 1j * c3], [-c2 + 1j * c3, -1j * c1]])
 
 
 def commutator(a, b):
@@ -34,20 +44,19 @@ def commutator(a, b):
 
 
 def det2(a):
-    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def inv2(a):
+    """Inverse of a 2x2 matrix from its adjugate."""
+    return stack_trailing([[a[..., 1, 1], -a[..., 0, 1]],
+                           [-a[..., 1, 0], a[..., 0, 0]]]) / det2(a)[..., None, None]
 
 
 def trace_sq(a):
     """tr(A^2); equals 2*lambda^2 for traceless A with eigenvalues ±lambda."""
-    return (a[0, 0] * a[0, 0] + a[1, 1] * a[1, 1] + 2 * a[0, 1] * a[1, 0])
-
-
-def _canonical_sqrt(z):
-    """Square root with Re >= 0, ties broken by Im >= 0."""
-    w = np.sqrt(complex(z))
-    if w.real < 0 or (w.real == 0 and w.imag < 0):
-        w = -w
-    return w
+    return (a[..., 0, 0] * a[..., 0, 0] + a[..., 1, 1] * a[..., 1, 1]
+            + 2 * a[..., 0, 1] * a[..., 1, 0])
 
 
 def eigen2(a, tol=TOL):
@@ -60,19 +69,22 @@ def eigen2(a, tol=TOL):
     nilpotent input), where the eigenvector basis does not exist.
     """
     t2 = trace_sq(a)
-    scale = float(np.max(np.abs(a))) ** 2
-    if abs(t2) <= tol * max(1.0, scale):
-        raise DegenerateMatrix(f"|tr(A^2)| = {abs(t2):.3e} below tolerance")
-    lam = _canonical_sqrt(t2 / 2.0)
+    scale = np.max(np.abs(a), axis=(-2, -1)) ** 2
+    low = np.abs(t2) <= tol * np.maximum(1.0, scale)
+    if low.any():
+        first = np.asarray(np.abs(t2))[low][0]
+        raise DegenerateMatrix(f"|tr(A^2)| = {first:.3e} below tolerance")
+    lam = np.sqrt(np.asarray(t2 / 2.0, dtype=complex))
+    # canonical root: Re >= 0, ties broken by Im >= 0
+    lam = np.where((lam.real < 0) | ((lam.real == 0) & (lam.imag < 0)), -lam, lam)
 
     def unit_kernel_vector(l):
         # rows of (A - l) are both orthogonal to the eigenvector
-        r1 = (a[0, 0] - l, a[0, 1])
-        r2 = (a[1, 0], a[1, 1] - l)
-        v1 = np.array([-r1[1], r1[0]])
-        v2 = np.array([-r2[1], r2[0]])
-        v = v1 if max(abs(v1[0]), abs(v1[1])) >= max(abs(v2[0]), abs(v2[1])) else v2
-        return v / np.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        v1 = stack_trailing([-a[..., 0, 1], a[..., 0, 0] - l])
+        v2 = stack_trailing([-(a[..., 1, 1] - l), a[..., 1, 0]])
+        first = np.max(np.abs(v1), axis=-1) >= np.max(np.abs(v2), axis=-1)
+        v = np.where(first[..., None], v1, v2)
+        return v / np.sqrt(np.abs(v[..., :1]) ** 2 + np.abs(v[..., 1:]) ** 2)
 
     return lam, unit_kernel_vector(lam), unit_kernel_vector(-lam)
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularArgument, SingularityEncountered
-from .stepper import fd_weights, rk45
+from .stepper import fd_weights, rk45_path
 
 
 @dataclass(frozen=True)
@@ -56,27 +57,24 @@ class PviSample:
         return [{c: float(v) for c, v in zip(self.COLUMNS, row)}
                 for row in self._rows(residuals)]
 
-    def stencil(self, k, order):
-        """Fornberg weights (rows 0..order) and y values of the 5-point
-        stencil centred on sample k."""
-        if not 2 <= k <= len(self) - 3:
-            raise IndexError("5-point stencil needs 2 <= k <= len-3")
-        window = slice(k - 2, k + 3)
-        return fd_weights(self.xs[window].real, self.xs[k].real, order), self.ys[window]
-
-    def slope(self, k):
-        """dy/dx at sample k from the 5-point stencil centred on it."""
-        w, ys = self.stencil(k, 1)
-        return np.dot(w[1], ys)
+    def derivatives(self):
+        """(y', y'') in x at the interior samples k = 2..len-3, from the
+        5-point stencils centred on them."""
+        xs = self.xs.real
+        w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 2)
+        ys = sliding_window_view(self.ys, 5)
+        return np.sum(w[:, 1] * ys, axis=-1), np.sum(w[:, 2] * ys, axis=-1)
 
 
 def pvi_second_derivative(params, x, y, yp):
     """d2y/dx2 from the Painleve VI right-hand side."""
-    x = complex(x)
-    y = complex(y)
-    yp = complex(yp)
-    if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-12 or min(abs(x), abs(x - 1.0)) < 1e-12:
-        raise SingularArgument(f"excluded coincidence at x={x}, y={y}")
+    x, y, yp = (np.asarray(v, dtype=complex) for v in (x, y, yp))
+    gap = np.minimum.reduce([abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)])
+    excluded = gap < 1e-12
+    if excluded.any():
+        k = np.argmax(np.ravel(excluded))
+        raise SingularArgument(f"excluded coincidence at x={np.ravel(x)[k]}, "
+                               f"y={np.ravel(y)[k]}")
     first = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
     second = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
     bracket = (params.alpha
@@ -87,24 +85,23 @@ def pvi_second_derivative(params, x, y, yp):
     return first - second + tail
 
 
-def pvi_residual(sample, params, k):
-    """y'' (5-point finite differences in x) minus the PVI right-hand side."""
-    w, ys = sample.stencil(k, 2)
-    yp = np.dot(w[1], ys)
-    ypp = np.dot(w[2], ys)
-    return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
+def pvi_residual(sample, params):
+    """y'' (5-point finite differences in x) minus the PVI right-hand side,
+    at the interior samples k = 2..len-3."""
+    yp, ypp = sample.derivatives()
+    return ypp - pvi_second_derivative(params, sample.xs[2:-2], sample.ys[2:-2], yp)
 
 
 def max_pvi_residual(sample, params):
-    return max(abs(pvi_residual(sample, params, k))
-               for k in range(2, len(sample) - 2))
+    return float(np.max(np.abs(pvi_residual(sample, params))))
 
 
-def pvi_integrate(params, x0, y0, yp0, x1, rtol=1e-11, atol=1e-13):
-    """Integrate PVI as a first-order system from (x0, y0, y'0) to x1.
+def pvi_integrate(params, xs, y0, yp0, rtol=1e-11, atol=1e-13):
+    """Integrate PVI as a first-order system from (xs[0], y0, y'0) through
+    the strictly monotone real nodes xs in one sweep.
 
     Steps are rejected (SingularityEncountered) when y drifts within 1e-8
-    of {0, 1, x}.  Returns (y(x1), y'(x1)).
+    of {0, 1, x}.  Returns the arrays (y, y') at the nodes.
     """
 
     def flow(x, state):
@@ -113,11 +110,9 @@ def pvi_integrate(params, x0, y0, yp0, x1, rtol=1e-11, atol=1e-13):
             raise SingularityEncountered(x, y)
         return np.array([yp, pvi_second_derivative(params, x, y, yp)])
 
-    if x1 == x0:
-        return complex(y0), complex(yp0)
-    state = rk45(flow, x0, np.array([y0, yp0], dtype=complex), x1,
-                 rtol=rtol, atol=atol)
-    return complex(state[0]), complex(state[1])
+    states = np.array(rk45_path(flow, xs, np.array([y0, yp0], dtype=complex),
+                                rtol=rtol, atol=atol))
+    return states[:, 0], states[:, 1]
 
 
 def params_from_n(n, variant="intro", branch="plus"):

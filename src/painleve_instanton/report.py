@@ -20,16 +20,18 @@ def profile_for(n):
 
 
 def default_tolerances(n):
+    """Every threshold the report's checks use, by check."""
     if n <= 3:
-        return {"schlesinger": 1e-6, "drift": 1e-8, "trace": 1e-8,
-                "pvi": 1e-5, "step": 1e-6, "invariants": 1e-7}
-    return {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
-            "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
+        per_n = {"schlesinger": 1e-6, "drift": 1e-8, "trace": 1e-8,
+                 "pvi": 1e-5, "step": 1e-6, "invariants": 1e-7}
+    else:
+        per_n = {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
+                 "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
+    return {**per_n, "delta": 1e-7, "boundary": 1e-8}
 
 
 def extract_transcendent(fam, branch):
-    ys = np.array([extract_y(F, branch) for F in fam.samples])
-    return PviSample(ts=fam.ts, xs=fam.xs, ys=ys)
+    return PviSample(ts=fam.t, xs=fam.x, ys=extract_y(fam, branch))
 
 
 def line_transcendent(n, t_min, t_max, samples):
@@ -41,15 +43,15 @@ def line_transcendent(n, t_min, t_max, samples):
     """
     profile = profile_for(n)
     fam = make_family(profile, profile.sample_ts(t_min, t_max, samples), gauge="line")
-    params = jimbo_miwa_params(fam.samples[len(fam) // 2], "plus")
+    params = jimbo_miwa_params(fam[len(fam) // 2], "plus")
     return profile, fam, extract_transcendent(fam, "plus"), params
 
 
 def _step_oracle_error(sample, params, k):
     """Integrate PVI over one inter-sample step and compare with extraction."""
-    y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k],
-                             sample.slope(k), sample.xs[k + 1].real)
-    return abs(y_end - sample.ys[k + 1])
+    slopes, _ = sample.derivatives()
+    ys, _ = pvi_integrate(params, sample.xs[k:k + 2].real, sample.ys[k], slopes[k - 2])
+    return abs(ys[-1] - sample.ys[k + 1])
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
@@ -60,28 +62,27 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         tols = {k: tol_override for k in tols}
 
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
-    gauged = make_family(profile, raw.ts, gauge="schlesinger")
+    gauged = make_family(profile, raw.t, gauge="schlesinger")
 
     schl = max_schlesinger_residual(gauged)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
-    tr_ainf = raw.samples[mid].trace_squares()[3].real
+    tr_ainf = raw[mid].trace_squares()[3].real
     tr_target = n * n / 8.0
 
     # propagation oracle: quarter -> three-quarter sample, invariants only
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
-    prop = schlesinger_integrate(gauged.samples[k0], gauged.samples[k1].x)
-    inv_err = float(np.max(np.abs(pair_invariants(prop)
-                                  - pair_invariants(gauged.samples[k1]))))
+    prop = schlesinger_integrate(gauged[k0], gauged[k1].x)
+    inv_err = float(np.max(np.abs(pair_invariants(prop) - pair_invariants(gauged[k1]))))
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,
-                        "minus": jimbo_miwa_params(raw.samples[mid], "minus")}
+                        "minus": jimbo_miwa_params(raw[mid], "minus")}
     a_by_branch = {b: params_by_branch[b].alpha.real for b in ("plus", "minus")}
     hi_branch = max(a_by_branch, key=a_by_branch.get)
     lo_branch = min(a_by_branch, key=a_by_branch.get)
 
-    deltas = np.array([jimbo_miwa_params(F, "plus").delta for F in raw.samples])
+    deltas = jimbo_miwa_params(raw, "plus").delta
     delta_measured = complex(deltas[mid])
     variant = select_delta_variant(delta_measured.real, n)
     delta_spread = float(np.max(np.abs(deltas - deltas[mid])))
@@ -129,7 +130,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "drift": bool(max(drift) < tols["drift"]),
         "trace": bool(abs(tr_ainf - tr_target) < tols["trace"]),
         "propagation": bool(inv_err < tols["invariants"]),
-        "delta_stable": bool(delta_spread < (1e-7 if tol_override is None else tol_override)),
+        "delta_stable": bool(delta_spread < tols["delta"]),
         "pvi": bool(max(pvi_max.values()) < tols["pvi"]),
         "pvi_step": bool(max(step_err.values()) < tols["step"]),
     }
@@ -142,7 +143,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         report["boundary_error"] = float(boundary_err)
         report["match_defect"] = profile.meta["match_defect"]
         report["a2_at_1"] = profile.a2_at_1
-        checks["boundary"] = bool(boundary_err < (1e-8 if tol_override is None else tol_override))
+        checks["boundary"] = bool(boundary_err < tols["boundary"])
         report["launch_offset"] = eps
     report["checks"] = checks
     report["passed"] = bool(all(checks.values()))

@@ -128,28 +128,29 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
 
 def fd_weights(nodes, x0, order):
     """Fornberg weights at x0 over `nodes`: row m of the returned
-    (order + 1, len(nodes)) table gives the m-th derivative, m = 0..order."""
+    (..., order + 1, n) table gives the m-th derivative, m = 0..order, for
+    nodes of shape (..., n) and x0 of shape (...), one stencil per sample."""
     nodes = np.asarray(nodes)
-    n = len(nodes)
-    w = np.zeros((order + 1, n), dtype=nodes.dtype)
-    w[0, 0] = 1.0
+    n = nodes.shape[-1]
+    w = np.zeros(nodes.shape[:-1] + (order + 1, n), dtype=nodes.dtype)
+    w[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - x0
+    c4 = nodes[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+                    w[..., k, i] = c1 * (k * w[..., k - 1, i - 1] - c5 * w[..., k, i - 1]) / c2
+                w[..., 0, i] = -c1 * c5 * w[..., 0, i - 1] / c2
             for k in range(mn, 0, -1):
-                w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
+                w[..., k, j] = (c4 * w[..., k, j] - k * w[..., k - 1, j]) / c3
+            w[..., 0, j] = c4 * w[..., 0, j] / c3
         c1 = c2
     return w
 
@@ -170,7 +171,7 @@ def cos_nodes(a, b, n):
 def barycentric(nodes, values, t):
     """Barycentric interpolation on cos_nodes grids (weights (-1)^k, halved ends).
 
-    `values` has shape (m, n); returns shape (m,) at scalar t.
+    `values` has shape (m, n); returns shape (..., m) at t of shape (...).
     """
     nodes = np.asarray(nodes)
     n = len(nodes)
@@ -178,9 +179,11 @@ def barycentric(nodes, values, t):
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-    d = t - nodes
-    hit = np.nonzero(np.abs(d) < 1e-15)[0]
-    if hit.size:
-        return np.asarray(values)[:, hit[0]]
-    q = w / d
-    return np.asarray(values) @ q / np.sum(q)
+    q = np.asarray(t, dtype=float)[..., None] - nodes
+    # a t on a node takes that node's values exactly: one-hot weights
+    hit = (q > -1e-15) & (q < 1e-15)
+    q[hit] = 1.0
+    np.divide(w, q, out=q)
+    on_node = hit.any(axis=-1)
+    q[on_node] = hit[on_node]
+    return (np.asarray(values) @ q[..., None])[..., 0] / np.sum(q, axis=-1, keepdims=True)

@@ -15,18 +15,23 @@ Conventions fixed here (and relied on everywhere downstream):
 * square roots of the negative reals mu_+- are taken with negative
   imaginary part, so the pole sent to infinity lies in the lower half
   plane; with this labelling the residue alpha_{2,inf} tends to +i/4 as
-  t -> 1.
+  t -> 1;
+* the line geometry, the residue table and `fuchsian_data` broadcast over
+  an array of t: leading axes index samples, trailing axes are the object's
+  own (3 profile components, the 3x4 residue table, 2x2 matrices).  A float
+  t stays in Python floats (square roots are `** 0.5`, not np.sqrt), which
+  keeps the per-stage evaluations of the gauge transport cheap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
-from .liealg import su2_combination, trace_sq, solve3
+from .liealg import inv2, solve3, stack_trailing, su2_combination, trace_sq
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,13 +113,19 @@ def alpha_inv_transverse(t, lam):
 # line geometry
 # --------------------------------------------------------------------------
 
+def _require_inside(t, what):
+    """Raises DegenerateLine naming the first t outside (0, 1)."""
+    inside = np.logical_and(0.0 < t, t < 1.0)
+    if not inside.all():
+        raise DegenerateLine(f"{what} at t = {np.asarray(t)[~inside][0]}")
+
+
 def mu_pair(t):
     """(mu_plus, mu_minus): both negative real with product exactly 1."""
-    if not 0.0 < t < 1.0:
-        raise DegenerateLine(f"line meets the divisor in two points at t = {t}")
+    _require_inside(t, "line meets the divisor in two points")
     S = t**4 + 18.0 * t * t - 27.0
     D = (t * t - 1.0) * (t * t - 9.0) ** 3
-    mu_minus = (S - math.sqrt(D)) / (8.0 * t**3)
+    mu_minus = (S - D**0.5) / (8.0 * t**3)
     return 1.0 / mu_minus, mu_minus
 
 
@@ -123,7 +134,7 @@ def mu_pair_derivative(t):
     D = (t * t - 1.0) * (t * t - 9.0) ** 3
     Sd = 4.0 * t**3 + 36.0 * t
     Dd = 8.0 * t * (t * t - 9.0) ** 2 * (t * t - 3.0)
-    sq = math.sqrt(D)
+    sq = D**0.5
     _, mu_minus = mu_pair(t)
     d_minus = (Sd - Dd / (2.0 * sq)) / (8.0 * t**3) - 3.0 * mu_minus / t
     return -d_minus / mu_minus**2, d_minus
@@ -131,17 +142,17 @@ def mu_pair_derivative(t):
 
 def _sqrt_neg(x):
     """Branch convention: sqrt of a negative real with Im < 0."""
-    return -1j * math.sqrt(-x)
+    return -1j * (-x) ** 0.5
 
 
 @dataclass(frozen=True)
 class LineGeometry:
-    t: float
-    mu_plus: float
-    mu_minus: float
+    t: np.ndarray
+    mu_plus: np.ndarray
+    mu_minus: np.ndarray
     poles_lambda: tuple  # (z1, z2, z3, z4)
     mobius: tuple        # (a, b, c, d): T(z) = (a z + b)/(c z + d)
-    x: complex
+    x: np.ndarray
 
 
 def poles(t):
@@ -158,9 +169,8 @@ def poles(t):
 
 def cross_ratio(t):
     """Cross ratio of the four poles under the normalisation z1,z2,z4 -> 0,1,inf."""
-    if not 0.0 < t < 1.0:
-        raise DegenerateLine(f"cross ratio undefined at t = {t}")
-    return complex((t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3))
+    _require_inside(t, "cross ratio undefined")
+    return ((t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3)) + 0j
 
 
 def cross_ratio_derivative(t):
@@ -170,7 +180,7 @@ def cross_ratio_derivative(t):
 
 def mobius_from_poles(z1, z2, z4):
     """Coefficients of T(z) = ((z - z1)(z2 - z4)) / ((z - z4)(z2 - z1))."""
-    if min(abs(z1 - z2), abs(z1 - z4), abs(z2 - z4)) < 1e-12:
+    if (np.minimum(np.minimum(abs(z1 - z2), abs(z1 - z4)), abs(z2 - z4)) < 1e-12).any():
         raise DegenerateLine("coincident poles")
     return (z2 - z4, -z1 * (z2 - z4), z2 - z1, -z4 * (z2 - z1))
 
@@ -223,14 +233,12 @@ def dlambda_dw(t, w):
 class ResidueTable:
     """Residues alpha_{i,p}: rows i in {1,2,3}, poles p in (0, 1, x, inf)."""
 
-    t: float
-    entries: np.ndarray  # (3, 4) complex
-
-    def get(self, i, p):
-        return self.entries[i - 1, POLE_LABELS.index(str(p))]
+    t: np.ndarray
+    entries: np.ndarray  # (..., 3, 4) complex
 
     def column(self, p):
-        return self.entries[:, POLE_LABELS.index(str(p))].copy()
+        """The residues (..., 3) of alpha_1, alpha_2, alpha_3 at pole p."""
+        return self.entries[..., POLE_LABELS.index(str(p))]
 
 
 def residue_closed_form(t):
@@ -252,7 +260,7 @@ def residue_closed_form(t):
     a10 = -1j * (t * t - 1.0) * (t * t - 9.0) / (16.0 * t**3 * mu)
     a20 = (g.mu_minus + 1.0) * t * (t + 1.0) * (t - 3.0) / (8.0 * t**3 * mu * z1)
     a30 = 1j * (g.mu_plus - 1.0) * t * (t - 1.0) * (t + 3.0) / (8.0 * t**3 * mu * z2)
-    entries = np.array([
+    entries = stack_trailing([
         [a10, np.conj(a10), np.conj(a10), a10],
         [a20, a20, -a20, -a20],
         [a30, -a30, a30, -a30],
@@ -297,21 +305,14 @@ def residue_numeric(t, i, pole, n_points=256):
     def contour_value(radius):
         theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
         ring = radius * np.exp(1j * theta)
-        total = 0.0 + 0.0j
         if str(pole) == "inf":
-            for w in ring:
-                zeta = 1.0 / w
-                lam = lambda_of_normalized(t, zeta)
-                c = alpha_inv(t, lam, line_tangent(t, lam))[i - 1]
-                f = c * dlambda_dw(t, zeta) * (-1.0 / w**2)
-                total += f * w
+            # chart zeta = 1/w: d zeta/dw = -1/w^2, times the offset w
+            zeta, weight = 1.0 / ring, -1.0 / ring
         else:
-            centre = finite[str(pole)]
-            for w in centre + ring:
-                lam = lambda_of_normalized(t, w)
-                c = alpha_inv(t, lam, line_tangent(t, lam))[i - 1]
-                total += c * dlambda_dw(t, w) * (w - centre)
-        return total / n_points
+            zeta, weight = finite[str(pole)] + ring, ring
+        lams = lambda_of_normalized(t, zeta)
+        c = np.array([alpha_inv(t, lam, line_tangent(t, lam))[i - 1] for lam in lams])
+        return np.sum(c * dlambda_dw(t, zeta) * weight) / n_points
 
     v1 = contour_value(base_radius)
     v2 = contour_value(base_radius / 2.0)
@@ -329,7 +330,8 @@ def form_matrix(a, c):
     """The matrix -sum_i a_i c_i X_i of profile values a and scalar
     coefficients c on (X1, X2, X3): a connection form or, with c a residue
     table column, the residue at that pole."""
-    return su2_combination(-a[0] * c[0], -a[1] * c[1], -a[2] * c[2])
+    ac = -a * c
+    return su2_combination(ac[..., 0], ac[..., 1], ac[..., 2])
 
 
 def connection_form(profile, t, lam):
@@ -344,27 +346,33 @@ def transverse_form(profile, t, lam):
 
 @dataclass(frozen=True)
 class FuchsianData:
-    """Residues of the normalised rank-2 Fuchsian system at one t."""
+    """Residues of the normalised rank-2 Fuchsian system at one t, or at a
+    stack of samples along the line family (t and x of shape (S,), residues
+    (S, 2, 2)); `len` and indexing reach the samples."""
 
-    t: float
-    x: complex
+    t: np.ndarray
+    x: np.ndarray
     A0: np.ndarray
     A1: np.ndarray
     Ax: np.ndarray
     Ainf: np.ndarray
     gauge: str = "line"
 
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        return replace(self, t=self.t[k], x=self.x[k], A0=self.A0[k],
+                       A1=self.A1[k], Ax=self.Ax[k], Ainf=self.Ainf[k])
+
     def residues(self):
         return self.A0, self.A1, self.Ax, self.Ainf
 
     def conjugated(self, g):
-        gi = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / (
-            g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-        return FuchsianData(
-            t=self.t, x=self.x,
-            A0=gi @ self.A0 @ g, A1=gi @ self.A1 @ g,
-            Ax=gi @ self.Ax @ g, Ainf=gi @ self.Ainf @ g,
-            gauge="schlesinger")
+        gi = inv2(g)
+        return replace(self, A0=gi @ self.A0 @ g, A1=gi @ self.A1 @ g,
+                       Ax=gi @ self.Ax @ g, Ainf=gi @ self.Ainf @ g,
+                       gauge="schlesinger")
 
     def trace_squares(self):
         return tuple(trace_sq(m) for m in self.residues())
@@ -372,7 +380,7 @@ class FuchsianData:
     def to_json_dict(self):
         def mat(m):
             return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-        return {"t": self.t,
+        return {"t": float(self.t),
                 "x": {"re": float(self.x.real), "im": float(self.x.imag)},
                 "residues": {"p0": mat(self.A0), "p1": mat(self.A1),
                              "px": mat(self.Ax), "pinf": mat(self.Ainf)}}
@@ -383,10 +391,11 @@ def fuchsian_data(profile, t):
     a = profile.oriented_values(t)
     tab = residue_closed_form(t)
     A0, A1, Ax, Ainf = (form_matrix(a, tab.column(p)) for p in POLE_LABELS)
-    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf,
-                        gauge="line")
+    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax,
+                        Ainf=Ainf, gauge="line")
 
 
-def trace_csv_row(F):
-    vals = (F.t, F.x.real, F.x.imag) + tuple(v.real for v in F.trace_squares())
-    return ",".join(f"{v:.17g}" for v in vals)
+def trace_csv_rows(F):
+    """One `t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq` line per sample."""
+    cols = (F.t, F.x.real, F.x.imag) + tuple(v.real for v in F.trace_squares())
+    return [",".join(f"{v:.17g}" for v in row) for row in np.column_stack(cols)]

@@ -71,12 +71,13 @@ def test_criterion_3_residue_oracle():
         tab = residue_closed_form(t)
         for i in (1, 2, 3):
             for p in POLE_LABELS:
-                worst = max(worst, abs(residue_numeric(t, i, p) - tab.get(i, p)))
+                worst = max(worst, abs(residue_numeric(t, i, p)
+                                       - tab.column(p)[i - 1]))
     svals = np.array([0.03, 0.02, 0.01])
     tabs = [residue_closed_form(1.0 - s * s) for s in svals]
-    lim2 = np.polyfit(svals, [tb.get(2, "inf") for tb in tabs], 2)[-1]
-    lim1 = np.polyfit(svals, [tb.get(1, "inf") for tb in tabs], 2)[-1]
-    lim3 = np.polyfit(svals, [tb.get(3, "inf") for tb in tabs], 2)[-1]
+    lim2 = np.polyfit(svals, [tb.column("inf")[1] for tb in tabs], 2)[-1]
+    lim1 = np.polyfit(svals, [tb.column("inf")[0] for tb in tabs], 2)[-1]
+    lim3 = np.polyfit(svals, [tb.column("inf")[2] for tb in tabs], 2)[-1]
     lim_err = max(abs(lim2 - 0.25j), abs(lim1), abs(lim3))
     elapsed = time.time() - start
     report(3, worst < 1e-8 and lim_err < 1e-6 and elapsed < 10.0,
@@ -89,7 +90,7 @@ def test_criterion_4_conserved_quantities(fam1_raw, fam3_raw):
     worst_drift, worst_val = 0.0, 0.0
     for fam, n in ((fam1_raw, 1), (fam3_raw, 3)):
         worst_drift = max(worst_drift, max(isospectral_drift(fam)))
-        tr = trace_sq(fam.samples[len(fam) // 2].Ainf)
+        tr = trace_sq(fam[len(fam) // 2].Ainf)
         worst_val = max(worst_val, abs(tr - n * n / 8))
     elapsed = time.time() - start
     report(4, worst_drift < 1e-8 and worst_val < 1e-8 and elapsed < 5.0,
@@ -104,9 +105,9 @@ def test_criterion_5_schlesinger(fam1_gauged, fam3_gauged):
     inv_err = 0.0
     for fam in (fam1_gauged, fam3_gauged):
         k0, k1 = len(fam) // 4, (3 * len(fam)) // 4
-        prop = schlesinger_integrate(fam.samples[k0], fam.samples[k1].x)
+        prop = schlesinger_integrate(fam[k0], fam[k1].x)
         inv_err = max(inv_err, float(np.max(np.abs(
-            pair_invariants(prop) - pair_invariants(fam.samples[k1])))))
+            pair_invariants(prop) - pair_invariants(fam[k1])))))
     elapsed = time.time() - start
     report(5, res < 1e-6 and inv_err < 1e-7 and elapsed < 30.0,
            f"max residual {res:.3e} (201-pt grids), propagation oracle "
@@ -116,14 +117,13 @@ def test_criterion_5_schlesinger(fam1_gauged, fam3_gauged):
 def test_criterion_6_parameters(fam3_raw):
     start = time.time()
     mid = len(fam3_raw) // 2
-    alphas = sorted(jimbo_miwa_params(fam3_raw.samples[mid], b).alpha.real
+    alphas = sorted(jimbo_miwa_params(fam3_raw[mid], b).alpha.real
                     for b in ("plus", "minus"))
-    p = jimbo_miwa_params(fam3_raw.samples[mid], "plus")
+    p = jimbo_miwa_params(fam3_raw[mid], "plus")
     alpha_ok = abs(alphas[0] - 1 / 8) < 1e-7 and abs(alphas[1] - 25 / 8) < 1e-7
     beta_ok = abs(p.beta + 9 / 8) < 1e-7
     gamma_ok = abs(p.gamma - 9 / 8) < 1e-7
-    deltas = np.array([jimbo_miwa_params(F, "plus").delta
-                       for F in fam3_raw.samples])
+    deltas = jimbo_miwa_params(fam3_raw, "plus").delta
     variant = select_delta_variant(deltas[mid].real, 3)
     spread = float(np.max(np.abs(deltas - deltas[mid])))
     # selection must be unambiguous: far from the rejected variant (-1)
@@ -144,19 +144,19 @@ def test_criterion_7_pvi_closure(fam3_raw):
     rejected_step = np.inf
     for branch in ("plus", "minus"):
         sample = extract_transcendent(fam3_raw, branch)
-        params = jimbo_miwa_params(fam3_raw.samples[100], branch)
+        params = jimbo_miwa_params(fam3_raw[100], branch)
         worst_res = max(worst_res, max_pvi_residual(sample, params))
         k = 100
         w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)[1]
         yp = np.dot(w1, sample.ys[k - 2:k + 3])
-        y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k], yp,
-                                 sample.xs[k + 1].real)
+        y_end = pvi_integrate(params, sample.xs[[k, k + 1]].real, sample.ys[k],
+                              yp)[0][-1]
         worst_step = max(worst_step, abs(y_end - sample.ys[k + 1]))
         # discriminating run with the rejected delta variant (-1 for n=3)
         bad = PviParams(params.alpha, params.beta, params.gamma, -1.0)
         rejected_res = min(rejected_res, max_pvi_residual(sample, bad))
-        y_bad, _ = pvi_integrate(bad, sample.xs[k].real, sample.ys[k], yp,
-                                 sample.xs[k + 20].real)
+        y_bad = pvi_integrate(bad, sample.xs[[k, k + 20]].real, sample.ys[k],
+                              yp)[0][-1]
         rejected_step = min(rejected_step, abs(y_bad - sample.ys[k + 20]))
     elapsed = time.time() - start
     ok = (worst_res < 1e-5 and worst_step < 1e-6
@@ -199,7 +199,7 @@ def test_criterion_9_convergence_order(prof3):
         schl.append(max_schlesinger_residual(gauged))
         raw = make_family(prof3, ts, gauge="line")
         sample = extract_transcendent(raw, "plus")
-        params = jimbo_miwa_params(raw.samples[n_samples // 2], "plus")
+        params = jimbo_miwa_params(raw[n_samples // 2], "plus")
         pvi.append(max_pvi_residual(sample, params))
     hs = np.log([1.0 / (n - 1) for n in sizes])
     slope_schl = np.polyfit(hs, np.log(schl), 1)[0]

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from painleve_instanton.cli import main
 
@@ -59,6 +60,34 @@ def test_verify_n1(capsys):
     assert abs(rep["params"]["beta"] + 1 / 8) < 1e-9
     assert abs(rep["params"]["gamma"] - 1 / 8) < 1e-9
     assert rep["delta_variant"] == "intro"
+
+
+def _measured(rep):
+    """check name -> (the measured value it compares, its tolerance key)."""
+    out = {
+        "schlesinger": (rep["schlesinger_max_residual"], "schlesinger"),
+        "drift": (max(rep["isospectral_drift"]), "drift"),
+        "trace": (abs(rep["trace_ainf_sq"] - rep["trace_target"]), "trace"),
+        "propagation": (rep["propagation_invariant_error"], "invariants"),
+        "delta_stable": (rep["delta_spread"], "delta"),
+        "pvi": (max(rep["pvi_max_residual"].values()), "pvi"),
+        "pvi_step": (max(rep["pvi_step_error"].values()), "step"),
+    }
+    if "boundary_error" in rep:
+        out["boundary"] = (rep["boundary_error"], "boundary")
+    return out
+
+
+@pytest.mark.parametrize("argv", [("--n", "3"), ("--n", "5", "--tol", "1e-30")],
+                         ids=["n3", "n5-tol"])
+def test_verify_checks_follow_tolerances(capsys, argv):
+    # every verdict is its measured value against the reported threshold
+    _, out, _ = run(capsys, "verify", *argv)
+    rep = json.loads(out)
+    measured = _measured(rep)
+    assert set(rep["checks"]) == set(measured)
+    for name, (value, key) in measured.items():
+        assert rep["checks"][name] is (value < rep["tolerances"][key]), name
 
 
 def test_verify_impossible_tolerance(capsys):

@@ -6,7 +6,6 @@ from painleve_instanton.errors import (SingularArgument,
 from painleve_instanton.isomonodromy import jimbo_miwa_params
 from painleve_instanton.painleve import (PviParams, max_pvi_residual,
                                          params_from_n, pvi_integrate,
-                                         pvi_residual,
                                          pvi_second_derivative,
                                          select_delta_variant)
 from painleve_instanton.report import extract_transcendent
@@ -58,32 +57,32 @@ def test_pvi_rhs_double_transcription(rng):
 def test_pvi_residual_instanton_family(fam3_raw):
     for branch in ("plus", "minus"):
         sample = extract_transcendent(fam3_raw, branch)
-        params = jimbo_miwa_params(fam3_raw.samples[100], branch)
+        params = jimbo_miwa_params(fam3_raw[100], branch)
         assert max_pvi_residual(sample, params) < 1e-5
 
 
 def test_pvi_residual_negative_control(fam3_raw):
     sample = extract_transcendent(fam3_raw, "plus")
-    good = jimbo_miwa_params(fam3_raw.samples[100], "plus")
+    good = jimbo_miwa_params(fam3_raw[100], "plus")
     bad = PviParams(good.alpha, good.beta + 0.1, good.gamma, good.delta)
     assert max_pvi_residual(sample, bad) > 1e-3
 
 
 def test_pvi_integrate_zero_length():
     p = PviParams(1 / 8, -9 / 8, 9 / 8, -5 / 8)
-    y, yp = pvi_integrate(p, 2.0, 0.5 + 0j, 0.1 + 0j, 2.0)
-    assert y == 0.5 and yp == 0.1
+    y, yp = pvi_integrate(p, [2.0], 0.5 + 0j, 0.1 + 0j)
+    assert y[0] == 0.5 and yp[0] == 0.1
 
 
 def test_pvi_integrate_single_step(fam1_raw, fam3_raw):
     for fam in (fam1_raw, fam3_raw):
         sample = extract_transcendent(fam, "plus")
-        params = jimbo_miwa_params(fam.samples[100], "plus")
+        params = jimbo_miwa_params(fam[100], "plus")
         k = 100
         w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)[1]
         yp = np.dot(w1, sample.ys[k - 2:k + 3])
-        y_end, _ = pvi_integrate(params, sample.xs[k].real, sample.ys[k], yp,
-                                 sample.xs[k + 1].real)
+        y_end = pvi_integrate(params, sample.xs[[k, k + 1]].real, sample.ys[k],
+                              yp)[0][-1]
         assert abs(y_end - sample.ys[k + 1]) < 1e-6
 
 
@@ -92,28 +91,26 @@ def test_parameter_route_consistency(fam1_raw, fam3_raw):
     # the eigen-branch 'plus' (lam = +n/4) carries alpha = (n-2)^2/8, i.e.
     # the minus sign of the (n +- 2) formula
     for fam, n in ((fam1_raw, 1), (fam3_raw, 3)):
-        measured = jimbo_miwa_params(fam.samples[100], "plus")
+        measured = jimbo_miwa_params(fam[100], "plus")
         closed = params_from_n(n, "intro", "minus")
         assert abs(measured.alpha - closed.alpha) < 1e-7
         assert abs(measured.beta - closed.beta) < 1e-7
         assert abs(measured.gamma - closed.gamma) < 1e-7
         assert select_delta_variant(measured.delta.real, n) == "intro"
-        measured_m = jimbo_miwa_params(fam.samples[100], "minus")
+        measured_m = jimbo_miwa_params(fam[100], "minus")
         closed_p = params_from_n(n, "intro", "plus")
         assert abs(measured_m.alpha - closed_p.alpha) < 1e-7
 
 
 def test_pvi_integrate_delta_discrimination(fam3_raw):
     sample = extract_transcendent(fam3_raw, "plus")
-    good = jimbo_miwa_params(fam3_raw.samples[100], "plus")
+    good = jimbo_miwa_params(fam3_raw[100], "plus")
     bad = PviParams(good.alpha, good.beta, good.gamma, -1.0)  # rejected variant
     k0, k1 = 100, 120
     w1 = fd_weights(sample.xs[k0 - 2:k0 + 3].real, sample.xs[k0].real, 1)[1]
     yp = np.dot(w1, sample.ys[k0 - 2:k0 + 3])
-    y_good, yp_g = pvi_integrate(good, sample.xs[k0].real, sample.ys[k0], yp,
-                                 sample.xs[k1].real)
-    y_bad, yp_b = pvi_integrate(bad, sample.xs[k0].real, sample.ys[k0], yp,
-                                sample.xs[k1].real)
+    y_good = pvi_integrate(good, sample.xs[[k0, k1]].real, sample.ys[k0], yp)[0][-1]
+    y_bad = pvi_integrate(bad, sample.xs[[k0, k1]].real, sample.ys[k0], yp)[0][-1]
     assert abs(y_good - sample.ys[k1]) < 1e-6
     assert abs(y_bad - sample.ys[k1]) > 1e-4
 
@@ -121,7 +118,7 @@ def test_pvi_integrate_delta_discrimination(fam3_raw):
 def test_pvi_integrate_singularity_detection():
     p = PviParams(1 / 8, -9 / 8, 9 / 8, -5 / 8)
     with pytest.raises(SingularityEncountered):
-        pvi_integrate(p, 2.0, 2.0 + 1e-9 + 0j, 0.0, 2.5)
+        pvi_integrate(p, [2.0, 2.5], 2.0 + 1e-9 + 0j, 0.0)
 
 
 def test_params_from_n():
@@ -141,11 +138,3 @@ def test_select_delta_variant():
     with pytest.raises(ValueError):
         select_delta_variant(-0.8, 3)
 
-
-def test_pvi_residual_stencil_bounds(fam3_raw):
-    sample = extract_transcendent(fam3_raw, "plus")
-    params = jimbo_miwa_params(fam3_raw.samples[100], "plus")
-    with pytest.raises(IndexError):
-        pvi_residual(sample, params, 1)
-    with pytest.raises(IndexError):
-        pvi_residual(sample, params, len(sample) - 2)

@@ -181,7 +181,7 @@ def test_residue_closed_vs_quadrature():
         for p in POLE_LABELS:
             q = residue_numeric(0.4, i, p)
             total += q
-            worst = max(worst, abs(q - tab.get(i, p)))
+            worst = max(worst, abs(q - tab.column(p)[i - 1]))
         assert abs(total) < 1e-10  # residue theorem
     assert worst < 1e-8
 
@@ -196,9 +196,9 @@ def test_residue_limits_toward_right_end():
     # quadratic extrapolation in s = sqrt(1 - t)
     svals = np.array([0.03, 0.02, 0.01])
     tabs = [residue_closed_form(1.0 - s * s) for s in svals]
-    lim2 = np.polyfit(svals, [tab.get(2, "inf") for tab in tabs], 2)[-1]
-    lim1 = np.polyfit(svals, [tab.get(1, "inf") for tab in tabs], 2)[-1]
-    lim3 = np.polyfit(svals, [tab.get(3, "inf") for tab in tabs], 2)[-1]
+    lim2 = np.polyfit(svals, [tab.column("inf")[1] for tab in tabs], 2)[-1]
+    lim1 = np.polyfit(svals, [tab.column("inf")[0] for tab in tabs], 2)[-1]
+    lim3 = np.polyfit(svals, [tab.column("inf")[2] for tab in tabs], 2)[-1]
     assert abs(lim2 - 0.25j) < 1e-6
     assert abs(lim1) < 1e-6
     assert abs(lim3) < 1e-6
@@ -212,9 +212,9 @@ def test_printed_residue_table_discrepancy():
         true = residue_closed_form(t)
         printed = residue_table_printed(t)
         _, mu_m = mu_pair(t)
-        r1 = true.get(1, "0") / printed.get(1, "0")
-        r2 = true.get(2, "0") / printed.get(2, "0")
-        r3 = true.get(3, "0") / printed.get(3, "0")
+        r1 = true.column("0")[0] / printed.column("0")[0]
+        r2 = true.column("0")[1] / printed.column("0")[1]
+        r3 = true.column("0")[2] / printed.column("0")[2]
         print(f"printed-table ratios at t={t}: row1 {r1:.6g} row2 {r2:.6g} row3 {r3:.6g}")
         assert abs(r1 + 1.0) < 1e-12                # sign flip
         assert abs(r2 - 1.0 / t) < 1e-12            # 8t^2 vs 8t^3
