@@ -33,16 +33,12 @@ import numpy as np
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
 from .liealg import stack_trailing
-from .stepper import barycentric, cos_nodes, fd_weights, rk45_path, stencil5
+from .stepper import barycentric, cos_nodes, fd_weights, rk45_path
 
 
 class DualitySign(enum.Enum):
     SELF_DUAL = 1
     ANTI_SELF_DUAL = -1
-
-    @property
-    def sigma(self):
-        return float(self.value)
 
 
 def coeff_K(index, t):
@@ -67,24 +63,22 @@ def _coeff_order(sign):
 
 def _duality_terms(sign, t, a):
     """Coefficients sigma*K_i/2 and sources a_j a_k - a_i of the branch
-    sigma*K_i/2 * da_i/dt = a_j a_k - a_i."""
-    order = _coeff_order(sign)
-    coef = np.empty(3)
-    source = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        K = coeff_K(order[i], t)
+    sigma*K_i/2 * da_i/dt = a_j a_k - a_i, for one t, as two 3-sequences."""
+    half = 0.5 * sign.value
+    coef = []
+    for index in _coeff_order(sign):
+        K = coeff_K(index, t)
         if abs(K) < 1e-14:
-            raise DegenerateCoefficient(f"K{order[i]}({t}) = {K}")
-        coef[i] = sign.sigma * 0.5 * K
-        source[i] = a[j] * a[k] - a[i]
-    return coef, source
+            raise DegenerateCoefficient(f"K{index}({t}) = {K}")
+        coef.append(half * K)
+    a1, a2, a3 = a
+    return coef, (a2 * a3 - a1, a3 * a1 - a2, a1 * a2 - a3)
 
 
 def asd_rhs(sign, t, a):
     """Right-hand side (da1, da2, da3)/dt of the chosen duality branch."""
-    coef, source = _duality_terms(sign, t, np.asarray(a, dtype=float))
-    return source / coef
+    coef, source = _duality_terms(sign, float(t), [float(v) for v in a])
+    return np.array([s / c for s, c in zip(source, coef)])
 
 
 # --------------------------------------------------------------------------
@@ -116,15 +110,15 @@ def _closed_values(kind, t):
 def _closed_derivative(kind, t):
     d2 = (t * t + 3.0) ** 2
     if kind is ProfileKind.TRIVIAL:
-        return np.zeros(3)
+        return np.zeros(np.shape(t) + (3,))
     if kind is ProfileKind.HOPF_SD:
-        return np.array([24.0 * t / d2,
-                         6.0 * (t - 3.0) * (t + 1.0) / d2,
-                         -6.0 * (t + 3.0) * (t - 1.0) / d2])
+        return stack_trailing([24.0 * t / d2,
+                               6.0 * (t - 3.0) * (t + 1.0) / d2,
+                               -6.0 * (t + 3.0) * (t - 1.0) / d2])
     if kind is ProfileKind.E_MINUS_3:
-        return np.array([-24.0 * t / d2,
-                         6.0 * (t + 3.0) * (t - 1.0) / d2,
-                         6.0 * (t - 3.0) * (t + 1.0) / d2])
+        return stack_trailing([-24.0 * t / d2,
+                               6.0 * (t + 3.0) * (t - 1.0) / d2,
+                               6.0 * (t - 3.0) * (t + 1.0) / d2])
     raise ValueError(kind)
 
 
@@ -168,13 +162,16 @@ class ProfileTriple:
         return a
 
     def derivative(self, t):
-        """da/dt: exact for closed forms, 5-point stencil on the grid."""
+        """da/dt, shape (..., 3) for t of shape (...): exact for closed
+        forms; on the grid, the 5-point stencil centred as well as possible
+        on the node nearest each t."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
-        k = int(np.argmin(np.abs(self.ts - t)))
-        win = stencil5(self.ts, k)
-        w = fd_weights(self.ts[win], t, 1)[1]
-        return self.values_grid[:, win] @ w
+        t = np.asarray(t, dtype=float)
+        k = np.argmin(np.abs(t[..., None] - self.ts), axis=-1)
+        win = np.clip(k - 2, 0, len(self.ts) - 5)[..., None] + np.arange(5)
+        w = fd_weights(self.ts[win], t, 1)[..., 1:, :]
+        return (w @ self.values_grid.T[win])[..., 0, :]
 
     @property
     def a2_at_1(self):
@@ -240,7 +237,7 @@ def duality_residual(profile, sign, t, global_negation=False):
     if global_negation:
         a, da = -a, -da
     coef, source = _duality_terms(sign, t, a)
-    return coef * da - source
+    return np.multiply(coef, da) - source
 
 
 # --------------------------------------------------------------------------
@@ -427,9 +424,11 @@ def _seed(n):
 
 
 def _asd_flow(t, a):
-    if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > 1e8:
+    a1, a2, a3 = a.tolist()
+    # the comparisons are False for NaN and infinities as well
+    if not (abs(a1) <= 1e8 and abs(a2) <= 1e8 and abs(a3) <= 1e8):
         raise OverflowError("profile trajectory blow-up")
-    return asd_rhs(DualitySign.ANTI_SELF_DUAL, t, a)
+    return asd_rhs(DualitySign.ANTI_SELF_DUAL, t, (a1, a2, a3))
 
 
 _DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3)
@@ -453,12 +452,17 @@ def _launch_depth(series):
     return LAUNCH_OFFSET
 
 
-def _sweep(series, t_launch, ts, cols, grid):
-    """One side of the shot: series values at the nodes `cols` (ordered from
-    the endpoint inward) up to the launch point, then one rk45_path sweep
-    from the launch point through the remaining nodes to MATCH_POINT.
-    Fills grid[:, cols] and returns a(MATCH_POINT)."""
-    direction = 1.0 if t_launch < MATCH_POINT else -1.0
+def _sweep(series, ts, grid):
+    """One side of the shot: series values at the nodes (from the endpoint
+    inward) up to the launch point, then one rk45_path sweep from the launch
+    point through the remaining nodes to MATCH_POINT.  Fills that side's
+    columns of grid and returns a(MATCH_POINT)."""
+    depth = _launch_depth(series)
+    mid = int(np.searchsorted(ts, MATCH_POINT))
+    if series.side == "t0":
+        t_launch, direction, cols = depth, 1.0, range(mid)
+    else:
+        t_launch, direction, cols = 1.0 - depth, -1.0, range(len(ts) - 1, mid - 1, -1)
     swept = []
     for k in cols:
         if (ts[k] - t_launch) * direction > 0:
@@ -472,53 +476,50 @@ def _sweep(series, t_launch, ts, cols, grid):
     return path[-1]
 
 
-def _shoot(n, ts, params):
-    """Shoot from both endpoint series to MATCH_POINT.
-
-    Returns (grid, defect): the profile at every node of `ts` (series values
-    beyond the launch points, the two sweeps in between) and
-    a_left(MATCH_POINT) - a_right(MATCH_POINT).
-    """
-    p, r, q = params
-    s_left = endpoint_series(n, "t0", SERIES_ORDER, (p, r))
-    s_right = endpoint_series(n, "t1", SERIES_ORDER, (q,))
-    mid = int(np.searchsorted(ts, MATCH_POINT))
-    grid = np.empty((3, len(ts)))
-    left = _sweep(s_left, _launch_depth(s_left), ts, range(mid), grid)
-    right = _sweep(s_right, 1.0 - _launch_depth(s_right), ts,
-                   range(len(ts) - 1, mid - 1, -1), grid)
-    return grid, left - right
+def _shoot(n, ts, side, params, grid):
+    """a(MATCH_POINT) shot from the endpoint series of one side with its
+    parameters ((p, r) for "t0", (q,) for "t1"), filling that side of grid;
+    None if the sweep blows up or hits a degenerate coefficient."""
+    try:
+        a = _sweep(endpoint_series(n, side, SERIES_ORDER, params), ts, grid)
+    except (OverflowError, DegenerateCoefficient):
+        return None
+    return a if np.all(np.isfinite(a)) else None
 
 
 def solve_bvp(n):
     """Two-sided shooting solve of the anti-self-dual boundary-value problem.
 
     Launches on the endpoint series near t = 0 and t = 1, integrates both
-    branches to MATCH_POINT and drives the three-component defect to zero
-    with a damped Newton iteration in the shooting parameters (p, r, q),
-    started at the closed-form `_seed(n)`.  Below NEWTON_TOL it keeps taking
+    branches to MATCH_POINT and drives the three-component defect
+    a_left - a_right to zero with a damped Newton iteration in the shooting
+    parameters (p, r, q), started at the closed-form `_seed(n)`.  The
+    difference Jacobian re-shoots one side per column: p and r move only
+    the t0 series, q only the t1 series.  Below NEWTON_TOL it keeps taking
     full steps with the last Jacobian while each at least halves the
-    defect, so the profile is polished to the roundoff floor.  The profile is the grid of the shot
-    Newton accepted last: its jump at MATCH_POINT is the final defect.
+    defect, so the profile is polished to the roundoff floor.  The profile
+    is the grid of the shot Newton accepted last: its jump at MATCH_POINT is
+    the final defect.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
     ts = cos_nodes(LAUNCH_OFFSET, 1.0 - LAUNCH_OFFSET, GRID_SIZE)
 
-    def try_shoot(params):
-        try:
-            grid, F = _shoot(n, ts, params)
-        except (OverflowError, DegenerateCoefficient):
+    def try_shoot(x):
+        grid = np.empty((3, len(ts)))
+        left = _shoot(n, ts, "t0", (x[0], x[1]), grid)
+        right = None if left is None else _shoot(n, ts, "t1", (x[2],), grid)
+        if right is None:
             return None
-        return (grid, F) if np.all(np.isfinite(F)) else None
+        return grid, left, right, float(np.linalg.norm(left - right))
 
     x = np.array(_seed(n), dtype=float)
     shot = try_shoot(x)
     if shot is None:
         raise NoConvergence(0, math.inf)
-    grid, F = shot
-    norm = float(np.linalg.norm(F))
+    grid, left, right, norm = shot
     J = None
+    scratch = np.empty((3, len(ts)))
     for it in range(MAX_ITER):
         # at the roundoff floor a fresh difference Jacobian is no better
         # than the last one
@@ -527,31 +528,33 @@ def solve_bvp(n):
             for j in range(3):
                 xp = x.copy()
                 xp[j] += 1e-6
-                shot = try_shoot(xp)
-                if shot is None:
+                if j < 2:
+                    a = _shoot(n, ts, "t0", (xp[0], xp[1]), scratch)
+                else:
+                    a = _shoot(n, ts, "t1", (xp[2],), scratch)
+                if a is None:
                     raise NoConvergence(it, norm)
-                J[:, j] = (shot[1] - F) / 1e-6
+                J[:, j] = (a - left if j < 2 else right - a) / 1e-6
         try:
-            dx = np.linalg.solve(J, -F)
+            dx = np.linalg.solve(J, right - left)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(it, norm) from exc
         if norm < NEWTON_TOL:
             shot = try_shoot(x + dx)
-            if shot is None or not float(np.linalg.norm(shot[1])) < 0.5 * norm:
+            if shot is None or not shot[3] < 0.5 * norm:
                 break
             x = x + dx
         else:
             lam = 1.0
             for _ in range(30):
                 shot = try_shoot(x + lam * dx)
-                if shot is not None and float(np.linalg.norm(shot[1])) < norm:
+                if shot is not None and shot[3] < norm:
                     break
                 lam *= 0.5
             else:
                 raise NoConvergence(it, norm)
             x = x + lam * dx
-        grid, F = shot
-        norm = float(np.linalg.norm(F))
+        grid, left, right, norm = shot
     else:
         raise NoConvergence(MAX_ITER, norm)
 

@@ -4,28 +4,38 @@ evaluation.
 
 The integrator is a plain Dormand-Prince pair working on (possibly complex)
 numpy vectors; it propagates the 5th-order solution and controls the step
-with the embedded 4th-order error estimate.  `rk45_path` reads intermediate
+with the embedded 4th-order error estimate.  A step keeps its seven stages
+in one preallocated (7, d) array, so each stage, the solution and the error
+estimate are one small matrix product with the tableau, and the last stage
+is reused as the next step's first (FSAL).  `rk45_path` reads intermediate
 nodes from the pair's continuous extension instead of stopping at them.
+The same kernel drives the BVP shooting sweeps, the Schlesinger gauge
+transport and the Painleve VI oracle.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau: stage i is y + h * (_AM[i, :i] @ K[:i]) for the
+# (7, d) stage array K; the 5th-order solution is y + h * (_B5 @ K) and the
+# error estimate h * (_E @ K)
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_AM = np.array([
+    [0.0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_B5 = _AM[6]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
+_E = _B5 - _B4
 
 
 # Dormand-Prince 4th-order continuous extension (Hairer, Norsett & Wanner,
@@ -55,8 +65,9 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     """Integrate dy/dt = f(t, y) from t0 to t1, returning y(t1).
 
     Works for real or complex state vectors; t may run backwards.  After
-    each accepted step from (t, y) to t_new with step h and stages ks, calls
-    on_step(t, y, h, ks, t_new) if given.
+    each accepted step from (t, y) to t_new with step h, calls
+    on_step(t, y, h, K, t_new) if given, with K the (7, d) stage array; K is
+    overwritten by the next step, so on_step must not keep it.
     """
     y = np.array(y0, copy=True)
     t = float(t0)
@@ -67,6 +78,8 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     span = abs(t1 - t)
     h = direction * min(1e-2 * span, 1e-3)
     k1 = np.asarray(f(t, y))
+    K = np.empty((7,) + k1.shape, dtype=np.result_type(y, k1))
+    K[0] = k1
     steps = 0
     while (t1 - t) * direction > 0:
         steps += 1
@@ -74,21 +87,19 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
             raise RuntimeError(f"rk45: step limit exceeded at t={t}")
         if (t + h - t1) * direction > 0:
             h = t1 - t
-        ks = [k1]
         for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-            ks.append(np.asarray(f(t + _C[i] * h, yi)))
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-        err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_B5, _B4, ks))
+            K[i] = f(t + _C[i] * h, y + h * (_AM[i, :i] @ K[:i]))
+        y5 = y + h * (_B5 @ K)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))) + 1e-300
+        e = h * (_E @ K) / scale
+        err = math.sqrt(np.vdot(e, e).real / e.size) + 1e-300
         if err <= 1.0:
             t_new = t1 if abs(t + h - t1) < 1e-15 * span else t + h
             if on_step is not None:
-                on_step(t, y, h, ks, t_new)
+                on_step(t, y, h, K, t_new)
             t = t_new
             y = y5
-            k1 = ks[6]  # FSAL
+            K[0] = K[6]  # FSAL
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
     return y
 
@@ -110,14 +121,14 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
         raise ValueError("rk45_path: nodes must be strictly monotone")
     last = len(ts) - 1
 
-    def read_nodes(t, y, h, ks, t_new):
+    def read_nodes(t, y, h, K, t_new):
         j = len(out)
         covered = j
         while covered < last and (ts[covered] - t_new) * direction <= 0:
             covered += 1
         if covered == j:
             return
-        KP = np.column_stack(ks) @ _P
+        KP = K.T @ _P
         for node in ts[j:covered]:
             theta = (node - t) / h
             out.append(y + h * (KP @ (theta ** np.arange(1, 5))))
@@ -153,13 +164,6 @@ def fd_weights(nodes, x0, order):
             w[..., 0, j] = c4 * w[..., 0, j] / c3
         c1 = c2
     return w
-
-
-def stencil5(xs, k):
-    """Index window for a 5-point stencil centred as well as possible on k."""
-    n = len(xs)
-    lo = min(max(k - 2, 0), n - 5)
-    return slice(lo, lo + 5)
 
 
 def cos_nodes(a, b, n):

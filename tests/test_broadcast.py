@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from painleve_instanton import (instanton, isomonodromy, liealg, painleve,
                                 report, stepper, twistor)
+from painleve_instanton.instanton import closed_form_profile
 from painleve_instanton.isomonodromy import extract_y, jimbo_miwa_params
 from painleve_instanton.liealg import eigen2
 from painleve_instanton.painleve import PviParams, pvi_second_derivative
@@ -51,6 +52,16 @@ def test_profile_values_and_residues_broadcast(prof1, prof3, prof5, ts):
             for name in ("alpha", "beta", "gamma", "delta"):
                 assert_stack_matches(getattr(params, name),
                                      [getattr(q, name) for q in each], 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(np.array))
+def test_profile_derivative_broadcast(prof5, ts):
+    # closed forms, and nearest-node stencils on the grid, clipped at its ends
+    for kind in ("trivial", "hopf_sd", "e_minus_3"):
+        prof = closed_form_profile(kind)
+        assert_stack_matches(prof.derivative(ts), [prof.derivative(t) for t in ts], 1e-14)
+    assert_stack_matches(prof5.derivative(ts), [prof5.derivative(t) for t in ts], 1e-14)
 
 
 @settings(max_examples=40, deadline=None)

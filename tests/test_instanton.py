@@ -1,10 +1,12 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from painleve_instanton import instanton
-from painleve_instanton.errors import NoConvergence, PoleAtEndpoint
+from painleve_instanton.errors import (DegenerateCoefficient, NoConvergence,
+                                      PoleAtEndpoint)
 from painleve_instanton.instanton import (DualitySign, ProfileKind,
                                           ProfileTriple, asd_closed_profile,
                                           asd_rhs, closed_form_profile,
@@ -41,6 +43,24 @@ def test_asd_rhs_hopf_slope():
 def test_asd_rhs_direct_value():
     rhs = asd_rhs(ASD, 0.5, (1.0, 0.0, 0.0))
     assert abs(rhs[0] - 64 / 105) < 1e-15
+
+
+def test_asd_rhs_coefficient_guards():
+    # K1 and K2 vanish at t = 3; K1 has its pole at t = 0
+    for sign in (SD, ASD):
+        with pytest.raises(DegenerateCoefficient):
+            asd_rhs(sign, 3.0, (1.0, 2.0, 3.0))
+        with pytest.raises(PoleAtEndpoint):
+            asd_rhs(sign, 0.0, (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e9])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_asd_flow_blow_up_guard(bad, slot):
+    a = np.array([0.5, 1.0, 2.0])
+    a[slot] = bad
+    with pytest.raises(OverflowError):
+        instanton._asd_flow(0.3, a)
 
 
 def test_closed_form_values():
@@ -187,19 +207,29 @@ def test_seed_law_closed_forms():
 
 @pytest.fixture(scope="module")
 def prof7_counted():
-    # solve n = 7 once, counting the endpoint-series builds of the shots
-    calls = []
-    real = instanton.endpoint_series
-    instanton.endpoint_series = lambda *args: calls.append(args) or real(*args)
+    # solve n = 7 once, counting the endpoint-series builds of the shots and
+    # the right-hand-side evaluations of their sweeps
+    calls = Counter()
+    mp = pytest.MonkeyPatch()
+    for name in ("endpoint_series", "asd_rhs"):
+        real = getattr(instanton, name)
+        mp.setattr(instanton, name,
+                   lambda *args, _name=name, _real=real: calls.update([_name]) or _real(*args))
     try:
-        return solve_bvp(7), len(calls)
+        return solve_bvp(7), calls
     finally:
-        instanton.endpoint_series = real
+        mp.undo()
 
 
 def test_solve_bvp_endpoint_series_count(prof7_counted):
-    # one series pair per shot: the seed and a few Newton steps, no scan
-    assert prof7_counted[1] < 60
+    # a series pair for the seed shot and each accepted Newton step, and one
+    # series per Jacobian column: p and r re-shoot only the t0 side, q only
+    # the t1 side
+    assert prof7_counted[1]["endpoint_series"] <= 9
+
+
+def test_solve_bvp_asd_rhs_count(prof7_counted):
+    assert prof7_counted[1]["asd_rhs"] <= 13_000
 
 
 def test_seed_law_matches_converged(prof5, prof7_counted):

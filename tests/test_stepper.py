@@ -25,10 +25,17 @@ class Counted:
         return M @ y
 
 
+# right-hand-side evaluations the step control takes on this system; pinned
+# so that a change to the stage arithmetic cannot silently move it
+EVALUATIONS = {(0.0, 2.0): 871, (2.0, -0.5): 1087}
+
+
 @pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
 def test_rk45_matches_closed_form(t0, t1):
-    y = rk45(Counted(), t0, exact(t0), t1)
+    f = Counted()
+    y = rk45(f, t0, exact(t0), t1)
     assert np.max(np.abs(y - exact(t1))) < 1e-10
+    assert f.calls == EVALUATIONS[t0, t1]
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
