@@ -248,86 +248,44 @@ def duality_residual(profile, sign, t, global_negation=False):
 # into polynomial identities P_i(s) a_i' = Q_i(s) (a_j a_k - a_i) in the
 # local variable s (s = t at the left end, s = t - 1 at the right end).
 
-_P_T0 = (np.array([-9.0, 0, 10, 0, -1]),      # -(t^2-1)(t^2-9)
-         np.array([0.0, 6, 4, -2]),           # -2t(t-3)(t+1)
-         np.array([0.0, 6, -4, -2]))          # -2t(t+3)(t-1)
-_Q_T0 = (np.array([0.0, 8]),                  # 8t
-         np.array([-3.0, 2, 1]),              # (t+3)(t-1)
-         np.array([-3.0, -2, 1]))             # (t-3)(t+1)
+_P_T0 = ((-9.0, 0.0, 10.0, 0.0, -1.0),    # -(t^2-1)(t^2-9)
+         (0.0, 6.0, 4.0, -2.0),           # -2t(t-3)(t+1)
+         (0.0, 6.0, -4.0, -2.0))          # -2t(t+3)(t-1)
+_Q_T0 = ((0.0, 8.0),                      # 8t
+         (-3.0, 2.0, 1.0),                # (t+3)(t-1)
+         (-3.0, -2.0, 1.0))               # (t-3)(t+1)
 
-_P_T1 = (np.array([0.0, 16, 4, -4, -1]),      # -u(u+2)(u-2)(u+4)
-         np.array([8.0, 8, -2, -2]),          # -2(1+u)(u^2-4)
-         np.array([0.0, -8, -10, -2]))        # -2u(1+u)(u+4)
-_Q_T1 = (np.array([8.0, 8]),                  # 8(1+u)
-         np.array([0.0, 4, 1]),               # u(u+4)
-         np.array([-4.0, 0, 1]))              # (u-2)(u+2)
+_P_T1 = ((0.0, 16.0, 4.0, -4.0, -1.0),    # -u(u+2)(u-2)(u+4)
+         (8.0, 8.0, -2.0, -2.0),          # -2(1+u)(u^2-4)
+         (0.0, -8.0, -10.0, -2.0))        # -2u(1+u)(u+4)
+_Q_T1 = ((8.0, 8.0),                      # 8(1+u)
+         (0.0, 4.0, 1.0),                 # u(u+4)
+         (-4.0, 0.0, 1.0))                # (u-2)(u+2)
 
-
-def _pmul(a, b, n):
-    out = np.zeros(n)
-    for i, ai in enumerate(a[:n]):
-        if ai != 0.0:
-            m = min(n - i, len(b))
-            out[i:i + m] += ai * b[:m]
-    return out
+# Per side: P, Q, the chain row (P_i(0) != 0: its order-(m-1) equation
+# fixes a_i's order-m coefficient alone), the pair rows (P_i(0) = 0: their
+# order-m equations form a 2x2 system in the same two components' order-m
+# coefficients) and the unit kernel of that system at the resonant order.
+_SIDES = {"t0": (_P_T0, _Q_T0, 0, (1, 2), np.array([1.0, -1.0]) / math.sqrt(2.0)),
+          "t1": (_P_T1, _Q_T1, 1, (0, 2), np.array([1.0, 1.0]) / math.sqrt(2.0))}
 
 
-def _pder(a):
-    return np.array([k * a[k] for k in range(1, len(a))])
-
-
-def _system_residual(ps, qs, coeffs):
-    n = coeffs.shape[1]
-    res = []
-    for (p, q), (i, j, k) in zip(zip(ps, qs), ((0, 1, 2), (1, 2, 0), (2, 0, 1))):
-        lhs = _pmul(p, _pder(coeffs[i]), n)
-        rhs = _pmul(q, _pmul(coeffs[j], coeffs[k], n) - coeffs[i][:n], n)
-        res.append(lhs - rhs)
-    return res
-
-
-def _solve_order(ps, qs, coeffs, rows, comps, m, kernel=None, amount=0.0):
-    """Solve the affine order-m equations for two unknown coefficients.
-
-    With `kernel` the 2x2 system is resonant: a minimum-norm particular
-    solution is taken, its kernel component removed, and `amount` times the
-    unit kernel vector added.  An inconsistent resonance raises
-    NoAnalyticBranch.
-    """
-    base = _system_residual(ps, qs, coeffs)
-    b = np.array([base[rows[0]][m], base[rows[1]][m]])
-    L = np.zeros((2, 2))
-    for u, comp in enumerate(comps):
-        coeffs[comp, m] = 1.0
-        pert = _system_residual(ps, qs, coeffs)
-        L[0, u] = pert[rows[0]][m] - b[0]
-        L[1, u] = pert[rows[1]][m] - b[1]
-        coeffs[comp, m] = 0.0
-    if kernel is None:
-        sol = np.array([
-            (-b[0] * L[1, 1] + b[1] * L[0, 1]) / (L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]),
-            (-b[1] * L[0, 0] + b[0] * L[1, 0]) / (L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]),
-        ])
-    else:
-        sol, *_ = np.linalg.lstsq(L, -b, rcond=None)
-        defect = float(np.max(np.abs(L @ sol + b)))
-        if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-            raise NoAnalyticBranch(m, defect)
-        sol = sol - (sol @ kernel) * kernel + amount * kernel
-    coeffs[comps[0], m], coeffs[comps[1], m] = sol
-    return coeffs
-
-
-def _solve_chain(ps, qs, coeffs, row, comp, m_eq, m_unknown):
-    base = _system_residual(ps, qs, coeffs)
-    b = base[row][m_eq]
-    coeffs[comp, m_unknown] = 1.0
-    col = _system_residual(ps, qs, coeffs)[row][m_eq] - b
-    coeffs[comp, m_unknown] = -b / col
-    return coeffs
-
-
-_SQ2 = math.sqrt(2.0)
+def _coefficient(P, Q, c, i, m):
+    """Order-m coefficient of P_i a_i' - Q_i (a_j a_k - a_i) for the
+    coefficient rows c (3 lists), each sum taken in increasing index order."""
+    ci, cj, ck = c[i], c[(i + 1) % 3], c[(i + 2) % 3]
+    top = len(ci) - 1
+    lhs = 0.0
+    for d in range(max(0, m + 1 - top), min(len(P[i]) - 1, m) + 1):
+        lhs += P[i][d] * ((m + 1 - d) * ci[m + 1 - d])
+    rhs = 0.0
+    for d in range(min(len(Q[i]) - 1, m) + 1):
+        e = m - d
+        prod = 0.0
+        for u in range(e + 1):
+            prod += cj[u] * ck[e - u]
+        rhs += Q[i][d] * (prod - ci[e])
+    return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -341,53 +299,58 @@ class EndpointSeries:
     """
 
     side: str
-    n: int
-    order: int
     coeffs: np.ndarray  # (3, order+1) in the local variable
 
     def eval(self, t):
         s = t if self.side == "t0" else t - 1.0
         return np.array([np.polyval(c[::-1], s) for c in self.coeffs])
 
-def endpoint_series(n, side, order, params=None):
-    """Analytic endpoint branch of the anti-self-dual system.
 
-    params: (p, r) for side "t0" (defaults (1, 0)); (q,) for side "t1"
-    (default derived from n=1/n=3 exact values, else 0).
+def endpoint_series(n, side, order, params=None):
+    """Analytic endpoint branch of the anti-self-dual system, order by order.
+
+    params: (p, r) for side "t0" (default (1, 0)); (q,) for side "t1"
+    (default 0).  At each order m the chain row's order-(m-1) equation gives
+    its component by one division by P_i(0) m; the pair rows' order-m
+    equations are affine in their two unknowns, so differencing their
+    order-m coefficients at unit values builds the 2x2 system.  At the
+    resonant order that system is singular: a minimum-norm solution is
+    taken, its kernel component replaced by the shooting parameter, and an
+    inconsistent resonance raises NoAnalyticBranch.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if side == "t0":
-        p, r = params if params is not None else (1.0, 0.0)
-        coeffs = np.zeros((3, order + 1))
-        coeffs[:, 0] = (1.0, p, p)
-        kernel = np.array([1.0, -1.0]) / _SQ2
-        for m in range(1, order + 1):
-            coeffs = _solve_chain(_P_T0, _Q_T0, coeffs, 0, 0, m - 1, m)
-            if m == 1:
-                coeffs = _solve_order(_P_T0, _Q_T0, coeffs, (1, 2), (1, 2), m,
-                                      kernel, r * _SQ2)
-            else:
-                coeffs = _solve_order(_P_T0, _Q_T0, coeffs, (1, 2), (1, 2), m)
-        return EndpointSeries("t0", n, order, coeffs)
-    if side == "t1":
-        (q,) = params if params is not None else (0.0,)
-        m0 = (n - 1) // 2
-        coeffs = np.zeros((3, order + 1))
-        coeffs[1, 0] = float(n)
-        if m0 == 0:
-            coeffs[0, 0] = q
-            coeffs[2, 0] = q
-        kernel = np.array([1.0, 1.0]) / _SQ2
-        for m in range(1, order + 1):
-            coeffs = _solve_chain(_P_T1, _Q_T1, coeffs, 1, 1, m - 1, m)
-            if m == m0:
-                coeffs = _solve_order(_P_T1, _Q_T1, coeffs, (0, 2), (0, 2), m,
-                                      kernel, q * _SQ2)
-            else:
-                coeffs = _solve_order(_P_T1, _Q_T1, coeffs, (0, 2), (0, 2), m)
-        return EndpointSeries("t1", n, order, coeffs)
-    raise ValueError("side must be 't0' or 't1'")
+        p, amount = params if params is not None else (1.0, 0.0)
+        start, resonant = (1.0, p, p), 1
+    elif side == "t1":
+        (amount,) = params if params is not None else (0.0,)
+        resonant = (n - 1) // 2
+        start = (amount, float(n), amount) if resonant == 0 else (0.0, float(n), 0.0)
+    else:
+        raise ValueError("side must be 't0' or 't1'")
+    P, Q, chain, pair, kernel = _SIDES[side]
+    c = [[v] + [0.0] * order for v in start]
+    for m in range(1, order + 1):
+        c[chain][m] = -_coefficient(P, Q, c, chain, m - 1) / (P[chain][0] * m)
+        b = np.array([_coefficient(P, Q, c, row, m) for row in pair])
+        L = np.empty((2, 2))
+        for u, comp in enumerate(pair):
+            c[comp][m] = 1.0
+            L[:, u] = [_coefficient(P, Q, c, row, m) for row in pair] - b
+            c[comp][m] = 0.0
+        if m != resonant:
+            det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
+            sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
+                   (-b[1] * L[0, 0] + b[0] * L[1, 0]) / det)
+        else:
+            sol, *_ = np.linalg.lstsq(L, -b, rcond=None)
+            defect = float(np.max(np.abs(L @ sol + b)))
+            if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+                raise NoAnalyticBranch(m, defect)
+            sol = sol - (sol @ kernel) * kernel + amount * math.sqrt(2.0) * kernel
+        c[pair[0]][m], c[pair[1]][m] = (float(v) for v in sol)
+    return EndpointSeries(side, np.array(c))
 
 
 # --------------------------------------------------------------------------
@@ -411,8 +374,10 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~1e-9 and q (the resonant amplitude, weakly determined by the defect)
-    to ~1e-7.  Integer products keep each value one correctly rounded
+    to ~1e-9.  q, the resonant amplitude, converges to the seed minus 3.1e-9
+    (n = 7), -1.4e-7 (9), 4.2e-6 (11), -6.8e-5 (13) and -0.25 (15): at
+    SERIES_ORDER the resonant mode drowns in launch noise (ROADMAP
+    "Baseline").  Integer products keep each value one correctly rounded
     division.
     """
     js = range(1, (n - 1) // 2 + 1)

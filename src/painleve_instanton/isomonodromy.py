@@ -20,33 +20,40 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (BadDeformationParameter, IndeterminateY, OnDivisor,
-                     PathTooClose, ReducibleSystem)
-from .liealg import commutator, det2, eigen2, inv2
+from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
+                     ReducibleSystem)
+from .liealg import commutator, det2, eigen2, inv2, stack_trailing
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
-from .twistor import (FuchsianData, connection_form, cross_ratio,
-                      cross_ratio_derivative, form_matrix, fuchsian_data,
-                      lambda_and_dt_at_normalized, residue_closed_form,
-                      transverse_form)
-
-_PROBES = (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j)
+from .twistor import FuchsianData, form_matrix, fuchsian_data, mu_pair
 
 
 def gauge_rate(profile, t):
     """Constant term C(t) of the transverse connection in the normalised
-    coordinate; computed at a probe point and independent of it."""
-    x = cross_ratio(t)
-    xd = cross_ratio_derivative(t)
-    Ax = form_matrix(profile.oriented_values(t), residue_closed_form(t).column("x"))
-    for probe in _PROBES:
-        lam, lam_t = lambda_and_dt_at_normalized(t, probe)
-        try:
-            B = transverse_form(profile, t, lam) + connection_form(profile, t, lam) * lam_t
-        except OnDivisor:
-            continue
-        return B + xd * Ax / (probe - x)
-    raise RuntimeError(f"no usable probe point at t = {t}")
+    coordinate w, in closed form: C = form_matrix(a, (g1, 0, g3)) with
+
+        g1 = i t^2 (mu_+ - mu_-) / ((t+3)^3 (t-1)),
+        g3 = -2 (mu_+ - 1) / ((t+1)(t-3)(mu_+ - mu_-) sqrt(-mu_+))
+           = -16 t^2 alpha_{3,0} / ((t^2-1)(t^2-9)).
+
+    Derivation.  At fixed w the flat family connection along t is
+    B(w) = form_matrix(a, c_T + c_L dlam/dt), with c_T, c_L the action
+    inverse on `line_transverse` and `line_tangent` at lam = lam(t, w), the
+    inverse of the normalisation.  The normalisation pins the poles 0, 1 and
+    infinity, so B has a pole in w only at the moving x, with residue
+    -x' Ax: B(w) + x' Ax/(w - x) is holomorphic on the w-sphere, hence
+    constant, and that constant is C(t).  With the poles at +-i v, +-i/v,
+    v = sqrt(-mu_-), and dv/dt from the mu quadratic
+    8 t^3 mu^2 - 2 S mu + 8 t^3 = 0 (S = t^4 + 18 t^2 - 27), the numerator
+    of B(w) + x' Ax/(w - x) - C reduces to zero modulo that quadratic, read
+    as a quartic in v, for every w (checked with sympy); the X2 coefficient
+    vanishes.
+    """
+    mu_p, mu_m = mu_pair(t)
+    mu = mu_p - mu_m
+    g1 = 1j * t * t * mu / ((t + 3.0) ** 3 * (t - 1.0))
+    g3 = -2.0 * (mu_p - 1.0) / ((t + 1.0) * (t - 3.0) * mu * (-mu_p) ** 0.5)
+    return form_matrix(profile.oriented_values(t), stack_trailing([g1, 0.0 * g1, g3]))
 
 
 def make_family(profile, ts, gauge="line"):
@@ -138,7 +145,7 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
     y1 = rk45(flow, x0.real, y0, x1.real, rtol=rtol, atol=1e-13)
     A0, A1, Ax = y1.reshape(3, 2, 2)
     return FuchsianData(t=float("nan"), x=x1, A0=A0, A1=A1, Ax=Ax,
-                        Ainf=-(A0 + A1 + Ax), gauge=F0.gauge)
+                        Ainf=-(A0 + A1 + Ax))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Per-line twistor data for the family of rational lines parametrised by
-t in (0, 1): the infinitesimal-action matrix, its inverse on the line's
-tangent and transverse directions, the four divisor poles, the Moebius
+t in (0, 1): the infinitesimal-action matrix, its inverse (in closed form
+on the line's tangent direction), the four divisor poles, the Moebius
 normalisation to {0, 1, x, infinity}, the residue table of the scalar
 1-forms, and assembly of the rank-2 Fuchsian residues from a profile.
 
@@ -93,22 +93,6 @@ def alpha_inv_tangent(t, lam):
     return np.array([c1, c2, c3])
 
 
-def alpha_inv_transverse(t, lam):
-    """Closed-form coefficients (c1, c2, c3) of alpha^{-1} on the transverse
-    direction `line_transverse`.
-
-    Cross-validated against the 3x3 solve route in the test suite; raises
-    OnDivisor when Delta vanishes (the point lies on the divisor).
-    """
-    d = delta(t, lam)
-    if abs(d) <= 1e-13:
-        raise OnDivisor(f"Delta({t}, {lam}) = {d}")
-    c1 = -2j * t * t * (lam * lam - 1.0) * (lam * lam + 1.0) / (3.0 * d)
-    c2 = lam * (lam * lam - 1.0) * (t + 3.0) ** 2 / (3.0 * d)
-    c3 = 1j * lam * (lam * lam + 1.0) * (t - 3.0) ** 2 / (3.0 * d)
-    return np.array([c1, c2, c3])
-
-
 # --------------------------------------------------------------------------
 # line geometry
 # --------------------------------------------------------------------------
@@ -127,17 +111,6 @@ def mu_pair(t):
     D = (t * t - 1.0) * (t * t - 9.0) ** 3
     mu_minus = (S - D**0.5) / (8.0 * t**3)
     return 1.0 / mu_minus, mu_minus
-
-
-def mu_pair_derivative(t):
-    S = t**4 + 18.0 * t * t - 27.0
-    D = (t * t - 1.0) * (t * t - 9.0) ** 3
-    Sd = 4.0 * t**3 + 36.0 * t
-    Dd = 8.0 * t * (t * t - 9.0) ** 2 * (t * t - 3.0)
-    sq = D**0.5
-    _, mu_minus = mu_pair(t)
-    d_minus = (Sd - Dd / (2.0 * sq)) / (8.0 * t**3) - 3.0 * mu_minus / t
-    return -d_minus / mu_minus**2, d_minus
 
 
 def _sqrt_neg(x):
@@ -173,11 +146,6 @@ def cross_ratio(t):
     return ((t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3)) + 0j
 
 
-def cross_ratio_derivative(t):
-    x = cross_ratio(t)
-    return x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
-
-
 def mobius_from_poles(z1, z2, z4):
     """Coefficients of T(z) = ((z - z1)(z2 - z4)) / ((z - z4)(z2 - z1))."""
     if (np.minimum(np.minimum(abs(z1 - z2), abs(z1 - z4)), abs(z2 - z4)) < 1e-12).any():
@@ -191,37 +159,18 @@ def mobius_apply(co, z):
 
 
 def _inverse_pack(t):
-    """Inverse-map coefficients lam(w) = (A w + B)/(C w + D) and their
-    t-derivatives at fixed w; the poles move as d z^2/dt = d mu/dt."""
+    """Inverse-map coefficients lam(w) = (A w + B)/(C w + D)."""
     z1, z2, _, z4 = poles(t).poles_lambda
-    d_plus, d_minus = mu_pair_derivative(t)
-    d1 = d_minus / (2.0 * z1)
-    d2 = d_plus / (2.0 * z2)
-    d4 = -d1
-    A, B = z4 * (z2 - z1), -z1 * (z2 - z4)
-    C, D = z2 - z1, -(z2 - z4)
-    Ad = d4 * (z2 - z1) + z4 * (d2 - d1)
-    Bd = -d1 * (z2 - z4) - z1 * (d2 - d4)
-    Cd = d2 - d1
-    Dd = -(d2 - d4)
-    return (A, B, C, D), (Ad, Bd, Cd, Dd)
+    return z4 * (z2 - z1), -z1 * (z2 - z4), z2 - z1, -(z2 - z4)
 
 
 def lambda_of_normalized(t, w):
-    (A, B, C, D), _ = _inverse_pack(t)
+    A, B, C, D = _inverse_pack(t)
     return (A * w + B) / (C * w + D)
 
 
-def lambda_and_dt_at_normalized(t, w):
-    """(lam, d lam/dt at fixed w) at the normalised point w, from one
-    evaluation of the line geometry."""
-    (A, B, C, D), (Ad, Bd, Cd, Dd) = _inverse_pack(t)
-    num = (Ad * w + Bd) * (C * w + D) - (A * w + B) * (Cd * w + Dd)
-    return (A * w + B) / (C * w + D), num / (C * w + D) ** 2
-
-
 def dlambda_dw(t, w):
-    (A, B, C, D), _ = _inverse_pack(t)
+    A, B, C, D = _inverse_pack(t)
     return (A * D - B * C) / (C * w + D) ** 2
 
 
@@ -339,11 +288,6 @@ def connection_form(profile, t, lam):
     return form_matrix(profile.oriented_values(t), alpha_inv_tangent(t, lam))
 
 
-def transverse_form(profile, t, lam):
-    """Matrix of the flat connection on the transverse (d/dt) direction."""
-    return form_matrix(profile.oriented_values(t), alpha_inv_transverse(t, lam))
-
-
 @dataclass(frozen=True)
 class FuchsianData:
     """Residues of the normalised rank-2 Fuchsian system at one t, or at a
@@ -356,7 +300,6 @@ class FuchsianData:
     A1: np.ndarray
     Ax: np.ndarray
     Ainf: np.ndarray
-    gauge: str = "line"
 
     def __len__(self):
         return len(self.t)
@@ -371,8 +314,7 @@ class FuchsianData:
     def conjugated(self, g):
         gi = inv2(g)
         return replace(self, A0=gi @ self.A0 @ g, A1=gi @ self.A1 @ g,
-                       Ax=gi @ self.Ax @ g, Ainf=gi @ self.Ainf @ g,
-                       gauge="schlesinger")
+                       Ax=gi @ self.Ax @ g, Ainf=gi @ self.Ainf @ g)
 
     def trace_squares(self):
         return tuple(trace_sq(m) for m in self.residues())
@@ -391,8 +333,7 @@ def fuchsian_data(profile, t):
     a = profile.oriented_values(t)
     tab = residue_closed_form(t)
     A0, A1, Ax, Ainf = (form_matrix(a, tab.column(p)) for p in POLE_LABELS)
-    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax,
-                        Ainf=Ainf, gauge="line")
+    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf)
 
 
 def trace_csv_rows(F):

@@ -12,7 +12,8 @@ SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "painleve_instanton"
 # Independent oracles the tests check the pipeline against; the pipeline
 # itself never calls them.
 ORACLES = ("residue_numeric", "residue_table_printed", "line_transverse",
-           "duality_residual", "conserved_tr", "params_from_n")
+           "connection_form", "duality_residual", "conserved_tr",
+           "params_from_n")
 
 # Public names the caller scan cannot see, because a builtin container's
 # attribute or a variable bound in src/ has the same spelling.  Each has real

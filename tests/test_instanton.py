@@ -127,19 +127,26 @@ def test_endpoint_series_matches_closed_form():
         assert np.max(np.abs(s1.eval(t) - ref.values(t))) < 1e-12
 
 
-def test_endpoint_series_residual_order():
-    # truncated series residual scales like t^order near the endpoint
-    def residual(s, t):
-        da = np.array([np.polyval(np.polyder(c[::-1]), t) for c in s.coeffs])
-        a = s.eval(t)
+@pytest.mark.parametrize("n", [5, 9, 13])
+@pytest.mark.parametrize("side, power", [("t0", 2), ("t1", 1)])
+def test_endpoint_series_residual_order(side, power, n):
+    # the ODE-form residual of the order-2 series scales like s^2 at t = 0
+    # and like s at t = 1 (Q2 vanishes there: K2 has its pole); at order 8
+    # it is at roundoff level
+    p, r, q = instanton._seed(n)
+    params = (p, r) if side == "t0" else (q,)
+
+    def residual(series, s):
+        t, local = (s, s) if side == "t0" else (1.0 - s, -s)
+        da = np.array([np.polyval(np.polyder(c[::-1]), local) for c in series.coeffs])
+        a = series.eval(t)
         return max(abs(-0.5 * coeff_K(i + 1, t) * da[i]
                        - (a[(i + 1) % 3] * a[(i + 2) % 3] - a[i]))
                    for i in range(3))
 
-    low = endpoint_series(5, "t0", 2, (2.8, 4.8))
-    ratio = residual(low, 0.02) / residual(low, 0.004)
-    assert ratio > 0.5 * 5.0**2
-    high = endpoint_series(5, "t0", 8, (2.8, 4.8))
+    low = endpoint_series(n, side, 2, params)
+    assert residual(low, 0.02) / residual(low, 0.004) > 0.5 * 5.0**power
+    high = endpoint_series(n, side, 8, params)
     assert residual(high, 0.01) < 1e-10
 
 

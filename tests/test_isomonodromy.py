@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from painleve_instanton import isomonodromy
+from painleve_instanton import isomonodromy, twistor
 from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
                                        PathTooClose, ReducibleSystem)
 from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
@@ -17,8 +17,11 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_integrate,
                                              schlesinger_residual)
 from painleve_instanton.liealg import eigen2, trace_sq
-from painleve_instanton.twistor import (FuchsianData, connection_form,
-                                        lambda_of_normalized)
+from painleve_instanton.twistor import (FuchsianData, alpha_inv,
+                                        connection_form, cross_ratio,
+                                        form_matrix, fuchsian_data,
+                                        lambda_of_normalized, line_tangent,
+                                        line_transverse)
 
 
 def _synthetic(A0, A1, Ax, x=2.5):
@@ -46,14 +49,41 @@ def test_schlesinger_rhs_bad_parameter():
         schlesinger_field(F.x, F.A0, F.A1, F.Ax)
 
 
-def test_gauge_rate_propagates_unexpected_errors(prof3, monkeypatch):
-    # only divisor hits move on to the next probe point; anything else is a bug
-    def broken(*args):
-        raise TypeError("broken transverse form")
+def _central(f, t, h=3e-5):
+    # 4th-order central difference
+    return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
 
-    monkeypatch.setattr(isomonodromy, "transverse_form", broken)
-    with pytest.raises(TypeError):
-        gauge_rate(prof3, 0.7)
+
+def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
+    # C(t) = B(w) + x' Ax/(w - x), with B the connection along t at fixed w
+    # from the 3x3-solve action inverse on both line directions
+    for prof in (prof1, prof3, prof5):
+        for t in np.linspace(0.05, 0.95, 19):
+            a = prof.oriented_values(t)
+            xd = _central(cross_ratio, t)
+            F = fuchsian_data(prof, t)
+            want = gauge_rate(prof, t)
+            for w in (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j):
+                lam = lambda_of_normalized(t, w)
+                lam_t = _central(lambda s: lambda_of_normalized(s, w), t)
+                c = (alpha_inv(t, lam, line_transverse(t, lam))
+                     + alpha_inv(t, lam, line_tangent(t, lam)) * lam_t)
+                got = form_matrix(a, c) + xd * F.Ax / (w - F.x)
+                assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
+def test_gauge_transport_evaluates_line_geometry_once(prof3, ts_default, monkeypatch):
+    # the stacked fuchsian_data evaluates the poles; gauge_rate needs only mu
+    calls = []
+    real = twistor.poles
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(twistor, "poles", counted)
+    isomonodromy.make_family(prof3, ts_default, "schlesinger")
+    assert len(calls) == 1
 
 
 def test_gauge_transport_evaluation_count(prof3, ts_default, monkeypatch):

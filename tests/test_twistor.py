@@ -9,12 +9,10 @@ from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
 from painleve_instanton.liealg import trace_sq
 from painleve_instanton.twistor import (COMPLEX_BASIS, POLE_LABELS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
-                                        alpha_inv_transverse, alpha_matrix,
-                                        connection_form, cross_ratio,
-                                        cross_ratio_derivative,
-                                        delta, fuchsian_data, line_point,
-                                        line_tangent, mobius_apply,
-                                        mu_pair, mu_pair_derivative, poles,
+                                        alpha_matrix, connection_form,
+                                        cross_ratio, delta, fuchsian_data,
+                                        line_point, line_tangent, mobius_apply,
+                                        mu_pair, poles,
                                         residue_closed_form, residue_numeric,
                                         residue_table_printed)
 
@@ -71,9 +69,8 @@ def test_alpha_inv_tangent_closed_form(rng):
 
 def test_alpha_inv_tangent_on_divisor():
     g = poles(0.5)
-    for closed in (alpha_inv_tangent, alpha_inv_transverse):
-        with pytest.raises(OnDivisor):
-            closed(0.5, g.poles_lambda[2])
+    with pytest.raises(OnDivisor):
+        alpha_inv_tangent(0.5, g.poles_lambda[2])
 
 
 def test_mu_pair_product_and_quadratic():
@@ -92,16 +89,6 @@ def test_mu_pair_frozen_value():
     root = 35 * math.sqrt(105)
     assert abs(mu_m - (-359 - root) / 16) < 1e-12
     assert abs(mu_p - (-359 + root) / 16) < 1e-12
-
-
-def test_mu_pair_derivative(rng):
-    h = 1e-6
-    for t in rng.uniform(0.1, 0.9, 10):
-        dp, dm = mu_pair_derivative(t)
-        fp = (mu_pair(t + h)[0] - mu_pair(t - h)[0]) / (2 * h)
-        fm = (mu_pair(t + h)[1] - mu_pair(t - h)[1]) / (2 * h)
-        assert abs(dp - fp) < 1e-6 * max(1.0, abs(dp))
-        assert abs(dm - fm) < 1e-6 * max(1.0, abs(dm))
 
 
 def test_delta_roots_are_poles(rng):
@@ -136,14 +123,6 @@ def test_cross_ratio_matches_pole_cross_ratio(rng):
     for t in rng.uniform(0.02, 0.98, 100):
         g = poles(t)
         assert abs(g.x - cross_ratio(t)) < 1e-10
-
-
-def test_cross_ratio_derivative(rng):
-    h = 1e-6
-    for t in rng.uniform(0.1, 0.9, 10):
-        d = cross_ratio_derivative(t)
-        fd = (cross_ratio(t + h) - cross_ratio(t - h)) / (2 * h)
-        assert abs(d - fd) < 1e-6 * max(1.0, abs(d))
 
 
 def test_mobius_normalize():
