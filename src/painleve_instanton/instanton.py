@@ -374,11 +374,12 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~1e-9.  q, the resonant amplitude, converges to the seed minus 3.1e-9
-    (n = 7), -1.4e-7 (9), 4.2e-6 (11), -6.8e-5 (13) and -0.25 (15): at
-    SERIES_ORDER the resonant mode drowns in launch noise (ROADMAP
-    "Baseline").  Integer products keep each value one correctly rounded
-    division.
+    to ~4e-11 (n <= 21).  The converged q, the resonant amplitude, minus
+    the seed is 4.9e-12 (n = 7) and -1.7e-11 (9), at the level of the
+    sweeps' integration error; beyond that the series order dominates:
+    -1.6e-7 (11), 3.9e-5 (13) and -0.10 (15), because at SERIES_ORDER the
+    resonant mode drowns in launch noise (ROADMAP "Baseline").  Integer
+    products keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -460,11 +461,12 @@ def solve_bvp(n):
     a_left - a_right to zero with a damped Newton iteration in the shooting
     parameters (p, r, q), started at the closed-form `_seed(n)`.  The
     difference Jacobian re-shoots one side per column: p and r move only
-    the t0 series, q only the t1 series.  Below NEWTON_TOL it keeps taking
-    full steps with the last Jacobian while each at least halves the
-    defect, so the profile is polished to the roundoff floor.  The profile
-    is the grid of the shot Newton accepted last: its jump at MATCH_POINT is
-    the final defect.
+    the t0 series, q only the t1 series.  It stops once the defect is below
+    ATOL, the absolute accuracy of each sweep; between that and NEWTON_TOL
+    it keeps taking full steps with the last Jacobian while each at least
+    halves the defect, so the profile is polished to the roundoff floor.
+    The profile is the grid of the shot Newton accepted last: its jump at
+    MATCH_POINT is the final defect.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
@@ -486,6 +488,8 @@ def solve_bvp(n):
     J = None
     scratch = np.empty((3, len(ts)))
     for it in range(MAX_ITER):
+        if norm < ATOL:
+            break
         # at the roundoff floor a fresh difference Jacobian is no better
         # than the last one
         if J is None or norm >= NEWTON_TOL:

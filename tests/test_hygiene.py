@@ -1,6 +1,7 @@
-"""Source hygiene: every name a library module imports is used there, and
-every public function, class and method is referenced somewhere in src/,
-except where the name-based scan cannot tell: those names are listed."""
+"""Source hygiene: every name a library module imports is used there, every
+module-level name is loaded somewhere in src/, and every public function,
+class and method is referenced somewhere in src/, except where the
+name-based scan cannot tell: those names are listed."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,45 @@ def test_detects_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom math import pi, tau\nprint(pi)\n")
     assert unused_imports(tree) == [(2, "os"), (3, "tau")]
+
+
+def unloaded_module_names(trees):
+    """Names a module binds at its top level (assignments, functions and
+    classes; dunders aside) that no module loads as a name or attribute."""
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return sorted(name for name in defined - loaded
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_no_module_name_without_a_load():
+    found = unloaded_module_names([ast.parse(p.read_text(), filename=str(p))
+                                   for p in SRC])
+    extra = [name for name in found if name not in ORACLES]
+    assert extra == [], f"module-level names nothing in src/ loads: {extra}"
+
+
+def test_detects_a_module_name_without_a_load():
+    tree = ast.parse("__all__ = ['table']\n_W = (1.0, 2.0)\n_SPARE, _USED = 3, 4\n"
+                     "_B: float = 0.5\nLIMIT = 10\nLIMIT += 1\n\n\n"
+                     "def table(x):\n    w = _W\n    return w[x] * _USED + LIMIT\n\n\n"
+                     "def _helper():\n    pass\n\n\n"
+                     "class Box:\n    SIZE = 2\n")
+    assert unloaded_module_names([tree]) == ["Box", "_B", "_SPARE", "_helper", "table"]
 
 
 def public_names(trees):

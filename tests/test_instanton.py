@@ -231,12 +231,13 @@ def prof7_counted():
 def test_solve_bvp_endpoint_series_count(prof7_counted):
     # a series pair for the seed shot and each accepted Newton step, and one
     # series per Jacobian column: p and r re-shoot only the t0 side, q only
-    # the t1 side
-    assert prof7_counted[1]["endpoint_series"] <= 9
+    # the t1 side.  The seed defect is already ~1e-11, so one Newton step
+    # brings it below the sweeps' ATOL and Newton stops there
+    assert prof7_counted[1]["endpoint_series"] <= 7
 
 
 def test_solve_bvp_asd_rhs_count(prof7_counted):
-    assert prof7_counted[1]["asd_rhs"] <= 13_000
+    assert prof7_counted[1]["asd_rhs"] <= 4_000
 
 
 def test_seed_law_matches_converged(prof5, prof7_counted):
@@ -244,7 +245,7 @@ def test_seed_law_matches_converged(prof5, prof7_counted):
         p, r, q = instanton._seed(prof.n)
         assert abs(prof.meta["p"] - p) < 1e-8
         assert abs(prof.meta["r"] - r) < 1e-8
-        assert abs(prof.meta["q"] - q) < 1e-6
+        assert abs(prof.meta["q"] - q) < 1e-9
 
 
 def test_solve_bvp_no_seam(prof7_counted):

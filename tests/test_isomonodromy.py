@@ -87,7 +87,7 @@ def test_gauge_transport_evaluates_line_geometry_once(prof3, ts_default, monkeyp
 
 
 def test_gauge_transport_evaluation_count(prof3, ts_default, monkeypatch):
-    # one Dormand-Prince sweep over the window, not a restart per sample
+    # one DOP853 sweep over the window, not a restart per sample
     calls = []
 
     def counted(profile, t):
@@ -97,7 +97,7 @@ def test_gauge_transport_evaluation_count(prof3, ts_default, monkeypatch):
     monkeypatch.setattr(isomonodromy, "gauge_rate", counted)
     isomonodromy.make_family(prof3, ts_default, gauge="schlesinger")
     assert len(ts_default) == 201
-    assert len(calls) < 1000
+    assert len(calls) < 400
 
 
 def test_schlesinger_residual_gauged(fam1_gauged, fam3_gauged):

@@ -27,7 +27,7 @@ class Counted:
 
 # right-hand-side evaluations the step control takes on this system; pinned
 # so that a change to the stage arithmetic cannot silently move it
-EVALUATIONS = {(0.0, 2.0): 871, (2.0, -0.5): 1087}
+EVALUATIONS = {(0.0, 2.0): 217, (2.0, -0.5): 253}
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
@@ -49,13 +49,49 @@ def test_rk45_path_matches_closed_form(t0, t1, nodes):
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
-def test_rk45_path_is_one_sweep(t0, t1):
-    # interior nodes cost no evaluations, and the last node is rk45's result
-    sweep, single = Counted(), Counted()
-    ys = rk45_path(sweep, np.linspace(t0, t1, 1001), exact(t0))
-    y1 = rk45(single, t0, exact(t0), t1)
-    assert np.array_equal(ys[-1], y1)
-    assert sweep.calls == single.calls
+def test_rk45_path_is_one_sweep(t0, t1, monkeypatch):
+    # the sweep takes rk45's accepted steps and ends on rk45's result; only a
+    # step that covers an interior node pays the three extra stages of the
+    # continuous extension (3 nodes: one such step; 1001 nodes: every step
+    # but the first, whose h = 1e-3 falls short of the node spacing)
+    single, single_steps = Counted(), []
+    y1 = rk45(single, t0, exact(t0), t1,
+              on_step=lambda t, y, y_new, h, K, t_new: single_steps.append((t, t_new)))
+    sweep_steps = []
+
+    def recording(f, a, y0, b, rtol, atol, on_step):
+        def record(t, y, y_new, h, K, t_new):
+            sweep_steps.append((t, t_new))
+            on_step(t, y, y_new, h, K, t_new)
+        return rk45(f, a, y0, b, rtol, atol, on_step=record)
+
+    monkeypatch.setattr(stepper, "rk45", recording)
+    sign = np.sign(t1 - t0)
+    for nodes, expected in ((3, 1), (1001, len(single_steps) - 1)):
+        ts = np.linspace(t0, t1, nodes)
+        sweep = Counted()
+        sweep_steps.clear()
+        ys = rk45_path(sweep, ts, exact(t0))
+        assert sweep_steps == single_steps
+        assert np.array_equal(ys[-1], y1)
+        inner = ts[1:-1]
+        covering = sum(bool(np.any(((inner - a) * sign > 0) & ((inner - b) * sign <= 0)))
+                       for a, b in single_steps)
+        assert covering == expected
+        assert sweep.calls == single.calls + 3 * covering
+
+
+def test_dop853_tableau():
+    # consistency of every stage, the quadrature order conditions of the
+    # 8th-order weights, and error estimates that vanish on constants
+    A, B, C = stepper._A, stepper._B, np.array(stepper._C)
+    assert A.shape == (16, 16) and np.all(np.triu(A) == 0)
+    # to the roundoff of summing each row
+    assert np.all(np.abs(A.sum(axis=1) - C) <= 4e-16 * np.abs(A).sum(axis=1))
+    for k in range(8):
+        assert abs(B @ C[:12] ** k - 1 / (k + 1)) < 1e-15
+    e5, e3 = stepper._E
+    assert abs(e5.sum()) < 1e-15 and abs(e3.sum()) < 1e-15
 
 
 def test_rk45_path_single_node_and_bad_nodes():
