@@ -23,11 +23,12 @@ import tempfile
 
 import numpy as np
 
+from .columns import csv_text, json_rows
 from .errors import NoConvergence, PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
 from .report import build_verification_report, line_transcendent, profile_for
-from .twistor import mu_pair, trace_csv_rows
+from .twistor import mu_pair
 
 log = logging.getLogger("painleve_instanton")
 
@@ -77,7 +78,7 @@ def cmd_trace(cfg):
         raise ValueError("csv trace needs --out (three files are written)")
     _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
                                                cfg.samples)
-    mus = np.column_stack((sample.ts,) + mu_pair(sample.ts))
+    mu_plus, mu_minus = mu_pair(sample.ts)
     residuals = np.full(len(sample), np.nan)
     residuals[2:-2] = np.abs(pvi_residual(sample, params))
 
@@ -85,20 +86,17 @@ def cmd_trace(cfg):
         payload = {
             "params": params.as_dict(),
             "delta_variant": select_delta_variant(params.delta.real, cfg.n),
-            "twistor": [fam[k].to_json_dict() for k in range(len(fam))],
-            "mu": [{"t": float(t), "mu_plus": float(mp), "mu_minus": float(mm)}
-                   for t, mp, mm in mus],
+            "twistor": fam.to_json_rows(),
+            "mu": json_rows(("t", "mu_plus", "mu_minus"),
+                            (sample.ts, mu_plus, mu_minus)),
             "pvi": sample.to_json_rows(residuals),
         }
         _emit(cfg, json.dumps(payload) + "\n")
         return 0
-    twistor_lines = ["t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq"]
-    twistor_lines += trace_csv_rows(fam)
-    mu_lines = ["t,mu_plus,mu_minus,mu_product"]
-    mu_lines += [",".join(f"{v:.17g}" for v in (t, mp, mm, mp * mm))
-                 for t, mp, mm in mus]
-    _emit(cfg, "\n".join(twistor_lines) + "\n", suffix=".twistor.csv")
-    _emit(cfg, "\n".join(mu_lines) + "\n", suffix=".mu.csv")
+    mu_text = csv_text(("t", "mu_plus", "mu_minus", "mu_product"),
+                       (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus))
+    _emit(cfg, fam.to_csv(), suffix=".twistor.csv")
+    _emit(cfg, mu_text, suffix=".mu.csv")
     _emit(cfg, sample.to_csv(residuals), suffix=".pvi.csv")
     return 0
 

@@ -15,6 +15,19 @@ class SingularMatrix(PainleveInstantonError):
     """3x3 solve hit a (near-)singular matrix."""
 
 
+# -- integrator ------------------------------------------------------------
+
+class StepSizeUnderflow(PainleveInstantonError):
+    """The integrator's step fell below the roundoff of t: the right-hand
+    side is singular there or not finite (NaN or infinite)."""
+
+    def __init__(self, t, h):
+        super().__init__(f"rk45: step size {h:.3e} below the roundoff of t={t!r}: "
+                         "singular or non-finite right-hand side")
+        self.t = t
+        self.h = h
+
+
 # -- reduced duality ODE ---------------------------------------------------
 
 class PoleAtEndpoint(PainleveInstantonError):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .columns import csv_text, json_rows
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
 from .liealg import stack_trailing
@@ -139,6 +140,8 @@ class ProfileTriple:
     sign_convention: str = "printed"
     meta: dict = field(default_factory=dict)
 
+    COLUMNS = ("t", "a1", "a2", "a3")
+
     def __post_init__(self):
         if self.kind is ProfileKind.NUMERIC:
             ts = self.ts
@@ -188,13 +191,10 @@ class ProfileTriple:
         return np.linspace(t_min, t_max, samples)
 
     def to_csv(self, ts):
-        rows = np.column_stack([ts, self.values(np.asarray(ts))])
-        lines = ["t,a1,a2,a3"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
+        return csv_text(self.COLUMNS, (ts, self.values(np.asarray(ts))))
 
     def to_json(self, ts):
-        points = [{"t": float(t), "a1": float(a1), "a2": float(a2), "a3": float(a3)}
-                  for t, a1, a2, a3 in np.column_stack([ts, self.values(np.asarray(ts))])]
+        points = json_rows(self.COLUMNS, (ts, self.values(np.asarray(ts))))
         return json.dumps({"n": self.n, "kind": self.kind.value,
                            "sign_convention": self.sign_convention,
                            "points": points})

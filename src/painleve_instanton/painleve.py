@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .columns import csv_text, json_rows
 from .errors import SingularArgument, SingularityEncountered
 from .stepper import fd_weights, rk45_path
 
@@ -40,22 +41,19 @@ class PviSample:
     def __len__(self):
         return len(self.xs)
 
-    def _rows(self, residuals=None):
-        """One `COLUMNS` tuple per sample; residual_abs is NaN if not given."""
-        for k in range(len(self.xs)):
-            r = float("nan") if residuals is None else residuals[k]
-            yield (self.ts[k], self.xs[k].real, self.xs[k].imag,
-                   self.ys[k].real, self.ys[k].imag, r)
+    def _columns(self, residuals=None):
+        """The `COLUMNS` as arrays; residual_abs is NaN if not given."""
+        if residuals is None:
+            residuals = np.full(len(self.xs), np.nan)
+        return (self.ts, self.xs.real, self.xs.imag, self.ys.real, self.ys.imag,
+                residuals)
 
     def to_csv(self, residuals=None):
-        lines = [",".join(self.COLUMNS)]
-        lines += [",".join(f"{v:.17g}" for v in row) for row in self._rows(residuals)]
-        return "\n".join(lines) + "\n"
+        return csv_text(self.COLUMNS, self._columns(residuals))
 
     def to_json_rows(self, residuals):
         """The CSV rows as dicts keyed by `COLUMNS`."""
-        return [{c: float(v) for c, v in zip(self.COLUMNS, row)}
-                for row in self._rows(residuals)]
+        return json_rows(self.COLUMNS, self._columns(residuals))
 
     def derivatives(self):
         """(y', y'') in x at the interior samples k = 2..len-3, from the
@@ -66,15 +64,28 @@ class PviSample:
         return np.sum(w[:, 1] * ys, axis=-1), np.sum(w[:, 2] * ys, axis=-1)
 
 
+# the argument types pvi_second_derivative computes on without coercion
+_NUMBERS = (int, float, complex)
+
+
 def pvi_second_derivative(params, x, y, yp):
-    """d2y/dx2 from the Painleve VI right-hand side."""
-    x, y, yp = (np.asarray(v, dtype=complex) for v in (x, y, yp))
-    gap = np.minimum.reduce([abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)])
-    excluded = gap < 1e-12
-    if excluded.any():
-        k = np.argmax(np.ravel(excluded))
-        raise SingularArgument(f"excluded coincidence at x={np.ravel(x)[k]}, "
-                               f"y={np.ravel(y)[k]}")
+    """d2y/dx2 from the Painleve VI right-hand side, elementwise.
+
+    Python numbers are computed on as they are: the direct integrator calls
+    this once per stage, where coercing to arrays costs more than the
+    arithmetic.  Anything else is coerced to complex arrays.
+    """
+    if type(x) in _NUMBERS and type(y) in _NUMBERS and type(yp) in _NUMBERS:
+        if min(abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)) < 1e-12:
+            raise SingularArgument(f"excluded coincidence at x={x}, y={y}")
+    else:
+        x, y, yp = (np.asarray(v, dtype=complex) for v in (x, y, yp))
+        gap = np.minimum.reduce([abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)])
+        excluded = gap < 1e-12
+        if excluded.any():
+            k = np.argmax(np.ravel(excluded))
+            raise SingularArgument(f"excluded coincidence at x={np.ravel(x)[k]}, "
+                                   f"y={np.ravel(y)[k]}")
     first = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
     second = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
     bracket = (params.alpha
@@ -105,7 +116,7 @@ def pvi_integrate(params, xs, y0, yp0, rtol=1e-11, atol=1e-13):
     """
 
     def flow(x, state):
-        y, yp = state
+        y, yp = state.tolist()
         if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-8:
             raise SingularityEncountered(x, y)
         return np.array([yp, pvi_second_derivative(params, x, y, yp)])

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import StepSizeUnderflow
+
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6).  The
 # coefficients are those of SciPy's scipy/integrate/_ivp/dop853_coefficients.py
 # (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
@@ -131,12 +133,16 @@ _D = np.array([
 
 
 MAX_STEPS = 1_000_000
+# unit roundoff of the step-size test
+_UROUND = math.ulp(1.0)
 
 
 def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     """Integrate dy/dt = f(t, y) from t0 to t1 with DOP853, returning y(t1).
 
-    Works for real or complex state vectors; t may run backwards.  After
+    Works for real or complex state vectors; t may run backwards.  Raises
+    StepSizeUnderflow when the step control drives h below the roundoff of
+    t, as it does at a singularity or a non-finite right-hand side.  After
     each accepted step from (t, y) to (t_new, y_new) with step h, calls
     on_step(t, y, y_new, h, K, t_new) if given, with K the (16, d) stage
     array: rows 0-12 hold the step's stages (row 12 is f(t_new, y_new)), and
@@ -159,6 +165,11 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
         steps += 1
         if steps > MAX_STEPS:
             raise RuntimeError(f"rk45: step limit exceeded at t={t}")
+        # Hairer's test (Solving ODEs I, II.4): shorter steps no longer move
+        # t, so rejected NaN or infinite stages would shrink h to zero and
+        # zero-length steps would run up to MAX_STEPS
+        if 0.1 * abs(h) <= _UROUND * abs(t):
+            raise StepSizeUnderflow(t, h)
         if (t + h - t1) * direction > 0:
             h = t1 - t
         for i in range(1, 12):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .columns import csv_text
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
 from .liealg import inv2, solve3, stack_trailing, su2_combination, trace_sq
 
@@ -301,6 +302,8 @@ class FuchsianData:
     Ax: np.ndarray
     Ainf: np.ndarray
 
+    CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
+
     def __len__(self):
         return len(self.t)
 
@@ -319,13 +322,20 @@ class FuchsianData:
     def trace_squares(self):
         return tuple(trace_sq(m) for m in self.residues())
 
-    def to_json_dict(self):
-        def mat(m):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-        return {"t": float(self.t),
-                "x": {"re": float(self.x.real), "im": float(self.x.imag)},
-                "residues": {"p0": mat(self.A0), "p1": mat(self.A1),
-                             "px": mat(self.Ax), "pinf": mat(self.Ainf)}}
+    def to_csv(self):
+        """The twistor trace of a stack: x and tr(A_p^2) per sample."""
+        cols = (self.t, self.x.real, self.x.imag) + tuple(
+            v.real for v in self.trace_squares())
+        return csv_text(self.CSV_COLUMNS, cols)
+
+    def to_json_rows(self):
+        """One dict per sample of a stack, each residue as 2x2 [re, im] pairs."""
+        mats = [np.stack((A.real, A.imag), -1).tolist() for A in self.residues()]
+        return [{"t": t, "x": {"re": xr, "im": xi},
+                 "residues": {"p0": a0, "p1": a1, "px": ax, "pinf": ainf}}
+                for t, xr, xi, a0, a1, ax, ainf
+                in zip(self.t.tolist(), self.x.real.tolist(), self.x.imag.tolist(),
+                       *mats)]
 
 
 def fuchsian_data(profile, t):
@@ -334,9 +344,3 @@ def fuchsian_data(profile, t):
     tab = residue_closed_form(t)
     A0, A1, Ax, Ainf = (form_matrix(a, tab.column(p)) for p in POLE_LABELS)
     return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf)
-
-
-def trace_csv_rows(F):
-    """One `t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq` line per sample."""
-    cols = (F.t, F.x.real, F.x.imag) + tuple(v.real for v in F.trace_squares())
-    return [",".join(f"{v:.17g}" for v in row) for row in np.column_stack(cols)]

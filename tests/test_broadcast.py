@@ -94,6 +94,39 @@ def test_pvi_second_derivative_broadcast(vals, coeffs):
                          1e-14)
 
 
+def pvi_term_scale(params, x, y, yp):
+    """Per element, a bound on the largest term of the PVI right-hand side,
+    from the kernel itself: the y'^2 and y' terms at zero parameters and
+    +-y', each parameter's term alone at y' = 0."""
+    coeffs = (params.alpha, params.beta, params.gamma, params.delta)
+    zero = PviParams(0.0, 0.0, 0.0, 0.0)
+    calls = [(zero, yp), (zero, -yp)] + [
+        (PviParams(*(c if j == i else 0.0 for j, c in enumerate(coeffs))), 0.0 * yp)
+        for i in range(4)]
+    return np.max([np.abs(pvi_second_derivative(q, x, y, d)) for q, d in calls], axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(st.tuples(*[finite] * 6), min_size=1, max_size=8),
+       coeffs=st.tuples(*[finite] * 8))
+def test_pvi_second_derivative_python_scalars(vals, coeffs):
+    # the direct integrator's path: Python complex scalars are computed on
+    # without coercion and agree with the array call.  Python and numpy round
+    # complex division differently, so the tolerance is relative to the
+    # largest term of the right-hand side, which the terms' sum can undercut
+    v = np.array(vals)
+    x = 1.5 + v[:, 0] ** 2 - 1j * v[:, 5] ** 2
+    y = v[:, 1] + 1j * (0.1 + v[:, 2] ** 2)
+    yp = v[:, 3] + 1j * v[:, 4]
+    params = PviParams(*(complex(a, b) for a, b in zip(coeffs[:4], coeffs[4:])))
+    stack = pvi_second_derivative(params, x, y, yp)
+    scale = pvi_term_scale(params, x, y, yp)
+    for k, s in enumerate(zip(x.tolist(), y.tolist(), yp.tolist())):
+        single = pvi_second_derivative(params, *s)
+        assert type(single) is complex
+        assert abs(single - stack[k]) <= 1e-14 * scale[k]
+
+
 @settings(max_examples=60, deadline=None)
 @given(gaps=st.lists(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
                      min_size=1, max_size=6),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from painleve_instanton.cli import main
+from painleve_instanton.liealg import trace_sq
 
 
 def run(capsys, *args):
@@ -173,6 +174,20 @@ def test_trace_json_matches_csv(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["twistor"]) == 21
+
+    # per sample: t and x exactly, tr(A_p^2) of the [re, im] residue matrices
+    twistor_csv = _csv_rows((tmp_path / "tr.twistor.csv").read_text())
+    tx_json = np.array([[row["t"], row["x"]["re"], row["x"]["im"]]
+                        for row in doc["twistor"]])
+    np.testing.assert_array_equal(tx_json, twistor_csv[:, :3])
+    residues = []
+    for j, p in enumerate(("p0", "p1", "px", "pinf")):
+        m = np.array([row["residues"][p] for row in doc["twistor"]])
+        residues.append(m[..., 0] + 1j * m[..., 1])
+        tr = trace_sq(residues[-1]).real
+        np.testing.assert_allclose(tr, twistor_csv[:, 3 + j], rtol=1e-14, atol=0)
+    # tr(A_p^2) is the same at every pole; the residues also sum to zero
+    assert np.max(np.abs(sum(residues))) < 1e-12
 
     pvi_csv = _csv_rows((tmp_path / "tr.pvi.csv").read_text())
     cols = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")

@@ -23,11 +23,13 @@ def test_pvi_rhs_constant_not_solution():
 
 
 def test_pvi_rhs_singular_argument():
+    # y in {0, 1, x} and x in {0, 1}; Python scalars skip the array
+    # coercion but not the exclusion check
     p = PviParams(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SingularArgument):
-        pvi_second_derivative(p, 2.0, 2.0, 0.1)
-    with pytest.raises(SingularArgument):
-        pvi_second_derivative(p, 1.0, 0.5, 0.1)
+    for x, y in [(2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (0.0, 0.5), (1.0, 0.5)]:
+        for kind in (float, complex, np.array):
+            with pytest.raises(SingularArgument):
+                pvi_second_derivative(p, kind(x), kind(y), kind(0.1))
 
 
 def test_pvi_rhs_double_transcription(rng):

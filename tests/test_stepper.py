@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from painleve_instanton import stepper
+from painleve_instanton.errors import StepSizeUnderflow
 from painleve_instanton.stepper import rk45, rk45_path
 
 # y' = M y with M = [[a, b], [-b, a]]: y(t) = e^{a t} R(b t) y(0), with R the
@@ -105,6 +108,20 @@ def test_rk45_step_limit(monkeypatch):
     monkeypatch.setattr(stepper, "MAX_STEPS", 3)
     with pytest.raises(RuntimeError, match="step limit"):
         rk45(Counted(), 0.0, Y0, 2.0)
+
+
+def test_rk45_nan_rhs_stops_at_its_onset():
+    # NaN stages are rejected until h no longer moves t; the step-size test
+    # stops there instead of taking zero-length steps up to MAX_STEPS
+    def f(t, y):
+        return M @ y if t <= 0.5 else np.full_like(y, np.nan)
+
+    start = time.perf_counter()
+    with pytest.raises(StepSizeUnderflow) as info, np.errstate(invalid="ignore"):
+        rk45(f, 0.0, Y0, 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert abs(info.value.t - 0.5) < 1e-12
+    assert 0 < abs(info.value.h) < 1e-14
 
 
 def test_rk45_zero_length_returns_copy():

@@ -256,7 +256,13 @@ def test_trace_constancy_all_poles(prof3):
 
 
 def test_fuchsian_json_schema(prof3):
-    d = fuchsian_data(prof3, 0.5).to_json_dict()
-    assert set(d) == {"t", "x", "residues"}
-    assert set(d["residues"]) == {"p0", "p1", "px", "pinf"}
-    assert isinstance(d["residues"]["p0"][0][0], list)  # [re, im] pairs
+    ts = np.array([0.5, 0.7])
+    rows = fuchsian_data(prof3, ts).to_json_rows()
+    assert len(rows) == 2
+    for t, d in zip(ts, rows):
+        assert set(d) == {"t", "x", "residues"} and d["t"] == t
+        assert set(d["x"]) == {"re", "im"}
+        assert list(d["residues"]) == ["p0", "p1", "px", "pinf"]
+        for m in d["residues"].values():
+            assert np.shape(m) == (2, 2, 2)  # 2x2 of [re, im] pairs
+            assert all(type(v) is float for row in m for pair in row for v in pair)
