@@ -537,15 +537,13 @@ def solve_bvp(n):
 
 
 def conserved_tr(profile, t):
-    """tr(A_inf^2)(t) = -2 sum_i a_i(t)^2 alpha_{i,inf}(t)^2.
+    """tr(A_inf^2)(t) = -2 sum_i a_i(t)^2 alpha_{i,inf}(t)^2 = -2 u.u.
 
-    Cross terms vanish because tr(X_i X_j) = 0 for i != j; constancy in t
-    is the executable form of the deformation invariant.
+    Cross terms vanish because tr(X_i X_j) = 0 for i != j, and the signs
+    from alpha_{i,0} to alpha_{i,inf} square away; constancy in t is the
+    executable form of the deformation invariant.
     """
     from .twistor import residue_closed_form
 
-    a = profile.oriented_values(t)
-    tab = residue_closed_form(t)
-    r = tab.column("inf")
-    val = -2.0 * (a[0] ** 2 * r[0] ** 2 + a[1] ** 2 * r[1] ** 2 + a[2] ** 2 * r[2] ** 2)
+    val = -2.0 * np.sum((profile.oriented_values(t) * residue_closed_form(t)) ** 2)
     return float(val.real) if abs(val.imag) < 1e-9 * max(1.0, abs(val)) else val

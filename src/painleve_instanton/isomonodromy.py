@@ -1,8 +1,8 @@
 """Deformation machinery for the Fuchsian residue family: the Schlesinger
 vector field and finite-difference verification, the gauge normalisation in
-which the deformation equations hold, conserved-quantity drift, extraction
-of the apparent-singularity position y(x), and the parameter map to the
-sixth Painleve equation.
+which the deformation equations hold, conserved-quantity drift, and the
+apparent-singularity position y(x) and parameters of the sixth Painleve
+equation, both as closed forms in the residue model u (see `extract_y`).
 
 The raw per-t residues ("line" gauge) carry the reality pairing
 Ax = -A0^dagger, Ainf = -A1^dagger but are not in Schlesinger gauge: the
@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
-from .liealg import commutator, det2, eigen2, inv2, stack_trailing
+from .liealg import commutator, stack_trailing
 from .painleve import PviParams
 from .stepper import fd_weights, rk45, rk45_path
 from .twistor import FuchsianData, form_matrix, fuchsian_data, mu_pair
@@ -149,55 +149,65 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
 
 
 # --------------------------------------------------------------------------
-# Jimbo-Miwa extraction
+# Jimbo-Miwa extraction, in closed form in u
 # --------------------------------------------------------------------------
 
-def _branch_frame(F, branch):
-    lam, v_plus, v_minus = eigen2(F.Ainf)
-    if branch == "minus":
-        lam, v_plus, v_minus = -lam, v_minus, v_plus
-    elif branch != "plus":
+def _branch_root(F, branch):
+    """(u.u, sigma lam): lam is the canonical root of -u.u (Re >= 0, ties
+    by Im >= 0) and sigma = +1 on "plus", -1 on "minus"; sigma lam is the
+    eigenvalue of Ainf on the branch's eigenvector."""
+    sigma = {"plus": 1.0, "minus": -1.0}.get(branch)
+    if sigma is None:
         raise ValueError("branch must be 'plus' or 'minus'")
-    P = np.stack([v_plus, v_minus], axis=-1)
-    return lam, P, inv2(P)
+    uu = np.sum(F.u * F.u, axis=-1)
+    lam = np.sqrt(-uu + 0j)
+    return uu, sigma * np.where((lam.real == 0) & (lam.imag < 0), -lam, lam)
+
+
+def _require(ok, error, what, F, branch):
+    """Raise `error` naming the t of the first sample where `ok` fails."""
+    bad = ~np.ravel(ok)
+    if bad.any():
+        raise error(f"{what} at t = {np.ravel(F.t)[np.argmax(bad)]} ({branch} branch)")
 
 
 def extract_y(F, branch="plus"):
-    """Position y of the apparent singularity for the chosen eigen-branch.
+    """Position y of the apparent singularity on the chosen eigen-branch,
+    y = x / (x + (1 - x) rho), rho = u3 (u1 u3 + sigma lam u2) / (u1 (u2^2 + u3^2)).
 
-    In the frame diagonalising Ainf = diag(lam, -lam), y is the zero of the
-    numerator c2 z^2 + c1 z + c0 of the (2,1) entry of the residue sum
-    A(zeta); there the lam-eigenvector of Ainf is a common eigenvector of
-    A(y) and Ainf.  On a consistent quadruple, Ainf = -(A0 + A1 + Ax), the
-    leading coefficient c2 = -(P^-1 Ainf P)_21 vanishes and y = -c0/c1; a
-    quadruple with |c2| above roundoff of the residues raises, naming the t
-    of the first such sample.
+    Derivation (Jimbo & Miwa, Physica D 2, 1981).  y is where the sigma-lam
+    eigenvector v of Ainf is also an eigenvector of A(z) = A0/z + A1/(z-1)
+    + Ax/(z-x).  With r the covector annihilating v and b_p = r A_p v, that
+    is the root of b0 (z-1)(z-x) + b1 z(z-x) + bx z(z-1), whose z^2 term
+    -b_inf vanishes: y = b0 x / (b0 x - b1 (1-x)).  N = v r is nilpotent, N = n.X with
+    n.n = 0 and tr(Ainf N) = 0; the Killing form is diagonal in the X basis
+    (tr(Xi Xj) = -2 delta_ij), so b_p = tr(A_p N) is proportional to m_p.e
+    for A_p = m_p.X, m_p = -SIGNS[:, p] * u, and e the null vector
+    orthogonal to m_inf, scaled to e1 = 1.  m_inf.e = 0 reads
+    u2 e2 + u3 e3 = u1, so b0 = -2 u1, b1 = 2 u3 e3, bx = 2 (u1 - u3 e3);
+    e.e = 0 leaves (u2^2 + u3^2) e3^2 - 2 u1 u3 e3 + u1^2 + u2^2 = 0, and
+    [Ainf, N] = 2 sigma lam N picks its root e3 = (u1 u3 + sigma lam u2) /
+    (u2^2 + u3^2).  No matrix entry is read back, so nothing cancels.
+
+    Raises ReducibleSystem when all couplings vanish, and IndeterminateY
+    when u1 does (y on the pole 0) or the denominator does, naming the t of
+    the first such sample.
     """
-    lam, P, Pi = _branch_frame(F, branch)
-    x = F.x
-    b = [(Pi @ A @ P)[..., 1, 0] for A in (F.A0, F.A1, F.Ax)]
-    size = np.maximum(1.0, np.max(np.abs(np.stack(F.residues(), -3)), axis=(-3, -2, -1)))
-    scale = np.max(np.abs(b), axis=0)
-    c2 = b[0] + b[1] + b[2]
-    c1 = -b[0] * (1.0 + x) - b[1] * x - b[2]
-    faults = ((scale < 1e-12 * size, ReducibleSystem, "all off-diagonal couplings vanish"),
-              (np.abs(c2) > 1e-12 * size, IndeterminateY, "inconsistent residues"),
-              (np.abs(c1) < 1e-12 * scale, IndeterminateY, "degenerate numerator"))
-    bad = np.ravel(np.logical_or.reduce([mask for mask, _, _ in faults]))
-    if bad.any():
-        k = np.argmax(bad)
-        error, what = next(f[1:] for f in faults if np.ravel(f[0])[k])
-        raise error(f"{what} at t = {np.ravel(F.t)[k]} ({branch} branch): "
-                    f"|c2| = {np.ravel(np.abs(c2))[k]:.3e}")
-    return -b[0] * x / c1
+    _, lam = _branch_root(F, branch)
+    u1, u2, u3 = np.moveaxis(F.u, -1, 0)
+    tiny = 1e-12 * np.max(np.abs(F.u), axis=-1)
+    u3e3 = u3 * (u1 * u3 + lam * u2) / (u2 * u2 + u3 * u3)
+    _require(np.maximum(np.abs(u1), np.abs(u3e3)) > tiny, ReducibleSystem,
+             "all couplings vanish", F, branch)
+    _require(np.abs(u1) > tiny, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
+    den = F.x + (1.0 - F.x) * u3e3 / u1
+    _require(np.abs(den) > 1e-12, IndeterminateY, "vanishing denominator", F, branch)
+    return F.x / den
 
 
 def jimbo_miwa_params(F, branch="plus"):
-    """Painleve VI parameters of the deformation, per eigen-branch of Ainf."""
-    lam, _, _ = _branch_frame(F, branch)
-    return PviParams(
-        alpha=0.5 * (2.0 * lam - 1.0) ** 2,
-        beta=2.0 * det2(F.A0),
-        gamma=-2.0 * det2(F.A1),
-        delta=0.5 * (1.0 + 4.0 * det2(F.Ax)),
-    )
+    """Painleve VI parameters per eigen-branch of Ainf: det A_p = u.u at
+    every pole gives beta, gamma and delta, and alpha = (2 sigma lam - 1)^2 / 2."""
+    uu, lam = _branch_root(F, branch)
+    return PviParams(alpha=0.5 * (2.0 * lam - 1.0) ** 2, beta=2.0 * uu,
+                     gamma=-2.0 * uu, delta=0.5 * (1.0 + 4.0 * uu))

@@ -1,8 +1,13 @@
 """Per-line twistor data for the family of rational lines parametrised by
 t in (0, 1): the infinitesimal-action matrix, its inverse (in closed form
 on the line's tangent direction), the four divisor poles, the Moebius
-normalisation to {0, 1, x, infinity}, the residue table of the scalar
-1-forms, and assembly of the rank-2 Fuchsian residues from a profile.
+normalisation to {0, 1, x, infinity}, the residues of the scalar 1-forms,
+and assembly of the rank-2 Fuchsian residues from a profile.
+
+The residues have Klein-four structure: alpha_{i,p} = alpha_{i,0} SIGNS[i-1, p].
+With u = a * alpha_{.,0} (profile values times the base column), the
+Fuchsian residues are A_p = -sum_i SIGNS[i-1, p] u_i X_i, all of determinant
+u.u, and y and the PVI parameters are closed forms in u.
 
 Conventions fixed here (and relied on everywhere downstream):
 
@@ -16,9 +21,9 @@ Conventions fixed here (and relied on everywhere downstream):
   imaginary part, so the pole sent to infinity lies in the lower half
   plane; with this labelling the residue alpha_{2,inf} tends to +i/4 as
   t -> 1;
-* the line geometry, the residue table and `fuchsian_data` broadcast over
+* the line geometry, the residue column and `fuchsian_data` broadcast over
   an array of t: leading axes index samples, trailing axes are the object's
-  own (3 profile components, the 3x4 residue table, 2x2 matrices).  A float
+  own (3 profile components, the 3 column entries and u, 2x2 matrices).  A float
   t stays in Python floats (square roots are `** 0.5`, not np.sqrt), which
   keeps the per-stage evaluations of the gauge transport cheap.
 """
@@ -40,7 +45,10 @@ SQRT3 = math.sqrt(3.0)
 COMPLEX_BASIS = np.array([[1j, 0, 0], [0, 1, -1j], [0, -1, -1j]])
 COMPLEX_BASIS.setflags(write=False)
 
-POLE_LABELS = ("0", "1", "x", "inf")
+# residue of alpha_i at pole p = (0, 1, x, inf) over the base column entry
+# alpha_{i,0}; each row sums to zero (residue theorem)
+SIGNS = np.array([[1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]])
+SIGNS.setflags(write=False)
 
 
 def alpha_matrix(lam, mu, zeta):
@@ -179,30 +187,16 @@ def dlambda_dw(t, w):
 # residues of the scalar 1-forms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidueTable:
-    """Residues alpha_{i,p}: rows i in {1,2,3}, poles p in (0, 1, x, inf)."""
-
-    t: np.ndarray
-    entries: np.ndarray  # (..., 3, 4) complex
-
-    def column(self, p):
-        """The residues (..., 3) of alpha_1, alpha_2, alpha_3 at pole p."""
-        return self.entries[..., POLE_LABELS.index(str(p))]
-
-
 def residue_closed_form(t):
-    """Closed-form residue table.
-
-    Base entries at pole 0 (with mu = mu_plus - mu_minus):
+    """Closed-form residues at pole 0, the base column (..., 3):
 
         alpha_{1,0} = -i (t^2-1)(t^2-9) / (16 t^3 mu)
         alpha_{2,0} = (mu_- + 1) t (t+1)(t-3) / (8 t^3 mu z1)
         alpha_{3,0} = i (mu_+ - 1) t (t-1)(t+3) / (8 t^3 mu z2)
 
-    extended across the poles by the sign/conjugation relations
-    (row 1: 0 = inf, x = 1 = conjugate; row 2: inf = -0, 1 = 0, x = -0;
-    row 3: inf = -0, 1 = -0, x = 0).
+    with mu = mu_plus - mu_minus.  The residue of alpha_i at pole p is
+    column[i-1] * SIGNS[i-1, p]: alpha_{1,0} is purely imaginary, so the
+    conjugation relating its poles is negation.
     """
     g = poles(t)
     mu = g.mu_plus - g.mu_minus
@@ -210,56 +204,46 @@ def residue_closed_form(t):
     a10 = -1j * (t * t - 1.0) * (t * t - 9.0) / (16.0 * t**3 * mu)
     a20 = (g.mu_minus + 1.0) * t * (t + 1.0) * (t - 3.0) / (8.0 * t**3 * mu * z1)
     a30 = 1j * (g.mu_plus - 1.0) * t * (t - 1.0) * (t + 3.0) / (8.0 * t**3 * mu * z2)
-    entries = stack_trailing([
-        [a10, np.conj(a10), np.conj(a10), a10],
-        [a20, a20, -a20, -a20],
-        [a30, -a30, a30, -a30],
-    ])
-    return ResidueTable(t=t, entries=entries)
+    return stack_trailing([a10, a20, a30])
 
 
 def residue_table_printed(t):
-    """Verbatim transcription of the published residue formulas (for the
+    """Verbatim transcription of the published base column (for the
     discrepancy diagnostics; `residue_closed_form` is the authoritative
-    table, validated against contour quadrature)."""
+    column, validated against contour quadrature)."""
     g = poles(t)
     mu = g.mu_plus - g.mu_minus
     z1 = g.poles_lambda[0]
     a10 = 1j * (t * t - 1.0) * (t * t - 9.0) / (16.0 * t**3 * mu)
     a20 = (g.mu_minus + 1.0) * t * (t + 1.0) * (t - 3.0) / (8.0 * t * t * mu * z1)
     a30 = 1j * (g.mu_plus - 1.0) * t * (t - 1.0) * (t + 3.0) / (8.0 * t * t * mu * z1)
-    entries = np.array([
-        [a10, np.conj(a10), np.conj(a10), a10],
-        [a20, a20, -a20, -a20],
-        [a30, -a30, a30, -a30],
-    ])
-    return ResidueTable(t=t, entries=entries)
+    return stack_trailing([a10, a20, a30])
 
 
-def residue_numeric(t, i, pole, n_points=256):
-    """Contour-quadrature residue of the scalar form alpha_i at the pole.
+def residue_numeric(t, i, p, n_points=256):
+    """Contour-quadrature residue of the scalar form alpha_i at pole p,
+    indexed (0, 1, x, inf) as the columns of SIGNS.
 
     The form is pulled back to the normalised coordinate (poles at 0, 1, x,
     infinity; the infinity residue is taken in the chart w = 1/zeta) and the
     coefficients are obtained by the 3x3-solve route, so this is independent
-    of the closed-form table on both counts.  Two radii are compared; a
+    of the closed-form residues on both counts.  Two radii are compared; a
     drift above 1e-7 raises QuadratureFailure.
     """
     g = poles(t)
     x = g.x
-    finite = {"0": 0.0, "1": 1.0, "x": x}
-    seps = [abs(a - b) for idx, a in enumerate((0.0, 1.0, x))
-            for b in ((0.0, 1.0, x))[idx + 1:]]
+    finite = (0.0, 1.0, x)
+    seps = [abs(a - b) for idx, a in enumerate(finite) for b in finite[idx + 1:]]
     base_radius = 1e-2 * min(seps)
 
     def contour_value(radius):
         theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
         ring = radius * np.exp(1j * theta)
-        if str(pole) == "inf":
+        if p == 3:
             # chart zeta = 1/w: d zeta/dw = -1/w^2, times the offset w
             zeta, weight = 1.0 / ring, -1.0 / ring
         else:
-            zeta, weight = finite[str(pole)] + ring, ring
+            zeta, weight = finite[p] + ring, ring
         lams = lambda_of_normalized(t, zeta)
         c = np.array([alpha_inv(t, lam, line_tangent(t, lam))[i - 1] for lam in lams])
         return np.sum(c * dlambda_dw(t, zeta) * weight) / n_points
@@ -268,7 +252,7 @@ def residue_numeric(t, i, pole, n_points=256):
     v2 = contour_value(base_radius / 2.0)
     if abs(v1 - v2) > 1e-7:
         raise QuadratureFailure(f"residue quadrature drift {abs(v1 - v2):.3e} "
-                                f"at t={t}, i={i}, pole={pole}")
+                                f"at t={t}, i={i}, pole={p}")
     return v2
 
 
@@ -278,8 +262,8 @@ def residue_numeric(t, i, pole, n_points=256):
 
 def form_matrix(a, c):
     """The matrix -sum_i a_i c_i X_i of profile values a and scalar
-    coefficients c on (X1, X2, X3): a connection form or, with c a residue
-    table column, the residue at that pole."""
+    coefficients c on (X1, X2, X3): a connection form or, with a = u and
+    c a column of SIGNS, the residue at that pole."""
     ac = -a * c
     return su2_combination(ac[..., 0], ac[..., 1], ac[..., 2])
 
@@ -293,7 +277,9 @@ def connection_form(profile, t, lam):
 class FuchsianData:
     """Residues of the normalised rank-2 Fuchsian system at one t, or at a
     stack of samples along the line family (t and x of shape (S,), residues
-    (S, 2, 2)); `len` and indexing reach the samples."""
+    (S, 2, 2), u (S, 3)); `len` and indexing reach the samples.  u is
+    conjugation-invariant, so `conjugated` keeps it; it is None on
+    quadruples built from matrices alone."""
 
     t: np.ndarray
     x: np.ndarray
@@ -301,6 +287,7 @@ class FuchsianData:
     A1: np.ndarray
     Ax: np.ndarray
     Ainf: np.ndarray
+    u: np.ndarray = None
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
 
@@ -309,7 +296,8 @@ class FuchsianData:
 
     def __getitem__(self, k):
         return replace(self, t=self.t[k], x=self.x[k], A0=self.A0[k],
-                       A1=self.A1[k], Ax=self.Ax[k], Ainf=self.Ainf[k])
+                       A1=self.A1[k], Ax=self.Ax[k], Ainf=self.Ainf[k],
+                       u=None if self.u is None else self.u[k])
 
     def residues(self):
         return self.A0, self.A1, self.Ax, self.Ainf
@@ -339,8 +327,8 @@ class FuchsianData:
 
 
 def fuchsian_data(profile, t):
-    """Assemble the four residues A_p = -sum_i a_i alpha_{i,p} X_i."""
-    a = profile.oriented_values(t)
-    tab = residue_closed_form(t)
-    A0, A1, Ax, Ainf = (form_matrix(a, tab.column(p)) for p in POLE_LABELS)
-    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf)
+    """Assemble the four residues A_p = -sum_i a_i alpha_{i,p} X_i from
+    u = a * alpha_{.,0}."""
+    u = profile.oriented_values(t) * residue_closed_form(t)
+    A0, A1, Ax, Ainf = (form_matrix(u, SIGNS[:, p]) for p in range(4))
+    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf, u=u)

@@ -38,6 +38,11 @@ def fam3_raw(prof3, ts_default):
 
 
 @pytest.fixture(scope="session")
+def fam5_raw(prof5, ts_default):
+    return make_family(prof5, ts_default, gauge="line")
+
+
+@pytest.fixture(scope="session")
 def fam1_gauged(prof1, ts_default):
     return make_family(prof1, ts_default, gauge="schlesinger")
 

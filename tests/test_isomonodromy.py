@@ -17,7 +17,7 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_integrate,
                                              schlesinger_residual)
 from painleve_instanton.liealg import eigen2, trace_sq
-from painleve_instanton.twistor import (FuchsianData, alpha_inv,
+from painleve_instanton.twistor import (SIGNS, FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
                                         form_matrix, fuchsian_data,
                                         lambda_of_normalized, line_tangent,
@@ -173,41 +173,67 @@ def test_extract_y_common_eigenvector(prof3, fam3_raw):
         assert np.linalg.norm(M @ v - eta * v) < 1e-8
 
 
-def test_extract_y_excluded_roots():
-    # inconsistent quadruple (Ainf != -(A0 + A1 + Ax)): the numerator keeps
-    # a quadratic term, so y is not determined
-    A0 = np.array([[-1.25, 0.0], [1.0, 1.25]])
-    F = FuchsianData(t=float("nan"), x=2.5 + 0j,
-                     A0=A0, A1=np.diag([0.3, -0.3]), Ax=np.diag([0.2, -0.2]),
-                     Ainf=np.diag([0.75, -0.75]) + 0j)
-    with pytest.raises(IndeterminateY):
-        extract_y(F, "plus")
-
-
 _entries = st.floats(-1.0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(0, 200), re=st.lists(_entries, min_size=4, max_size=4),
-       im=st.lists(_entries, min_size=4, max_size=4), c=st.floats(0.1, 10.0))
-def test_extract_y_invariance(fam3_raw, k, re, im, c):
-    # y is a conjugation invariant of the quadruple and does not see its scale
+@given(n=st.sampled_from((1, 3, 5)), k=st.integers(0, 200),
+       branch=st.sampled_from(("plus", "minus")),
+       re=st.lists(_entries, min_size=4, max_size=4),
+       im=st.lists(_entries, min_size=4, max_size=4))
+def test_extract_y_invariance(fam1_raw, fam3_raw, fam5_raw, n, k, branch, re, im):
+    # y is a conjugation invariant: the closed form in u, checked against
+    # the definition on the conjugated matrices, where the eigenvector of
+    # Ainf for the branch (eigen2) is an eigenvector of A(y)
     g = np.eye(2) + 0.5 * (np.array(re) + 1j * np.array(im)).reshape(2, 2)
     assume(np.linalg.cond(g) < 10.0)
-    F = fam3_raw[k]
-    scaled = FuchsianData(t=F.t, x=F.x, A0=c * F.A0, A1=c * F.A1, Ax=c * F.Ax,
-                          Ainf=c * F.Ainf)
-    for branch in ("plus", "minus"):
-        y = extract_y(F, branch)
-        for G in (F.conjugated(g), scaled):
-            assert abs(extract_y(G, branch) - y) < 1e-10 * max(1.0, abs(y))
+    F = {1: fam1_raw, 3: fam3_raw, 5: fam5_raw}[n][k]
+    G = F.conjugated(g)
+    y = extract_y(G, branch)
+    _, v_plus, v_minus = eigen2(G.Ainf)
+    v = v_plus if branch == "plus" else v_minus
+    M = G.A0 / y + G.A1 / (y - 1.0) + G.Ax / (y - G.x)
+    Mv = M @ v
+    assert np.linalg.norm(Mv - (np.conj(v) @ Mv) * v) <= 1e-8 * np.linalg.norm(M)
+
+
+def _from_u(u, x=2.5):
+    """A quadruple built from the residue model u alone."""
+    u = np.asarray(u, dtype=complex)
+    A0, A1, Ax, Ainf = (form_matrix(u, SIGNS[:, p]) for p in range(4))
+    return FuchsianData(t=0.7, x=complex(x), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf, u=u)
 
 
 def test_extract_y_reducible():
-    F = _synthetic(np.diag([1.0, -1.0]), np.diag([0.5, -0.5]),
-                   np.diag([-0.2, 0.2]))
-    with pytest.raises(ReducibleSystem):
+    # u1 = 0 and one of u2, u3 zero: every residue is a multiple of the same
+    # X_i, so the residues commute and all couplings vanish
+    for u in ((0.0, 0.5, 0.0), (0.0, 0.0, 0.5)):
+        with pytest.raises(ReducibleSystem, match=r"t = 0.7 \(plus branch\)"):
+            extract_y(_from_u(u), "plus")
+
+
+def test_extract_y_on_the_pole_zero():
+    # u1 = 0 with u2 u3 != 0: b0 = 0 and y falls on the pole 0
+    for branch in ("plus", "minus"):
+        with pytest.raises(IndeterminateY, match=f"u1 = 0.*{branch} branch"):
+            extract_y(_from_u((0.0, 0.4, 0.7)), branch)
+
+
+def test_extract_y_vanishing_denominator():
+    # choose x where x + (1 - x) rho = 0, from rho computed here
+    u1, u2, u3 = u = (1.0, 0.5, 0.7)
+    lam = np.sqrt(complex(-(u1 * u1 + u2 * u2 + u3 * u3)))
+    rho = u3 * (u1 * u3 + lam * u2) / (u1 * (u2 * u2 + u3 * u3))
+    F = _from_u(u, x=rho / (rho - 1.0))
+    with pytest.raises(IndeterminateY, match="denominator.*plus branch"):
         extract_y(F, "plus")
+    assert np.isfinite(extract_y(F, "minus"))
+
+
+def test_unknown_branch(fam3_raw):
+    for fn in (extract_y, jimbo_miwa_params):
+        with pytest.raises(ValueError):
+            fn(fam3_raw[100], "both")
 
 
 def test_jimbo_miwa_parameters(fam1_raw, fam3_raw):

@@ -7,7 +7,7 @@ from painleve_instanton.errors import DegenerateLine, OnDivisor
 from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
                                           closed_form_profile)
 from painleve_instanton.liealg import trace_sq
-from painleve_instanton.twistor import (COMPLEX_BASIS, POLE_LABELS, SQRT3,
+from painleve_instanton.twistor import (COMPLEX_BASIS, SIGNS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
                                         alpha_matrix, connection_form,
                                         cross_ratio, delta, fuchsian_data,
@@ -140,44 +140,42 @@ def test_mobius_normalize():
 
 
 def test_residue_closed_form_relations():
-    tab = residue_closed_form(0.5)
-    a = tab.entries
-    # row 1: 0 = inf, x = 1 = conjugate of 0
-    assert a[0, 0] == a[0, 3]
-    assert a[0, 2] == np.conj(a[0, 0]) and a[0, 1] == np.conj(a[0, 0])
-    # row 2: inf = -0, 1 = 0, x = -0 ; row 3: inf = -0, 1 = -0, x = 0
-    assert a[1, 3] == -a[1, 0] and a[1, 1] == a[1, 0] and a[1, 2] == -a[1, 0]
-    assert a[2, 3] == -a[2, 0] and a[2, 1] == -a[2, 0] and a[2, 2] == a[2, 0]
-    # residue theorem: each row sums to zero
-    assert np.max(np.abs(a.sum(axis=1))) < 1e-15
+    ts = np.linspace(0.05, 0.95, 19)
+    column = residue_closed_form(ts)
+    assert column.shape == (19, 3)
+    # alpha_{1,0} is purely imaginary, so the conjugate that relates its
+    # poles (x = 1 = conjugate of 0) is its negative: SIGNS row 1
+    assert np.all(column[:, 0].real == 0)
+    assert np.array_equal(np.conj(column[:, 0]), -column[:, 0])
+    # residue theorem: each row of the sign table sums to zero
+    assert np.array_equal(SIGNS.sum(axis=1), np.zeros(3))
+    assert not SIGNS.flags.writeable
 
 
 def test_residue_closed_vs_quadrature():
-    tab = residue_closed_form(0.4)
+    column = residue_closed_form(0.4)
     worst = 0.0
     for i in (1, 2, 3):
         total = 0.0
-        for p in POLE_LABELS:
+        for p in range(4):
             q = residue_numeric(0.4, i, p)
             total += q
-            worst = max(worst, abs(q - tab.column(p)[i - 1]))
+            worst = max(worst, abs(q - column[i - 1] * SIGNS[i - 1, p]))
         assert abs(total) < 1e-10  # residue theorem
     assert worst < 1e-8
 
 
 def test_residue_quadrature_point_doubling():
-    a = residue_numeric(0.4, 2, "inf", n_points=256)
-    b = residue_numeric(0.4, 2, "inf", n_points=512)
+    a = residue_numeric(0.4, 2, 3, n_points=256)
+    b = residue_numeric(0.4, 2, 3, n_points=512)
     assert abs(a - b) < 1e-10
 
 
 def test_residue_limits_toward_right_end():
     # quadratic extrapolation in s = sqrt(1 - t)
     svals = np.array([0.03, 0.02, 0.01])
-    tabs = [residue_closed_form(1.0 - s * s) for s in svals]
-    lim2 = np.polyfit(svals, [tab.column("inf")[1] for tab in tabs], 2)[-1]
-    lim1 = np.polyfit(svals, [tab.column("inf")[0] for tab in tabs], 2)[-1]
-    lim3 = np.polyfit(svals, [tab.column("inf")[2] for tab in tabs], 2)[-1]
+    at_inf = residue_closed_form(1.0 - svals * svals) * SIGNS[:, 3]
+    lim1, lim2, lim3 = np.polyfit(svals, at_inf, 2)[-1]
     assert abs(lim2 - 0.25j) < 1e-6
     assert abs(lim1) < 1e-6
     assert abs(lim3) < 1e-6
@@ -188,12 +186,8 @@ def test_printed_residue_table_discrepancy():
     leading entries deviate from the true residues by fixed factors; keep the
     characterisation pinned so the discrepancy stays visible."""
     for t in (0.4, 0.5, 0.7):
-        true = residue_closed_form(t)
-        printed = residue_table_printed(t)
         _, mu_m = mu_pair(t)
-        r1 = true.column("0")[0] / printed.column("0")[0]
-        r2 = true.column("0")[1] / printed.column("0")[1]
-        r3 = true.column("0")[2] / printed.column("0")[2]
+        r1, r2, r3 = residue_closed_form(t) / residue_table_printed(t)
         print(f"printed-table ratios at t={t}: row1 {r1:.6g} row2 {r2:.6g} row3 {r3:.6g}")
         assert abs(r1 + 1.0) < 1e-12                # sign flip
         assert abs(r2 - 1.0 / t) < 1e-12            # 8t^2 vs 8t^3
@@ -220,19 +214,18 @@ def test_connection_residues_match_table():
     t = 0.45
     g = poles(t)
     F = fuchsian_data(prof, t)
-    mats = {"0": F.A0, "1": F.A1, "x": F.Ax, "inf": F.Ainf}
     sep = min(abs(a - b) for i, a in enumerate(g.poles_lambda)
               for b in g.poles_lambda[i + 1:])
     radius = 0.05 * sep
     npts = 512
-    for z, label in zip(g.poles_lambda, POLE_LABELS):
+    for z, residue in zip(g.poles_lambda, F.residues()):
         theta = 2 * np.pi * (np.arange(npts) + 0.5) / npts
         ring = z + radius * np.exp(1j * theta)
         total = np.zeros((2, 2), dtype=complex)
         for w in ring:
             total += connection_form(prof, t, w) * (w - z)
         total /= npts
-        assert np.max(np.abs(total - mats[label])) < 1e-8
+        assert np.max(np.abs(total - residue)) < 1e-8
 
 
 def test_fuchsian_data_invariants(prof3):
