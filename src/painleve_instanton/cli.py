@@ -67,7 +67,7 @@ def _emit(cfg, text, suffix=""):
 
 def cmd_profile(cfg):
     prof = profile_for(cfg.n)
-    ts = prof.sample_ts(cfg.t_min, cfg.t_max, cfg.samples)
+    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.samples)
     text = prof.to_csv(ts) if cfg.fmt == "csv" else prof.to_json(ts) + "\n"
     _emit(cfg, text)
     return 0

@@ -34,7 +34,7 @@ from .columns import csv_text, json_rows
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
 from .liealg import stack_trailing
-from .stepper import barycentric, cos_nodes, fd_weights, rk45_path
+from .stepper import rk45, step_polynomial
 
 
 class DualitySign(enum.Enum):
@@ -125,17 +125,19 @@ def _closed_derivative(kind, t):
 
 @dataclass(frozen=True)
 class ProfileTriple:
-    """Profile functions (a1, a2, a3) on (0, 1), closed-form or sampled.
+    """Profile functions (a1, a2, a3) on (0, 1), closed-form or numeric.
 
-    Numeric profiles live on Chebyshev-clustered nodes and evaluate anywhere
-    by barycentric interpolation; `component_signs` records sign flips
-    applied relative to the printed closed form (pairs of flips are gauge).
+    A numeric profile is one piecewise polynomial on [0, 1]: piece k covers
+    [breaks[k], breaks[k+1]] and is sum_j coeffs[k, j] (t - origins[k])^j.
+    `component_signs` records sign flips applied relative to the printed
+    closed form (pairs of flips are gauge).
     """
 
     kind: ProfileKind
     n: int
-    ts: np.ndarray | None = None
-    values_grid: np.ndarray | None = None  # shape (3, N)
+    breaks: np.ndarray | None = None  # shape (P + 1,)
+    origins: np.ndarray | None = None  # shape (P,)
+    coeffs: np.ndarray | None = None  # shape (P, degree + 1, 3)
     component_signs: tuple = (1, 1, 1)
     sign_convention: str = "printed"
     meta: dict = field(default_factory=dict)
@@ -144,17 +146,27 @@ class ProfileTriple:
 
     def __post_init__(self):
         if self.kind is ProfileKind.NUMERIC:
-            ts = self.ts
-            if ts is None or self.values_grid is None:
-                raise ValueError("numeric profiles need ts and values_grid")
-            if not (np.all(np.diff(ts) > 0) and 0.0 < ts[0] and ts[-1] < 1.0):
-                raise ValueError("grid must be strictly increasing inside (0, 1)")
+            if any(v is None for v in (self.breaks, self.origins, self.coeffs)):
+                raise ValueError("numeric profiles need breaks, origins and coeffs")
+            if not (np.all(np.diff(self.breaks) > 0) and self.breaks[0] == 0.0
+                    and self.breaks[-1] == 1.0):
+                raise ValueError("breaks must increase strictly from 0 to 1")
+
+    def _local(self, t):
+        """Piece index k and offset t - origins[k] of each t (the end pieces
+        extend beyond [0, 1])."""
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.breaks, t, side="right") - 1,
+                    0, len(self.origins) - 1)
+        return k, t - self.origins[k]
 
     def values(self, t):
         """(a1, a2, a3) at t, shape (..., 3) for t of shape (...)."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_values(self.kind, t) * np.asarray(self.component_signs)
-        return barycentric(self.ts, self.values_grid, t)
+        k, s = self._local(t)
+        powers = s[..., None] ** np.arange(self.coeffs.shape[1])
+        return np.einsum("...j,...jc->...c", powers, self.coeffs[k])
 
     def oriented_values(self, t):
         """Components in the anti-self-dual orientation used by the twistor
@@ -166,29 +178,15 @@ class ProfileTriple:
 
     def derivative(self, t):
         """da/dt, shape (..., 3) for t of shape (...): exact for closed
-        forms; on the grid, the 5-point stencil centred as well as possible
-        on the node nearest each t."""
+        forms, and the derivative of its piece for numeric profiles."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
-        t = np.asarray(t, dtype=float)
-        k = np.argmin(np.abs(t[..., None] - self.ts), axis=-1)
-        win = np.clip(k - 2, 0, len(self.ts) - 5)[..., None] + np.arange(5)
-        w = fd_weights(self.ts[win], t, 1)[..., 1:, :]
-        return (w @ self.values_grid.T[win])[..., 0, :]
-
-    @property
-    def a2_at_1(self):
-        t = 1.0 - 1e-9 if self.kind is ProfileKind.NUMERIC else 1.0
-        return float(self.values(t)[1])
+        k, s = self._local(t)
+        j = np.arange(1, self.coeffs.shape[1])
+        powers = j * s[..., None] ** (j - 1)
+        return np.einsum("...j,...jc->...c", powers, self.coeffs[k, 1:])
 
     # -- serialization ------------------------------------------------------
-
-    def sample_ts(self, t_min=0.05, t_max=0.95, samples=101):
-        if self.kind is ProfileKind.NUMERIC:
-            lo = max(t_min, float(self.ts[0]))
-            hi = min(t_max, float(self.ts[-1]))
-            return np.linspace(lo, hi, samples)
-        return np.linspace(t_min, t_max, samples)
 
     def to_csv(self, ts):
         return csv_text(self.COLUMNS, (ts, self.values(np.asarray(ts))))
@@ -228,9 +226,9 @@ def asd_closed_profile(n):
 def duality_residual(profile, sign, t, global_negation=False):
     """Residuals r_i = sigma*K_i/2 * da_i - (a_j a_k - a_i) at t.
 
-    Closed forms use exact derivatives; numeric grids use the 5-point
-    stencil around the nearest node.  With global_negation the test is
-    applied to (-a1, -a2, -a3).
+    Closed forms use exact derivatives, numeric profiles the derivative of
+    their piecewise polynomial.  With global_negation the test is applied
+    to (-a1, -a2, -a3).
     """
     a = profile.values(t)
     da = profile.derivative(t)
@@ -357,9 +355,8 @@ def endpoint_series(n, side, order, params=None):
 # boundary-value solver
 # --------------------------------------------------------------------------
 
-GRID_SIZE = 385
 MATCH_POINT = 0.5
-SERIES_ORDER = 10
+SERIES_ORDER = 20
 NEWTON_TOL = 1e-10
 MAX_ITER = 50
 LAUNCH_OFFSET = 1e-4
@@ -374,12 +371,12 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~4e-11 (n <= 21).  The converged q, the resonant amplitude, minus
-    the seed is 4.9e-12 (n = 7) and -1.7e-11 (9), at the level of the
-    sweeps' integration error; beyond that the series order dominates:
-    -1.6e-7 (11), 3.9e-5 (13) and -0.10 (15), because at SERIES_ORDER the
-    resonant mode drowns in launch noise (ROADMAP "Baseline").  Integer
-    products keep each value one correctly rounded division.
+    to ~6e-11 (n <= 31).  The converged q, the resonant amplitude, minus
+    the seed is 4e-14 (n = 7, 9), -3.1e-11 (11), 1.3e-9 (13) and 3.9e-6
+    (21): the sweeps' absolute tolerance swamps a1 and a3, which vanish
+    like (1 - t)^((n-1)/2) at t = 1 (at a pure relative tolerance it is
+    4.2e-10 at n = 21).  Integer products keep each value one correctly
+    rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -418,36 +415,33 @@ def _launch_depth(series):
     return LAUNCH_OFFSET
 
 
-def _sweep(series, ts, grid):
-    """One side of the shot: series values at the nodes (from the endpoint
-    inward) up to the launch point, then one rk45_path sweep from the launch
-    point through the remaining nodes to MATCH_POINT.  Fills that side's
-    columns of grid and returns a(MATCH_POINT)."""
+def _sweep(series, pieces):
+    """One side of the shot: one rk45 sweep from the launch point to
+    MATCH_POINT, returning a(MATCH_POINT).  With a list for pieces, appends
+    that side's pieces as (left edge, origin, coefficients): the series
+    from the endpoint to the launch point, then the continuous extension of
+    every accepted step."""
     depth = _launch_depth(series)
-    mid = int(np.searchsorted(ts, MATCH_POINT))
-    if series.side == "t0":
-        t_launch, direction, cols = depth, 1.0, range(mid)
-    else:
-        t_launch, direction, cols = 1.0 - depth, -1.0, range(len(ts) - 1, mid - 1, -1)
-    swept = []
-    for k in cols:
-        if (ts[k] - t_launch) * direction > 0:
-            swept.append(k)
-        else:
-            grid[:, k] = series.eval(ts[k])
-    path = rk45_path(_asd_flow, [t_launch, *ts[swept], MATCH_POINT],
-                     series.eval(t_launch), rtol=RTOL, atol=ATOL)
-    for k, a in zip(swept, path[1:-1]):
-        grid[:, k] = a
-    return path[-1]
+    t_launch = depth if series.side == "t0" else 1.0 - depth
+    on_step = None
+    if pieces is not None:
+        origin = 0.0 if series.side == "t0" else 1.0
+        pieces.append((min(origin, t_launch), origin, series.coeffs.T))
+
+        def on_step(t, y, y_new, h, K, t_new):
+            pieces.append((min(t, t_new), t,
+                           step_polynomial(_asd_flow, t, y, y_new, h, K)))
+    return rk45(_asd_flow, t_launch, series.eval(t_launch), MATCH_POINT,
+                rtol=RTOL, atol=ATOL, on_step=on_step)
 
 
-def _shoot(n, ts, side, params, grid):
+def _shoot(n, side, params, pieces=None):
     """a(MATCH_POINT) shot from the endpoint series of one side with its
-    parameters ((p, r) for "t0", (q,) for "t1"), filling that side of grid;
-    None if the sweep blows up or hits a degenerate coefficient."""
+    parameters ((p, r) for "t0", (q,) for "t1"), recording that side's
+    pieces if a list is given; None if the sweep blows up or hits a
+    degenerate coefficient."""
     try:
-        a = _sweep(endpoint_series(n, side, SERIES_ORDER, params), ts, grid)
+        a = _sweep(endpoint_series(n, side, SERIES_ORDER, params), pieces)
     except (OverflowError, DegenerateCoefficient):
         return None
     return a if np.all(np.isfinite(a)) else None
@@ -465,28 +459,28 @@ def solve_bvp(n):
     ATOL, the absolute accuracy of each sweep; between that and NEWTON_TOL
     it keeps taking full steps with the last Jacobian while each at least
     halves the defect, so the profile is polished to the roundoff floor.
-    The profile is the grid of the shot Newton accepted last: its jump at
-    MATCH_POINT is the final defect.
+    The profile is the shot Newton accepted last, kept as its piecewise
+    polynomial: the two endpoint series and the continuous extension of
+    every accepted step of both sweeps.  Its jump at MATCH_POINT is the
+    final defect.  Jacobian columns record no pieces.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
-    ts = cos_nodes(LAUNCH_OFFSET, 1.0 - LAUNCH_OFFSET, GRID_SIZE)
 
     def try_shoot(x):
-        grid = np.empty((3, len(ts)))
-        left = _shoot(n, ts, "t0", (x[0], x[1]), grid)
-        right = None if left is None else _shoot(n, ts, "t1", (x[2],), grid)
+        pieces = []
+        left = _shoot(n, "t0", (x[0], x[1]), pieces)
+        right = None if left is None else _shoot(n, "t1", (x[2],), pieces)
         if right is None:
             return None
-        return grid, left, right, float(np.linalg.norm(left - right))
+        return pieces, left, right, float(np.linalg.norm(left - right))
 
     x = np.array(_seed(n), dtype=float)
     shot = try_shoot(x)
     if shot is None:
         raise NoConvergence(0, math.inf)
-    grid, left, right, norm = shot
+    pieces, left, right, norm = shot
     J = None
-    scratch = np.empty((3, len(ts)))
     for it in range(MAX_ITER):
         if norm < ATOL:
             break
@@ -498,9 +492,9 @@ def solve_bvp(n):
                 xp = x.copy()
                 xp[j] += 1e-6
                 if j < 2:
-                    a = _shoot(n, ts, "t0", (xp[0], xp[1]), scratch)
+                    a = _shoot(n, "t0", (xp[0], xp[1]))
                 else:
-                    a = _shoot(n, ts, "t1", (xp[2],), scratch)
+                    a = _shoot(n, "t1", (xp[2],))
                 if a is None:
                     raise NoConvergence(it, norm)
                 J[:, j] = (a - left if j < 2 else right - a) / 1e-6
@@ -523,13 +517,19 @@ def solve_bvp(n):
             else:
                 raise NoConvergence(it, norm)
             x = x + lam * dx
-        grid, left, right, norm = shot
+        pieces, left, right, norm = shot
     else:
         raise NoConvergence(MAX_ITER, norm)
 
+    pieces.sort(key=lambda piece: piece[0])
+    coeffs = np.zeros((len(pieces), max(len(c) for *_, c in pieces), 3))
+    for k, (_, _, c) in enumerate(pieces):
+        coeffs[k, :len(c)] = c
+    lefts, origins, _ = zip(*pieces)
     p, r, q = x
     return ProfileTriple(
-        kind=ProfileKind.NUMERIC, n=n, ts=ts, values_grid=grid,
+        kind=ProfileKind.NUMERIC, n=n, breaks=np.array(lefts + (1.0,)),
+        origins=np.array(origins), coeffs=coeffs,
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"p": float(p), "r": float(r), "q": float(q),
               "match_defect": norm, "launch_offset": LAUNCH_OFFSET},

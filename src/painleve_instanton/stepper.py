@@ -1,6 +1,5 @@
-"""Shared numerical kernels: the embedded Runge-Kutta pair DOP853,
-finite-difference weights on arbitrary nodes, and Chebyshev-type grids with
-barycentric evaluation.
+"""Shared numerical kernels: the embedded Runge-Kutta pair DOP853 with its
+continuous extension, and finite-difference weights on arbitrary nodes.
 
 The integrator is Dormand and Prince's 8th-order pair working on (possibly
 complex) numpy vectors; it propagates the 8th-order solution and controls
@@ -9,9 +8,10 @@ its stages in one preallocated (16, d) array, so each stage, the solution
 and the error estimates are small matrix products with the tableau, and f
 at the new solution is reused as the next step's first stage (FSAL).
 `rk45_path` reads intermediate nodes from the pair's 7th-order continuous
-extension instead of stopping at them.  The same kernel drives the BVP
-shooting sweeps, the Schlesinger gauge transport and the Painleve VI
-oracle.
+extension instead of stopping at them, and `step_polynomial` turns one
+accepted step into that extension's monomial coefficients, so a caller can
+keep a whole sweep evaluable.  The same kernel drives the BVP shooting
+sweeps, the Schlesinger gauge transport and the Painleve VI oracle.
 """
 
 from __future__ import annotations
@@ -190,6 +190,35 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     return y
 
 
+def _dense_terms(f, t, y, y_new, h, K):
+    """Evaluate the three extra stages of one accepted step (rk45's on_step
+    arguments) into K and return the terms F0..F6 of its 7th-order
+    continuous extension
+
+        y(t + x h) = y + x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6)))).
+    """
+    for s in range(13, 16):
+        K[s] = f(t + _C[s] * h, y + h * (_A[s, :s] @ K[:s]))
+    dy = y_new - y
+    return (dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), *(h * (_D @ K)))
+
+
+def step_polynomial(f, t, y, y_new, h, K):
+    """Monomial coefficients c of shape (8, d) of one accepted step's
+    continuous extension, y(t + s) = sum_k c[k] s^k for s between 0 and h,
+    from rk45's on_step arguments."""
+    F = _dense_terms(f, t, y, y_new, h, K)
+    c = np.zeros((8,) + np.shape(y), dtype=np.result_type(y, F[0]))
+    # expand the nested form from the inside out: multiplying by x = s/h
+    # shifts the coefficients up one power and divides them by h, and
+    # multiplying by 1 - x subtracts that from them
+    for i, term in enumerate((*F[::-1], y)):
+        shifted = np.concatenate((np.zeros_like(c[:1]), c[:-1])) / h
+        c = shifted if i % 2 else c - shifted
+        c[0] += term
+    return c
+
+
 def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
     """Integrate once from ts[0] to ts[-1], returning y at every node.
 
@@ -214,11 +243,7 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
             covered += 1
         if covered == j:
             return
-        for s in range(13, 16):
-            K[s] = f(t + _C[s] * h, y + h * (_A[s, :s] @ K[:s]))
-        # y(t + x h) = y + x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6))))
-        dy = y_new - y
-        F = (dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), *(h * (_D @ K)))
+        F = _dense_terms(f, t, y, y_new, h, K)
         x = ((ts[j:covered] - t) / h)[:, None]
         weights = (1 - x, x)
         acc = F[6]
@@ -257,30 +282,3 @@ def fd_weights(nodes, x0, order):
             w[..., 0, j] = c4 * w[..., 0, j] / c3
         c1 = c2
     return w
-
-
-def cos_nodes(a, b, n):
-    """n nodes on [a, b] with Chebyshev-like clustering toward both ends."""
-    k = np.arange(n)
-    return a + (b - a) * (1.0 - np.cos(np.pi * k / (n - 1))) / 2.0
-
-
-def barycentric(nodes, values, t):
-    """Barycentric interpolation on cos_nodes grids (weights (-1)^k, halved ends).
-
-    `values` has shape (m, n); returns shape (..., m) at t of shape (...).
-    """
-    nodes = np.asarray(nodes)
-    n = len(nodes)
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    q = np.asarray(t, dtype=float)[..., None] - nodes
-    # a t on a node takes that node's values exactly: one-hot weights
-    hit = (q > -1e-15) & (q < 1e-15)
-    q[hit] = 1.0
-    np.divide(w, q, out=q)
-    on_node = hit.any(axis=-1)
-    q[on_node] = hit[on_node]
-    return (np.asarray(values) @ q[..., None])[..., 0] / np.sum(q, axis=-1, keepdims=True)

@@ -172,11 +172,13 @@ def test_solve_bvp_n3_matches_closed_form():
 
 
 def test_solve_bvp_grid_residual(prof5):
+    # at piece midpoints: at a step's start the derivative is f(t, a) by
+    # construction, so the residual there is zero and shows nothing
     for prof in (solve_bvp(3), prof5):
-        for k in range(2, len(prof.ts) - 2):
-            t = prof.ts[k]
-            if not 1e-3 < t < 1 - 1e-3:
-                continue  # pole-adjacent boundary layer: roundoff x K-pole
+        mids = (prof.breaks[:-1] + prof.breaks[1:]) / 2
+        for t in mids[(1e-3 < mids) & (mids < 1 - 1e-3)]:
+            # beyond those bounds: the pole-adjacent boundary layer, where
+            # roundoff is multiplied by the K poles
             assert np.max(np.abs(duality_residual(prof, ASD, t))) < 1e-8
 
 
@@ -231,7 +233,7 @@ def prof7_counted():
 def test_solve_bvp_endpoint_series_count(prof7_counted):
     # a series pair for the seed shot and each accepted Newton step, and one
     # series per Jacobian column: p and r re-shoot only the t0 side, q only
-    # the t1 side.  The seed defect is already ~1e-11, so one Newton step
+    # the t1 side.  The seed defect is already ~1e-12, so one Newton step
     # brings it below the sweeps' ATOL and Newton stops there
     assert prof7_counted[1]["endpoint_series"] <= 7
 
@@ -248,24 +250,41 @@ def test_seed_law_matches_converged(prof5, prof7_counted):
         assert abs(prof.meta["q"] - q) < 1e-9
 
 
+def jumps(prof):
+    """Interior breakpoints of a numeric profile and the jump of its values
+    across each: the left piece one ulp below against the right piece."""
+    inner = prof.breaks[1:-1]
+    jump = prof.values(np.nextafter(inner, 0.0)) - prof.values(inner)
+    return inner, np.max(np.abs(jump), axis=-1)
+
+
 def test_solve_bvp_no_seam(prof7_counted):
-    # the profile is the accepted shot itself, so the duality residual at
-    # the matching point stays at the 5-point-stencil level of the rest of
-    # the grid: no jump beyond the final defect
+    # the profile is the accepted shot itself: the two sweeps' pieces meet
+    # at the matching point with no jump beyond the final defect
     prof = prof7_counted[0]
     assert prof.meta["match_defect"] < 1e-12
-
-    def residual(k):
-        return np.max(np.abs(duality_residual(prof, ASD, prof.ts[k])))
-
-    mid = int(np.searchsorted(prof.ts, instanton.MATCH_POINT))
-    seam = max(residual(k) for k in range(mid - 4, mid + 4))
-    typical = np.median([residual(k) for k in range(2, len(prof.ts) - 2)
-                         if 0.05 < prof.ts[k] < 0.95])
-    assert seam < 3.0 * typical
+    inner, jump = jumps(prof)
+    seam = jump[inner == instanton.MATCH_POINT]
+    assert len(seam) == 1 and seam[0] <= prof.meta["match_defect"] + 1e-13
 
 
-@pytest.mark.parametrize("n", [7, 9])
+def test_numeric_profile_continuous(prof5, prof7_counted):
+    # series to sweep at the launch points, and step to step inside a sweep
+    for prof in (prof5, prof7_counted[0]):
+        inner, jump = jumps(prof)
+        assert np.max(jump[inner != instanton.MATCH_POINT]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [25, 31])
+def test_solve_bvp_converges_high_n(n):
+    # Newton converges from the closed-form seed; p and r still follow it
+    prof = solve_bvp(n)
+    assert prof.meta["match_defect"] < 1e-10
+    p, r, _ = instanton._seed(n)
+    assert abs(prof.meta["p"] - p) < 1e-8 and abs(prof.meta["r"] - r) < 1e-8
+
+
+@pytest.mark.parametrize("n", [7, 9, 11])
 def test_verify_passes_bvp(n):
     rep = build_verification_report(n)
     assert rep["passed"], {k: v for k, v in rep["checks"].items() if not v}

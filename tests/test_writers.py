@@ -73,7 +73,7 @@ def reference_trace(n, t_min, t_max):
 def reference_profile(n, t_min, t_max):
     """(csv, json) text of `profile`."""
     prof = profile_for(n)
-    ts = prof.sample_ts(t_min, t_max, SAMPLES)
+    ts = np.linspace(t_min, t_max, SAMPLES)
     rows = np.column_stack([ts, prof.values(ts)])
     points = [{"t": float(t), "a1": float(a1), "a2": float(a2), "a3": float(a3)}
               for t, a1, a2, a3 in rows]
