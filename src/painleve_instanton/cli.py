@@ -148,12 +148,14 @@ def build_parser():
         p.add_argument("--t-min", type=float, default=t_min)
         p.add_argument("--t-max", type=float, default=0.95)
         p.add_argument("--samples", type=int, default=samples)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--delta-variant", dest="delta_variant",
-                       choices=("auto", "intro", "theorem"), default="auto")
+        if name in ("profile", "trace"):
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                           default="csv")
+        if name == "verify":
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--delta-variant", dest="delta_variant",
+                           choices=("auto", "intro", "theorem"), default="auto")
     return parser
 
 

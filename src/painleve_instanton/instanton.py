@@ -314,7 +314,9 @@ def endpoint_series(n, side, order, params=None):
     order-m coefficients at unit values builds the 2x2 system.  At the
     resonant order that system is singular: a minimum-norm solution is
     taken, its kernel component replaced by the shooting parameter, and an
-    inconsistent resonance raises NoAnalyticBranch.
+    inconsistent resonance raises NoAnalyticBranch.  Coefficients that
+    overflow (a wild shooting parameter) raise OverflowError at the first
+    order that is not finite.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -329,25 +331,28 @@ def endpoint_series(n, side, order, params=None):
         raise ValueError("side must be 't0' or 't1'")
     P, Q, chain, pair, kernel = _SIDES[side]
     c = [[v] + [0.0] * order for v in start]
-    for m in range(1, order + 1):
-        c[chain][m] = -_coefficient(P, Q, c, chain, m - 1) / (P[chain][0] * m)
-        b = np.array([_coefficient(P, Q, c, row, m) for row in pair])
-        L = np.empty((2, 2))
-        for u, comp in enumerate(pair):
-            c[comp][m] = 1.0
-            L[:, u] = [_coefficient(P, Q, c, row, m) for row in pair] - b
-            c[comp][m] = 0.0
-        if m != resonant:
-            det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
-            sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
-                   (-b[1] * L[0, 0] + b[0] * L[1, 0]) / det)
-        else:
-            sol, *_ = np.linalg.lstsq(L, -b, rcond=None)
-            defect = float(np.max(np.abs(L @ sol + b)))
-            if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-                raise NoAnalyticBranch(m, defect)
-            sol = sol - (sol @ kernel) * kernel + amount * math.sqrt(2.0) * kernel
-        c[pair[0]][m], c[pair[1]][m] = (float(v) for v in sol)
+    with np.errstate(all="ignore"):  # a non-finite order raises below
+        for m in range(1, order + 1):
+            c[chain][m] = -_coefficient(P, Q, c, chain, m - 1) / (P[chain][0] * m)
+            b = np.array([_coefficient(P, Q, c, row, m) for row in pair])
+            L = np.empty((2, 2))
+            for u, comp in enumerate(pair):
+                c[comp][m] = 1.0
+                L[:, u] = [_coefficient(P, Q, c, row, m) for row in pair] - b
+                c[comp][m] = 0.0
+            if m != resonant:
+                det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
+                sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
+                       (-b[1] * L[0, 0] + b[0] * L[1, 0]) / det)
+            else:
+                sol, *_ = np.linalg.lstsq(L, -b, rcond=None)
+                defect = float(np.max(np.abs(L @ sol + b)))
+                if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+                    raise NoAnalyticBranch(m, defect)
+                sol = sol - (sol @ kernel) * kernel + amount * math.sqrt(2.0) * kernel
+            c[pair[0]][m], c[pair[1]][m] = (float(v) for v in sol)
+            if not all(math.isfinite(row[m]) for row in c):
+                raise OverflowError(f"endpoint series not finite at order {m}")
     return EndpointSeries(side, np.array(c))
 
 
@@ -359,7 +364,6 @@ MATCH_POINT = 0.5
 SERIES_ORDER = 20
 NEWTON_TOL = 1e-10
 MAX_ITER = 50
-LAUNCH_OFFSET = 1e-4
 RTOL = 1e-12
 ATOL = 1e-13
 
@@ -394,7 +398,7 @@ def _asd_flow(t, a):
     return asd_rhs(DualitySign.ANTI_SELF_DUAL, t, (a1, a2, a3))
 
 
-_DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3)
+_DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4)
 
 
 def _launch_depth(series):
@@ -402,8 +406,8 @@ def _launch_depth(series):
 
     Integrating from the very endpoint amplifies noise along the resonant
     modes (factor (s/eps)^(n-1)/2 on the t1 side), so the launch goes as far
-    inside as the truncated series stays accurate; LAUNCH_OFFSET if no
-    depth in _DEPTHS qualifies.
+    inside as the truncated series stays accurate; the last entry of
+    _DEPTHS if no depth qualifies.
     """
     c = series.coeffs
     order = c.shape[1] - 1
@@ -412,7 +416,7 @@ def _launch_depth(series):
                    for m in range(max(order - 2, 1), order + 1))
         if tail < 1e-14 * max(1.0, float(np.max(np.abs(c[:, 0]))) + 1.0):
             return s
-    return LAUNCH_OFFSET
+    return _DEPTHS[-1]
 
 
 def _sweep(series, pieces):
@@ -532,7 +536,7 @@ def solve_bvp(n):
         origins=np.array(origins), coeffs=coeffs,
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"p": float(p), "r": float(r), "q": float(q),
-              "match_defect": norm, "launch_offset": LAUNCH_OFFSET},
+              "match_defect": norm},
     )
 
 

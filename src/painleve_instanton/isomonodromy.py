@@ -1,18 +1,20 @@
 """Deformation machinery for the Fuchsian residue family: the Schlesinger
-vector field and finite-difference verification, the gauge normalisation in
-which the deformation equations hold, conserved-quantity drift, and the
-apparent-singularity position y(x) and parameters of the sixth Painleve
-equation, both as closed forms in the residue model u (see `extract_y`).
+vector field and its finite-difference verification, conserved-quantity
+drift, and the apparent-singularity position y(x) and parameters of the
+sixth Painleve equation, both as closed forms in the residue model u (see
+`extract_y`).
 
-The raw per-t residues ("line" gauge) carry the reality pairing
-Ax = -A0^dagger, Ainf = -A1^dagger but are not in Schlesinger gauge: the
-transverse component of the flat family connection has, in the normalised
-coordinate, the form -dx/dt * Ax/(w - x) + C(t).  Conjugating by the
-solution of dG/dt = -C(t) G removes the constant term; the resulting
-"schlesinger" gauge has constant Ainf and satisfies the deformation
-equations, which the residual check verifies by finite differences.  All
-trace invariants, determinants and y(x) are conjugation-invariant and agree
-between the two gauges.
+The residues as the line geometry gives them ("line" gauge) carry the
+reality pairing Ax = -A0^dagger, Ainf = -A1^dagger.  The transverse
+component of the flat family connection is -x'(t) Ax/(w - x) + C(t) in the
+normalised coordinate w, with C in closed form (`gauge_rate`), so the
+Schlesinger-gauge residues are A^S_p = g^-1 A_p g with g' = -C g, and
+dA^S_p/dt = g^-1 (A_p' + [C, A_p]) g.  The Schlesinger field is
+conjugation-equivariant, so the deformation equations hold in that gauge
+exactly when dA_p/dx + [C, A_p]/x' = Schl_p(A) on the line family itself,
+which `schlesinger_residual` checks; g is never integrated.  The flow also
+commutes with constant conjugation, so propagating a line-gauge sample lands
+on a conjugate of a later one, with the same `pair_invariants`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
 from .liealg import commutator, stack_trailing
 from .painleve import PviParams
-from .stepper import fd_weights, rk45, rk45_path
+from .stepper import fd_weights, rk45
 from .twistor import FuchsianData, form_matrix, fuchsian_data, mu_pair
 
 
@@ -56,23 +58,13 @@ def gauge_rate(profile, t):
     return form_matrix(profile.oriented_values(t), stack_trailing([g1, 0.0 * g1, g3]))
 
 
-def make_family(profile, ts, gauge="line"):
-    """Sample the residue family at the increasing ts, as one FuchsianData
-    stack; gauge is "line" (raw) or "schlesinger"."""
-    ts = np.asarray(ts, dtype=float)
-    raw = fuchsian_data(profile, ts)
-    if not np.all(np.diff(raw.x.real) > 0):
+def make_family(profile, ts):
+    """Sample the line-gauge residue family at the increasing ts, as one
+    FuchsianData stack."""
+    fam = fuchsian_data(profile, np.asarray(ts, dtype=float))
+    if not np.all(np.diff(fam.x.real) > 0):
         raise ValueError("deformation parameter x is not strictly monotone")
-    if gauge == "line":
-        return raw
-    if gauge != "schlesinger":
-        raise ValueError(f"unknown gauge {gauge!r}")
-
-    def flow(t, g):
-        return (-gauge_rate(profile, t) @ g.reshape(2, 2)).ravel()
-
-    gs = rk45_path(flow, ts, np.eye(2, dtype=complex).ravel(), rtol=1e-12, atol=1e-14)
-    return raw.conjugated(np.reshape(gs, (-1, 2, 2)))
+    return fam
 
 
 # --------------------------------------------------------------------------
@@ -90,23 +82,28 @@ def schlesinger_field(x, A0, A1, Ax):
     return d0, d1, -d0 - d1
 
 
-def schlesinger_residual(fam):
-    """Frobenius-norm defect of the finite-difference x-derivatives of
-    (A0, A1, Ax) against the Schlesinger right-hand side, at every interior
-    sample k = 2..len-3 (5-point stencils centred on k)."""
+def schlesinger_residual(profile, fam):
+    """Frobenius-norm defect of the deformation equations in their line-gauge
+    form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at every
+    interior sample k = 2..len-3: the x-derivatives are 5-point stencils
+    centred on k, C is `gauge_rate` and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1)
+    - 3/(t+3) the logarithmic derivative of `cross_ratio`."""
     xs = fam.x.real
     w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1, None, None, :]
     inner = fam[2:-2]
+    t = inner.t
+    xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
+    C = gauge_rate(profile, t) / xdot[:, None, None]
     rhs = schlesinger_field(inner.x, inner.A0, inner.A1, inner.Ax)
     total = 0.0
-    for A, want in zip(fam.residues(), rhs):
-        got = np.sum(w * sliding_window_view(A, 5, axis=0), axis=-1)
+    for A, A_inner, want in zip(fam.residues(), inner.residues(), rhs):
+        got = np.sum(w * sliding_window_view(A, 5, axis=0), axis=-1) + commutator(C, A_inner)
         total = total + np.sqrt(np.sum(np.abs(got - want) ** 2, axis=(-2, -1)))
     return total
 
 
-def max_schlesinger_residual(fam):
-    return float(np.max(schlesinger_residual(fam)))
+def max_schlesinger_residual(profile, fam):
+    return float(np.max(schlesinger_residual(profile, fam)))
 
 
 def isospectral_drift(fam):

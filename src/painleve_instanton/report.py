@@ -43,7 +43,7 @@ def line_transcendent(n, t_min, t_max, samples):
     Returns (profile, family, sample, params).
     """
     profile = profile_for(n)
-    fam = make_family(profile, np.linspace(t_min, t_max, samples), gauge="line")
+    fam = make_family(profile, np.linspace(t_min, t_max, samples))
     params = jimbo_miwa_params(fam[len(fam) // 2], "plus")
     return profile, fam, extract_transcendent(fam, "plus"), params
 
@@ -63,18 +63,18 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         tols = {k: tol_override for k in tols}
 
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
-    gauged = make_family(profile, raw.t, gauge="schlesinger")
 
-    schl = max_schlesinger_residual(gauged)
+    schl = max_schlesinger_residual(profile, raw)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
     tr_ainf = raw[mid].trace_squares()[3].real
     tr_target = n * n / 8.0
 
     # propagation oracle: quarter -> three-quarter sample, invariants only
+    # (the flow commutes with constant conjugation, so the line gauge serves)
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
-    prop = schlesinger_integrate(gauged[k0], gauged[k1].x)
-    inv_err = float(np.max(np.abs(pair_invariants(prop) - pair_invariants(gauged[k1]))))
+    prop = schlesinger_integrate(raw[k0], raw[k1].x)
+    inv_err = float(np.max(np.abs(pair_invariants(prop) - pair_invariants(raw[k1]))))
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,
@@ -136,7 +136,6 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "pvi_step": bool(max(step_err.values()) < tols["step"]),
     }
     if profile.kind.value == "numeric":
-        eps = profile.meta["launch_offset"]
         a0 = profile.values(0.0)
         a1 = profile.values(1.0)
         boundary_err = max(abs(a0[0] - 1.0), abs(a0[1] - a0[2]),
@@ -145,7 +144,9 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         report["match_defect"] = profile.meta["match_defect"]
         report["a2_at_1"] = float(a1[1])
         checks["boundary"] = bool(boundary_err < tols["boundary"])
-        report["launch_offset"] = eps
+        # the first and last pieces are the endpoint series
+        report["launch_depths"] = {"t0": float(profile.breaks[1]),
+                                   "t1": float(1.0 - profile.breaks[-2])}
     report["checks"] = checks
     report["passed"] = bool(all(checks.values()))
     return report

@@ -11,7 +11,7 @@ at the new solution is reused as the next step's first stage (FSAL).
 extension instead of stopping at them, and `step_polynomial` turns one
 accepted step into that extension's monomial coefficients, so a caller can
 keep a whole sweep evaluable.  The same kernel drives the BVP shooting
-sweeps, the Schlesinger gauge transport and the Painleve VI oracle.
+sweeps, the Schlesinger propagation oracle and the Painleve VI oracle.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ Conventions fixed here (and relied on everywhere downstream):
 * the line geometry, the residue column and `fuchsian_data` broadcast over
   an array of t: leading axes index samples, trailing axes are the object's
   own (3 profile components, the 3 column entries and u, 2x2 matrices).  A float
-  t stays in Python floats (square roots are `** 0.5`, not np.sqrt), which
-  keeps the per-stage evaluations of the gauge transport cheap.
+  t stays in Python floats (square roots are `** 0.5`, not np.sqrt).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .columns import csv_text
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
-from .liealg import inv2, solve3, stack_trailing, su2_combination, trace_sq
+from .liealg import solve3, stack_trailing, su2_combination, trace_sq
 
 SQRT3 = math.sqrt(3.0)
 
@@ -277,9 +276,8 @@ def connection_form(profile, t, lam):
 class FuchsianData:
     """Residues of the normalised rank-2 Fuchsian system at one t, or at a
     stack of samples along the line family (t and x of shape (S,), residues
-    (S, 2, 2), u (S, 3)); `len` and indexing reach the samples.  u is
-    conjugation-invariant, so `conjugated` keeps it; it is None on
-    quadruples built from matrices alone."""
+    (S, 2, 2), u (S, 3)); `len` and indexing reach the samples.  u is None
+    on quadruples built from matrices alone."""
 
     t: np.ndarray
     x: np.ndarray
@@ -301,11 +299,6 @@ class FuchsianData:
 
     def residues(self):
         return self.A0, self.A1, self.Ax, self.Ainf
-
-    def conjugated(self, g):
-        gi = inv2(g)
-        return replace(self, A0=gi @ self.A0 @ g, A1=gi @ self.A1 @ g,
-                       Ax=gi @ self.Ax @ g, Ainf=gi @ self.Ainf @ g)
 
     def trace_squares(self):
         return tuple(trace_sq(m) for m in self.residues())

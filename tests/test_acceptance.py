@@ -96,12 +96,12 @@ def test_criterion_4_conserved_quantities(fam1_raw, fam3_raw):
            f"in {elapsed:.1f}s")
 
 
-def test_criterion_5_schlesinger(fam1_gauged, fam3_gauged):
+def test_criterion_5_schlesinger(prof1, prof3, fam1_raw, fam3_raw):
     start = time.time()
-    res = max(max_schlesinger_residual(fam1_gauged),
-              max_schlesinger_residual(fam3_gauged))
+    res = max(max_schlesinger_residual(prof1, fam1_raw),
+              max_schlesinger_residual(prof3, fam3_raw))
     inv_err = 0.0
-    for fam in (fam1_gauged, fam3_gauged):
+    for fam in (fam1_raw, fam3_raw):
         k0, k1 = len(fam) // 4, (3 * len(fam)) // 4
         prop = schlesinger_integrate(fam[k0], fam[k1].x)
         inv_err = max(inv_err, float(np.max(np.abs(
@@ -193,9 +193,8 @@ def test_criterion_9_convergence_order(prof3):
     sizes = (51, 101, 201)
     for n_samples in sizes:
         ts = np.linspace(0.5, 0.95, n_samples)
-        gauged = make_family(prof3, ts, gauge="schlesinger")
-        schl.append(max_schlesinger_residual(gauged))
-        raw = make_family(prof3, ts, gauge="line")
+        raw = make_family(prof3, ts)
+        schl.append(max_schlesinger_residual(prof3, raw))
         sample = extract_transcendent(raw, "plus")
         params = jimbo_miwa_params(raw[n_samples // 2], "plus")
         pvi.append(max_pvi_residual(sample, params))

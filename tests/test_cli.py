@@ -91,6 +91,29 @@ def test_verify_checks_follow_tolerances(capsys, argv):
         assert rep["checks"][name] is (value < rep["tolerances"][key]), name
 
 
+@pytest.mark.parametrize("argv", [("pvi-integrate", "--tol", "1e-30"),
+                                  ("profile", "--delta-variant", "theorem"),
+                                  ("verify", "--format", "json")],
+                         ids=["pvi-integrate-tol", "profile-delta-variant",
+                              "verify-format"])
+def test_option_of_another_subcommand_is_rejected(capsys, argv):
+    # each subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_delta_variant_preference(capsys):
+    # n = 1 measures the "intro" delta, so a stated "theorem" preference fails
+    code, out, _ = run(capsys, "verify", "--n", "1", "--delta-variant", "theorem")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["delta_variant"] == "intro"
+    assert rep["checks"]["delta_variant_preference"] is False
+    assert rep["passed"] is False
+
+
 def test_verify_impossible_tolerance(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--tol", "1e-30")
     assert code == 2

@@ -190,6 +190,7 @@ def test_solve_bvp_boundary_data(prof5):
     assert np.max(np.abs(a1 - np.array([0.0, 5.0, 0.0]))) < 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_bvp_no_convergence(monkeypatch):
     monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
     start = time.perf_counter()
@@ -198,6 +199,12 @@ def test_solve_bvp_no_convergence(monkeypatch):
     # the seed shot itself blows up: no Jacobian, no line search
     assert err.value.iterations == 0 and err.value.defect == float("inf")
     assert time.perf_counter() - start < 5.0
+
+
+def test_endpoint_series_overflow_is_named():
+    # the wild seed's t0 series outgrows float precision before order 20
+    with pytest.raises(OverflowError, match="not finite at order"):
+        endpoint_series(3, "t0", instanton.SERIES_ORDER, (40.0, -30.0))
 
 
 def test_bvp_config_validation():
@@ -256,6 +263,15 @@ def jumps(prof):
     inner = prof.breaks[1:-1]
     jump = prof.values(np.nextafter(inner, 0.0)) - prof.values(inner)
     return inner, np.max(np.abs(jump), axis=-1)
+
+
+def test_solve_bvp_launch_depths(prof7_counted):
+    # the first and last pieces are the endpoint series, up to the depths
+    # `_launch_depth` chose; the report carries the same two numbers
+    prof = prof7_counted[0]
+    assert prof.breaks[1] == 0.1 and prof.breaks[-2] == 1.0 - 0.15
+    assert build_verification_report(7)["launch_depths"] == {
+        "t0": 0.1, "t1": 1.0 - (1.0 - 0.15)}
 
 
 def test_solve_bvp_no_seam(prof7_counted):

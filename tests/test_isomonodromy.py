@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from painleve_instanton import isomonodromy, twistor
+from painleve_instanton import (cli, instanton, isomonodromy, painleve, report,
+                                stepper, twistor)
 from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
                                        PathTooClose, ReducibleSystem)
 from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
@@ -72,64 +74,49 @@ def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
-def test_gauge_transport_evaluates_line_geometry_once(prof3, ts_default, monkeypatch):
-    # the stacked fuchsian_data evaluates the poles; gauge_rate needs only mu
-    calls = []
-    real = twistor.poles
-
-    def counted(t):
-        calls.append(t)
-        return real(t)
-
-    monkeypatch.setattr(twistor, "poles", counted)
-    isomonodromy.make_family(prof3, ts_default, "schlesinger")
-    assert len(calls) == 1
-
-
-def test_gauge_transport_evaluation_count(prof3, ts_default, monkeypatch):
-    # one DOP853 sweep over the window, not a restart per sample
-    calls = []
-
-    def counted(profile, t):
-        calls.append(t)
-        return gauge_rate(profile, t)
-
-    monkeypatch.setattr(isomonodromy, "gauge_rate", counted)
-    isomonodromy.make_family(prof3, ts_default, gauge="schlesinger")
-    assert len(ts_default) == 201
-    assert len(calls) < 400
+def count_calls(monkeypatch, names):
+    """Counter of the calls of each named function, through every module of
+    the package that binds it."""
+    calls = Counter()
+    for module in (cli, instanton, isomonodromy, painleve, report, stepper, twistor):
+        for name in names:
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _name=name, _real=real, **kwargs):
+                    calls.update([_name])
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
-def test_schlesinger_residual_gauged(fam1_gauged, fam3_gauged):
-    assert max_schlesinger_residual(fam1_gauged) < 1e-6
-    assert max_schlesinger_residual(fam3_gauged) < 1e-6
+def test_verify_evaluates_each_stage_once(monkeypatch):
+    # one line family, one vectorised gauge term over the inner samples, and
+    # no gauge transport: the two rk45_path sweeps are the step oracle's
+    calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form"))
+    report.build_verification_report(3)
+    assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1}
 
 
-def test_schlesinger_residual_needs_gauge(fam3_raw):
-    # the raw line-gauge family is isomonodromic only modulo conjugation;
-    # the literal deformation equations fail there by orders of magnitude
-    assert max_schlesinger_residual(fam3_raw) > 1e-2
+def test_schlesinger_residual_gauged(prof1, prof3, fam1_raw, fam3_raw):
+    assert max_schlesinger_residual(prof1, fam1_raw) < 1e-6
+    assert max_schlesinger_residual(prof3, fam3_raw) < 1e-6
 
 
-def test_schlesinger_residual_perturbation(fam3_gauged):
+def test_schlesinger_residual_needs_gauge(prof3, fam3_raw, monkeypatch):
+    # negative control: the line-gauge family is isomonodromic only modulo
+    # conjugation, and without the gauge term the deformation equations
+    # fail by orders of magnitude
+    real = gauge_rate
+    monkeypatch.setattr(isomonodromy, "gauge_rate", lambda profile, t: 0.0 * real(profile, t))
+    assert max_schlesinger_residual(prof3, fam3_raw) > 1e-2
+
+
+def test_schlesinger_residual_perturbation(prof3, fam3_raw):
     k = 100
-    A0 = fam3_gauged.A0.copy()
+    A0 = fam3_raw.A0.copy()
     A0[k] += 1e-3
-    fam = replace(fam3_gauged, A0=A0)
-    assert schlesinger_residual(fam)[k - 2] > 1e-4
-
-
-def test_gauged_ainf_constant(fam3_gauged):
-    ainfs = fam3_gauged.Ainf
-    drift = max(np.max(np.abs(a - ainfs[0])) for a in ainfs)
-    assert drift < 1e-9
-
-
-def test_gauge_preserves_invariants(fam3_raw, fam3_gauged):
-    for k in (10, 100, 190):
-        raw = pair_invariants(fam3_raw[k])
-        gauged = pair_invariants(fam3_gauged[k])
-        assert np.max(np.abs(raw - gauged)) < 1e-9
+    fam = replace(fam3_raw, A0=A0)
+    assert schlesinger_residual(prof3, fam)[k - 2] > 1e-4
 
 
 def test_isospectral_drift(fam1_raw, fam3_raw):
@@ -188,7 +175,9 @@ def test_extract_y_invariance(fam1_raw, fam3_raw, fam5_raw, n, k, branch, re, im
     g = np.eye(2) + 0.5 * (np.array(re) + 1j * np.array(im)).reshape(2, 2)
     assume(np.linalg.cond(g) < 10.0)
     F = {1: fam1_raw, 3: fam3_raw, 5: fam5_raw}[n][k]
-    G = F.conjugated(g)
+    gi = np.linalg.inv(g)
+    G = replace(F, A0=gi @ F.A0 @ g, A1=gi @ F.A1 @ g, Ax=gi @ F.Ax @ g,
+                Ainf=gi @ F.Ainf @ g)
     y = extract_y(G, branch)
     _, v_plus, v_minus = eigen2(G.Ainf)
     v = v_plus if branch == "plus" else v_minus
@@ -249,13 +238,15 @@ def test_jimbo_miwa_parameters(fam1_raw, fam3_raw):
         assert alphas == {round((n - 2) ** 2 / 8, 9), round((n + 2) ** 2 / 8, 9)}
 
 
-def test_schlesinger_integrate_zero_length(fam3_gauged):
-    F = fam3_gauged[50]
+def test_schlesinger_integrate_zero_length(fam3_raw):
+    F = fam3_raw[50]
     assert schlesinger_integrate(F, F.x) is F
 
 
-def test_schlesinger_integrate_oracle(fam3_gauged, fam1_gauged):
-    for fam in (fam1_gauged, fam3_gauged):
+def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
+    # the flow commutes with constant conjugation, so the line family's
+    # invariants are those of the Schlesinger-gauge family
+    for fam in (fam1_raw, fam3_raw):
         k0, k1 = 40, 160
         prop = schlesinger_integrate(fam[k0], fam[k1].x)
         direct = fam[k1]
@@ -266,9 +257,9 @@ def test_schlesinger_integrate_oracle(fam3_gauged, fam1_gauged):
             assert abs(before - after) < 1e-10
 
 
-def test_schlesinger_integrate_path_check(fam3_gauged):
+def test_schlesinger_integrate_path_check(fam3_raw):
     with pytest.raises(PathTooClose):
-        schlesinger_integrate(fam3_gauged[50], 0.5 + 0j)
+        schlesinger_integrate(fam3_raw[50], 0.5 + 0j)
 
 
 def test_x_monotone(fam3_raw):
@@ -278,4 +269,4 @@ def test_x_monotone(fam3_raw):
 
 def test_family_rejects_nonmonotone(prof3, fam3_raw):
     with pytest.raises(ValueError):
-        isomonodromy.make_family(prof3, fam3_raw.t[[0, 2, 1]], gauge="line")
+        isomonodromy.make_family(prof3, fam3_raw.t[[0, 2, 1]])
