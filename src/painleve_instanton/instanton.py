@@ -33,7 +33,7 @@ import numpy as np
 from .columns import csv_text, json_rows
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
-from .liealg import stack_trailing
+from .liealg import det2, stack_trailing
 from .stepper import rk45, step_polynomial
 
 
@@ -341,7 +341,7 @@ def endpoint_series(n, side, order, params=None):
                 L[:, u] = [_coefficient(P, Q, c, row, m) for row in pair] - b
                 c[comp][m] = 0.0
             if m != resonant:
-                det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
+                det = det2(L)
                 sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
                        (-b[1] * L[0, 0] + b[0] * L[1, 0]) / det)
             else:

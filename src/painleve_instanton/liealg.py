@@ -43,6 +43,10 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+def det2(a):
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def trace_sq(a):
     """tr(A^2); equals 2*lambda^2 for traceless A with eigenvalues ±lambda."""
     return (a[..., 0, 0] * a[..., 0, 0] + a[..., 1, 1] * a[..., 1, 1]
