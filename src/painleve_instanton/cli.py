@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .columns import csv_text, json_rows
+from .columns import csv_text, json_text
 from .errors import NoConvergence, PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
@@ -83,15 +83,15 @@ def cmd_trace(cfg):
     residuals[2:-2] = np.abs(pvi_residual(sample, params))
 
     if cfg.fmt == "json":
-        payload = {
-            "params": params.as_dict(),
-            "delta_variant": select_delta_variant(params.delta.real, cfg.n),
-            "twistor": fam.to_json_rows(),
-            "mu": json_rows(("t", "mu_plus", "mu_minus"),
-                            (sample.ts, mu_plus, mu_minus)),
-            "pvi": sample.to_json_rows(residuals),
+        head = {"params": params.as_dict(),
+                "delta_variant": select_delta_variant(params.delta.real, cfg.n)}
+        arrays = {
+            "twistor": fam.json_array(),
+            "mu": (dict.fromkeys(("t", "mu_plus", "mu_minus")),
+                   (sample.ts, mu_plus, mu_minus)),
+            "pvi": sample.json_array(residuals),
         }
-        _emit(cfg, json.dumps(payload) + "\n")
+        _emit(cfg, json_text(head, arrays) + "\n")
         return 0
     mu_text = csv_text(("t", "mu_plus", "mu_minus", "mu_product"),
                        (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus))

@@ -24,13 +24,12 @@ sign flips are gauge), fixed so that n = 1 yields the constant profile
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import csv_text, json_rows
+from .columns import csv_text, json_text
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
                      PoleAtEndpoint)
 from .liealg import det2, stack_trailing
@@ -143,6 +142,7 @@ class ProfileTriple:
     meta: dict = field(default_factory=dict)
 
     COLUMNS = ("t", "a1", "a2", "a3")
+    JSON_ROW = dict.fromkeys(COLUMNS)
 
     def __post_init__(self):
         if self.kind is ProfileKind.NUMERIC:
@@ -192,10 +192,10 @@ class ProfileTriple:
         return csv_text(self.COLUMNS, (ts, self.values(np.asarray(ts))))
 
     def to_json(self, ts):
-        points = json_rows(self.COLUMNS, (ts, self.values(np.asarray(ts))))
-        return json.dumps({"n": self.n, "kind": self.kind.value,
-                           "sign_convention": self.sign_convention,
-                           "points": points})
+        points = (self.JSON_ROW, (ts, self.values(np.asarray(ts))))
+        return json_text({"n": self.n, "kind": self.kind.value,
+                          "sign_convention": self.sign_convention},
+                         {"points": points})
 
 
 def closed_form_profile(kind):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .columns import csv_text, json_rows
+from .columns import csv_text
 from .errors import SingularArgument, SingularityEncountered
 from .stepper import fd_weights, rk45_path
 
@@ -37,6 +37,7 @@ class PviSample:
     ys: np.ndarray
 
     COLUMNS = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
+    JSON_ROW = dict.fromkeys(COLUMNS)
 
     def __len__(self):
         return len(self.xs)
@@ -51,9 +52,9 @@ class PviSample:
     def to_csv(self, residuals=None):
         return csv_text(self.COLUMNS, self._columns(residuals))
 
-    def to_json_rows(self, residuals):
-        """The CSV rows as dicts keyed by `COLUMNS`."""
-        return json_rows(self.COLUMNS, self._columns(residuals))
+    def json_array(self, residuals):
+        """The CSV rows as a `json_text` array of objects keyed by `COLUMNS`."""
+        return self.JSON_ROW, self._columns(residuals)
 
     def derivatives(self):
         """(y', y'') in x at the interior samples k = 2..len-3, from the

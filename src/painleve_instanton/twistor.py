@@ -288,6 +288,10 @@ class FuchsianData:
     u: np.ndarray = None
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
+    # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs
+    JSON_ROW = {"t": None, "x": {"re": None, "im": None},
+                "residues": {p: [[[None, None]] * 2] * 2
+                             for p in ("p0", "p1", "px", "pinf")}}
 
     def __len__(self):
         return len(self.t)
@@ -309,14 +313,12 @@ class FuchsianData:
             v.real for v in self.trace_squares())
         return csv_text(self.CSV_COLUMNS, cols)
 
-    def to_json_rows(self):
-        """One dict per sample of a stack, each residue as 2x2 [re, im] pairs."""
-        mats = [np.stack((A.real, A.imag), -1).tolist() for A in self.residues()]
-        return [{"t": t, "x": {"re": xr, "im": xi},
-                 "residues": {"p0": a0, "p1": a1, "px": ax, "pinf": ainf}}
-                for t, xr, xi, a0, a1, ax, ainf
-                in zip(self.t.tolist(), self.x.real.tolist(), self.x.imag.tolist(),
-                       *mats)]
+    def json_array(self):
+        """The `json_text` array of a stack: one `JSON_ROW` per sample."""
+        cols = (self.t, self.x.real, self.x.imag) + tuple(
+            np.stack((A.real, A.imag), -1).reshape(len(self), 8)
+            for A in self.residues())
+        return self.JSON_ROW, cols
 
 
 def fuchsian_data(profile, t):

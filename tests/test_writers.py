@@ -2,16 +2,21 @@
 `trace` file (three CSV schemas and the JSON document) and both `profile`
 formats, byte for byte.  The reference formats each numpy scalar on its own
 (`f"{v:.17g}"`, `float(v)`), one sample at a time; the trace outputs
-include the NaN `residual_abs` ends, and a direct test of `csv_text` pins
-its `-0`, `nan` and 17-digit cells."""
+include the NaN `residual_abs` ends.  Direct tests pin the awkward cells
+of `csv_text` and `json_text` (signed zeros, NaN, infinities, repeats), a
+property checks both against per-value spelling on random columns, and a
+count shows each distinct value is spelled once."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from painleve_instanton import columns
 from painleve_instanton.cli import main
-from painleve_instanton.columns import csv_text
+from painleve_instanton.columns import csv_text, json_text
 from painleve_instanton.painleve import pvi_residual, select_delta_variant
 from painleve_instanton.report import line_transcendent, profile_for
 from painleve_instanton.twistor import mu_pair
@@ -93,6 +98,74 @@ def test_csv_text_signed_zero_nan_and_rounding():
     text = csv_text(("v", "w"), (col, -col))
     assert text == "v,w\n-0,0\nnan,nan\n0.10000000000000001,-0.10000000000000001\n"
     assert text == csv_file("v,w", np.column_stack((col, -col)))
+
+
+def test_json_text_signed_zero_nan_inf_and_repeats():
+    col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.1, -0.0])
+    cols = (col, -col, col[::-1])
+    # the fields are written as given: a '%' or 'null' in them is text
+    fields = {"n": 1, "note": "100% null"}
+    text = json_text(fields, {"rows": ({"v": None, "w": [None, None]}, cols),
+                              "more": ({"u": None}, (col,))})
+    rows = [{"v": v, "w": [w1, w2]}
+            for v, w1, w2 in zip(*(c.tolist() for c in cols))]
+    assert text == json.dumps({**fields, "rows": rows,
+                               "more": [{"u": u} for u in col.tolist()]})
+    assert text.startswith('{"n": 1, "note": "100% null", "rows": '
+                           '[{"v": 0.0, "w": [-0.0, -0.0]}, {"v": -0.0, "w": [0.0, 0.1]}')
+
+
+SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.1, 5e-324,
+           1.7976931348623157e308)
+
+
+@st.composite
+def column_sets(draw):
+    """Two to five equal-length columns drawn from a small pool of values, so
+    cells repeat within and across columns, with special values mixed in."""
+    pool = draw(st.lists(st.floats() | st.sampled_from(SPECIAL),
+                         min_size=1, max_size=8))
+    rows = draw(st.integers(0, 12))
+    picks = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
+    return [np.array(draw(picks), dtype=float) for _ in range(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_sets())
+def test_writers_spell_every_cell_like_a_single_value(cols):
+    keys = [f"c{j}" for j in range(len(cols))]
+    rows = list(zip(*(c.tolist() for c in cols)))
+    assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
+    assert json_text({}, {"rows": (dict.fromkeys(keys), cols)}) == json.dumps(
+        {"rows": [dict(zip(keys, row)) for row in rows]})
+
+
+def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
+    spelled = []
+
+    def counting(values):
+        spelled.append(len(values))
+        return json_words(values)
+
+    json_words = columns._json_words
+    monkeypatch.setattr(columns, "_json_words", counting)
+    assert main(["trace", "--n", "3", "--samples", "2001", "--format", "json"]) == 0
+    capsys.readouterr()
+    _, fam, sample, params = line_transcendent(3, 0.05, 0.95, 2001)
+    residuals = np.full(len(sample), np.nan)
+    residuals[2:-2] = np.abs(pvi_residual(sample, params))
+    sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
+        (fam.t, fam.x.real, fam.x.imag) + tuple(
+            np.stack((A.real, A.imag), -1).reshape(-1, 8) for A in fam.residues()),
+        (sample.ts,) + mu_pair(sample.ts),
+        (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
+         residuals),
+    )
+    cells = np.concatenate([np.column_stack(cols).ravel() for cols in sections])
+    distinct = np.unique(cells.view(np.int64)).size
+    assert spelled == [distinct]
+    assert cells.size == 2001 * (35 + 3 + 6)
+    assert distinct < 0.3 * cells.size
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
