@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from .columns import csv_text, json_text
-from .errors import NoConvergence, PainleveInstantonError
+from .errors import PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
 from .report import build_verification_report, line_transcendent, profile_for
@@ -166,10 +166,6 @@ def main(argv=None):
     try:
         _check_ranges(args)
         return _COMMANDS[args.command](args)
-    except NoConvergence as exc:
-        print(json.dumps({"error": "NoConvergence", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -41,19 +41,28 @@ class DualitySign(enum.Enum):
     ANTI_SELF_DUAL = -1
 
 
+# The ODE itself: the branch -K_i/2 * a_i' = a_j a_k - a_i is the polynomial
+# identity P_i(t) a_i' = Q_i(t) (a_j a_k - a_i), so K_i = -2 P_i / Q_i.  Per
+# i, P_i and Q_i as (leading coefficient, integer roots).
+_ODE = (((-1.0, (1, -1, 3, -3)), (8.0, (0,))),
+        ((-2.0, (0, 3, -1)), (1.0, (-3, 1))),
+        ((-2.0, (0, -3, 1)), (1.0, (3, -1))))
+
+
 def coeff_K(index, t):
-    """Metric coefficients K1, K2, K3 of the reduced duality system."""
-    if index == 1:
-        if t == 0.0:
-            raise PoleAtEndpoint("K1 has a pole at t = 0")
-        return (t * t - 1.0) * (t * t - 9.0) / (4.0 * t)
-    if index == 2:
-        if t == 1.0:
-            raise PoleAtEndpoint("K2 has a pole at t = 1")
-        return 4.0 * t * (t - 3.0) * (t + 1.0) / ((t + 3.0) * (t - 1.0))
-    if index == 3:
-        return 4.0 * t * (t + 3.0) * (t - 1.0) / ((t - 3.0) * (t + 1.0))
-    raise ValueError(f"index must be 1, 2 or 3, got {index}")
+    """Metric coefficients K1, K2, K3 of the reduced duality system,
+    evaluated in factored form; PoleAtEndpoint where Q_index(t) = 0."""
+    if index not in (1, 2, 3):
+        raise ValueError(f"index must be 1, 2 or 3, got {index}")
+    (p_lead, p_roots), (q_lead, q_roots) = _ODE[index - 1]
+    num, den = -2.0 * p_lead, q_lead
+    for root in p_roots:
+        num *= t - root
+    for root in q_roots:
+        den *= t - root
+    if den == 0.0:
+        raise PoleAtEndpoint(f"K{index} has a pole at t = {t}")
+    return num / den
 
 
 def _coeff_order(sign):
@@ -241,31 +250,25 @@ def duality_residual(profile, sign, t, global_negation=False):
 # --------------------------------------------------------------------------
 # endpoint series
 # --------------------------------------------------------------------------
-#
-# Multiplying the ASD equations by the coefficient denominators turns them
-# into polynomial identities P_i(s) a_i' = Q_i(s) (a_j a_k - a_i) in the
-# local variable s (s = t at the left end, s = t - 1 at the right end).
 
-_P_T0 = ((-9.0, 0.0, 10.0, 0.0, -1.0),    # -(t^2-1)(t^2-9)
-         (0.0, 6.0, 4.0, -2.0),           # -2t(t-3)(t+1)
-         (0.0, 6.0, -4.0, -2.0))          # -2t(t+3)(t-1)
-_Q_T0 = ((0.0, 8.0),                      # 8t
-         (-3.0, 2.0, 1.0),                # (t+3)(t-1)
-         (-3.0, -2.0, 1.0))               # (t-3)(t+1)
 
-_P_T1 = ((0.0, 16.0, 4.0, -4.0, -1.0),    # -u(u+2)(u-2)(u+4)
-         (8.0, 8.0, -2.0, -2.0),          # -2(1+u)(u^2-4)
-         (0.0, -8.0, -10.0, -2.0))        # -2u(1+u)(u+4)
-_Q_T1 = ((8.0, 8.0),                      # 8(1+u)
-         (0.0, 4.0, 1.0),                 # u(u+4)
-         (-4.0, 0.0, 1.0))                # (u-2)(u+2)
+def _local_polynomials(origin):
+    """P and Q of the ODE table in the local variable s = t - origin (s = t
+    at the left end, s = t - 1 at the right end): coefficient tuples in
+    increasing powers of s, Python floats (+ 0.0 turns -0.0 into 0.0)."""
+    def coefficients(lead, roots):
+        return tuple(float(v) + 0.0
+                     for v in lead * np.poly(np.subtract(roots, origin))[::-1])
+    return (tuple(coefficients(*P) for P, _ in _ODE),
+            tuple(coefficients(*Q) for _, Q in _ODE))
+
 
 # Per side: P, Q, the chain row (P_i(0) != 0: its order-(m-1) equation
 # fixes a_i's order-m coefficient alone), the pair rows (P_i(0) = 0: their
 # order-m equations form a 2x2 system in the same two components' order-m
 # coefficients) and the unit kernel of that system at the resonant order.
-_SIDES = {"t0": (_P_T0, _Q_T0, 0, (1, 2), np.array([1.0, -1.0]) / math.sqrt(2.0)),
-          "t1": (_P_T1, _Q_T1, 1, (0, 2), np.array([1.0, 1.0]) / math.sqrt(2.0))}
+_SIDES = {"t0": (*_local_polynomials(0), 0, (1, 2), np.array([1.0, -1.0]) / math.sqrt(2.0)),
+          "t1": (*_local_polynomials(1), 1, (0, 2), np.array([1.0, 1.0]) / math.sqrt(2.0))}
 
 
 def _coefficient(P, Q, c, i, m):
@@ -309,10 +312,11 @@ def endpoint_series(n, side, order, params=None):
 
     params: (p, r) for side "t0" (default (1, 0)); (q,) for side "t1"
     (default 0).  At each order m the chain row's order-(m-1) equation gives
-    its component by one division by P_i(0) m; the pair rows' order-m
-    equations are affine in their two unknowns, so differencing their
-    order-m coefficients at unit values builds the 2x2 system.  At the
-    resonant order that system is singular: a minimum-norm solution is
+    its component by one division by P_i(0) m.  The pair rows (a, b) give
+    L_m x = -b_m in their order-m coefficients x, b_m being their order-m
+    equations at x = 0 and, with c0 the chain component at the endpoint,
+    L_m = [[m P_a'(0) + Q_a(0), -Q_a(0) c0], [-Q_b(0) c0, m P_b'(0) + Q_b(0)]].
+    At the resonant order L_m is exactly singular: a minimum-norm solution is
     taken, its kernel component replaced by the shooting parameter, and an
     inconsistent resonance raises NoAnalyticBranch.  Coefficients that
     overflow (a wild shooting parameter) raise OverflowError at the first
@@ -331,15 +335,13 @@ def endpoint_series(n, side, order, params=None):
         raise ValueError("side must be 't0' or 't1'")
     P, Q, chain, pair, kernel = _SIDES[side]
     c = [[v] + [0.0] * order for v in start]
+    (pa, qa), (pb, qb) = ((P[row][1], Q[row][0]) for row in pair)
+    c0 = start[chain]
     with np.errstate(all="ignore"):  # a non-finite order raises below
         for m in range(1, order + 1):
             c[chain][m] = -_coefficient(P, Q, c, chain, m - 1) / (P[chain][0] * m)
             b = np.array([_coefficient(P, Q, c, row, m) for row in pair])
-            L = np.empty((2, 2))
-            for u, comp in enumerate(pair):
-                c[comp][m] = 1.0
-                L[:, u] = [_coefficient(P, Q, c, row, m) for row in pair] - b
-                c[comp][m] = 0.0
+            L = np.array([[m * pa + qa, -qa * c0], [-qb * c0, m * pb + qb]])
             if m != resonant:
                 det = det2(L)
                 sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
@@ -375,12 +377,10 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~6e-11 (n <= 31).  The converged q, the resonant amplitude, minus
-    the seed is 4e-14 (n = 7, 9), -3.1e-11 (11), 1.3e-9 (13) and 3.9e-6
-    (21): the sweeps' absolute tolerance swamps a1 and a3, which vanish
-    like (1 - t)^((n-1)/2) at t = 1 (at a pure relative tolerance it is
-    4.2e-10 at n = 21).  Integer products keep each value one correctly
-    rounded division.
+    to ~2e-11 (n <= 31).  The converged q, the resonant amplitude, minus
+    the seed is 3e-14 (n = 7, 9), -3.8e-13 (11), 3.0e-12 (13), 8.3e-11
+    (17), -4.2e-10 (21), 2.5e-7 (25) and 2.2e-4 (31).  Integer products
+    keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -435,8 +435,9 @@ def _sweep(series, pieces):
         def on_step(t, y, y_new, h, K, t_new):
             pieces.append((min(t, t_new), t,
                            step_polynomial(_asd_flow, t, y, y_new, h, K)))
+    # purely relative: a1 and a3 vanish like (1 - t)^((n-1)/2) toward t = 1
     return rk45(_asd_flow, t_launch, series.eval(t_launch), MATCH_POINT,
-                rtol=RTOL, atol=ATOL, on_step=on_step)
+                rtol=RTOL, atol=0.0, on_step=on_step)
 
 
 def _shoot(n, side, params, pieces=None):
@@ -460,9 +461,9 @@ def solve_bvp(n):
     parameters (p, r, q), started at the closed-form `_seed(n)`.  The
     difference Jacobian re-shoots one side per column: p and r move only
     the t0 series, q only the t1 series.  It stops once the defect is below
-    ATOL, the absolute accuracy of each sweep; between that and NEWTON_TOL
-    it keeps taking full steps with the last Jacobian while each at least
-    halves the defect, so the profile is polished to the roundoff floor.
+    ATOL; between that and NEWTON_TOL it keeps taking full steps with the
+    last Jacobian while each at least halves the defect, so the profile is
+    polished to the roundoff floor.
     The profile is the shot Newton accepted last, kept as its piecewise
     polynomial: the two endpoint series and the continuous extension of
     every accepted step of both sweeps.  Its jump at MATCH_POINT is the

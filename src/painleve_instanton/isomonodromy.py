@@ -188,15 +188,16 @@ def extract_y(F, branch="plus"):
 
     Raises ReducibleSystem when all couplings vanish, and IndeterminateY
     when u1 does (y on the pole 0) or the denominator does, naming the t of
-    the first such sample.
+    the first such sample.  Only exact zeros and non-finite values count
+    (NaN fails every comparison): no floor relative to max|u|, because u1
+    and u3 shrink like (1 - t)^((n-1)/2) toward t = 1 while u2 stays near n.
     """
     _, lam = _branch_root(F, branch)
     u1, u2, u3 = np.moveaxis(F.u, -1, 0)
-    tiny = 1e-12 * np.max(np.abs(F.u), axis=-1)
     u3e3 = u3 * (u1 * u3 + lam * u2) / (u2 * u2 + u3 * u3)
-    _require(np.maximum(np.abs(u1), np.abs(u3e3)) > tiny, ReducibleSystem,
+    _require(np.maximum(np.abs(u1), np.abs(u3e3)) > 0.0, ReducibleSystem,
              "all couplings vanish", F, branch)
-    _require(np.abs(u1) > tiny, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
+    _require(np.abs(u1) > 0.0, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
     den = F.x + (1.0 - F.x) * u3e3 / u1
     _require(np.abs(den) > 1e-12, IndeterminateY, "vanishing denominator", F, branch)
     return F.x / den

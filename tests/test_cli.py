@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from painleve_instanton import instanton
 from painleve_instanton.cli import main
 from painleve_instanton.liealg import trace_sq
 
@@ -152,6 +153,15 @@ def test_trace_deterministic_files(tmp_path, capsys):
     for suffix in (".twistor.csv", ".mu.csv", ".pvi.csv"):
         assert (tmp_path / ("a" + suffix)).read_bytes() == \
                (tmp_path / ("b" + suffix)).read_bytes()
+
+
+def test_verify_no_convergence(capsys, monkeypatch):
+    # the wild seed's first shot blows up: the solver error is exit code 2
+    # with the error named in JSON on stderr
+    monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NoConvergence"
 
 
 def test_io_failure_exit_code(capsys):
