@@ -48,6 +48,11 @@ class NoAnalyticBranch(PainleveInstantonError):
         self.defect = defect
 
 
+class SeriesBelowResonance(PainleveInstantonError):
+    """An endpoint series is truncated below its resonant order, so the
+    shooting parameter that sets the resonant amplitude cannot enter it."""
+
+
 class NoConvergence(PainleveInstantonError):
     """Boundary-value Newton iteration failed to converge."""
 

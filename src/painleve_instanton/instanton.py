@@ -31,7 +31,7 @@ import numpy as np
 
 from .columns import csv_text, json_text
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
-                     PoleAtEndpoint)
+                     PoleAtEndpoint, SeriesBelowResonance)
 from .liealg import det2, stack_trailing
 from .stepper import rk45, step_polynomial
 
@@ -367,7 +367,6 @@ SERIES_ORDER = 20
 NEWTON_TOL = 1e-10
 MAX_ITER = 50
 RTOL = 1e-12
-ATOL = 1e-13
 
 
 def _seed(n):
@@ -377,10 +376,10 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~2e-11 (n <= 31).  The converged q, the resonant amplitude, minus
-    the seed is 3e-14 (n = 7, 9), -3.8e-13 (11), 3.0e-12 (13), 8.3e-11
-    (17), -4.2e-10 (21), 2.5e-7 (25) and 2.2e-4 (31).  Integer products
-    keep each value one correctly rounded division.
+    to ~2e-11 (n <= 31).  For n <= 11 the seed shot is the solve; beyond,
+    the converged q, the resonant amplitude, minus the seed is 3.0e-12
+    (n = 13), 8.3e-11 (17), -4.2e-10 (21), 2.5e-7 (25) and 2.2e-4 (31).
+    Integer products keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -460,10 +459,11 @@ def solve_bvp(n):
     a_left - a_right to zero with a damped Newton iteration in the shooting
     parameters (p, r, q), started at the closed-form `_seed(n)`.  The
     difference Jacobian re-shoots one side per column: p and r move only
-    the t0 series, q only the t1 series.  It stops once the defect is below
-    ATOL; between that and NEWTON_TOL it keeps taking full steps with the
-    last Jacobian while each at least halves the defect, so the profile is
-    polished to the roundoff floor.
+    the t0 series, q only the t1 series.  It stops once the defect is at
+    the sweeps' own tolerance, RTOL * max|a_left|, which the seed shot
+    already meets for n <= 11; between that and NEWTON_TOL it keeps taking
+    full steps with the last Jacobian while each at least halves the
+    defect, so the profile is polished to the roundoff floor.
     The profile is the shot Newton accepted last, kept as its piecewise
     polynomial: the two endpoint series and the continuous extension of
     every accepted step of both sweeps.  Its jump at MATCH_POINT is the
@@ -471,6 +471,10 @@ def solve_bvp(n):
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
+    if (n - 1) // 2 > SERIES_ORDER:
+        # below its resonant order the t1 series never sees q
+        raise SeriesBelowResonance(f"endpoint series at t1: order {SERIES_ORDER} "
+                                   f"is below the resonant order {(n - 1) // 2}")
 
     def try_shoot(x):
         pieces = []
@@ -487,7 +491,8 @@ def solve_bvp(n):
     pieces, left, right, norm = shot
     J = None
     for it in range(MAX_ITER):
-        if norm < ATOL:
+        # the sweeps resolve a(MATCH_POINT) only to RTOL of its size
+        if norm <= RTOL * float(np.max(np.abs(left))):
             break
         # at the roundoff floor a fresh difference Jacobian is no better
         # than the last one

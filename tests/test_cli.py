@@ -164,6 +164,18 @@ def test_verify_no_convergence(capsys, monkeypatch):
     assert json.loads(err)["error"] == "NoConvergence"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_series_below_resonance(capsys):
+    # n = 43 puts the t1 resonance at order 21, past SERIES_ORDER: the solve
+    # is refused by name before any sweep, not left to a 0/0 in the stepper
+    code, out, err = run(capsys, "verify", "--n", "43")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "SeriesBelowResonance"
+    assert "t1" in error["detail"] and "order 20" in error["detail"]
+    assert "resonant order 21" in error["detail"]
+
+
 def test_io_failure_exit_code(capsys):
     code, _, err = run(capsys, "profile", "--n", "1", "--samples", "5",
                        "--out", "/nonexistent-dir/x.csv")

@@ -244,19 +244,34 @@ def prof7_counted():
 
 
 def test_solve_bvp_endpoint_series_count(prof7_counted):
-    # a series pair for the seed shot and each accepted Newton step, and one
-    # series per Jacobian column: p and r re-shoot only the t0 side, q only
-    # the t1 side.  The seed defect is already ~1e-12, so one Newton step
-    # brings it below the sweeps' ATOL and Newton stops there
-    assert prof7_counted[1]["endpoint_series"] <= 7
+    # one series pair for the seed shot and nothing else: its defect,
+    # 9.3e-13, is already within the sweeps' RTOL * max|a(MATCH_POINT)|, so
+    # Newton stops before building a Jacobian
+    assert prof7_counted[1]["endpoint_series"] == 2
 
 
 def test_solve_bvp_asd_rhs_count(prof7_counted):
-    assert prof7_counted[1]["asd_rhs"] <= 4_000
+    assert prof7_counted[1]["asd_rhs"] <= 1_000
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 15, 21])
+def test_seed_shot_misses_by_integration_error(monkeypatch, n):
+    # the seed law is the solve up to the sweeps' error: the seed shot's
+    # match defect falls with the sweeps' RTOL (measured 99x to 708x for
+    # 1e-9 -> 1e-12), which is what lets Newton stop at RTOL * max|a|
+    p, r, q = instanton._seed(n)
+    defects = []
+    for rtol in (1e-9, 1e-12):
+        monkeypatch.setattr(instanton, "RTOL", rtol)
+        left = instanton._shoot(n, "t0", (p, r))
+        right = instanton._shoot(n, "t1", (q,))
+        defects.append(float(np.linalg.norm(left - right)))
+    assert defects[0] > 50.0 * defects[1]
 
 
 def test_seed_law_matches_converged(prof5, prof7_counted):
-    for prof in (prof5, prof7_counted[0], solve_bvp(9)):
+    # n = 5, 7 and 9 stop at the seed shot; Newton still runs at 13-17
+    for prof in (prof5, prof7_counted[0], *map(solve_bvp, (9, 13, 15, 17))):
         p, r, q = instanton._seed(prof.n)
         assert abs(prof.meta["p"] - p) < 1e-8
         assert abs(prof.meta["r"] - r) < 1e-8
