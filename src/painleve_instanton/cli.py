@@ -8,7 +8,7 @@ Subcommands:
 
 Output is deterministic (17 significant digits, fixed column order) and
 written atomically (temp file + rename).  Exit codes: 0 success, 1 invalid
-configuration, 2 solver non-convergence, 3 I/O failure; verification
+configuration, 2 solver failure, 3 I/O failure; verification
 failures also exit 2 with the report on stdout.
 """
 

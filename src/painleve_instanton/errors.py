@@ -53,14 +53,14 @@ class SeriesBelowResonance(PainleveInstantonError):
     shooting parameter that sets the resonant amplitude cannot enter it."""
 
 
-class NoConvergence(PainleveInstantonError):
-    """Boundary-value Newton iteration failed to converge."""
+class ShotFailed(PainleveInstantonError):
+    """A boundary-value shot from one endpoint ("t0" or "t1") failed: its
+    series or its sweep to the matching point blew up."""
 
-    def __init__(self, iterations, defect):
-        super().__init__(f"no convergence after {iterations} iterations "
-                         f"(last defect {defect:.3e})")
-        self.iterations = iterations
-        self.defect = defect
+    def __init__(self, side, reason):
+        super().__init__(f"shot from {side} failed: {reason}")
+        self.side = side
+        self.reason = reason
 
 
 # -- twistor-line geometry -------------------------------------------------

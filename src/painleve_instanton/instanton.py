@@ -13,7 +13,8 @@ anchored by the closed forms, which solve their branches identically: the
 self-dual Hopf profile fixes the + branch, and the globally negated
 anti-self-dual closed form fixes the - branch.  Both endpoints are singular (K1 has
 a pole at t=0, K2 at t=1), so the solver launches on analytic endpoint
-series and shoots from both ends to a matching point.
+series and shoots from both ends to a matching point with the closed-form
+shooting parameters.
 
 Boundary data used by the solver: a1(0) = 1, a2(0) = a3(0) (regularity),
 and (a1, a2, a3)(1) = (0, n, 0); the sign of a2(1) is conventional (pairs of
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .columns import csv_text, json_text
-from .errors import (DegenerateCoefficient, NoAnalyticBranch, NoConvergence,
-                     PoleAtEndpoint, SeriesBelowResonance)
+from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
+                     SeriesBelowResonance, ShotFailed)
 from .liealg import det2, stack_trailing
 from .stepper import rk45, step_polynomial
 
@@ -364,8 +365,6 @@ def endpoint_series(n, side, order, params=None):
 
 MATCH_POINT = 0.5
 SERIES_ORDER = 20
-NEWTON_TOL = 1e-10
-MAX_ITER = 50
 RTOL = 1e-12
 
 
@@ -375,11 +374,11 @@ def _seed(n):
         p = prod_j (3j+1)/(3j-1),   r = 2/3 (prod_j (3j+2)/(3j-2) - p),
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
-    Exact for n = 1, 3, 5; for larger n, p and r match the converged values
-    to ~2e-11 (n <= 31).  For n <= 11 the seed shot is the solve; beyond,
-    the converged q, the resonant amplitude, minus the seed is 3.0e-12
-    (n = 13), 8.3e-11 (17), -4.2e-10 (21), 2.5e-7 (25) and 2.2e-4 (31).
-    Integer products keep each value one correctly rounded division.
+    Exact for n = 1, 3, 5; for larger n the shot from them misses the match
+    by the sweeps' integration error only (it falls with RTOL; relative to
+    |a| it is 1.4e-13 at n = 7, 8.6e-12 at 21 and 1.2e-9 at 31), so
+    `solve_bvp` takes them as the solution.  Integer products keep each
+    value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -418,56 +417,46 @@ def _launch_depth(series):
     return _DEPTHS[-1]
 
 
-def _sweep(series, pieces):
-    """One side of the shot: one rk45 sweep from the launch point to
-    MATCH_POINT, returning a(MATCH_POINT).  With a list for pieces, appends
-    that side's pieces as (left edge, origin, coefficients): the series
-    from the endpoint to the launch point, then the continuous extension of
-    every accepted step."""
-    depth = _launch_depth(series)
-    t_launch = depth if series.side == "t0" else 1.0 - depth
-    on_step = None
-    if pieces is not None:
-        origin = 0.0 if series.side == "t0" else 1.0
-        pieces.append((min(origin, t_launch), origin, series.coeffs.T))
-
-        def on_step(t, y, y_new, h, K, t_new):
-            pieces.append((min(t, t_new), t,
-                           step_polynomial(_asd_flow, t, y, y_new, h, K)))
-    # purely relative: a1 and a3 vanish like (1 - t)^((n-1)/2) toward t = 1
-    return rk45(_asd_flow, t_launch, series.eval(t_launch), MATCH_POINT,
-                rtol=RTOL, atol=0.0, on_step=on_step)
-
-
-def _shoot(n, side, params, pieces=None):
+def _shoot(n, side, params, pieces):
     """a(MATCH_POINT) shot from the endpoint series of one side with its
-    parameters ((p, r) for "t0", (q,) for "t1"), recording that side's
-    pieces if a list is given; None if the sweep blows up or hits a
-    degenerate coefficient."""
+    parameters ((p, r) for "t0", (q,) for "t1"), in one rk45 sweep from the
+    launch point.  Appends that side's pieces to the list as (left edge,
+    origin, coefficients): the series from the endpoint to the launch
+    point, then the continuous extension of every accepted step.
+    ShotFailed names the side if its series or sweep blows up or hits a
+    degenerate coefficient, or if a(MATCH_POINT) is not finite."""
+    def on_step(t, y, y_new, h, K, t_new):
+        pieces.append((min(t, t_new), t, step_polynomial(_asd_flow, t, y, y_new, h, K)))
+
+    origin = 0.0 if side == "t0" else 1.0
     try:
-        a = _sweep(endpoint_series(n, side, SERIES_ORDER, params), pieces)
-    except (OverflowError, DegenerateCoefficient):
-        return None
-    return a if np.all(np.isfinite(a)) else None
+        series = endpoint_series(n, side, SERIES_ORDER, params)
+        depth = _launch_depth(series)
+        t_launch = depth if side == "t0" else 1.0 - depth
+        pieces.append((min(origin, t_launch), origin, series.coeffs.T))
+        # purely relative: a1 and a3 vanish like (1 - t)^((n-1)/2) toward t = 1
+        a = rk45(_asd_flow, t_launch, series.eval(t_launch), MATCH_POINT,
+                 rtol=RTOL, atol=0.0, on_step=on_step)
+    except (OverflowError, DegenerateCoefficient) as exc:
+        raise ShotFailed(side, str(exc)) from exc
+    if not np.all(np.isfinite(a)):
+        raise ShotFailed(side, f"a({MATCH_POINT}) = {a} is not finite")
+    return a
 
 
 def solve_bvp(n):
-    """Two-sided shooting solve of the anti-self-dual boundary-value problem.
+    """Two-sided shooting solve of the anti-self-dual boundary-value problem
+    from the closed-form shooting parameters `_seed(n)`.
 
-    Launches on the endpoint series near t = 0 and t = 1, integrates both
-    branches to MATCH_POINT and drives the three-component defect
-    a_left - a_right to zero with a damped Newton iteration in the shooting
-    parameters (p, r, q), started at the closed-form `_seed(n)`.  The
-    difference Jacobian re-shoots one side per column: p and r move only
-    the t0 series, q only the t1 series.  It stops once the defect is at
-    the sweeps' own tolerance, RTOL * max|a_left|, which the seed shot
-    already meets for n <= 11; between that and NEWTON_TOL it keeps taking
-    full steps with the last Jacobian while each at least halves the
-    defect, so the profile is polished to the roundoff floor.
-    The profile is the shot Newton accepted last, kept as its piecewise
-    polynomial: the two endpoint series and the continuous extension of
-    every accepted step of both sweeps.  Its jump at MATCH_POINT is the
-    final defect.  Jacobian columns record no pieces.
+    Launches on the endpoint series near t = 0 (with p, r) and t = 1 (with
+    q) and integrates each branch once to MATCH_POINT.  There is no
+    iteration: the seed law is the solution, and the shot misses the match
+    only by the sweeps' integration error.  meta["match_defect"] is that
+    miss relative to the solution's size, ||a_left - a_right|| /
+    max|a_left|, for the report's `match` check to bound.
+    The profile is the shot kept as its piecewise polynomial: the two
+    endpoint series and the continuous extension of every accepted step of
+    both sweeps.  Its jump at MATCH_POINT is the unscaled defect.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
@@ -475,74 +464,22 @@ def solve_bvp(n):
         # below its resonant order the t1 series never sees q
         raise SeriesBelowResonance(f"endpoint series at t1: order {SERIES_ORDER} "
                                    f"is below the resonant order {(n - 1) // 2}")
-
-    def try_shoot(x):
-        pieces = []
-        left = _shoot(n, "t0", (x[0], x[1]), pieces)
-        right = None if left is None else _shoot(n, "t1", (x[2],), pieces)
-        if right is None:
-            return None
-        return pieces, left, right, float(np.linalg.norm(left - right))
-
-    x = np.array(_seed(n), dtype=float)
-    shot = try_shoot(x)
-    if shot is None:
-        raise NoConvergence(0, math.inf)
-    pieces, left, right, norm = shot
-    J = None
-    for it in range(MAX_ITER):
-        # the sweeps resolve a(MATCH_POINT) only to RTOL of its size
-        if norm <= RTOL * float(np.max(np.abs(left))):
-            break
-        # at the roundoff floor a fresh difference Jacobian is no better
-        # than the last one
-        if J is None or norm >= NEWTON_TOL:
-            J = np.empty((3, 3))
-            for j in range(3):
-                xp = x.copy()
-                xp[j] += 1e-6
-                if j < 2:
-                    a = _shoot(n, "t0", (xp[0], xp[1]))
-                else:
-                    a = _shoot(n, "t1", (xp[2],))
-                if a is None:
-                    raise NoConvergence(it, norm)
-                J[:, j] = (a - left if j < 2 else right - a) / 1e-6
-        try:
-            dx = np.linalg.solve(J, right - left)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(it, norm) from exc
-        if norm < NEWTON_TOL:
-            shot = try_shoot(x + dx)
-            if shot is None or not shot[3] < 0.5 * norm:
-                break
-            x = x + dx
-        else:
-            lam = 1.0
-            for _ in range(30):
-                shot = try_shoot(x + lam * dx)
-                if shot is not None and shot[3] < norm:
-                    break
-                lam *= 0.5
-            else:
-                raise NoConvergence(it, norm)
-            x = x + lam * dx
-        pieces, left, right, norm = shot
-    else:
-        raise NoConvergence(MAX_ITER, norm)
+    p, r, q = _seed(n)
+    pieces = []
+    left = _shoot(n, "t0", (p, r), pieces)
+    right = _shoot(n, "t1", (q,), pieces)
+    defect = float(np.linalg.norm(left - right)) / float(np.max(np.abs(left)))
 
     pieces.sort(key=lambda piece: piece[0])
     coeffs = np.zeros((len(pieces), max(len(c) for *_, c in pieces), 3))
     for k, (_, _, c) in enumerate(pieces):
         coeffs[k, :len(c)] = c
     lefts, origins, _ = zip(*pieces)
-    p, r, q = x
     return ProfileTriple(
         kind=ProfileKind.NUMERIC, n=n, breaks=np.array(lefts + (1.0,)),
         origins=np.array(origins), coeffs=coeffs,
         sign_convention="a1(0)=1, a2(1)=+n",
-        meta={"p": float(p), "r": float(r), "q": float(q),
-              "match_defect": norm},
+        meta={"match_defect": defect},
     )
 
 

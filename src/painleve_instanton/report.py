@@ -27,7 +27,7 @@ def default_tolerances(n):
     else:
         per_n = {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
                  "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
-    return {**per_n, "delta": 1e-7, "boundary": 1e-8}
+    return {**per_n, "delta": 1e-7, "boundary": 1e-8, "match": 1e-9}
 
 
 def extract_transcendent(fam, branch):
@@ -144,6 +144,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         report["match_defect"] = profile.meta["match_defect"]
         report["a2_at_1"] = float(a1[1])
         checks["boundary"] = bool(boundary_err < tols["boundary"])
+        checks["match"] = bool(report["match_defect"] < tols["match"])
         # the first and last pieces are the endpoint series
         report["launch_depths"] = {"t0": float(profile.breaks[1]),
                                    "t1": float(1.0 - profile.breaks[-2])}

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,7 @@ def _measured(rep):
     }
     if "boundary_error" in rep:
         out["boundary"] = (rep["boundary_error"], "boundary")
+        out["match"] = (rep["match_defect"], "match")
     return out
 
 
@@ -155,13 +157,17 @@ def test_trace_deterministic_files(tmp_path, capsys):
                (tmp_path / ("b" + suffix)).read_bytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_no_convergence(capsys, monkeypatch):
-    # the wild seed's first shot blows up: the solver error is exit code 2
-    # with the error named in JSON on stderr
+    # the wild seed's t0 shot blows up: the solver error is exit code 2
+    # with the error and the failed side named in JSON on stderr
     monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "NoConvergence"
+    error = json.loads(err)
+    assert error["error"] == "ShotFailed" and "shot from t0" in error["detail"]
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
