@@ -118,8 +118,7 @@ def cmd_pvi_integrate(cfg):
     _, _, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
                                              cfg.samples)
     # seeded at k = 2, the first sample with a centred 5-point slope
-    slopes, _ = sample.derivatives()
-    ys, _ = pvi_integrate(params, sample.xs[2:].real, sample.ys[2], slopes[0])
+    ys, _ = pvi_integrate(params, sample.xs[2:].real, sample.ys[2], sample.slope(2))
     integrated = PviSample(ts=sample.ts[2:], xs=sample.xs[2:], ys=ys)
     _emit(cfg, integrated.to_csv(np.abs(ys - sample.ys[2:])))
     return 0

@@ -15,6 +15,11 @@ exactly when dA_p/dx + [C, A_p]/x' = Schl_p(A) on the line family itself,
 which `schlesinger_residual` checks; g is never integrated.  The flow also
 commutes with constant conjugation, so propagating a line-gauge sample lands
 on a conjugate of a later one, with the same `pair_invariants`.
+
+`schlesinger_field` is the one Schlesinger field, written on the four
+entries of each residue (`liealg.entries`, `liealg.commutator`): the
+propagation oracle `schlesinger_integrate` calls it on Python numbers once
+per stage, and `schlesinger_residual` on the entry arrays of the samples.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
-from .liealg import commutator, stack_trailing
+from .liealg import commutator, entries, stack_trailing
 from .painleve import PviParams
 from .stepper import fd_weights, rk45
 from .twistor import FuchsianData, form_matrix, fuchsian_data, mu_pair
@@ -72,14 +77,19 @@ def make_family(profile, ts):
 # --------------------------------------------------------------------------
 
 def schlesinger_field(x, A0, A1, Ax):
-    """(dA0, dA1, dAx)/dx of the Schlesinger system."""
-    x = np.asarray(x)[..., None, None]
-    near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
-    if near.any():
-        raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
-    d0 = commutator(A0, Ax) / x
-    d1 = commutator(A1, Ax) / (x - 1.0)
-    return d0, d1, -d0 - d1
+    """(dA0, dA1, dAx)/dx of the Schlesinger system, each residue given and
+    returned as its `entries`.  x and the entries are Python numbers in the
+    propagation oracle, where coercing to arrays costs more than the
+    arithmetic, or broadcasting sample arrays in the residual check."""
+    if isinstance(x, np.ndarray):
+        near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
+        if near.any():
+            raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
+    elif min(abs(x), abs(x - 1.0)) < 1e-12:
+        raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
+    d0 = [c / x for c in commutator(A0, Ax)]
+    d1 = [c / (x - 1.0) for c in commutator(A1, Ax)]
+    return d0, d1, [-p - q for p, q in zip(d0, d1)]
 
 
 def schlesinger_residual(profile, fam):
@@ -87,18 +97,24 @@ def schlesinger_residual(profile, fam):
     form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at every
     interior sample k = 2..len-3: the x-derivatives are 5-point stencils
     centred on k, C is `gauge_rate` and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1)
-    - 3/(t+3) the logarithmic derivative of `cross_ratio`."""
+    - 3/(t+3) the logarithmic derivative of `cross_ratio`.  Everything runs
+    on the entry arrays of the three moving residues."""
     xs = fam.x.real
-    w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1, None, None, :]
+    w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
     inner = fam[2:-2]
     t = inner.t
     xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
-    C = gauge_rate(profile, t) / xdot[:, None, None]
-    rhs = schlesinger_field(inner.x, inner.A0, inner.A1, inner.Ax)
+    C = [c / xdot for c in entries(gauge_rate(profile, t))]
+    moving = [entries(A) for A in (fam.A0, fam.A1, fam.Ax)]
+    at_inner = [entries(A) for A in (inner.A0, inner.A1, inner.Ax)]
     total = 0.0
-    for A, A_inner, want in zip(fam.residues(), inner.residues(), rhs):
-        got = np.sum(w * sliding_window_view(A, 5, axis=0), axis=-1) + commutator(C, A_inner)
-        total = total + np.sqrt(np.sum(np.abs(got - want) ** 2, axis=(-2, -1)))
+    for A, A_inner, want in zip(moving, at_inner,
+                                schlesinger_field(inner.x, *at_inner), strict=True):
+        sq = 0.0
+        for a, ca, f in zip(A, commutator(C, A_inner), want, strict=True):
+            got = np.sum(w * sliding_window_view(a, 5), axis=-1) + ca
+            sq = sq + np.abs(got - f) ** 2
+        total = total + np.sqrt(sq)
     return total
 
 
@@ -136,7 +152,9 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
         return F0
 
     def flow(x, vec):
-        return np.concatenate(schlesinger_field(x, *vec.reshape(3, 2, 2))).ravel()
+        v = vec.tolist()
+        d0, d1, dx = schlesinger_field(x, v[:4], v[4:8], v[8:])
+        return np.array(d0 + d1 + dx)
 
     y0 = np.concatenate([m.ravel() for m in (F0.A0, F0.A1, F0.Ax)]).astype(complex)
     y1 = rk45(flow, x0.real, y0, x1.real, rtol=rtol, atol=1e-13)

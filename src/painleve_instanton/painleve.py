@@ -64,6 +64,12 @@ class PviSample:
         ys = sliding_window_view(self.ys, 5)
         return np.sum(w[:, 1] * ys, axis=-1), np.sum(w[:, 2] * ys, axis=-1)
 
+    def slope(self, k):
+        """y' in x at the sample k = 2..len-3 alone, from the one 5-point
+        stencil centred on it: derivatives()[0][k - 2], bit for bit."""
+        xs = self.xs.real[k - 2:k + 3]
+        return np.sum(fd_weights(xs, xs[2], 1)[1] * self.ys[k - 2:k + 3])
+
 
 # the argument types pvi_second_derivative computes on without coercion
 _NUMBERS = (int, float, complex)

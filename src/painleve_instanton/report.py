@@ -50,8 +50,7 @@ def line_transcendent(n, t_min, t_max, samples):
 
 def _step_oracle_error(sample, params, k):
     """Integrate PVI over one inter-sample step and compare with extraction."""
-    slopes, _ = sample.derivatives()
-    ys, _ = pvi_integrate(params, sample.xs[k:k + 2].real, sample.ys[k], slopes[k - 2])
+    ys, _ = pvi_integrate(params, sample.xs[k:k + 2].real, sample.ys[k], sample.slope(k))
     return abs(ys[-1] - sample.ys[k + 1])
 
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from painleve_instanton import (instanton, isomonodromy, liealg, painleve,
                                 report, stepper, twistor)
 from painleve_instanton.instanton import closed_form_profile
-from painleve_instanton.isomonodromy import extract_y, jimbo_miwa_params
-from painleve_instanton.liealg import eigen2
+from painleve_instanton.isomonodromy import (extract_y, jimbo_miwa_params,
+                                             schlesinger_field)
+from painleve_instanton.liealg import commutator, eigen2, entries
 from painleve_instanton.painleve import PviParams, pvi_second_derivative
 from painleve_instanton.stepper import fd_weights
 from painleve_instanton.twistor import fuchsian_data
@@ -126,6 +127,39 @@ def test_pvi_second_derivative_python_scalars(vals, coeffs):
         single = pvi_second_derivative(params, *s)
         assert type(single) is complex
         assert abs(single - stack[k]) <= 1e-14 * scale[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(st.tuples(*[finite] * 26), min_size=1, max_size=8))
+def test_schlesinger_field_python_scalars(vals):
+    # the propagation oracle's path: the entries of general complex residues,
+    # traceless or not, as Python complex numbers agree with the residual
+    # check's call on sample arrays, and the entry commutator is AB - BA.
+    # Python and numpy round complex division differently, so the tolerance
+    # is relative to the largest product of entries over the nearer pole
+    v = np.array(vals)
+    z = v[:, 0:24:2] + 1j * v[:, 1:24:2]
+    x = 1.5 + v[:, 24] ** 2 - 1j * v[:, 25] ** 2
+    A0, A1, Ax = np.moveaxis(z.reshape(-1, 3, 2, 2), 1, 0)
+    scale = np.max(np.abs(z), axis=1) ** 2
+    got = np.stack(commutator(entries(A0), entries(Ax)), axis=-1).reshape(-1, 2, 2)
+    err = np.max(np.abs(got - (A0 @ Ax - Ax @ A0)), axis=(1, 2))
+    assert np.all(err <= 1e-14 * scale)
+    stack = schlesinger_field(x, entries(A0), entries(A1), entries(Ax))
+    for k, (xk, row) in enumerate(zip(x.tolist(), z.tolist())):
+        single = schlesinger_field(xk, row[:4], row[4:8], row[8:])
+        for d_single, d_stack in zip(single, stack, strict=True):
+            for c, c_stack in zip(d_single, d_stack, strict=True):
+                assert type(c) is complex
+                assert abs(c - c_stack[k]) <= 1e-14 * scale[k] / min(abs(xk), abs(xk - 1))
+
+
+def test_slope_is_the_derivatives_entry(fam3_raw):
+    # the step oracle's one-stencil slope, bit for bit
+    sample = report.extract_transcendent(fam3_raw, "plus")
+    slopes, _ = sample.derivatives()
+    for k in (2, 50, 100, len(sample) - 3):
+        assert sample.slope(k) == slopes[k - 2]
 
 
 @settings(max_examples=60, deadline=None)

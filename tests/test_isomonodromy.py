@@ -18,7 +18,7 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_field,
                                              schlesinger_integrate,
                                              schlesinger_residual)
-from painleve_instanton.liealg import eigen2, trace_sq
+from painleve_instanton.liealg import eigen2, entries, trace_sq
 from painleve_instanton.twistor import (SIGNS, FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
                                         form_matrix, fuchsian_data,
@@ -32,23 +32,31 @@ def _synthetic(A0, A1, Ax, x=2.5):
                         Ainf=-(A0 + A1 + Ax))
 
 
+def _moving_entries(F):
+    return [entries(A) for A in (F.A0, F.A1, F.Ax)]
+
+
 def test_schlesinger_rhs_commuting():
     F = _synthetic(np.diag([1, -1]), np.diag([0.5, -0.5]), np.diag([-0.2, 0.2]))
-    for d in schlesinger_field(F.x, F.A0, F.A1, F.Ax):
-        assert np.max(np.abs(d)) == 0.0
+    for d in schlesinger_field(F.x, *_moving_entries(F)):
+        assert max(abs(c) for c in d) == 0.0
 
 
 def test_schlesinger_rhs_identities(fam3_raw):
     F = fam3_raw[50]
-    d0, d1, dx = schlesinger_field(F.x, F.A0, F.A1, F.Ax)
-    assert np.max(np.abs(d0 + d1 + dx)) < 1e-14          # Ainf is preserved
-    assert abs(np.trace(F.A0 @ d0)) < 1e-14              # tr(A0^2) conserved
+    d0, d1, dx = schlesinger_field(F.x, *_moving_entries(F))
+    assert max(abs(p + q + r) for p, q, r in zip(d0, d1, dx)) < 1e-14  # Ainf is preserved
+    assert abs(np.trace(F.A0 @ np.reshape(d0, (2, 2)))) < 1e-14       # tr(A0^2) conserved
 
 
 def test_schlesinger_rhs_bad_parameter():
     F = _synthetic(np.diag([1, -1]), np.diag([0.5, -0.5]), np.diag([-0.2, 0.2]), x=1.0)
     with pytest.raises(BadDeformationParameter):
-        schlesinger_field(F.x, F.A0, F.A1, F.Ax)
+        schlesinger_field(F.x, *_moving_entries(F))
+    # the sample-array path checks every sample
+    stack = [[np.full(2, c) for c in A] for A in _moving_entries(F)]
+    with pytest.raises(BadDeformationParameter):
+        schlesinger_field(np.array([2.5, 1.0]), *stack)
 
 
 def _central(f, t, h=3e-5):
@@ -255,6 +263,15 @@ def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
             before = trace_sq(fam[k0].residues()[p])
             after = trace_sq(prop.residues()[p])
             assert abs(before - after) < 1e-10
+
+
+def test_schlesinger_integrate_flow_count(monkeypatch, fam3_raw):
+    # the report's oracle span, quarter to three-quarter sample: the count of
+    # field evaluations is fixed by the step sequence, not by their cost
+    calls = count_calls(monkeypatch, ("schlesinger_field",))
+    k0, k1 = len(fam3_raw) // 4, (3 * len(fam3_raw)) // 4
+    schlesinger_integrate(fam3_raw[k0], fam3_raw[k1].x)
+    assert calls == {"schlesinger_field": 217}
 
 
 def test_schlesinger_integrate_path_check(fam3_raw):
