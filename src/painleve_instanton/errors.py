@@ -18,11 +18,12 @@ class SingularMatrix(PainleveInstantonError):
 # -- integrator ------------------------------------------------------------
 
 class StepSizeUnderflow(PainleveInstantonError):
-    """The integrator's step fell below the roundoff of t: the right-hand
-    side is singular there or not finite (NaN or infinite)."""
+    """An integrator's step fell below the roundoff of t: the right-hand
+    side is singular there or not finite (NaN or infinite), or a relative
+    tolerance meets a component that is exactly zero."""
 
     def __init__(self, t, h):
-        super().__init__(f"rk45: step size {h:.3e} below the roundoff of t={t!r}: "
+        super().__init__(f"step size {h:.3e} below the roundoff of t={t!r}: "
                          "singular or non-finite right-hand side")
         self.t = t
         self.h = h
@@ -55,7 +56,8 @@ class SeriesBelowResonance(PainleveInstantonError):
 
 class ShotFailed(PainleveInstantonError):
     """A boundary-value shot from one endpoint ("t0" or "t1") failed: its
-    series or its sweep to the matching point blew up."""
+    series or its sweep to the matching point blew up, or the sweep's step
+    no longer moved t."""
 
     def __init__(self, side, reason):
         super().__init__(f"shot from {side} failed: {reason}")

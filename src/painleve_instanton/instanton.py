@@ -14,7 +14,9 @@ self-dual Hopf profile fixes the + branch, and the globally negated
 anti-self-dual closed form fixes the - branch.  Both endpoints are singular (K1 has
 a pole at t=0, K2 at t=1), so the solver launches on analytic endpoint
 series and shoots from both ends to a matching point with the closed-form
-shooting parameters.
+shooting parameters.  The system is polynomial, so one recurrence gives
+its Taylor coefficients about any point: the endpoint series at t = 0 and
+t = 1, and the steps of both sweeps in between.
 
 Boundary data used by the solver: a1(0) = 1, a2(0) = a3(0) (regularity),
 and (a1, a2, a3)(1) = (0, n, 0); the sign of a2(1) is conventional (pairs of
@@ -25,16 +27,17 @@ sign flips are gauge), fixed so that n = 1 yields the constant profile
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .columns import csv_text, json_text
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
-                     SeriesBelowResonance, ShotFailed)
+                     SeriesBelowResonance, ShotFailed, StepSizeUnderflow)
 from .liealg import det2, stack_trailing
-from .stepper import rk45, step_polynomial
 
 
 class DualitySign(enum.Enum):
@@ -258,8 +261,11 @@ def _local_polynomials(origin):
     at the left end, s = t - 1 at the right end): coefficient tuples in
     increasing powers of s, Python floats (+ 0.0 turns -0.0 into 0.0)."""
     def coefficients(lead, roots):
-        return tuple(float(v) + 0.0
-                     for v in lead * np.poly(np.subtract(roots, origin))[::-1])
+        c = [float(lead)]
+        for root in roots:  # times (s + origin - root)
+            shift = origin - root
+            c = [u * shift + v for u, v in zip(c + [0.0], [0.0] + c)]
+        return tuple(v + 0.0 for v in c)
     return (tuple(coefficients(*P) for P, _ in _ODE),
             tuple(coefficients(*Q) for _, Q in _ODE))
 
@@ -272,22 +278,34 @@ _SIDES = {"t0": (*_local_polynomials(0), 0, (1, 2), np.array([1.0, -1.0]) / math
           "t1": (*_local_polynomials(1), 1, (0, 2), np.array([1.0, 1.0]) / math.sqrt(2.0))}
 
 
-def _coefficient(P, Q, c, i, m):
+def _sources(c, m):
+    """Order-m coefficients of the sources a_j a_k - a_i for the coefficient
+    rows c (3 lists), each Cauchy product summed in increasing index order."""
+    return tuple(sum(map(operator.mul, c[j][:m + 1], c[k][m::-1])) - c[i][m]
+                 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+
+def _equation(P, Q, c, g, i, m):
     """Order-m coefficient of P_i a_i' - Q_i (a_j a_k - a_i) for the
-    coefficient rows c (3 lists), each sum taken in increasing index order."""
-    ci, cj, ck = c[i], c[(i + 1) % 3], c[(i + 2) % 3]
-    top = len(ci) - 1
+    coefficient rows c and the source coefficients g (g[e] from _sources)."""
+    ci = c[i]
     lhs = 0.0
-    for d in range(max(0, m + 1 - top), min(len(P[i]) - 1, m) + 1):
+    for d in range(max(0, m + 2 - len(ci)), min(len(P[i]) - 1, m) + 1):
         lhs += P[i][d] * ((m + 1 - d) * ci[m + 1 - d])
     rhs = 0.0
     for d in range(min(len(Q[i]) - 1, m) + 1):
-        e = m - d
-        prod = 0.0
-        for u in range(e + 1):
-            prod += cj[u] * ck[e - u]
-        rhs += Q[i][d] * (prod - ci[e])
+        rhs += Q[i][d] * g[m - d][i]
     return lhs - rhs
+
+
+def _chain_order(P, Q, c, g, rows, m):
+    """One order of the recurrence: form the order-(m-1) sources once, into
+    g[m - 1] (replacing a provisional entry), and give each chain row i
+    (P_i(0) != 0) its order-m coefficient from its order-(m-1) equation, by
+    one division by P_i(0) m."""
+    g[m - 1:] = [_sources(c, m - 1)]
+    for i in rows:
+        c[i][m] = -_equation(P, Q, c, g, i, m - 1) / (P[i][0] * m)
 
 
 @dataclass(frozen=True)
@@ -313,7 +331,8 @@ def endpoint_series(n, side, order, params=None):
 
     params: (p, r) for side "t0" (default (1, 0)); (q,) for side "t1"
     (default 0).  At each order m the chain row's order-(m-1) equation gives
-    its component by one division by P_i(0) m.  The pair rows (a, b) give
+    its component by one division by P_i(0) m (`_chain_order`, which the
+    interior Taylor steps share).  The pair rows (a, b) give
     L_m x = -b_m in their order-m coefficients x, b_m being their order-m
     equations at x = 0 and, with c0 the chain component at the endpoint,
     L_m = [[m P_a'(0) + Q_a(0), -Q_a(0) c0], [-Q_b(0) c0, m P_b'(0) + Q_b(0)]].
@@ -336,12 +355,15 @@ def endpoint_series(n, side, order, params=None):
         raise ValueError("side must be 't0' or 't1'")
     P, Q, chain, pair, kernel = _SIDES[side]
     c = [[v] + [0.0] * order for v in start]
+    g = []
     (pa, qa), (pb, qb) = ((P[row][1], Q[row][0]) for row in pair)
     c0 = start[chain]
     with np.errstate(all="ignore"):  # a non-finite order raises below
         for m in range(1, order + 1):
-            c[chain][m] = -_coefficient(P, Q, c, chain, m - 1) / (P[chain][0] * m)
-            b = np.array([_coefficient(P, Q, c, row, m) for row in pair])
+            _chain_order(P, Q, c, g, (chain,), m)
+            # provisional: the pair rows' order-m coefficients are still 0
+            g.append(_sources(c, m))
+            b = np.array([_equation(P, Q, c, g, row, m) for row in pair])
             L = np.array([[m * pa + qa, -qa * c0], [-qb * c0, m * pb + qb]])
             if m != resonant:
                 det = det2(L)
@@ -375,8 +397,8 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n the shot from them misses the match
-    by the sweeps' integration error only (it falls with RTOL; relative to
-    |a| it is 1.4e-13 at n = 7, 8.6e-12 at 21 and 1.2e-9 at 31), so
+    by the sweeps' truncation error only (it falls with RTOL; relative to
+    |a| it is 5.9e-14 at n = 7, 2.1e-12 at 21 and 2.1e-9 at 31), so
     `solve_bvp` takes them as the solution.  Integer products keep each
     value one correctly rounded division.
     """
@@ -386,14 +408,6 @@ def _seed(n):
     r = 2 * (s_num * p_den - p_num * s_den) / (3 * s_den * p_den)
     q = (-1) ** len(js) * math.prod(2 * j + 1 for j in js) / math.prod(2 * j for j in js)
     return p_num / p_den, r, q
-
-
-def _asd_flow(t, a):
-    a1, a2, a3 = a.tolist()
-    # the comparisons are False for NaN and infinities as well
-    if not (abs(a1) <= 1e8 and abs(a2) <= 1e8 and abs(a3) <= 1e8):
-        raise OverflowError("profile trajectory blow-up")
-    return asd_rhs(DualitySign.ANTI_SELF_DUAL, t, (a1, a2, a3))
 
 
 _DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4)
@@ -417,31 +431,70 @@ def _launch_depth(series):
     return _DEPTHS[-1]
 
 
+def _taylor(origin, a, order):
+    """Coefficients (3 lists, increasing powers of t - origin) of the
+    solution through a(origin) = a up to `order`, for an origin inside
+    (0, 1): there every P_i(origin) != 0, so all three rows are chain rows."""
+    P, Q = _local_polynomials(origin)
+    c = [[v] + [0.0] * order for v in a]
+    g = []
+    for m in range(1, order + 1):
+        _chain_order(P, Q, c, g, (0, 1, 2), m)
+    return c
+
+
+def _step_size(c, a):
+    """Largest |h| at which each component's last two Taylor terms stay
+    below RTOL |a_i|: purely relative, because a1 and a3 vanish like
+    (1 - t)^((n-1)/2) toward t = 1 and an absolute bound would swamp them.
+    Infinite if every such term is zero."""
+    h = math.inf
+    for row, v in zip(c, a):
+        tol = RTOL * abs(v)
+        for m in (len(row) - 2, len(row) - 1):
+            if row[m] != 0.0:
+                h = min(h, (tol / abs(row[m])) ** (1.0 / m))
+    return h
+
+
+def _sweep(t, a, t_end, pieces):
+    """a(t_end) from a(t) = a by Taylor steps of order SERIES_ORDER, each
+    appended to pieces as (left edge, origin, coefficients).  OverflowError
+    once a component is not finite or exceeds 1e8 (a blow-up), including at
+    t_end; StepSizeUnderflow once a step no longer moves t."""
+    while True:
+        # the comparisons are False for NaN and infinities as well
+        if not all(abs(v) <= 1e8 for v in a):
+            raise OverflowError(f"profile trajectory blow-up at t = {t}")
+        if t == t_end:
+            return np.array(a)
+        c = _taylor(t, a, SERIES_ORDER)
+        h = _step_size(c, a)
+        if 0.1 * h <= math.ulp(1.0) * abs(t):
+            raise StepSizeUnderflow(t, h)
+        t_new = t_end if h >= abs(t_end - t) else t + math.copysign(h, t_end - t)
+        pieces.append((min(t, t_new), t, np.array(c).T))
+        s = t_new - t
+        a = [functools.reduce(lambda acc, v: acc * s + v, reversed(row)) for row in c]
+        t = t_new
+
+
 def _shoot(n, side, params, pieces):
     """a(MATCH_POINT) shot from the endpoint series of one side with its
-    parameters ((p, r) for "t0", (q,) for "t1"), in one rk45 sweep from the
-    launch point.  Appends that side's pieces to the list as (left edge,
-    origin, coefficients): the series from the endpoint to the launch
-    point, then the continuous extension of every accepted step.
-    ShotFailed names the side if its series or sweep blows up or hits a
-    degenerate coefficient, or if a(MATCH_POINT) is not finite."""
-    def on_step(t, y, y_new, h, K, t_new):
-        pieces.append((min(t, t_new), t, step_polynomial(_asd_flow, t, y, y_new, h, K)))
-
+    parameters ((p, r) for "t0", (q,) for "t1"), swept by Taylor steps from
+    the launch point.  Appends that side's pieces to the list as (left
+    edge, origin, coefficients): the series from the endpoint to the launch
+    point, then every step.  ShotFailed names the side if its series or
+    sweep blows up, or if a step no longer moves t."""
     origin = 0.0 if side == "t0" else 1.0
     try:
         series = endpoint_series(n, side, SERIES_ORDER, params)
         depth = _launch_depth(series)
         t_launch = depth if side == "t0" else 1.0 - depth
         pieces.append((min(origin, t_launch), origin, series.coeffs.T))
-        # purely relative: a1 and a3 vanish like (1 - t)^((n-1)/2) toward t = 1
-        a = rk45(_asd_flow, t_launch, series.eval(t_launch), MATCH_POINT,
-                 rtol=RTOL, atol=0.0, on_step=on_step)
-    except (OverflowError, DegenerateCoefficient) as exc:
+        return _sweep(t_launch, series.eval(t_launch).tolist(), MATCH_POINT, pieces)
+    except (OverflowError, StepSizeUnderflow) as exc:
         raise ShotFailed(side, str(exc)) from exc
-    if not np.all(np.isfinite(a)):
-        raise ShotFailed(side, f"a({MATCH_POINT}) = {a} is not finite")
-    return a
 
 
 def solve_bvp(n):
@@ -449,14 +502,15 @@ def solve_bvp(n):
     from the closed-form shooting parameters `_seed(n)`.
 
     Launches on the endpoint series near t = 0 (with p, r) and t = 1 (with
-    q) and integrates each branch once to MATCH_POINT.  There is no
-    iteration: the seed law is the solution, and the shot misses the match
-    only by the sweeps' integration error.  meta["match_defect"] is that
-    miss relative to the solution's size, ||a_left - a_right|| /
+    q) and sweeps each branch once to MATCH_POINT by Taylor steps.  There is
+    no iteration: the seed law is the solution, and the shot misses the
+    match only by the sweeps' truncation error.  meta["match_defect"] is
+    that miss relative to the solution's size, ||a_left - a_right|| /
     max|a_left|, for the report's `match` check to bound.
     The profile is the shot kept as its piecewise polynomial: the two
-    endpoint series and the continuous extension of every accepted step of
-    both sweeps.  Its jump at MATCH_POINT is the unscaled defect.
+    endpoint series and the Taylor polynomial of every step of both sweeps,
+    all of degree SERIES_ORDER.  Its jump at MATCH_POINT is the unscaled
+    defect.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
@@ -471,13 +525,10 @@ def solve_bvp(n):
     defect = float(np.linalg.norm(left - right)) / float(np.max(np.abs(left)))
 
     pieces.sort(key=lambda piece: piece[0])
-    coeffs = np.zeros((len(pieces), max(len(c) for *_, c in pieces), 3))
-    for k, (_, _, c) in enumerate(pieces):
-        coeffs[k, :len(c)] = c
-    lefts, origins, _ = zip(*pieces)
+    lefts, origins, coeffs = zip(*pieces)
     return ProfileTriple(
         kind=ProfileKind.NUMERIC, n=n, breaks=np.array(lefts + (1.0,)),
-        origins=np.array(origins), coeffs=coeffs,
+        origins=np.array(origins), coeffs=np.array(coeffs),
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"match_defect": defect},
     )

@@ -119,9 +119,9 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "pvi_max_residual": pvi_max,
         "pvi_step_error": step_err,
         "y_samples": [
-            {"x_re": float(x.real), "x_im": float(x.imag),
-             "y_re": float(y.real), "y_im": float(y.imag)}
-            for x, y in zip(plus.xs, plus.ys)
+            {"x_re": x_re, "x_im": x_im, "y_re": y_re, "y_im": y_im}
+            for x_re, x_im, y_re, y_im in zip(plus.xs.real.tolist(), plus.xs.imag.tolist(),
+                                              plus.ys.real.tolist(), plus.ys.imag.tolist())
         ],
         "tolerances": tols,
     }

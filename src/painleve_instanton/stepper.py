@@ -8,10 +8,8 @@ its stages in one preallocated (16, d) array, so each stage, the solution
 and the error estimates are small matrix products with the tableau, and f
 at the new solution is reused as the next step's first stage (FSAL).
 `rk45_path` reads intermediate nodes from the pair's 7th-order continuous
-extension instead of stopping at them, and `step_polynomial` turns one
-accepted step into that extension's monomial coefficients, so a caller can
-keep a whole sweep evaluable.  The same kernel drives the BVP shooting
-sweeps, the Schlesinger propagation oracle and the Painleve VI oracle.
+extension instead of stopping at them.  The same kernel drives the
+Schlesinger propagation oracle and the Painleve VI oracle.
 """
 
 from __future__ import annotations
@@ -201,22 +199,6 @@ def _dense_terms(f, t, y, y_new, h, K):
         K[s] = f(t + _C[s] * h, y + h * (_A[s, :s] @ K[:s]))
     dy = y_new - y
     return (dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), *(h * (_D @ K)))
-
-
-def step_polynomial(f, t, y, y_new, h, K):
-    """Monomial coefficients c of shape (8, d) of one accepted step's
-    continuous extension, y(t + s) = sum_k c[k] s^k for s between 0 and h,
-    from rk45's on_step arguments."""
-    F = _dense_terms(f, t, y, y_new, h, K)
-    c = np.zeros((8,) + np.shape(y), dtype=np.result_type(y, F[0]))
-    # expand the nested form from the inside out: multiplying by x = s/h
-    # shifts the coefficients up one power and divides them by h, and
-    # multiplying by 1 - x subtracts that from them
-    for i, term in enumerate((*F[::-1], y)):
-        shifted = np.concatenate((np.zeros_like(c[:1]), c[:-1])) / h
-        c = shifted if i % 2 else c - shifted
-        c[0] += term
-    return c
 
 
 def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):

@@ -14,7 +14,7 @@ SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "painleve_instanton"
 # itself never calls them.
 ORACLES = ("residue_numeric", "residue_table_printed", "line_transverse",
            "connection_form", "duality_residual", "conserved_tr",
-           "params_from_n", "eigen2")
+           "params_from_n", "eigen2", "asd_rhs")
 
 # Public names the caller scan cannot see, because a builtin container's
 # attribute or a variable bound in src/ has the same spelling.  Each has real

@@ -6,7 +6,7 @@ import pytest
 
 from painleve_instanton import instanton
 from painleve_instanton.errors import (DegenerateCoefficient, PoleAtEndpoint,
-                                      ShotFailed)
+                                      ShotFailed, StepSizeUnderflow)
 from painleve_instanton.instanton import (DualitySign, ProfileKind,
                                           ProfileTriple, asd_closed_profile,
                                           asd_rhs, closed_form_profile,
@@ -54,13 +54,34 @@ def test_asd_rhs_coefficient_guards():
             asd_rhs(sign, 0.0, (1.0, 2.0, 3.0))
 
 
+def test_taylor_order_one_is_asd_rhs(rng):
+    # the recurrence's first-order coefficients are the right-hand side
+    for t, a in zip(rng.uniform(0.01, 0.99, 50), rng.uniform(-3.0, 3.0, (50, 3))):
+        c = np.array(instanton._taylor(t, a.tolist(), instanton.SERIES_ORDER))
+        np.testing.assert_allclose(c[:, 1], asd_rhs(ASD, t, a), rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e9])
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_asd_flow_blow_up_guard(bad, slot):
-    a = np.array([0.5, 1.0, 2.0])
+    a = [0.5, 1.0, 2.0]
     a[slot] = bad
-    with pytest.raises(OverflowError):
-        instanton._asd_flow(0.3, a)
+    pieces = []
+    with pytest.raises(OverflowError, match="blow-up"):
+        instanton._sweep(0.3, a, instanton.MATCH_POINT, pieces)
+    assert pieces == []
+
+
+class NoStep(list):
+    def append(self, piece):
+        raise AssertionError(f"a step was taken from t = {piece[1]}")
+
+
+def test_sweep_step_underflow():
+    # a1 = 0 with a1' != 0: the relative bound on a1 admits no step, which
+    # raises instead of looping on steps that do not move t
+    with pytest.raises(StepSizeUnderflow):
+        instanton._sweep(0.3, [0.0, 1.0, 2.0], instanton.MATCH_POINT, NoStep())
 
 
 def test_closed_form_values():
@@ -228,7 +249,7 @@ def test_seed_law_closed_forms():
 @pytest.fixture(scope="module")
 def prof7_counted():
     # solve n = 7 once, counting the endpoint-series builds of the shots and
-    # the right-hand-side evaluations of their sweeps
+    # the right-hand-side evaluations (the Taylor sweeps make none)
     calls = Counter()
     mp = pytest.MonkeyPatch()
     for name in ("endpoint_series", "asd_rhs"):
@@ -247,14 +268,39 @@ def test_solve_bvp_endpoint_series_count(prof7_counted):
 
 
 def test_solve_bvp_asd_rhs_count(prof7_counted):
-    assert prof7_counted[1]["asd_rhs"] <= 1_000
+    assert prof7_counted[1]["asd_rhs"] == 0
+
+
+def test_solve_bvp_piece_count(prof7_counted):
+    # the two endpoint series and five Taylor steps
+    assert len(prof7_counted[0].origins) <= 10
+
+
+@pytest.mark.parametrize("n", [7, 21, 31])
+def test_sweep_piece_residual(n):
+    # the ODE-form residual of every Taylor step across the whole step,
+    # relative to the size of the sources a_j a_k (measured <= 4e-12; the
+    # largest sit near t = 0, where the pole of K1 multiplies roundoff)
+    prof = solve_bvp(n)
+    inner = np.flatnonzero((prof.origins > 0.0) & (prof.origins < 1.0))
+    assert len(inner) >= 3
+    for k in inner:
+        for t in np.linspace(prof.breaks[k], prof.breaks[k + 1], 9):
+            local = t - prof.origins[k]
+            rows = [c[::-1] for c in prof.coeffs[k].T]
+            a = np.array([np.polyval(c, local) for c in rows])
+            da = np.array([np.polyval(np.polyder(c), local) for c in rows])
+            worst = max(abs(-0.5 * coeff_K(i + 1, t) * da[i]
+                            - (a[(i + 1) % 3] * a[(i + 2) % 3] - a[i]))
+                        for i in range(3))
+            assert worst < 1e-10 * max(1.0, float(np.max(np.abs(a))) ** 2)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 21, 25, 31])
 def test_seed_shot_misses_by_integration_error(monkeypatch, n):
     # the seed law is the solve up to the sweeps' error: the match defect
-    # of the shot from _seed(n) falls with the sweeps' RTOL (measured 82x
-    # to 709x for 1e-9 -> 1e-12)
+    # of the shot from _seed(n) falls with the sweeps' RTOL (measured 472x
+    # to 1642x for 1e-9 -> 1e-12)
     defects = []
     for rtol in (1e-9, 1e-12):
         monkeypatch.setattr(instanton, "RTOL", rtol)

@@ -84,29 +84,6 @@ def test_rk45_path_is_one_sweep(t0, t1, monkeypatch):
         assert sweep.calls == single.calls + 3 * covering
 
 
-@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
-def test_step_polynomial_matches_closed_form(t0, t1, rng):
-    # each accepted step's monomial coefficients, read at random points
-    # inside the step, give y and y' = M y of the closed form.  The
-    # extension is one order below the step and its derivative loses about
-    # a further factor 10/|h|, hence tolerances below the defaults: at
-    # rtol 1e-11 y' is off by 1.6e-9
-    f, pieces = Counted(), []
-
-    def record(t, y, y_new, h, K, t_new):
-        pieces.append((t, h, stepper.step_polynomial(f, t, y, y_new, h, K)))
-
-    rk45(f, t0, exact(t0), t1, rtol=1e-13, atol=1e-15, on_step=record)
-    for t, h, c in pieces:
-        s = rng.uniform(0.0, 1.0, 4) * h
-        ys = s[:, None] ** np.arange(8) @ c
-        slopes = np.arange(1, 8) * s[:, None] ** np.arange(7) @ c[1:]
-        for sk, y, dy in zip(s, ys, slopes):
-            want = exact(t + sk)
-            assert np.max(np.abs(y - want)) < 1e-10
-            assert np.max(np.abs(dy - M @ want)) < 1e-10
-
-
 def test_dop853_tableau():
     # consistency of every stage, the quadrature order conditions of the
     # 8th-order weights, and error estimates that vanish on constants
