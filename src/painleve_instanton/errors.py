@@ -49,15 +49,10 @@ class NoAnalyticBranch(PainleveInstantonError):
         self.defect = defect
 
 
-class SeriesBelowResonance(PainleveInstantonError):
-    """An endpoint series is truncated below its resonant order, so the
-    shooting parameter that sets the resonant amplitude cannot enter it."""
-
-
 class ShotFailed(PainleveInstantonError):
-    """A boundary-value shot from one endpoint ("t0" or "t1") failed: its
-    series or its sweep to the matching point blew up, or the sweep's step
-    no longer moved t."""
+    """A boundary-value shot failed on one side: "t0" if the t = 0 series
+    overflowed; "t1" if the t = 1 series overflowed, the sweep from it blew
+    up, or the sweep's step no longer moved t."""
 
     def __init__(self, side, reason):
         super().__init__(f"shot from {side} failed: {reason}")

@@ -12,11 +12,12 @@ orientation reversal exchanges those two axes.  Both conventions are
 anchored by the closed forms, which solve their branches identically: the
 self-dual Hopf profile fixes the + branch, and the globally negated
 anti-self-dual closed form fixes the - branch.  Both endpoints are singular (K1 has
-a pole at t=0, K2 at t=1), so the solver launches on analytic endpoint
-series and shoots from both ends to a matching point with the closed-form
-shooting parameters.  The system is polynomial, so one recurrence gives
-its Taylor coefficients about any point: the endpoint series at t = 0 and
-t = 1, and the steps of both sweeps in between.
+a pole at t=0, K2 at t=1), so the solver takes analytic endpoint series
+with the closed-form shooting parameters and sweeps from the t = 1 series
+down to the t = 0 series' launch point, where the two are matched.  The
+system is polynomial, so one recurrence gives its Taylor coefficients about
+any point: the endpoint series at t = 0 and t = 1, and the steps of the
+sweep in between.
 
 Boundary data used by the solver: a1(0) = 1, a2(0) = a3(0) (regularity),
 and (a1, a2, a3)(1) = (0, n, 0); the sign of a2(1) is conventional (pairs of
@@ -36,7 +37,7 @@ import numpy as np
 
 from .columns import csv_text, json_text
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
-                     SeriesBelowResonance, ShotFailed, StepSizeUnderflow)
+                     ShotFailed, StepSizeUnderflow)
 from .liealg import det2, stack_trailing
 
 
@@ -340,7 +341,8 @@ def endpoint_series(n, side, order, params=None):
     taken, its kernel component replaced by the shooting parameter, and an
     inconsistent resonance raises NoAnalyticBranch.  Coefficients that
     overflow (a wild shooting parameter) raise OverflowError at the first
-    order that is not finite.
+    order that is not finite.  A t1 series with params below its resonant
+    order (n-1)/2 would never see q: that is a ValueError.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -350,6 +352,9 @@ def endpoint_series(n, side, order, params=None):
     elif side == "t1":
         (amount,) = params if params is not None else (0.0,)
         resonant = (n - 1) // 2
+        if params is not None and order < resonant:
+            raise ValueError(f"t1 series order {order} is below the resonant "
+                             f"order {resonant}, where q enters")
         start = (amount, float(n), amount) if resonant == 0 else (0.0, float(n), 0.0)
     else:
         raise ValueError("side must be 't0' or 't1'")
@@ -385,7 +390,6 @@ def endpoint_series(n, side, order, params=None):
 # boundary-value solver
 # --------------------------------------------------------------------------
 
-MATCH_POINT = 0.5
 SERIES_ORDER = 20
 RTOL = 1e-12
 
@@ -397,10 +401,10 @@ def _seed(n):
         q = prod_j -(2j+1)/(2j),    j = 1..k.
 
     Exact for n = 1, 3, 5; for larger n the shot from them misses the match
-    by the sweeps' truncation error only (it falls with RTOL; relative to
-    |a| it is 5.9e-14 at n = 7, 2.1e-12 at 21 and 2.1e-9 at 31), so
-    `solve_bvp` takes them as the solution.  Integer products keep each
-    value one correctly rounded division.
+    by the sweep's truncation error only (it falls with RTOL; relative to
+    |a| it is 7.4e-15 at n = 7, 4.9e-15 at 21 and <= 2.7e-14 for every odd
+    n <= 85), so `solve_bvp` takes them as the solution.  Integer products
+    keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -479,56 +483,51 @@ def _sweep(t, a, t_end, pieces):
         t = t_new
 
 
-def _shoot(n, side, params, pieces):
-    """a(MATCH_POINT) shot from the endpoint series of one side with its
-    parameters ((p, r) for "t0", (q,) for "t1"), swept by Taylor steps from
-    the launch point.  Appends that side's pieces to the list as (left
-    edge, origin, coefficients): the series from the endpoint to the launch
-    point, then every step.  ShotFailed names the side if its series or
-    sweep blows up, or if a step no longer moves t."""
-    origin = 0.0 if side == "t0" else 1.0
-    try:
-        series = endpoint_series(n, side, SERIES_ORDER, params)
-        depth = _launch_depth(series)
-        t_launch = depth if side == "t0" else 1.0 - depth
-        pieces.append((min(origin, t_launch), origin, series.coeffs.T))
-        return _sweep(t_launch, series.eval(t_launch).tolist(), MATCH_POINT, pieces)
-    except (OverflowError, StepSizeUnderflow) as exc:
-        raise ShotFailed(side, str(exc)) from exc
-
-
 def solve_bvp(n):
-    """Two-sided shooting solve of the anti-self-dual boundary-value problem
-    from the closed-form shooting parameters `_seed(n)`.
+    """Shooting solve of the anti-self-dual boundary-value problem from the
+    closed-form shooting parameters `_seed(n)`.
 
-    Launches on the endpoint series near t = 0 (with p, r) and t = 1 (with
-    q) and sweeps each branch once to MATCH_POINT by Taylor steps.  There is
-    no iteration: the seed law is the solution, and the shot misses the
-    match only by the sweeps' truncation error.  meta["match_defect"] is
-    that miss relative to the solution's size, ||a_left - a_right|| /
-    max|a_left|, for the report's `match` check to bound.
+    The left state is the t = 0 series (with p, r) at its launch depth.  The
+    t = 1 series (with q, at order SERIES_ORDER + (n-1)/2, so that q always
+    enters) is swept once from its launch point down to that left state by
+    Taylor steps: toward t = 0 is the stable direction, since a1 and a3
+    decay like (1 - t)^((n-1)/2) toward t = 1.  There is no iteration: the
+    seed law is the solution, and the shot misses the match only by the
+    sweep's truncation error.  meta["match_defect"] is that miss relative
+    to the solution's size, ||a_left - a_right|| / max|a_left|, for the
+    report's `match` check to bound.
     The profile is the shot kept as its piecewise polynomial: the two
-    endpoint series and the Taylor polynomial of every step of both sweeps,
-    all of degree SERIES_ORDER.  Its jump at MATCH_POINT is the unscaled
-    defect.
+    endpoint series and the Taylor polynomial of every step, zero-padded to
+    the t = 1 series' degree.  Its jump at breaks[1] is the unscaled defect.
+    ShotFailed names the side: "t0" if its series overflows, "t1" if its
+    series or the sweep blows up or a step no longer moves t.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive (|n| label), got {n}")
-    if (n - 1) // 2 > SERIES_ORDER:
-        # below its resonant order the t1 series never sees q
-        raise SeriesBelowResonance(f"endpoint series at t1: order {SERIES_ORDER} "
-                                   f"is below the resonant order {(n - 1) // 2}")
     p, r, q = _seed(n)
-    pieces = []
-    left = _shoot(n, "t0", (p, r), pieces)
-    right = _shoot(n, "t1", (q,), pieces)
-    defect = float(np.linalg.norm(left - right)) / float(np.max(np.abs(left)))
+    try:
+        left = endpoint_series(n, "t0", SERIES_ORDER, (p, r))
+    except OverflowError as exc:
+        raise ShotFailed("t0", str(exc)) from exc
+    t_left = _launch_depth(left)
+    a_left = left.eval(t_left)
+    steps = []
+    try:
+        right = endpoint_series(n, "t1", SERIES_ORDER + (n - 1) // 2, (q,))
+        t_right = 1.0 - _launch_depth(right)
+        a_right = _sweep(t_right, right.eval(t_right).tolist(), t_left, steps)
+    except (OverflowError, StepSizeUnderflow) as exc:
+        raise ShotFailed("t1", str(exc)) from exc
+    defect = float(np.linalg.norm(a_left - a_right)) / float(np.max(np.abs(a_left)))
 
-    pieces.sort(key=lambda piece: piece[0])
-    lefts, origins, coeffs = zip(*pieces)
+    pieces = [(0.0, 0.0, left.coeffs.T), *reversed(steps), (t_right, 1.0, right.coeffs.T)]
+    lefts, origins, blocks = zip(*pieces)
+    coeffs = np.zeros((len(blocks), len(blocks[-1]), 3))
+    for k, block in enumerate(blocks):
+        coeffs[k, :len(block)] = block
     return ProfileTriple(
         kind=ProfileKind.NUMERIC, n=n, breaks=np.array(lefts + (1.0,)),
-        origins=np.array(origins), coeffs=np.array(coeffs),
+        origins=np.array(origins), coeffs=coeffs,
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"match_defect": defect},
     )

@@ -159,27 +159,15 @@ def test_trace_deterministic_files(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_no_convergence(capsys, monkeypatch):
-    # the wild seed's t0 shot blows up: the solver error is exit code 2
+    # the wild seed's shot from t1 blows up: the solver error is exit code 2
     # with the error and the failed side named in JSON on stderr
     monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 2 and out == ""
     error = json.loads(err)
-    assert error["error"] == "ShotFailed" and "shot from t0" in error["detail"]
+    assert error["error"] == "ShotFailed" and "shot from t1" in error["detail"]
     assert time.perf_counter() - start < 5.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verify_series_below_resonance(capsys):
-    # n = 43 puts the t1 resonance at order 21, past SERIES_ORDER: the solve
-    # is refused by name before any sweep, not left to a 0/0 in the stepper
-    code, out, err = run(capsys, "verify", "--n", "43")
-    assert code == 2 and out == ""
-    error = json.loads(err)
-    assert error["error"] == "SeriesBelowResonance"
-    assert "t1" in error["detail"] and "order 20" in error["detail"]
-    assert "resonant order 21" in error["detail"]
 
 
 def test_io_failure_exit_code(capsys):

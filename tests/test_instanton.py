@@ -68,7 +68,7 @@ def test_asd_flow_blow_up_guard(bad, slot):
     a[slot] = bad
     pieces = []
     with pytest.raises(OverflowError, match="blow-up"):
-        instanton._sweep(0.3, a, instanton.MATCH_POINT, pieces)
+        instanton._sweep(0.3, a, 0.5, pieces)
     assert pieces == []
 
 
@@ -81,7 +81,7 @@ def test_sweep_step_underflow():
     # a1 = 0 with a1' != 0: the relative bound on a1 admits no step, which
     # raises instead of looping on steps that do not move t
     with pytest.raises(StepSizeUnderflow):
-        instanton._sweep(0.3, [0.0, 1.0, 2.0], instanton.MATCH_POINT, NoStep())
+        instanton._sweep(0.3, [0.0, 1.0, 2.0], 0.5, NoStep())
 
 
 def test_closed_form_values():
@@ -136,6 +136,10 @@ def test_endpoint_series_t0():
 def test_endpoint_series_t1():
     s = endpoint_series(3, "t1", 1, (-1.5,))
     assert np.allclose(s.coeffs[:, 0], [0.0, 3.0, 0.0])
+    # at n = 9 q enters at order 4: a shorter series given q is refused
+    with pytest.raises(ValueError, match="order 2 is below the resonant order 4"):
+        endpoint_series(9, "t1", 2, (1.0,))
+    endpoint_series(9, "t1", 4, (1.0,))
 
 
 def test_endpoint_series_matches_closed_form():
@@ -156,8 +160,14 @@ def test_endpoint_series_residual_order(side, power, n):
     # it is at roundoff level, as it is at order 8 up to n = 13 (the t0
     # series' radius of convergence shrinks with n: at n = 21 the order-8
     # truncation at s = 0.01 is 3e-10)
+    # below the resonant order (n-1)/2 a t1 series never sees q, so those
+    # calls pass no params (the coefficients are the same)
     p, r, q = instanton._seed(n)
-    params = (p, r) if side == "t0" else (q,)
+
+    def params(order):
+        if side == "t0":
+            return p, r
+        return (q,) if order >= (n - 1) // 2 else None
 
     def residual(series, s):
         t, local = (s, s) if side == "t0" else (1.0 - s, -s)
@@ -167,12 +177,12 @@ def test_endpoint_series_residual_order(side, power, n):
                        - (a[(i + 1) % 3] * a[(i + 2) % 3] - a[i]))
                    for i in range(3))
 
-    low = endpoint_series(n, side, 2, params)
+    low = endpoint_series(n, side, 2, params(2))
     assert residual(low, 0.02) / residual(low, 0.004) > 0.5 * 5.0**power
     if n <= 13:
-        high = endpoint_series(n, side, 8, params)
+        high = endpoint_series(n, side, 8, params(8))
         assert residual(high, 0.01) < 1e-10
-    high = endpoint_series(n, side, 40, params)
+    high = endpoint_series(n, side, 40, params(40))
     assert residual(high, 0.01) < 1e-10
 
 
@@ -185,12 +195,12 @@ def test_solve_bvp_n1():
 def test_solve_bvp_n3_matches_closed_form():
     prof = solve_bvp(3)
     ref = closed_form_profile(ProfileKind.E_MINUS_3)
-    # discover the per-component sign pattern, then compare sup-norm
+    # discover the per-component sign pattern, then compare each component
+    # relative to its size (none vanishes inside (0, 1))
     signs = np.sign(prof.values(0.5) * ref.values(0.5))
-    worst = 0.0
-    for t in np.linspace(0.05, 0.95, 41):
-        worst = max(worst, np.max(np.abs(prof.values(t) - signs * ref.values(t))))
-    assert worst < 1e-7
+    ts = np.linspace(0.001, 0.999, 2001)
+    exact = signs * ref.values(ts)
+    assert np.max(np.abs(prof.values(ts) - exact) / np.abs(exact)) < 1e-12
     # the discovered pattern is an odd number of flips of the printed form
     assert int(np.sum(signs < 0)) % 2 == 1
 
@@ -215,13 +225,17 @@ def test_solve_bvp_boundary_data(prof5):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_solve_bvp_no_convergence(monkeypatch):
-    monkeypatch.setattr(instanton, "_seed", lambda n: (40.0, -30.0, 55.0))
+@pytest.mark.parametrize("seed, side, reason", [
+    ((40.0, -30.0, 55.0), "t1", "blow-up at t = 0.65"),
+    ((1e100, 0.0, -1.5), "t0", "not finite at order 3")], ids=["wild", "overflow"])
+def test_solve_bvp_no_convergence(monkeypatch, seed, side, reason):
+    # the wild seed blows up the sweep from t = 1; p = 1e100 (with the seed
+    # law's q) overflows the t = 0 series.  The error names the side and why
+    monkeypatch.setattr(instanton, "_seed", lambda n: seed)
     start = time.perf_counter()
     with pytest.raises(ShotFailed) as err:
         solve_bvp(3)
-    # the t0 sweep blows up, and the error names that side and why
-    assert err.value.side == "t0" and "blow-up" in err.value.reason
+    assert err.value.side == side and reason in err.value.reason
     assert time.perf_counter() - start < 5.0
 
 
@@ -249,7 +263,7 @@ def test_seed_law_closed_forms():
 @pytest.fixture(scope="module")
 def prof7_counted():
     # solve n = 7 once, counting the endpoint-series builds of the shots and
-    # the right-hand-side evaluations (the Taylor sweeps make none)
+    # the right-hand-side evaluations (the Taylor sweep makes none)
     calls = Counter()
     mp = pytest.MonkeyPatch()
     for name in ("endpoint_series", "asd_rhs"):
@@ -298,9 +312,9 @@ def test_sweep_piece_residual(n):
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 21, 25, 31])
 def test_seed_shot_misses_by_integration_error(monkeypatch, n):
-    # the seed law is the solve up to the sweeps' error: the match defect
-    # of the shot from _seed(n) falls with the sweeps' RTOL (measured 472x
-    # to 1642x for 1e-9 -> 1e-12)
+    # the seed law is the solve up to the sweep's error: the match defect
+    # of the shot from _seed(n) falls with the sweep's RTOL (measured 962x
+    # to 6134x for 1e-9 -> 1e-12)
     defects = []
     for rtol in (1e-9, 1e-12):
         monkeypatch.setattr(instanton, "RTOL", rtol)
@@ -326,25 +340,26 @@ def test_solve_bvp_launch_depths(prof7_counted):
 
 
 def test_solve_bvp_no_seam(prof7_counted):
-    # the profile is the shot itself: the two sweeps' pieces meet at the
-    # matching point with no jump beyond the defect, which is relative to
-    # max|a| of the t0 sweep there
+    # the profile is the shot itself: the sweep's last step meets the t0
+    # series at its launch point, breaks[1], with no jump beyond the defect,
+    # which is relative to max|a| of the t0 series there
     prof = prof7_counted[0]
     assert prof.meta["match_defect"] < 1e-12
     inner, jump = jumps(prof)
-    seam = jump[inner == instanton.MATCH_POINT]
-    scale = np.max(np.abs(prof.values(np.nextafter(instanton.MATCH_POINT, 0.0))))
+    seam = jump[inner == prof.breaks[1]]
+    scale = np.max(np.abs(prof.values(np.nextafter(prof.breaks[1], 0.0))))
     assert len(seam) == 1 and seam[0] <= prof.meta["match_defect"] * scale + 1e-13
 
 
 def test_numeric_profile_continuous(prof5, prof7_counted):
-    # series to sweep at the launch points, and step to step inside a sweep
+    # series to sweep at the t1 launch point, and step to step inside the
+    # sweep
     for prof in (prof5, prof7_counted[0]):
         inner, jump = jumps(prof)
-        assert np.max(jump[inner != instanton.MATCH_POINT]) < 1e-13
+        assert np.max(jump[inner != prof.breaks[1]]) < 1e-13
 
 
-@pytest.mark.parametrize("n", [7, 9, 11, 13, 15, 17, 19])
+@pytest.mark.parametrize("n", [7, 9, 11, 13, 15, 17, 19, 21, 31, 43, 63])
 def test_verify_passes_bvp(n):
     rep = build_verification_report(n)
     assert rep["passed"], {k: v for k, v in rep["checks"].items() if not v}
