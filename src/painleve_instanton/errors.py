@@ -19,8 +19,9 @@ class SingularMatrix(PainleveInstantonError):
 
 class StepSizeUnderflow(PainleveInstantonError):
     """An integrator's step fell below the roundoff of t: the right-hand
-    side is singular there or not finite (NaN or infinite), or a relative
-    tolerance meets a component that is exactly zero."""
+    side is singular there or not finite (NaN or infinite), or, in the BVP
+    sweep, a component is so small against its own Taylor terms that the
+    bound relative to it admits no step."""
 
     def __init__(self, t, h):
         super().__init__(f"step size {h:.3e} below the roundoff of t={t!r}: "

@@ -28,7 +28,6 @@ sign flips are gauge), fixed so that n = 1 yields the constant profile
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -136,6 +135,15 @@ def _closed_derivative(kind, t):
     raise ValueError(kind)
 
 
+def _horner(c, s):
+    """sum_j c[j] s^j by Horner's rule over the first axis of c: lists of
+    Python floats in the sweep, arrays that broadcast against s elsewhere."""
+    acc = c[-1]
+    for row in c[-2::-1]:
+        acc = acc * s + row
+    return acc
+
+
 @dataclass(frozen=True)
 class ProfileTriple:
     """Profile functions (a1, a2, a3) on (0, 1), closed-form or numeric.
@@ -179,8 +187,7 @@ class ProfileTriple:
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_values(self.kind, t) * np.asarray(self.component_signs)
         k, s = self._local(t)
-        powers = s[..., None] ** np.arange(self.coeffs.shape[1])
-        return np.einsum("...j,...jc->...c", powers, self.coeffs[k])
+        return _horner(self.coeffs.swapaxes(0, 1)[:, k], s[..., None])
 
     def oriented_values(self, t):
         """Components in the anti-self-dual orientation used by the twistor
@@ -196,9 +203,8 @@ class ProfileTriple:
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
         k, s = self._local(t)
-        j = np.arange(1, self.coeffs.shape[1])
-        powers = j * s[..., None] ** (j - 1)
-        return np.einsum("...j,...jc->...c", powers, self.coeffs[k, 1:])
+        slopes = self.coeffs[:, 1:] * np.arange(1.0, self.coeffs.shape[1])[:, None]
+        return _horner(slopes.swapaxes(0, 1)[:, k], s[..., None])
 
     # -- serialization ------------------------------------------------------
 
@@ -309,30 +315,18 @@ def _chain_order(P, Q, c, g, rows, m):
         c[i][m] = -_equation(P, Q, c, g, i, m - 1) / (P[i][0] * m)
 
 
-@dataclass(frozen=True)
-class EndpointSeries:
-    """Truncated analytic solution branch at a singular endpoint.
-
-    side "t0": two free parameters (p, r) -- p = a2(0) = a3(0), r = the
-    order-1 resonance amplitude along a2 - a3.  side "t1": one parameter q,
-    the kernel amplitude at the resonant order (n-1)/2 (the boundary value
-    a1(1) = a3(1) itself for n = 1).
-    """
-
-    side: str
-    coeffs: np.ndarray  # (3, order+1) in the local variable
-
-    def eval(self, t):
-        s = t if self.side == "t0" else t - 1.0
-        return np.array([np.polyval(c[::-1], s) for c in self.coeffs])
-
-
 def endpoint_series(n, side, order, params=None):
-    """Analytic endpoint branch of the anti-self-dual system, order by order.
+    """Analytic endpoint branch of the anti-self-dual system, order by order:
+    its coefficients as a (3, order + 1) array in increasing powers of the
+    local variable s = t (side "t0") or s = t - 1 (side "t1").
 
-    params: (p, r) for side "t0" (default (1, 0)); (q,) for side "t1"
-    (default 0).  At each order m the chain row's order-(m-1) equation gives
-    its component by one division by P_i(0) m (`_chain_order`, which the
+    side "t0" has two free parameters (p, r), default (1, 0): p = a2(0) =
+    a3(0), r = the order-1 resonance amplitude along a2 - a3.  side "t1" has
+    one, (q,), default 0: the kernel amplitude at the resonant order
+    (n-1)/2 (the boundary value a1(1) = a3(1) itself for n = 1).
+
+    At each order m the chain row's order-(m-1) equation gives its
+    component by one division by P_i(0) m (`_chain_order`, which the
     interior Taylor steps share).  The pair rows (a, b) give
     L_m x = -b_m in their order-m coefficients x, b_m being their order-m
     equations at x = 0 and, with c0 the chain component at the endpoint,
@@ -383,7 +377,7 @@ def endpoint_series(n, side, order, params=None):
             c[pair[0]][m], c[pair[1]][m] = (float(v) for v in sol)
             if not all(math.isfinite(row[m]) for row in c):
                 raise OverflowError(f"endpoint series not finite at order {m}")
-    return EndpointSeries(side, np.array(c))
+    return np.array(c)
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +396,9 @@ def _seed(n):
 
     Exact for n = 1, 3, 5; for larger n the shot from them misses the match
     by the sweep's truncation error only (it falls with RTOL; relative to
-    |a| it is 7.4e-15 at n = 7, 4.9e-15 at 21 and <= 2.7e-14 for every odd
-    n <= 85), so `solve_bvp` takes them as the solution.  Integer products
-    keep each value one correctly rounded division.
+    |a| it is 9.4e-15 at n = 7, 4.6e-14 at 21 and <= 6.2e-14 for every odd
+    n <= 85 and n = 91, 101), so `solve_bvp` takes them as the solution.
+    Integer products keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
@@ -414,25 +408,11 @@ def _seed(n):
     return p_num / p_den, r, q
 
 
-_DEPTHS = (0.15, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4)
-
-
-def _launch_depth(series):
-    """Deepest interior launch at which the series tail is at machine level.
-
-    Integrating from the very endpoint amplifies noise along the resonant
-    modes (factor (s/eps)^(n-1)/2 on the t1 side), so the launch goes as far
-    inside as the truncated series stays accurate; the last entry of
-    _DEPTHS if no depth qualifies.
-    """
-    c = series.coeffs
-    order = c.shape[1] - 1
-    for s in _DEPTHS:
-        tail = sum(float(np.max(np.abs(c[:, m]))) * s**m
-                   for m in range(max(order - 2, 1), order + 1))
-        if tail < 1e-14 * max(1.0, float(np.max(np.abs(c[:, 0]))) + 1.0):
-            return s
-    return _DEPTHS[-1]
+# The deepest launch of either endpoint series.  `_step_size` alone would
+# launch the t = 1 series at about 0.3 for n = 19, which raised the
+# profile's error inside [0.5, 0.95] from 2e-15 to 9e-13; at n = 1, where
+# every term beyond the constant is zero, it gives no bound at all.
+MAX_LAUNCH_DEPTH = 0.15
 
 
 def _taylor(origin, a, order):
@@ -447,25 +427,28 @@ def _taylor(origin, a, order):
     return c
 
 
-def _step_size(c, a):
-    """Largest |h| at which each component's last two Taylor terms stay
-    below RTOL |a_i|: purely relative, because a1 and a3 vanish like
-    (1 - t)^((n-1)/2) toward t = 1 and an absolute bound would swamp them.
-    Infinite if every such term is zero."""
+def _step_size(c):
+    """Largest |h| at which each component's last two terms (rows of c, in
+    increasing powers of h) stay below RTOL times its leading nonzero term:
+    the one rule for every Taylor step and both launch depths.  Purely
+    relative, because a1 and a3 vanish like (1 - t)^((n-1)/2) toward t = 1
+    and an absolute bound would swamp them; where no component is zero the
+    leading term is the constant a_i.  Infinite if every such term is zero."""
     h = math.inf
-    for row, v in zip(c, a):
-        tol = RTOL * abs(v)
-        for m in (len(row) - 2, len(row) - 1):
+    for row in c:
+        lead = next((m for m, v in enumerate(row) if v != 0.0), len(row))
+        for m in range(max(lead + 1, len(row) - 2), len(row)):
             if row[m] != 0.0:
-                h = min(h, (tol / abs(row[m])) ** (1.0 / m))
+                h = min(h, (RTOL * abs(row[lead]) / abs(row[m])) ** (1.0 / (m - lead)))
     return h
 
 
 def _sweep(t, a, t_end, pieces):
     """a(t_end) from a(t) = a by Taylor steps of order SERIES_ORDER, each
-    appended to pieces as (left edge, origin, coefficients).  OverflowError
-    once a component is not finite or exceeds 1e8 (a blow-up), including at
-    t_end; StepSizeUnderflow once a step no longer moves t."""
+    sized by `_step_size`, evaluated by `_horner` and appended to pieces as
+    (left edge, origin, coefficients).  OverflowError once a component is
+    not finite or exceeds 1e8 (a blow-up), including at t_end;
+    StepSizeUnderflow once a step no longer moves t."""
     while True:
         # the comparisons are False for NaN and infinities as well
         if not all(abs(v) <= 1e8 for v in a):
@@ -473,13 +456,12 @@ def _sweep(t, a, t_end, pieces):
         if t == t_end:
             return np.array(a)
         c = _taylor(t, a, SERIES_ORDER)
-        h = _step_size(c, a)
+        h = _step_size(c)
         if 0.1 * h <= math.ulp(1.0) * abs(t):
             raise StepSizeUnderflow(t, h)
         t_new = t_end if h >= abs(t_end - t) else t + math.copysign(h, t_end - t)
         pieces.append((min(t, t_new), t, np.array(c).T))
-        s = t_new - t
-        a = [functools.reduce(lambda acc, v: acc * s + v, reversed(row)) for row in c]
+        a = [_horner(row, t_new - t) for row in c]
         t = t_new
 
 
@@ -487,8 +469,12 @@ def solve_bvp(n):
     """Shooting solve of the anti-self-dual boundary-value problem from the
     closed-form shooting parameters `_seed(n)`.
 
-    The left state is the t = 0 series (with p, r) at its launch depth.  The
-    t = 1 series (with q, at order SERIES_ORDER + (n-1)/2, so that q always
+    Each endpoint series is launched at the depth `_step_size` gives it,
+    at most MAX_LAUNCH_DEPTH: as far inside as its truncation stays below
+    RTOL, because a launch at the very endpoint amplifies noise along the
+    resonant modes (factor (s/eps)^((n-1)/2) on the t1 side).  The left
+    state is the t = 0 series (with p, r) at its launch depth.  The t = 1
+    series (with q, at order SERIES_ORDER + (n-1)/2, so that q always
     enters) is swept once from its launch point down to that left state by
     Taylor steps: toward t = 0 is the stable direction, since a1 and a3
     decay like (1 - t)^((n-1)/2) toward t = 1.  There is no iteration: the
@@ -509,18 +495,18 @@ def solve_bvp(n):
         left = endpoint_series(n, "t0", SERIES_ORDER, (p, r))
     except OverflowError as exc:
         raise ShotFailed("t0", str(exc)) from exc
-    t_left = _launch_depth(left)
-    a_left = left.eval(t_left)
+    t_left = min(_step_size(left), MAX_LAUNCH_DEPTH)
+    a_left = _horner(left.T, t_left)
     steps = []
     try:
         right = endpoint_series(n, "t1", SERIES_ORDER + (n - 1) // 2, (q,))
-        t_right = 1.0 - _launch_depth(right)
-        a_right = _sweep(t_right, right.eval(t_right).tolist(), t_left, steps)
+        t_right = 1.0 - min(_step_size(right), MAX_LAUNCH_DEPTH)
+        a_right = _sweep(t_right, _horner(right.T, t_right - 1.0).tolist(), t_left, steps)
     except (OverflowError, StepSizeUnderflow) as exc:
         raise ShotFailed("t1", str(exc)) from exc
     defect = float(np.linalg.norm(a_left - a_right)) / float(np.max(np.abs(a_left)))
 
-    pieces = [(0.0, 0.0, left.coeffs.T), *reversed(steps), (t_right, 1.0, right.coeffs.T)]
+    pieces = [(0.0, 0.0, left.T), *reversed(steps), (t_right, 1.0, right.T)]
     lefts, origins, blocks = zip(*pieces)
     coeffs = np.zeros((len(blocks), len(blocks[-1]), 3))
     for k, block in enumerate(blocks):

@@ -137,16 +137,18 @@ def pair_invariants(F):
 def schlesinger_integrate(F0, x_target, rtol=1e-11):
     """Propagate (A0, A1, Ax) along the Schlesinger flow to x_target.
 
-    The straight path must keep distance > 1e-3 from the fixed singular
-    points {0, 1}.  Used as an independent oracle: the result must agree
-    with direct construction in all conjugation invariants.
+    The flow runs along the real x axis, as the line families do:
+    non-real x is a ValueError.  The interval must keep distance > 1e-3
+    from the fixed singular points {0, 1} (PathTooClose).  Used as an
+    independent oracle: the result must agree with direct construction in
+    all conjugation invariants.
     """
-    x0 = complex(F0.x)
-    x1 = complex(x_target)
+    x0, x1 = complex(F0.x), complex(x_target)
+    if x0.imag != 0.0 or x1.imag != 0.0:
+        raise ValueError(f"the flow runs along real x, got {x0} -> {x1}")
+    x0, x1 = x0.real, x1.real
     for c in (0.0, 1.0):
-        seg = x1 - x0
-        s = 0.0 if seg == 0 else max(0.0, min(1.0, ((c - x0) / seg).real))
-        if abs(x0 + s * seg - c) <= 1e-3:
+        if min(x0, x1) - 1e-3 <= c <= max(x0, x1) + 1e-3:
             raise PathTooClose(f"path {x0} -> {x1} passes near {c}")
     if x0 == x1:
         return F0
@@ -157,9 +159,9 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
         return np.array(d0 + d1 + dx)
 
     y0 = np.concatenate([m.ravel() for m in (F0.A0, F0.A1, F0.Ax)]).astype(complex)
-    y1 = rk45(flow, x0.real, y0, x1.real, rtol=rtol, atol=1e-13)
+    y1 = rk45(flow, x0, y0, x1, rtol=rtol, atol=1e-13)
     A0, A1, Ax = y1.reshape(3, 2, 2)
-    return FuchsianData(t=float("nan"), x=x1, A0=A0, A1=A1, Ax=Ax,
+    return FuchsianData(t=float("nan"), x=complex(x1), A0=A0, A1=A1, Ax=Ax,
                         Ainf=-(A0 + A1 + Ax))
 
 

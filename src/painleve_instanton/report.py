@@ -131,6 +131,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "trace": bool(abs(tr_ainf - tr_target) < tols["trace"]),
         "propagation": bool(inv_err < tols["invariants"]),
         "delta_stable": bool(delta_spread < tols["delta"]),
+        "delta_variant": variant is not None,
         "pvi": bool(max(pvi_max.values()) < tols["pvi"]),
         "pvi_step": bool(max(step_err.values()) < tols["step"]),
     }

@@ -89,6 +89,9 @@ def test_verify_checks_follow_tolerances(capsys, argv):
     _, out, _ = run(capsys, "verify", *argv)
     rep = json.loads(out)
     measured = _measured(rep)
+    # the one check with no threshold of the report's: a measured delta
+    # that is near neither published variant
+    assert rep["checks"].pop("delta_variant") is (rep["delta_variant"] is not None)
     assert set(rep["checks"]) == set(measured)
     for name, (value, key) in measured.items():
         assert rep["checks"][name] is (value < rep["tolerances"][key]), name
@@ -115,6 +118,33 @@ def test_verify_delta_variant_preference(capsys):
     assert rep["delta_variant"] == "intro"
     assert rep["checks"]["delta_variant_preference"] is False
     assert rep["passed"] is False
+
+
+def scaled_n3(monkeypatch):
+    """Make the pipelines read the n = 3 closed form scaled by 1.001, whose
+    delta (-0.627...) is near neither published variant."""
+    from dataclasses import replace
+
+    from painleve_instanton import report
+    prof = instanton.asd_closed_profile(3)
+    scaled = replace(prof, component_signs=tuple(1.001 * s for s in prof.component_signs))
+    monkeypatch.setattr(report, "profile_for", lambda n: scaled)
+
+
+def test_verify_delta_matching_neither_variant(capsys, monkeypatch):
+    # a failed measurement, not a configuration error: exit 2 with the report
+    scaled_n3(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert rep["delta_variant"] is None and abs(rep["params"]["delta"] + 0.627) < 1e-3
+    assert rep["checks"]["delta_variant"] is False and rep["passed"] is False
+
+
+def test_trace_delta_matching_neither_variant(capsys, monkeypatch):
+    scaled_n3(monkeypatch)
+    code, out, _ = run(capsys, "trace", "--n", "3", "--samples", "21", "--format", "json")
+    assert code == 0 and json.loads(out)["delta_variant"] is None
 
 
 def test_verify_impossible_tolerance(capsys):
@@ -157,7 +187,6 @@ def test_trace_deterministic_files(tmp_path, capsys):
                (tmp_path / ("b" + suffix)).read_bytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_no_convergence(capsys, monkeypatch):
     # the wild seed's shot from t1 blows up: the solver error is exit code 2
     # with the error and the failed side named in JSON on stderr

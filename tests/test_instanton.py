@@ -78,10 +78,23 @@ class NoStep(list):
 
 
 def test_sweep_step_underflow():
-    # a1 = 0 with a1' != 0: the relative bound on a1 admits no step, which
-    # raises instead of looping on steps that do not move t
+    # a1 = 1e-300 with a1' near 2: the bound relative to a1 admits no step,
+    # which raises instead of looping on steps that do not move t
     with pytest.raises(StepSizeUnderflow):
-        instanton._sweep(0.3, [0.0, 1.0, 2.0], 0.5, NoStep())
+        instanton._sweep(0.3, [1e-300, 1.0, 2.0], 0.5, NoStep())
+
+
+def test_sweep_steps_from_zero_component():
+    # a1 = 0 with a1' != 0: the bound is relative to a1's leading nonzero
+    # term, a1' h, so the sweep steps on; it lands where the sweep from the
+    # state it reached on the way lands
+    pieces = []
+    end = instanton._sweep(0.3, [0.0, 1.0, 2.0], 0.5, pieces)
+    assert len(pieces) >= 2 and pieces[0][1] == 0.3
+    t_mid = pieces[1][1]
+    mid = instanton._horner(pieces[0][2], t_mid - 0.3)
+    again = instanton._sweep(t_mid, mid.tolist(), 0.5, [])
+    np.testing.assert_allclose(again, end, rtol=1e-12, atol=0.0)
 
 
 def test_closed_form_values():
@@ -127,15 +140,15 @@ def test_sign_orbit_property(rng):
 
 def test_endpoint_series_t0():
     s = endpoint_series(1, "t0", 2, (1.0, 0.0))
-    assert np.allclose(s.coeffs[:, 0], [1.0, 1.0, 1.0])
+    assert s.shape == (3, 3) and np.allclose(s[:, 0], [1.0, 1.0, 1.0])
     # p is the shared value a2(0) = a3(0)
     s = endpoint_series(3, "t0", 2, (2.0, 2.0))
-    assert np.allclose(s.coeffs[:, 0], [1.0, 2.0, 2.0])
+    assert np.allclose(s[:, 0], [1.0, 2.0, 2.0])
 
 
 def test_endpoint_series_t1():
     s = endpoint_series(3, "t1", 1, (-1.5,))
-    assert np.allclose(s.coeffs[:, 0], [0.0, 3.0, 0.0])
+    assert s.shape == (3, 2) and np.allclose(s[:, 0], [0.0, 3.0, 0.0])
     # at n = 9 q enters at order 4: a shorter series given q is refused
     with pytest.raises(ValueError, match="order 2 is below the resonant order 4"):
         endpoint_series(9, "t1", 2, (1.0,))
@@ -147,9 +160,9 @@ def test_endpoint_series_matches_closed_form():
     s0 = endpoint_series(3, "t0", 12, (2.0, 2.0))
     s1 = endpoint_series(3, "t1", 12, (-1.5,))
     for t in (0.02, 0.08):
-        assert np.max(np.abs(s0.eval(t) - ref.values(t))) < 1e-12
+        assert np.max(np.abs(instanton._horner(s0.T, t) - ref.values(t))) < 1e-12
     for t in (0.92, 0.98):
-        assert np.max(np.abs(s1.eval(t) - ref.values(t))) < 1e-12
+        assert np.max(np.abs(instanton._horner(s1.T, t - 1.0) - ref.values(t))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 9, 13, 21, 57, 101])
@@ -171,8 +184,8 @@ def test_endpoint_series_residual_order(side, power, n):
 
     def residual(series, s):
         t, local = (s, s) if side == "t0" else (1.0 - s, -s)
-        da = np.array([np.polyval(np.polyder(c[::-1]), local) for c in series.coeffs])
-        a = series.eval(t)
+        da = np.array([np.polyval(np.polyder(c[::-1]), local) for c in series])
+        a = instanton._horner(series.T, local)
         return max(abs(-0.5 * coeff_K(i + 1, t) * da[i]
                        - (a[(i + 1) % 3] * a[(i + 2) % 3] - a[i]))
                    for i in range(3))
@@ -224,7 +237,6 @@ def test_solve_bvp_boundary_data(prof5):
     assert np.max(np.abs(a1 - np.array([0.0, 5.0, 0.0]))) < 1e-8
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed, side, reason", [
     ((40.0, -30.0, 55.0), "t1", "blow-up at t = 0.65"),
     ((1e100, 0.0, -1.5), "t0", "not finite at order 3")], ids=["wild", "overflow"])
@@ -286,7 +298,7 @@ def test_solve_bvp_asd_rhs_count(prof7_counted):
 
 
 def test_solve_bvp_piece_count(prof7_counted):
-    # the two endpoint series and five Taylor steps
+    # the two endpoint series and four Taylor steps
     assert len(prof7_counted[0].origins) <= 10
 
 
@@ -313,8 +325,8 @@ def test_sweep_piece_residual(n):
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 21, 25, 31])
 def test_seed_shot_misses_by_integration_error(monkeypatch, n):
     # the seed law is the solve up to the sweep's error: the match defect
-    # of the shot from _seed(n) falls with the sweep's RTOL (measured 962x
-    # to 6134x for 1e-9 -> 1e-12)
+    # of the shot from _seed(n) falls with the sweep's RTOL (measured 181x
+    # to 3584x for 1e-9 -> 1e-12)
     defects = []
     for rtol in (1e-9, 1e-12):
         monkeypatch.setattr(instanton, "RTOL", rtol)
@@ -330,13 +342,36 @@ def jumps(prof):
     return inner, np.max(np.abs(jump), axis=-1)
 
 
+def launch_depths(n):
+    """min(_step_size(series), MAX_LAUNCH_DEPTH) for the two endpoint series
+    of solve_bvp(n), t0 side first."""
+    p, r, q = instanton._seed(n)
+    series = (endpoint_series(n, "t0", instanton.SERIES_ORDER, (p, r)),
+              endpoint_series(n, "t1", instanton.SERIES_ORDER + (n - 1) // 2, (q,)))
+    return [min(instanton._step_size(s), instanton.MAX_LAUNCH_DEPTH) for s in series]
+
+
 def test_solve_bvp_launch_depths(prof7_counted):
     # the first and last pieces are the endpoint series, up to the depths
-    # `_launch_depth` chose; the report carries the same two numbers
+    # the step rule gives them, both at the cap for n = 7; the report
+    # carries the same two numbers
     prof = prof7_counted[0]
-    assert prof.breaks[1] == 0.1 and prof.breaks[-2] == 1.0 - 0.15
+    assert launch_depths(7) == [0.15, 0.15]
+    assert prof.breaks[1] == 0.15 and prof.breaks[-2] == 1.0 - 0.15
     assert build_verification_report(7)["launch_depths"] == {
-        "t0": 0.1, "t1": 1.0 - (1.0 - 0.15)}
+        "t0": 0.15, "t1": 1.0 - (1.0 - 0.15)}
+
+
+@pytest.mark.parametrize("n, below_cap", [(5, (False, False)), (21, (True, False)),
+                                          (101, (True, True))])
+def test_launch_depths_follow_step_rule(n, below_cap):
+    # the t0 depth falls below the cap from n = 9 on (0.076 at n = 21), the
+    # t1 depth from n = 85 on (0.135 at n = 101): a1 and a3 vanish to high
+    # order at t = 1, and the rule bounds each by its own leading term
+    depths = launch_depths(n)
+    assert tuple(d < instanton.MAX_LAUNCH_DEPTH for d in depths) == below_cap
+    prof = solve_bvp(n)
+    assert prof.breaks[1] == depths[0] and prof.breaks[-2] == 1.0 - depths[1]
 
 
 def test_solve_bvp_no_seam(prof7_counted):

@@ -279,6 +279,17 @@ def test_schlesinger_integrate_path_check(fam3_raw):
         schlesinger_integrate(fam3_raw[50], 0.5 + 0j)
 
 
+@pytest.mark.parametrize("start, target", [(0.0, 0.5j), (0.0, -3.0j), (0.1j, 0.0)],
+                         ids=["target-up", "target-down", "start"])
+def test_schlesinger_integrate_rejects_complex_x(fam3_raw, start, target):
+    # the flow runs along real x: a non-real end is refused, not integrated
+    # along its real part and labelled with the complex value
+    F = fam3_raw[50]
+    F = replace(F, x=F.x + start)
+    with pytest.raises(ValueError, match="real x"):
+        schlesinger_integrate(F, 2.0 + target)
+
+
 def test_x_monotone(fam3_raw):
     xs = fam3_raw.x.real
     assert np.all(np.diff(xs) > 0)

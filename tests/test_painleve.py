@@ -137,6 +137,6 @@ def test_params_from_n():
 def test_select_delta_variant():
     assert select_delta_variant(-5 / 8, 3) == "intro"
     assert select_delta_variant(-1.0, 3) == "theorem"
-    with pytest.raises(ValueError):
-        select_delta_variant(-0.8, 3)
+    # a measured value near neither variant is a failed measurement
+    assert select_delta_variant(-0.8, 3) is None
 
