@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .columns import csv_text, json_text
+from .columns import Rows, csv_text, json_text
 from .errors import PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
@@ -83,15 +83,15 @@ def cmd_trace(cfg):
     residuals[2:-2] = np.abs(pvi_residual(sample, params))
 
     if cfg.fmt == "json":
-        head = {"params": params.as_dict(),
-                "delta_variant": select_delta_variant(params.delta.real, cfg.n)}
-        arrays = {
+        doc = {
+            "params": params.as_dict(),
+            "delta_variant": select_delta_variant(params.delta.real, cfg.n),
             "twistor": fam.json_array(),
-            "mu": (dict.fromkeys(("t", "mu_plus", "mu_minus")),
-                   (sample.ts, mu_plus, mu_minus)),
+            "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
+                       (sample.ts, mu_plus, mu_minus)),
             "pvi": sample.json_array(residuals),
         }
-        _emit(cfg, json_text(head, arrays) + "\n")
+        _emit(cfg, json_text(doc) + "\n")
         return 0
     mu_text = csv_text(("t", "mu_plus", "mu_minus", "mu_product"),
                        (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus))
@@ -107,8 +107,7 @@ def cmd_verify(cfg):
     if cfg.delta_variant != "auto" and report["delta_variant"] != cfg.delta_variant:
         report["passed"] = False
         report["checks"]["delta_variant_preference"] = False
-    text = json.dumps(report, indent=2) + "\n"
-    _emit(cfg, text)
+    _emit(cfg, json_text(report, indent=2) + "\n")
     if cfg.out is not None:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + "\n")
     return 0 if report["passed"] else 2

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import csv_text, json_text
+from .columns import Rows, csv_text, json_text
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
 from .liealg import det2, stack_trailing
@@ -212,10 +212,9 @@ class ProfileTriple:
         return csv_text(self.COLUMNS, (ts, self.values(np.asarray(ts))))
 
     def to_json(self, ts):
-        points = (self.JSON_ROW, (ts, self.values(np.asarray(ts))))
         return json_text({"n": self.n, "kind": self.kind.value,
-                          "sign_convention": self.sign_convention},
-                         {"points": points})
+                          "sign_convention": self.sign_convention,
+                          "points": Rows(self.JSON_ROW, (ts, self.values(np.asarray(ts))))})
 
 
 def closed_form_profile(kind):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .columns import csv_text
+from .columns import Rows, csv_text
 from .errors import SingularArgument, SingularityEncountered
 from .stepper import fd_weights, rk45_path
 
@@ -53,8 +53,8 @@ class PviSample:
         return csv_text(self.COLUMNS, self._columns(residuals))
 
     def json_array(self, residuals):
-        """The CSV rows as a `json_text` array of objects keyed by `COLUMNS`."""
-        return self.JSON_ROW, self._columns(residuals)
+        """The CSV rows as `Rows` of objects keyed by `COLUMNS`."""
+        return Rows(self.JSON_ROW, self._columns(residuals))
 
     def derivatives(self):
         """(y', y'') in x at the interior samples k = 2..len-3, from the

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .columns import Rows
 from .instanton import asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
@@ -27,7 +28,8 @@ def default_tolerances(n):
     else:
         per_n = {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
                  "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
-    return {**per_n, "delta": 1e-7, "boundary": 1e-8, "match": 1e-9}
+    return {**per_n, "delta": 1e-7, "delta_variant": 1e-6, "boundary": 1e-8,
+            "match": 1e-9}
 
 
 def extract_transcendent(fam, branch):
@@ -84,7 +86,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
 
     deltas = jimbo_miwa_params(raw, "plus").delta
     delta_measured = complex(deltas[mid])
-    variant = select_delta_variant(delta_measured.real, n)
+    variant = select_delta_variant(delta_measured.real, n, tols["delta_variant"])
     delta_spread = float(np.max(np.abs(deltas - deltas[mid])))
 
     pvi_max = {}
@@ -118,11 +120,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "delta_spread": delta_spread,
         "pvi_max_residual": pvi_max,
         "pvi_step_error": step_err,
-        "y_samples": [
-            {"x_re": x_re, "x_im": x_im, "y_re": y_re, "y_im": y_im}
-            for x_re, x_im, y_re, y_im in zip(plus.xs.real.tolist(), plus.xs.imag.tolist(),
-                                              plus.ys.real.tolist(), plus.ys.imag.tolist())
-        ],
+        "y_samples": Rows(dict.fromkeys(("x_re", "x_im", "y_re", "y_im")),
+                          (plus.xs.real, plus.xs.imag, plus.ys.real, plus.ys.imag)),
         "tolerances": tols,
     }
     checks = {

@@ -154,7 +154,7 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
         return y
     direction = 1.0 if t1 > t else -1.0
     span = abs(t1 - t)
-    h = direction * min(1e-2 * span, 1e-3)
+    h = direction * min(span, 1e-3)
     k1 = np.asarray(f(t, y))
     K = np.empty((16,) + k1.shape, dtype=np.result_type(y, k1))
     K[0] = k1

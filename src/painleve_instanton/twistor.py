@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .columns import csv_text
+from .columns import Rows, csv_text
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
 from .liealg import solve3, stack_trailing, su2_combination, trace_sq
 
@@ -314,11 +314,11 @@ class FuchsianData:
         return csv_text(self.CSV_COLUMNS, cols)
 
     def json_array(self):
-        """The `json_text` array of a stack: one `JSON_ROW` per sample."""
+        """The `Rows` of a stack: one `JSON_ROW` per sample."""
         cols = (self.t, self.x.real, self.x.imag) + tuple(
             np.stack((A.real, A.imag), -1).reshape(len(self), 8)
             for A in self.residues())
-        return self.JSON_ROW, cols
+        return Rows(self.JSON_ROW, cols)
 
 
 def fuchsian_data(profile, t):

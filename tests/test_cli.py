@@ -73,6 +73,8 @@ def _measured(rep):
         "trace": (abs(rep["trace_ainf_sq"] - rep["trace_target"]), "trace"),
         "propagation": (rep["propagation_invariant_error"], "invariants"),
         "delta_stable": (rep["delta_spread"], "delta"),
+        "delta_variant": (min(abs(rep["params"]["delta"] + (rep["n"] ** 2 - c) / 8)
+                              for c in (4, 1)), "delta_variant"),
         "pvi": (max(rep["pvi_max_residual"].values()), "pvi"),
         "pvi_step": (max(rep["pvi_step_error"].values()), "step"),
     }
@@ -82,16 +84,15 @@ def _measured(rep):
     return out
 
 
-@pytest.mark.parametrize("argv", [("--n", "3"), ("--n", "5", "--tol", "1e-30")],
-                         ids=["n3", "n5-tol"])
+@pytest.mark.parametrize("argv", [("--n", "3"), ("--n", "5", "--tol", "1e-30"),
+                                  ("--n", "3", "--tol", "1e-30")],
+                         ids=["n3", "n5-tol", "n3-tol"])
 def test_verify_checks_follow_tolerances(capsys, argv):
     # every verdict is its measured value against the reported threshold
     _, out, _ = run(capsys, "verify", *argv)
     rep = json.loads(out)
     measured = _measured(rep)
-    # the one check with no threshold of the report's: a measured delta
-    # that is near neither published variant
-    assert rep["checks"].pop("delta_variant") is (rep["delta_variant"] is not None)
+    assert rep["checks"]["delta_variant"] is (rep["delta_variant"] is not None)
     assert set(rep["checks"]) == set(measured)
     for name, (value, key) in measured.items():
         assert rep["checks"][name] is (value < rep["tolerances"][key]), name

@@ -274,6 +274,17 @@ def test_schlesinger_integrate_flow_count(monkeypatch, fam3_raw):
     assert calls == {"schlesinger_field": 217}
 
 
+@pytest.mark.parametrize("samples, evaluations", [(201, 37), (801, 25)])
+def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
+    # the report's step oracle integrates PVI over one inter-sample step
+    # (6.8e-3 and 1.7e-3 in x): rk45's first step is its 1e-3 cap, not a
+    # hundredth of the span that the step control then has to grow
+    _, fam, sample, params = report.line_transcendent(3, 0.5, 0.95, samples)
+    calls = count_calls(monkeypatch, ("pvi_second_derivative",))
+    report._step_oracle_error(sample, params, len(fam) // 2)
+    assert calls == {"pvi_second_derivative": evaluations}
+
+
 def test_schlesinger_integrate_path_check(fam3_raw):
     with pytest.raises(PathTooClose):
         schlesinger_integrate(fam3_raw[50], 0.5 + 0j)

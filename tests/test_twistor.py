@@ -252,8 +252,8 @@ def test_trace_constancy_all_poles(prof3):
 
 def test_fuchsian_json_schema(prof3):
     ts = np.array([0.5, 0.7])
-    section = {"twistor": fuchsian_data(prof3, ts).json_array()}
-    rows = json.loads(json_text({}, section))["twistor"]
+    doc = {"twistor": fuchsian_data(prof3, ts).json_array()}
+    rows = json.loads(json_text(doc))["twistor"]
     assert len(rows) == 2
     for t, d in zip(ts, rows):
         assert set(d) == {"t", "x", "residues"} and d["t"] == t

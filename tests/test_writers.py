@@ -1,11 +1,12 @@
 """The column writers against the per-sample writers they replaced: every
-`trace` file (three CSV schemas and the JSON document) and both `profile`
-formats, byte for byte.  The reference formats each numpy scalar on its own
-(`f"{v:.17g}"`, `float(v)`), one sample at a time; the trace outputs
-include the NaN `residual_abs` ends.  Direct tests pin the awkward cells
-of `csv_text` and `json_text` (signed zeros, NaN, infinities, repeats), a
-property checks both against per-value spelling on random columns, and a
-count shows each distinct value is spelled once."""
+`trace` file (three CSV schemas and the JSON document), both `profile`
+formats and the `verify` report, byte for byte.  The reference formats each
+numpy scalar on its own (`f"{v:.17g}"`, `float(v)`), one sample at a time;
+the trace outputs include the NaN `residual_abs` ends.  Direct tests pin
+the awkward cells of `csv_text` and `json_text` (signed zeros, NaN,
+infinities, repeats, `%` and `null` in the other fields), a property checks
+both against per-value spelling on random columns and documents, indented
+or not, and a count shows each distinct value is spelled once."""
 
 import json
 
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from painleve_instanton import columns
 from painleve_instanton.cli import main
-from painleve_instanton.columns import csv_text, json_text
+from painleve_instanton.columns import Rows, csv_text, json_text
 from painleve_instanton.painleve import pvi_residual, select_delta_variant
-from painleve_instanton.report import line_transcendent, profile_for
+from painleve_instanton.report import (build_verification_report,
+                                       line_transcendent, profile_for)
 from painleve_instanton.twistor import mu_pair
 
 SAMPLES = 21
@@ -100,19 +102,27 @@ def test_csv_text_signed_zero_nan_and_rounding():
     assert text == csv_file("v,w", np.column_stack((col, -col)))
 
 
+def expanded(doc):
+    """`doc` with each `Rows` value written out as its list of rows, one
+    Python float per cell (flat skeletons only)."""
+    return {k: [dict(zip(v.row, row)) for row in zip(*(c.tolist() for c in v.columns))]
+            if isinstance(v, Rows) else v for k, v in doc.items()}
+
+
 def test_json_text_signed_zero_nan_inf_and_repeats():
     col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.1, -0.0])
     cols = (col, -col, col[::-1])
-    # the fields are written as given: a '%' or 'null' in them is text
-    fields = {"n": 1, "note": "100% null"}
-    text = json_text(fields, {"rows": ({"v": None, "w": [None, None]}, cols),
-                              "more": ({"u": None}, (col,))})
+    # the other fields are written as given: a '%' or 'null' in them is text
+    doc = {"n": 1, "rows": Rows({"v": None, "w": [None, None]}, cols),
+           "note": "100% null", "more": Rows({"u": None}, (col,)),
+           "none": Rows({"u": None}, (col[:0],)), "end": [None, {"%s": 2}]}
     rows = [{"v": v, "w": [w1, w2]}
             for v, w1, w2 in zip(*(c.tolist() for c in cols))]
-    assert text == json.dumps({**fields, "rows": rows,
-                               "more": [{"u": u} for u in col.tolist()]})
-    assert text.startswith('{"n": 1, "note": "100% null", "rows": '
-                           '[{"v": 0.0, "w": [-0.0, -0.0]}, {"v": -0.0, "w": [0.0, 0.1]}')
+    want = {**doc, "rows": rows, "more": [{"u": u} for u in col.tolist()], "none": []}
+    for indent in (None, 2):
+        assert json_text(doc, indent) == json.dumps(want, indent=indent)
+    assert json_text(doc).startswith('{"n": 1, "rows": [{"v": 0.0, "w": [-0.0, -0.0]}, '
+                                     '{"v": -0.0, "w": [0.0, 0.1]}')
 
 
 SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.1, 5e-324,
@@ -130,14 +140,26 @@ def column_sets(draw):
     return [np.array(draw(picks), dtype=float) for _ in range(draw(st.integers(2, 5)))]
 
 
+FIELDS = st.dictionaries(
+    st.sampled_from(["n", "note", "%s", "null", "100%"]),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_characters="\0"), max_size=6)
+    | st.lists(st.none() | st.floats(), max_size=3), max_size=4)
+
+
 @settings(max_examples=150, deadline=None)
-@given(column_sets())
-def test_writers_spell_every_cell_like_a_single_value(cols):
+@given(column_sets(), FIELDS, st.integers(1, 3), st.randoms(use_true_random=False),
+       st.sampled_from([None, 2]))
+def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng, indent):
     keys = [f"c{j}" for j in range(len(cols))]
     rows = list(zip(*(c.tolist() for c in cols)))
     assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
-    assert json_text({}, {"rows": (dict.fromkeys(keys), cols)}) == json.dumps(
-        {"rows": [dict(zip(keys, row)) for row in rows]})
+    # `Rows` at any position among the other fields, each on its own columns
+    order = list(fields) + [f"rows{j}" for j in range(arrays)]
+    rng.shuffle(order)
+    doc = {k: fields[k] if k in fields else Rows(dict.fromkeys(keys), cols[::(-1) ** int(k[4:])])
+           for k in order}
+    assert json_text(doc, indent) == json.dumps(expanded(doc), indent=indent)
 
 
 def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
@@ -186,3 +208,13 @@ def test_profile_matches_per_sample_writers(n, capsys):
     window = ("--n", str(n), "--samples", str(SAMPLES))
     assert cli_bytes(capsys, "profile", *window) == csv.encode()
     assert cli_bytes(capsys, "profile", *window, "--format", "json") == doc.encode()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_verify_report_matches_dict_rows(n, capsys):
+    # `verify` writes the report as `json.dumps(..., indent=2)` of dict rows
+    rep = build_verification_report(n)
+    assert isinstance(rep["y_samples"], Rows)
+    doc = json.dumps(expanded(rep), indent=2) + "\n"
+    assert len(json.loads(doc)["y_samples"]) == 201
+    assert cli_bytes(capsys, "verify", "--n", str(n)) == doc.encode()
