@@ -6,15 +6,17 @@ Subcommands:
   verify         run the verification suite for one n, emit the report JSON
   pvi-integrate  propagate the transcendent with the direct PVI integrator
 
-Output is deterministic (17 significant digits, fixed column order) and
-written atomically (temp file + rename).  Exit codes: 0 success, 1 invalid
-configuration, 2 solver failure, 3 I/O failure; verification
-failures also exit 2 with the report on stdout.
+Output is deterministic (17 significant digits, fixed column order),
+streamed in blocks of rows once every value is computed, and written
+atomically (temp file + rename, with the mode `open` gives a new file).
+Exit codes: 0 success, 1 invalid configuration, 2 solver failure, 3 I/O
+failure; verification failures also exit 2 with the report on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -23,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .columns import Rows, csv_text, json_text
+from .columns import Rows, csv_blocks, json_blocks
 from .errors import PainleveInstantonError
 from .painleve import (PviSample, pvi_integrate, pvi_residual,
                        select_delta_variant)
@@ -43,12 +45,16 @@ def _check_ranges(args):
         raise ValueError("n must be a positive odd label")
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, blocks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # mkstemp makes the file 0600; give it what `open` gives a new file
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,20 +62,21 @@ def _atomic_write(path, text):
         raise
 
 
-def _emit(cfg, text, suffix=""):
+def _emit(cfg, blocks, suffix=""):
+    """Write the text `blocks` to stdout, or atomically to `--out` + suffix,
+    one block at a time."""
     if cfg.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     path = cfg.out + suffix
-    _atomic_write(path, text)
+    _atomic_write(path, blocks)
     log.info("wrote %s", path)
 
 
 def cmd_profile(cfg):
     prof = profile_for(cfg.n)
     ts = np.linspace(cfg.t_min, cfg.t_max, cfg.samples)
-    text = prof.to_csv(ts) if cfg.fmt == "csv" else prof.to_json(ts) + "\n"
-    _emit(cfg, text)
+    _emit(cfg, prof.to_csv(ts) if cfg.fmt == "csv" else prof.to_json(ts))
     return 0
 
 
@@ -91,13 +98,16 @@ def cmd_trace(cfg):
                        (sample.ts, mu_plus, mu_minus)),
             "pvi": sample.json_array(residuals),
         }
-        _emit(cfg, json_text(doc) + "\n")
+        _emit(cfg, json_blocks(doc))
         return 0
-    mu_text = csv_text(("t", "mu_plus", "mu_minus", "mu_product"),
-                       (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus))
-    _emit(cfg, fam.to_csv(), suffix=".twistor.csv")
-    _emit(cfg, mu_text, suffix=".mu.csv")
-    _emit(cfg, sample.to_csv(residuals), suffix=".pvi.csv")
+    files = {
+        ".twistor.csv": fam.to_csv(),
+        ".mu.csv": csv_blocks(("t", "mu_plus", "mu_minus", "mu_product"),
+                              (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus)),
+        ".pvi.csv": sample.to_csv(residuals),
+    }
+    for suffix, blocks in files.items():
+        _emit(cfg, blocks, suffix)
     return 0
 
 
@@ -107,7 +117,7 @@ def cmd_verify(cfg):
     if cfg.delta_variant != "auto" and report["delta_variant"] != cfg.delta_variant:
         report["passed"] = False
         report["checks"]["delta_variant_preference"] = False
-    _emit(cfg, json_text(report, indent=2) + "\n")
+    _emit(cfg, json_blocks(report, indent=2))
     if cfg.out is not None:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + "\n")
     return 0 if report["passed"] else 2
@@ -131,7 +141,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use: it holds
+    only the constant subcommand configuration, like `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="painleve-instanton",
         description="Invariant instanton profiles, isomonodromic residue "

@@ -1,15 +1,17 @@
-"""Whole-column writers shared by every output schema.
+"""Whole-column writers shared by every output schema, streamed in blocks.
 
 A schema is a CSV header or a JSON row skeleton (`None` at each cell), with
-one real column per cell.  Both formats share one core: the cells are keyed
-by bit pattern (`np.unique` on `.view(np.int64)`, so `-0.0` and `0.0` stay
-distinct), each distinct value is spelled once, and the spellings fill a
-`%s` template with one copy per row.  CSV spells `%.17g`.  JSON spells with
-`json.dumps` itself, and its row template is `json.dumps` of the skeleton,
-re-indented to the array's depth, so numbers, `NaN`, `Infinity`, keys,
-separators and indentation are exactly what `json.dumps` writes for dict
-rows.  Every JSON document (profile, trace and verify report) goes through
-`json_text`, and all the arrays of one document share one spelling pass.
+one real column per cell.  Each writer yields its file's text in blocks of
+at most `BLOCK_ROWS` rows, so the memory it holds does not grow with the
+row count.  Both formats share one core, applied to each block on its own:
+the block's cells are keyed by bit pattern (`np.unique` on
+`.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct value
+is spelled once, and the spellings fill a `%s` template with one copy per
+row.  CSV spells `%.17g`.  JSON spells with `json.dumps` itself, and its
+row template is `json.dumps` of the skeleton, re-indented to the array's
+depth, so numbers, `NaN`, `Infinity`, keys, separators and indentation are
+exactly what `json.dumps` writes for dict rows.  Every JSON document
+(profile, trace and verify report) goes through `json_blocks`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import json
 from typing import NamedTuple
 
 import numpy as np
+
+# rows per block: each block is stacked, keyed and spelled on its own
+BLOCK_ROWS = 256
 
 
 class Rows(NamedTuple):
@@ -41,46 +46,56 @@ def _json_words(values):
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
-def _fill(template, stacks, spell):
-    """`template` with its `%s` slots filled, in order, by the cells of each
-    stack of columns, row by row.  `spell` is called once, on the distinct
-    values of all the cells."""
-    cells = np.concatenate([np.column_stack(cols).ravel() for cols in stacks],
-                           dtype=np.float64)
+def _fill(template, columns, spell):
+    """`template` with its `%s` slots filled, in order, by the cells of
+    `columns`, row by row.  `spell` is called once, on their distinct
+    values."""
+    cells = np.column_stack(columns).astype(np.float64, copy=False).ravel()
     keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
     words = np.array(spell(keys.view(np.float64)), dtype=object)
     return template % tuple(words[inverse].tolist())
 
 
-def _escaped(obj, indent):
-    return json.dumps(obj, indent=indent).replace("%", "%%")
+def _rows_text(item, sep, columns, spell):
+    """The rows of `columns`, each the `%s` template `item`, joined by `sep`:
+    one filled block of at most `BLOCK_ROWS` rows at a time."""
+    lead = ""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        block = [c[start:start + BLOCK_ROWS] for c in columns]
+        yield _fill(lead + sep.join([item] * len(block[0])), block, spell)
+        lead = sep
 
 
 def _array(rows, indent):
-    """The `%s` template of a top-level `Rows` value, as `json.dumps` lays
-    out a list at depth 1."""
-    count = len(rows.columns[0])
-    line = _escaped(rows.row, indent).replace("null", "%s")
-    if indent is None or count == 0:
-        return "[" + ", ".join([line] * count) + "]"
-    pad = "\n" + " " * (2 * indent)
-    return "[" + ",".join([pad + line.replace("\n", pad)] * count) + "\n" + " " * indent + "]"
+    """A top-level `Rows` value, as `json.dumps` lays out a list at depth 1."""
+    line = json.dumps(rows.row, indent=indent).replace("%", "%%").replace("null", "%s")
+    if indent is None:
+        item, sep, close = line, ", ", "]"
+    else:
+        pad = "\n" + " " * (2 * indent)
+        item, sep, close = pad + line.replace("\n", pad), ",", "\n" + " " * indent + "]"
+    yield "["
+    yield from _rows_text(item, sep, rows.columns, _json_words)
+    yield close if len(rows.columns[0]) else "]"
 
 
-def csv_text(header, columns):
+def csv_blocks(header, columns):
     """The CSV file: the header line, then one `%.17g` line per row."""
+    yield ",".join(header) + "\n"
     line = ",".join(["%s"] * len(header)) + "\n"
-    body = _fill(line * len(columns[0]), [columns], _csv_words)
-    return ",".join(header) + "\n" + body
+    yield from _rows_text(line, "", columns, _csv_words)
 
 
-def json_text(doc, indent=None):
-    """`json.dumps(doc, indent=indent)` for a dict `doc` with at least one
-    top-level value given as `Rows`, which stands for its array of rows (no
-    other string in `doc` may contain NUL)."""
+def json_blocks(doc, indent=None):
+    """The JSON file: `json.dumps(doc, indent=indent)` and a newline, for a
+    dict `doc` with at least one top-level value given as `Rows`, which
+    stands for its array of rows (no other string in `doc` may contain
+    NUL)."""
     arrays = [v for v in doc.values() if isinstance(v, Rows)]
-    rest = _escaped({k: "\0" if isinstance(v, Rows) else v for k, v in doc.items()},
-                    indent).split(_SLOT)
-    template = rest[0] + "".join(_array(rows, indent) + tail
-                                 for rows, tail in zip(arrays, rest[1:], strict=True))
-    return _fill(template, [rows.columns for rows in arrays], _json_words)
+    rest = json.dumps({k: "\0" if isinstance(v, Rows) else v for k, v in doc.items()},
+                      indent=indent).split(_SLOT)
+    yield rest[0]
+    for rows, tail in zip(arrays, rest[1:], strict=True):
+        yield from _array(rows, indent)
+        yield tail
+    yield "\n"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import Rows, csv_text, json_text
+from .columns import Rows, csv_blocks, json_blocks
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
 from .liealg import det2, stack_trailing
@@ -182,12 +182,21 @@ class ProfileTriple:
                     0, len(self.origins) - 1)
         return k, t - self.origins[k]
 
+    def _on_pieces(self, coeffs, t):
+        """sum_j coeffs[k, j] (t - origins[k])^j on the piece k of each t,
+        by Horner up to the highest degree of the pieces from the first to
+        the last k: the zero-padded rows above it would only add exact
+        zeros."""
+        k, s = self._local(t)
+        used = self.coeffs[np.min(k):np.max(k) + 1].any(axis=(0, 2))
+        top = np.flatnonzero(used).max(initial=1)
+        return _horner(coeffs[:, :top + 1].swapaxes(0, 1)[:, k], s[..., None])
+
     def values(self, t):
         """(a1, a2, a3) at t, shape (..., 3) for t of shape (...)."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_values(self.kind, t) * np.asarray(self.component_signs)
-        k, s = self._local(t)
-        return _horner(self.coeffs.swapaxes(0, 1)[:, k], s[..., None])
+        return self._on_pieces(self.coeffs, t)
 
     def oriented_values(self, t):
         """Components in the anti-self-dual orientation used by the twistor
@@ -202,19 +211,18 @@ class ProfileTriple:
         forms, and the derivative of its piece for numeric profiles."""
         if self.kind is not ProfileKind.NUMERIC:
             return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
-        k, s = self._local(t)
         slopes = self.coeffs[:, 1:] * np.arange(1.0, self.coeffs.shape[1])[:, None]
-        return _horner(slopes.swapaxes(0, 1)[:, k], s[..., None])
+        return self._on_pieces(slopes, t)
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, ts):
-        return csv_text(self.COLUMNS, (ts, self.values(np.asarray(ts))))
+        return csv_blocks(self.COLUMNS, (ts, self.values(np.asarray(ts))))
 
     def to_json(self, ts):
-        return json_text({"n": self.n, "kind": self.kind.value,
-                          "sign_convention": self.sign_convention,
-                          "points": Rows(self.JSON_ROW, (ts, self.values(np.asarray(ts))))})
+        return json_blocks({"n": self.n, "kind": self.kind.value,
+                            "sign_convention": self.sign_convention,
+                            "points": Rows(self.JSON_ROW, (ts, self.values(np.asarray(ts))))})
 
 
 def closed_form_profile(kind):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .columns import Rows, csv_text
+from .columns import Rows, csv_blocks
 from .errors import SingularArgument, SingularityEncountered
 from .stepper import fd_weights, rk45_path
 
@@ -50,7 +50,7 @@ class PviSample:
                 residuals)
 
     def to_csv(self, residuals=None):
-        return csv_text(self.COLUMNS, self._columns(residuals))
+        return csv_blocks(self.COLUMNS, self._columns(residuals))
 
     def json_array(self, residuals):
         """The CSV rows as `Rows` of objects keyed by `COLUMNS`."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .columns import Rows, csv_text
+from .columns import Rows, csv_blocks
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
 from .liealg import solve3, stack_trailing, su2_combination, trace_sq
 
@@ -311,7 +311,7 @@ class FuchsianData:
         """The twistor trace of a stack: x and tr(A_p^2) per sample."""
         cols = (self.t, self.x.real, self.x.imag) + tuple(
             v.real for v in self.trace_squares())
-        return csv_text(self.CSV_COLUMNS, cols)
+        return csv_blocks(self.CSV_COLUMNS, cols)
 
     def json_array(self):
         """The `Rows` of a stack: one `JSON_ROW` per sample."""

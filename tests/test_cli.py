@@ -1,10 +1,11 @@
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
-from painleve_instanton import instanton
+from painleve_instanton import cli, instanton
 from painleve_instanton.cli import main
 from painleve_instanton.liealg import trace_sq
 
@@ -214,6 +215,35 @@ def test_no_partial_file_on_failure(tmp_path, capsys):
     assert code == 0 and target.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_out_file_mode_is_what_open_gives(tmp_path, capsys):
+    # the temporary file's 0600 must not reach the output, new or replaced
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "sibling.json", "w"):
+            pass
+        target = tmp_path / "r.json"
+        for _ in range(2):
+            code, _, _ = run(capsys, "verify", "--n", "1", "--out", str(target))
+            assert code == 0
+            assert target.stat().st_mode == (tmp_path / "sibling.json").stat().st_mode
+    finally:
+        os.umask(umask)
+
+
+def test_failure_mid_stream_leaves_the_target_alone(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def blocks():
+        yield "t,a1\n"
+        raise RuntimeError("spelling failed")
+
+    with pytest.raises(RuntimeError):
+        cli._atomic_write(str(target), blocks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_pvi_integrate_command(capsys):

@@ -437,8 +437,8 @@ def test_conserved_tr_drift_over_grid():
 
 def test_profile_serialization():
     prof = closed_form_profile(ProfileKind.TRIVIAL)
-    csv = prof.to_csv([0.25, 0.5])
+    csv = "".join(prof.to_csv([0.25, 0.5]))
     assert csv.splitlines()[0] == "t,a1,a2,a3"
     assert csv.splitlines()[1] == "0.25,1,1,1"
-    js = prof.to_json([0.5])
+    js = "".join(prof.to_json([0.5]))
     assert '"kind": "trivial"' in js and '"sign_convention"' in js

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from painleve_instanton.columns import json_text
+from painleve_instanton.columns import json_blocks
 from painleve_instanton.errors import DegenerateLine, OnDivisor
 from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
                                           closed_form_profile)
@@ -253,7 +253,7 @@ def test_trace_constancy_all_poles(prof3):
 def test_fuchsian_json_schema(prof3):
     ts = np.array([0.5, 0.7])
     doc = {"twistor": fuchsian_data(prof3, ts).json_array()}
-    rows = json.loads(json_text(doc))["twistor"]
+    rows = json.loads("".join(json_blocks(doc)))["twistor"]
     assert len(rows) == 2
     for t, d in zip(ts, rows):
         assert set(d) == {"t", "x", "residues"} and d["t"] == t

@@ -3,12 +3,15 @@
 formats and the `verify` report, byte for byte.  The reference formats each
 numpy scalar on its own (`f"{v:.17g}"`, `float(v)`), one sample at a time;
 the trace outputs include the NaN `residual_abs` ends.  Direct tests pin
-the awkward cells of `csv_text` and `json_text` (signed zeros, NaN,
+the awkward cells of `csv_blocks` and `json_blocks` (signed zeros, NaN,
 infinities, repeats, `%` and `null` in the other fields), a property checks
 both against per-value spelling on random columns and documents, indented
-or not, and a count shows each distinct value is spelled once."""
+or not, with blocks of two or three rows so that every array crosses block
+boundaries.  A count shows each block spells its distinct values once, and
+a memory test shows that streaming does not hold the whole document."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +20,11 @@ from hypothesis import strategies as st
 
 from painleve_instanton import columns
 from painleve_instanton.cli import main
-from painleve_instanton.columns import Rows, csv_text, json_text
-from painleve_instanton.painleve import pvi_residual, select_delta_variant
+from painleve_instanton.columns import Rows, csv_blocks, json_blocks
+from painleve_instanton.painleve import PviSample, pvi_residual, select_delta_variant
 from painleve_instanton.report import (build_verification_report,
                                        line_transcendent, profile_for)
-from painleve_instanton.twistor import mu_pair
+from painleve_instanton.twistor import FuchsianData, mu_pair
 
 SAMPLES = 21
 
@@ -94,6 +97,14 @@ def cli_bytes(capsys, *argv):
     return capsys.readouterr().out.encode()
 
 
+def csv_text(header, columns):
+    return "".join(csv_blocks(header, columns))
+
+
+def json_text(doc, indent=None):
+    return "".join(json_blocks(doc, indent))
+
+
 def test_csv_text_signed_zero_nan_and_rounding():
     # the cells the per-sample writer produced for each awkward value
     col = np.array([-0.0, np.nan, 0.1])
@@ -109,7 +120,7 @@ def expanded(doc):
             if isinstance(v, Rows) else v for k, v in doc.items()}
 
 
-def test_json_text_signed_zero_nan_inf_and_repeats():
+def test_json_text_signed_zero_nan_inf_and_repeats(monkeypatch):
     col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.1, -0.0])
     cols = (col, -col, col[::-1])
     # the other fields are written as given: a '%' or 'null' in them is text
@@ -119,8 +130,10 @@ def test_json_text_signed_zero_nan_inf_and_repeats():
     rows = [{"v": v, "w": [w1, w2]}
             for v, w1, w2 in zip(*(c.tolist() for c in cols))]
     want = {**doc, "rows": rows, "more": [{"u": u} for u in col.tolist()], "none": []}
-    for indent in (None, 2):
-        assert json_text(doc, indent) == json.dumps(want, indent=indent)
+    for block_rows in (2, 3, columns.BLOCK_ROWS):
+        monkeypatch.setattr(columns, "BLOCK_ROWS", block_rows)
+        for indent in (None, 2):
+            assert json_text(doc, indent) == json.dumps(want, indent=indent) + "\n"
     assert json_text(doc).startswith('{"n": 1, "rows": [{"v": 0.0, "w": [-0.0, -0.0]}, '
                                      '{"v": -0.0, "w": [0.0, 0.1]}')
 
@@ -149,24 +162,27 @@ FIELDS = st.dictionaries(
 
 @settings(max_examples=150, deadline=None)
 @given(column_sets(), FIELDS, st.integers(1, 3), st.randoms(use_true_random=False),
-       st.sampled_from([None, 2]))
-def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng, indent):
+       st.sampled_from([None, 2]), st.integers(2, 3))
+def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng, indent,
+                                                      block_rows):
     keys = [f"c{j}" for j in range(len(cols))]
     rows = list(zip(*(c.tolist() for c in cols)))
-    assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
     # `Rows` at any position among the other fields, each on its own columns
     order = list(fields) + [f"rows{j}" for j in range(arrays)]
     rng.shuffle(order)
     doc = {k: fields[k] if k in fields else Rows(dict.fromkeys(keys), cols[::(-1) ** int(k[4:])])
            for k in order}
-    assert json_text(doc, indent) == json.dumps(expanded(doc), indent=indent)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columns, "BLOCK_ROWS", block_rows)
+        assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
+        assert json_text(doc, indent) == json.dumps(expanded(doc), indent=indent) + "\n"
 
 
 def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
     spelled = []
 
     def counting(values):
-        spelled.append(len(values))
+        spelled.append(values.view(np.int64))
         return json_words(values)
 
     json_words = columns._json_words
@@ -183,9 +199,14 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
         (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
          residuals),
     )
-    cells = np.concatenate([np.column_stack(cols).ravel() for cols in sections])
+    # each call spells exactly the distinct values of one block of one array
+    blocks = [np.column_stack([c[i:i + columns.BLOCK_ROWS] for c in cols]).ravel()
+              for cols in sections for i in range(0, 2001, columns.BLOCK_ROWS)]
+    assert len(spelled) == len(blocks)
+    for words, block in zip(spelled, blocks):
+        assert np.array_equal(words, np.unique(block.view(np.int64)))
+    cells = np.concatenate(blocks)
     distinct = np.unique(cells.view(np.int64)).size
-    assert spelled == [distinct]
     assert cells.size == 2001 * (35 + 3 + 6)
     assert distinct < 0.3 * cells.size
 
@@ -218,3 +239,31 @@ def test_verify_report_matches_dict_rows(n, capsys):
     doc = json.dumps(expanded(rep), indent=2) + "\n"
     assert len(json.loads(doc)["y_samples"]) == 201
     assert cli_bytes(capsys, "verify", "--n", str(n)) == doc.encode()
+
+
+def test_streaming_memory_does_not_grow_with_rows():
+    # a trace-shaped document (the twistor, mu and pvi arrays) streamed to a
+    # null sink: the writer holds one block, not the document.  The cells
+    # come from a small pool, as the trace repeats values, which keeps the
+    # spelling cheap under tracemalloc.
+    def peak(count):
+        rng = np.random.default_rng(count)
+        pool = rng.standard_normal(64)
+        t = np.linspace(0.05, 0.95, count)
+        doc = {"n": 3,
+               "twistor": Rows(FuchsianData.JSON_ROW,
+                               (t,) + tuple(rng.choice(pool, (2, count)))
+                               + tuple(rng.choice(pool, (4, count, 8)))),
+               "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
+                          (t,) + tuple(rng.choice(pool, (2, count)))),
+               "pvi": Rows(PviSample.JSON_ROW, (t,) + tuple(rng.choice(pool, (5, count))))}
+        tracemalloc.start()
+        try:
+            for _ in json_blocks(doc):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_001), peak(20_001)
+    assert large < 2 * small, (small, large)
