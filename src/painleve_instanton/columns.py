@@ -2,16 +2,16 @@
 
 A schema is a CSV header or a JSON row skeleton (`None` at each cell), with
 one real column per cell.  Each writer yields its file's text in blocks of
-at most `BLOCK_ROWS` rows, so the memory it holds does not grow with the
-row count.  Both formats share one core, applied to each block on its own:
-the block's cells are keyed by bit pattern (`np.unique` on
-`.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct value
-is spelled once, and the spellings fill a `%s` template with one copy per
-row.  CSV spells `%.17g`.  JSON spells with `json.dumps` itself, and its
-row template is `json.dumps` of the skeleton, re-indented to the array's
-depth, so numbers, `NaN`, `Infinity`, keys, separators and indentation are
-exactly what `json.dumps` writes for dict rows.  Every JSON document
-(profile, trace and verify report) goes through `json_blocks`.
+whole rows, at most `BLOCK_CELLS` cells (or one row), so its memory does
+not grow with the row count.  Both formats share one core, applied to each
+block on its own: the block's cells are keyed by bit pattern (`np.unique`
+on `.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct
+value is spelled once, and the spellings fill a `%s` template with one copy
+per row.  CSV spells `%.17g`.  JSON spells with `json.dumps` itself, and
+its row template is `json.dumps` of the skeleton, re-indented to the
+array's depth, so numbers, `NaN`, `Infinity`, keys, separators and
+indentation are exactly what `json.dumps` writes for dict rows.  Every JSON
+document (profile, trace and verify report) goes through `json_blocks`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# rows per block: each block is stacked, keyed and spelled on its own
-BLOCK_ROWS = 256
+# cells per block: 256 rows of the twistor trace's 35, the widest schema
+BLOCK_CELLS = 8960
 
 
 class Rows(NamedTuple):
@@ -58,10 +58,11 @@ def _fill(template, columns, spell):
 
 def _rows_text(item, sep, columns, spell):
     """The rows of `columns`, each the `%s` template `item`, joined by `sep`:
-    one filled block of at most `BLOCK_ROWS` rows at a time."""
+    one filled block of as many rows as fit in `BLOCK_CELLS` at a time."""
     lead = ""
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        block = [c[start:start + BLOCK_ROWS] for c in columns]
+    rows = max(1, BLOCK_CELLS // np.column_stack([c[:1] for c in columns]).shape[1])
+    for start in range(0, len(columns[0]), rows):
+        block = [c[start:start + rows] for c in columns]
         yield _fill(lead + sep.join([item] * len(block[0])), block, spell)
         lead = sep
 

@@ -37,7 +37,7 @@ import numpy as np
 from .columns import Rows, csv_blocks, json_blocks
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
-from .liealg import det2, stack_trailing
+from .liealg import stack_trailing
 
 
 class DualitySign(enum.Enum):
@@ -47,10 +47,10 @@ class DualitySign(enum.Enum):
 
 # The ODE itself: the branch -K_i/2 * a_i' = a_j a_k - a_i is the polynomial
 # identity P_i(t) a_i' = Q_i(t) (a_j a_k - a_i), so K_i = -2 P_i / Q_i.  Per
-# i, P_i and Q_i as (leading coefficient, integer roots).
-_ODE = (((-1.0, (1, -1, 3, -3)), (8.0, (0,))),
-        ((-2.0, (0, 3, -1)), (1.0, (-3, 1))),
-        ((-2.0, (0, -3, 1)), (1.0, (3, -1))))
+# i, P_i and Q_i as (integer leading coefficient, integer roots).
+_ODE = (((-1, (1, -1, 3, -3)), (8, (0,))),
+        ((-2, (0, 3, -1)), (1, (-3, 1))),
+        ((-2, (0, -3, 1)), (1, (3, -1))))
 
 
 def coeff_K(index, t):
@@ -273,23 +273,23 @@ def duality_residual(profile, sign, t, global_negation=False):
 def _local_polynomials(origin):
     """P and Q of the ODE table in the local variable s = t - origin (s = t
     at the left end, s = t - 1 at the right end): coefficient tuples in
-    increasing powers of s, Python floats (+ 0.0 turns -0.0 into 0.0)."""
+    increasing powers of s, integers at the ends and Python floats inside
+    (+ 0 turns -0.0 into 0.0)."""
     def coefficients(lead, roots):
-        c = [float(lead)]
+        c = [lead]
         for root in roots:  # times (s + origin - root)
             shift = origin - root
-            c = [u * shift + v for u, v in zip(c + [0.0], [0.0] + c)]
-        return tuple(v + 0.0 for v in c)
+            c = [u * shift + v for u, v in zip(c + [0], [0] + c)]
+        return tuple(v + 0 for v in c)
     return (tuple(coefficients(*P) for P, _ in _ODE),
             tuple(coefficients(*Q) for _, Q in _ODE))
 
 
 # Per side: P, Q, the chain row (P_i(0) != 0: its order-(m-1) equation
-# fixes a_i's order-m coefficient alone), the pair rows (P_i(0) = 0: their
-# order-m equations form a 2x2 system in the same two components' order-m
-# coefficients) and the unit kernel of that system at the resonant order.
-_SIDES = {"t0": (*_local_polynomials(0), 0, (1, 2), np.array([1.0, -1.0]) / math.sqrt(2.0)),
-          "t1": (*_local_polynomials(1), 1, (0, 2), np.array([1.0, 1.0]) / math.sqrt(2.0))}
+# fixes a_i's order-m coefficient alone), the pair rows (P_i(0) = 0) and
+# the ratio rho = P_i'(0)/Q_i(0) that both pair rows share.
+_SIDES = {"t0": (*_local_polynomials(0), 0, (1, 2), -2),
+          "t1": (*_local_polynomials(1), 1, (0, 2), 2)}
 
 
 def _sources(c, m):
@@ -303,10 +303,10 @@ def _equation(P, Q, c, g, i, m):
     """Order-m coefficient of P_i a_i' - Q_i (a_j a_k - a_i) for the
     coefficient rows c and the source coefficients g (g[e] from _sources)."""
     ci = c[i]
-    lhs = 0.0
+    lhs = 0
     for d in range(max(0, m + 2 - len(ci)), min(len(P[i]) - 1, m) + 1):
         lhs += P[i][d] * ((m + 1 - d) * ci[m + 1 - d])
-    rhs = 0.0
+    rhs = 0
     for d in range(min(len(Q[i]) - 1, m) + 1):
         rhs += Q[i][d] * g[m - d][i]
     return lhs - rhs
@@ -323,67 +323,68 @@ def _chain_order(P, Q, c, g, rows, m):
 
 
 def endpoint_series(n, side, order, params=None):
-    """Analytic endpoint branch of the anti-self-dual system, order by order:
-    its coefficients as a (3, order + 1) array in increasing powers of the
-    local variable s = t (side "t0") or s = t - 1 (side "t1").
+    """Analytic endpoint branch of the anti-self-dual system for odd n >= 1,
+    order by order: its coefficients as a (3, order + 1) array in increasing
+    powers of the local variable s = t (side "t0") or s = t - 1 (side "t1").
 
     side "t0" has two free parameters (p, r), default (1, 0): p = a2(0) =
     a3(0), r = the order-1 resonance amplitude along a2 - a3.  side "t1" has
-    one, (q,), default 0: the kernel amplitude at the resonant order
+    one, (q,), default 0: the amplitude along a1 + a3 at the resonant order
     (n-1)/2 (the boundary value a1(1) = a3(1) itself for n = 1).
 
     At each order m the chain row's order-(m-1) equation gives its
     component by one division by P_i(0) m (`_chain_order`, which the
-    interior Taylor steps share).  The pair rows (a, b) give
-    L_m x = -b_m in their order-m coefficients x, b_m being their order-m
-    equations at x = 0 and, with c0 the chain component at the endpoint,
-    L_m = [[m P_a'(0) + Q_a(0), -Q_a(0) c0], [-Q_b(0) c0, m P_b'(0) + Q_b(0)]].
-    At the resonant order L_m is exactly singular: a minimum-norm solution is
-    taken, its kernel component replaced by the shooting parameter, and an
-    inconsistent resonance raises NoAnalyticBranch.  Coefficients that
-    overflow (a wild shooting parameter) raise OverflowError at the first
-    order that is not finite.  A t1 series with params below its resonant
-    order (n-1)/2 would never see q: that is a ValueError.
+    interior Taylor steps share).  The pair rows (a, b) share one ratio
+    rho = P_i'(0)/Q_i(0), so over Q_i(0) their order-m equations read
+    (rho m + 1) x_a - c0 x_b = u_a and (rho m + 1) x_b - c0 x_a = u_b in
+    their order-m coefficients x (c0: the chain component's endpoint
+    value), and x_a + x_b and x_a - x_b take one division each, by
+    rho m + 1 - c0 and rho m + 1 + c0.  At the resonant order one divisor
+    is 0: its equation is a consistency condition (NoAnalyticBranch) and
+    the shooting parameter sets that combination to 2r or 2q.  Every
+    constant is an integer, so Fraction params give the exact series.
+    OverflowError at the first order that is not finite (a wild shooting
+    parameter); ValueError for an n that is not odd and positive, or for
+    a t1 series given params below its resonant order, never seeing q.
     """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"n must be odd and positive (|n| label), got {n}")
     if order < 1:
         raise ValueError("order must be >= 1")
     if side == "t0":
         p, amount = params if params is not None else (1.0, 0.0)
-        start, resonant = (1.0, p, p), 1
+        start = (1, p, p)
     elif side == "t1":
         (amount,) = params if params is not None else (0.0,)
         resonant = (n - 1) // 2
         if params is not None and order < resonant:
             raise ValueError(f"t1 series order {order} is below the resonant "
                              f"order {resonant}, where q enters")
-        start = (amount, float(n), amount) if resonant == 0 else (0.0, float(n), 0.0)
+        start = (amount, n, amount) if resonant == 0 else (0, n, 0)
     else:
         raise ValueError("side must be 't0' or 't1'")
-    P, Q, chain, pair, kernel = _SIDES[side]
-    c = [[v] + [0.0] * order for v in start]
+    P, Q, chain, pair, rho = _SIDES[side]
+    c = [[v] + [0] * order for v in start]
     g = []
-    (pa, qa), (pb, qb) = ((P[row][1], Q[row][0]) for row in pair)
     c0 = start[chain]
-    with np.errstate(all="ignore"):  # a non-finite order raises below
-        for m in range(1, order + 1):
-            _chain_order(P, Q, c, g, (chain,), m)
-            # provisional: the pair rows' order-m coefficients are still 0
-            g.append(_sources(c, m))
-            b = np.array([_equation(P, Q, c, g, row, m) for row in pair])
-            L = np.array([[m * pa + qa, -qa * c0], [-qb * c0, m * pb + qb]])
-            if m != resonant:
-                det = det2(L)
-                sol = ((-b[0] * L[1, 1] + b[1] * L[0, 1]) / det,
-                       (-b[1] * L[0, 0] + b[0] * L[1, 0]) / det)
+    for m in range(1, order + 1):
+        _chain_order(P, Q, c, g, (chain,), m)
+        # provisional: the pair rows' order-m coefficients are still 0
+        g.append(_sources(c, m))
+        b = [_equation(P, Q, c, g, row, m) for row in pair]
+        u_a, u_b = (-e / Q[row][0] for e, row in zip(b, pair))
+        x = []  # x_a + x_b, x_a - x_b
+        for rhs, eigenvalue in ((u_a + u_b, rho * m + 1 - c0), (u_a - u_b, rho * m + 1 + c0)):
+            if eigenvalue:
+                x.append(rhs / eigenvalue)
+            elif abs(rhs) > 1e-8 * max(1, *map(abs, b)):
+                raise NoAnalyticBranch(m, float(abs(rhs)))
             else:
-                sol, *_ = np.linalg.lstsq(L, -b, rcond=None)
-                defect = float(np.max(np.abs(L @ sol + b)))
-                if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-                    raise NoAnalyticBranch(m, defect)
-                sol = sol - (sol @ kernel) * kernel + amount * math.sqrt(2.0) * kernel
-            c[pair[0]][m], c[pair[1]][m] = (float(v) for v in sol)
-            if not all(math.isfinite(row[m]) for row in c):
-                raise OverflowError(f"endpoint series not finite at order {m}")
+                x.append(2 * amount)
+        total, diff = x
+        c[pair[0]][m], c[pair[1]][m] = (total + diff) / 2, (total - diff) / 2
+        if not all(math.isfinite(row[m]) for row in c):
+            raise OverflowError(f"endpoint series not finite at order {m}")
     return np.array(c)
 
 
@@ -493,10 +494,9 @@ def solve_bvp(n):
     endpoint series and the Taylor polynomial of every step, zero-padded to
     the t = 1 series' degree.  Its jump at breaks[1] is the unscaled defect.
     ShotFailed names the side: "t0" if its series overflows, "t1" if its
-    series or the sweep blows up or a step no longer moves t.
+    series or the sweep blows up or a step no longer moves t.  An n that is
+    not odd and positive is `endpoint_series`' ValueError.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd and positive (|n| label), got {n}")
     p, r, q = _seed(n)
     try:
         left = endpoint_series(n, "t0", SERIES_ORDER, (p, r))

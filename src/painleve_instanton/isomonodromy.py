@@ -134,7 +134,7 @@ def pair_invariants(F):
     return np.einsum("...iab,...jba->...ij", mats, mats)
 
 
-def schlesinger_integrate(F0, x_target, rtol=1e-11):
+def schlesinger_integrate(F0, x_target):
     """Propagate (A0, A1, Ax) along the Schlesinger flow to x_target.
 
     The flow runs along the real x axis, as the line families do:
@@ -159,7 +159,7 @@ def schlesinger_integrate(F0, x_target, rtol=1e-11):
         return np.array(d0 + d1 + dx)
 
     y0 = np.concatenate([m.ravel() for m in (F0.A0, F0.A1, F0.Ax)]).astype(complex)
-    y1 = rk45(flow, x0, y0, x1, rtol=rtol, atol=1e-13)
+    y1 = rk45(flow, x0, y0, x1, rtol=1e-11, atol=1e-13)
     A0, A1, Ax = y1.reshape(3, 2, 2)
     return FuchsianData(t=float("nan"), x=complex(x1), A0=A0, A1=A1, Ax=Ax,
                         Ainf=-(A0 + A1 + Ax))

@@ -59,10 +59,6 @@ def commutator(a, b):
     return c00, da * b01 - db * a01, db * a10 - da * b10, -c00
 
 
-def det2(a):
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
 def trace_sq(a):
     """tr(A^2); equals 2*lambda^2 for traceless A with eigenvalues ±lambda."""
     return (a[..., 0, 0] * a[..., 0, 0] + a[..., 1, 1] * a[..., 1, 1]

@@ -114,7 +114,7 @@ def max_pvi_residual(sample, params):
     return float(np.max(np.abs(pvi_residual(sample, params))))
 
 
-def pvi_integrate(params, xs, y0, yp0, rtol=1e-11, atol=1e-13):
+def pvi_integrate(params, xs, y0, yp0):
     """Integrate PVI as a first-order system from (xs[0], y0, y'0) through
     the strictly monotone real nodes xs in one sweep.
 
@@ -129,7 +129,7 @@ def pvi_integrate(params, xs, y0, yp0, rtol=1e-11, atol=1e-13):
         return np.array([yp, pvi_second_derivative(params, x, y, yp)])
 
     states = np.array(rk45_path(flow, xs, np.array([y0, yp0], dtype=complex),
-                                rtol=rtol, atol=atol))
+                                rtol=1e-11, atol=1e-13))
     return states[:, 0], states[:, 1]
 
 

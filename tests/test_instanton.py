@@ -1,5 +1,7 @@
+import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +165,53 @@ def test_endpoint_series_matches_closed_form():
         assert np.max(np.abs(instanton._horner(s0.T, t) - ref.values(t))) < 1e-12
     for t in (0.92, 0.98):
         assert np.max(np.abs(instanton._horner(s1.T, t - 1.0) - ref.values(t))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, -1, 2, 4, 6])
+def test_endpoint_series_rejects_n_not_odd_positive(n):
+    # for even n, (n-1)//2 is no resonance: q would overwrite a solved order
+    for side, params in (("t0", (1.0, 0.0)), ("t1", (0.3,))):
+        with pytest.raises(ValueError, match="odd and positive"):
+            endpoint_series(n, side, 6, params)
+
+
+def test_endpoint_pair_rows_share_rho():
+    # the premise of the closed-form pair solve: P_i(0) = 0 on both pair
+    # rows, with one ratio rho = P_i'(0)/Q_i(0) for both; the chain row's
+    # P_i(0) is not 0 and its Q_i(0) is
+    for side, rho in (("t0", -2), ("t1", 2)):
+        P, Q, chain, pair, table_rho = instanton._SIDES[side]
+        assert table_rho == rho
+        assert P[chain][0] != 0 and Q[chain][0] == 0
+        for row in pair:
+            assert P[row][0] == 0 and P[row][1] == rho * Q[row][0] != 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_endpoint_series_t0_exact(n):
+    # the seed law's p and r as rationals, from _seed's integer products:
+    # every constant of the recurrence is an integer, so the series is exact
+    js = range(1, (n - 1) // 2 + 1)
+    p = Fraction(math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js))
+    s = Fraction(math.prod(3 * j + 2 for j in js), math.prod(3 * j - 2 for j in js))
+    order = instanton.SERIES_ORDER
+    exact = endpoint_series(n, "t0", order, (p, 2 * (s - p) / 3))
+    assert all(type(v) in (int, Fraction) for v in exact.ravel())
+    # every order's equations vanish exactly; the chain row's order-m
+    # equation needs the order-(m+1) coefficient, so it stops one short
+    P, Q, chain, _, _ = instanton._SIDES["t0"]
+    c = exact.tolist()
+    g = [instanton._sources(c, m) for m in range(order + 1)]
+    for m in range(order + 1):
+        for i in range(3):
+            if m < order or i != chain:
+                assert instanton._equation(P, Q, c, g, i, m) == 0, (m, i)
+    # the float series from the float seed, per component relative to its
+    # largest coefficient (measured <= 1.4e-14)
+    approx = endpoint_series(n, "t0", order, instanton._seed(n)[:2])
+    for row, exact_row in zip(approx, c):
+        size = max(map(abs, exact_row))
+        assert max(abs(Fraction(x) - e) for x, e in zip(row.tolist(), exact_row)) <= 1e-13 * size
 
 
 @pytest.mark.parametrize("n", [5, 9, 13, 21, 57, 101])

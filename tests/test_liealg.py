@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_instanton.errors import DegenerateMatrix, SingularMatrix
-from painleve_instanton.liealg import (X1, X2, X3, commutator, det2, eigen2,
+from painleve_instanton.liealg import (X1, X2, X3, commutator, eigen2,
                                        entries, solve3, su2_combination,
                                        trace_sq)
 
@@ -20,6 +20,9 @@ def test_basis_matrices():
     assert np.array_equal(X3, np.array([[0, 1j], [1j, 0]]))
     for X in (X1, X2, X3):
         assert trace_sq(X) == -2
+    for n in (1, 3, 5):
+        m = (n / 4) * 1j * X2  # eigenvalues +-n/4
+        assert abs(trace_sq(m) - n * n / 8) < 1e-14
 
 
 def test_basis_commutators():
@@ -27,15 +30,6 @@ def test_basis_commutators():
     assert np.array_equal(bracket(X1, X2), 2 * X3)
     assert np.array_equal(bracket(X2, X3), 2 * X1)
     assert np.array_equal(bracket(X3, X1), 2 * X2)
-
-
-def test_det2_examples():
-    assert det2(X1) == 1
-    assert det2(np.zeros((2, 2))) == 0
-    for n in (1, 3, 5):
-        m = (n / 4) * 1j * X2  # eigenvalues +-n/4
-        assert abs(det2(m) + n * n / 16) < 1e-14
-        assert abs(trace_sq(m) - n * n / 8) < 1e-14
 
 
 def test_trace_sq_examples():
@@ -96,7 +90,8 @@ floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 def test_det_trace_identity(vals):
     m = _random_traceless(vals)
-    assert abs(det2(m) + trace_sq(m) / 2.0) < 1e-12
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    assert abs(det + trace_sq(m) / 2.0) < 1e-12
 
 
 @given(st.tuples(floats, floats, floats, floats, floats, floats))

@@ -6,8 +6,8 @@ the trace outputs include the NaN `residual_abs` ends.  Direct tests pin
 the awkward cells of `csv_blocks` and `json_blocks` (signed zeros, NaN,
 infinities, repeats, `%` and `null` in the other fields), a property checks
 both against per-value spelling on random columns and documents, indented
-or not, with blocks of two or three rows so that every array crosses block
-boundaries.  A count shows each block spells its distinct values once, and
+or not, with blocks of a few cells (one to six rows) so that every array
+crosses block boundaries.  A count shows each block spells its distinct values once, and
 a memory test shows that streaming does not hold the whole document."""
 
 import json
@@ -130,8 +130,9 @@ def test_json_text_signed_zero_nan_inf_and_repeats(monkeypatch):
     rows = [{"v": v, "w": [w1, w2]}
             for v, w1, w2 in zip(*(c.tolist() for c in cols))]
     want = {**doc, "rows": rows, "more": [{"u": u} for u in col.tolist()], "none": []}
-    for block_rows in (2, 3, columns.BLOCK_ROWS):
-        monkeypatch.setattr(columns, "BLOCK_ROWS", block_rows)
+    # budgets of 1 and 4 cells hold one row of width 3, 7 cells hold two
+    for block_cells in (1, 4, 7, columns.BLOCK_CELLS):
+        monkeypatch.setattr(columns, "BLOCK_CELLS", block_cells)
         for indent in (None, 2):
             assert json_text(doc, indent) == json.dumps(want, indent=indent) + "\n"
     assert json_text(doc).startswith('{"n": 1, "rows": [{"v": 0.0, "w": [-0.0, -0.0]}, '
@@ -162,9 +163,9 @@ FIELDS = st.dictionaries(
 
 @settings(max_examples=150, deadline=None)
 @given(column_sets(), FIELDS, st.integers(1, 3), st.randoms(use_true_random=False),
-       st.sampled_from([None, 2]), st.integers(2, 3))
+       st.sampled_from([None, 2]), st.integers(1, 12))
 def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng, indent,
-                                                      block_rows):
+                                                      block_cells):
     keys = [f"c{j}" for j in range(len(cols))]
     rows = list(zip(*(c.tolist() for c in cols)))
     # `Rows` at any position among the other fields, each on its own columns
@@ -173,7 +174,7 @@ def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng,
     doc = {k: fields[k] if k in fields else Rows(dict.fromkeys(keys), cols[::(-1) ** int(k[4:])])
            for k in order}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(columns, "BLOCK_ROWS", block_rows)
+        patch.setattr(columns, "BLOCK_CELLS", block_cells)
         assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
         assert json_text(doc, indent) == json.dumps(expanded(doc), indent=indent) + "\n"
 
@@ -199,10 +200,12 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
         (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
          residuals),
     )
-    # each call spells exactly the distinct values of one block of one array
-    blocks = [np.column_stack([c[i:i + columns.BLOCK_ROWS] for c in cols]).ravel()
-              for cols in sections for i in range(0, 2001, columns.BLOCK_ROWS)]
-    assert len(spelled) == len(blocks)
+    # each call spells exactly the distinct values of one block of one array:
+    # as many rows of its width (35, 3 and 6 cells) as fit in BLOCK_CELLS
+    steps = [columns.BLOCK_CELLS // width for width in (35, 3, 6)]
+    blocks = [np.column_stack([c[i:i + step] for c in cols]).ravel()
+              for cols, step in zip(sections, steps) for i in range(0, 2001, step)]
+    assert len(spelled) == len(blocks) == 8 + 1 + 2
     for words, block in zip(spelled, blocks):
         assert np.array_equal(words, np.unique(block.view(np.int64)))
     cells = np.concatenate(blocks)
