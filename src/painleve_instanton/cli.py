@@ -171,10 +171,13 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("PAINLEVE_INSTANTON_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
     args = build_parser().parse_args(argv)
     try:
+        name = os.environ.get("PAINLEVE_INSTANTON_LOG", "error")
+        level = logging.getLevelName(name.upper())  # an int for level names only
+        if not isinstance(level, int):
+            raise ValueError(f"PAINLEVE_INSTANTON_LOG={name!r} is not a logging level name")
+        logging.basicConfig(level=level)
         _check_ranges(args)
         return _COMMANDS[args.command](args)
     except OSError as exc:

@@ -16,10 +16,12 @@ which `schlesinger_residual` checks; g is never integrated.  The flow also
 commutes with constant conjugation, so propagating a line-gauge sample lands
 on a conjugate of a later one, with the same `pair_invariants`.
 
-`schlesinger_field` is the one Schlesinger field, written on the four
-entries of each residue (`liealg.entries`, `liealg.commutator`): the
-propagation oracle `schlesinger_integrate` calls it on Python numbers once
-per stage, and `schlesinger_residual` on the entry arrays of the samples.
+Residues are carried as coefficient vectors m_p on (X1, X2, X3), C = c.X,
+and every bracket is one cross product, [m.X, n.X] = 2 (m x n).X: exact to
+one rounding on the line family, whose m_p are signed copies of one u.
+`schlesinger_field` is the one Schlesinger field, called on Python numbers
+by the propagation oracle `schlesinger_integrate` and on sample arrays by
+`schlesinger_residual`.
 """
 
 from __future__ import annotations
@@ -29,22 +31,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
-from .liealg import commutator, entries, stack_trailing
+from .liealg import cross, stack_trailing
 from .painleve import PviParams
 from .stepper import fd_weights, rk45
-from .twistor import FuchsianData, form_matrix, fuchsian_data, mu_pair
+from .twistor import SIGNS, fuchsian_data, mu_pair
 
 
 def gauge_rate(profile, t):
-    """Constant term C(t) of the transverse connection in the normalised
-    coordinate w, in closed form: C = form_matrix(a, (g1, 0, g3)) with
+    """Vector c of the constant term C(t) = c.X of the transverse connection
+    in the normalised coordinate w, in closed form: c = -a * (g1, 0, g3) with
 
         g1 = i t^2 (mu_+ - mu_-) / ((t+3)^3 (t-1)),
         g3 = -2 (mu_+ - 1) / ((t+1)(t-3)(mu_+ - mu_-) sqrt(-mu_+))
            = -16 t^2 alpha_{3,0} / ((t^2-1)(t^2-9)).
 
     Derivation.  At fixed w the flat family connection along t is
-    B(w) = form_matrix(a, c_T + c_L dlam/dt), with c_T, c_L the action
+    B(w) = -sum_i a_i (c_T + c_L dlam/dt)_i X_i, with c_T, c_L the action
     inverse on `line_transverse` and `line_tangent` at lam = lam(t, w), the
     inverse of the normalisation.  The normalisation pins the poles 0, 1 and
     infinity, so B has a pole in w only at the moving x, with residue
@@ -60,7 +62,7 @@ def gauge_rate(profile, t):
     mu = mu_p - mu_m
     g1 = 1j * t * t * mu / ((t + 3.0) ** 3 * (t - 1.0))
     g3 = -2.0 * (mu_p - 1.0) / ((t + 1.0) * (t - 3.0) * mu * (-mu_p) ** 0.5)
-    return form_matrix(profile.oriented_values(t), stack_trailing([g1, 0.0 * g1, g3]))
+    return -profile.oriented_values(t) * stack_trailing([g1, 0.0 * g1, g3])
 
 
 def make_family(profile, ts):
@@ -76,45 +78,43 @@ def make_family(profile, ts):
 # Schlesinger equations
 # --------------------------------------------------------------------------
 
-def schlesinger_field(x, A0, A1, Ax):
-    """(dA0, dA1, dAx)/dx of the Schlesinger system, each residue given and
-    returned as its `entries`.  x and the entries are Python numbers in the
-    propagation oracle, where coercing to arrays costs more than the
-    arithmetic, or broadcasting sample arrays in the residual check."""
+def schlesinger_field(x, m0, m1, mx):
+    """(dm0, dm1, dmx)/dx of the Schlesinger system on residue vectors:
+    dm0/dx = 2 m0 x mx / x, dm1/dx = 2 m1 x mx / (x - 1).  x and the
+    components are Python numbers in the propagation oracle, where coercing
+    to arrays costs more than the arithmetic, or sample arrays."""
     if isinstance(x, np.ndarray):
         near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
         if near.any():
             raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
     elif min(abs(x), abs(x - 1.0)) < 1e-12:
         raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
-    d0 = [c / x for c in commutator(A0, Ax)]
-    d1 = [c / (x - 1.0) for c in commutator(A1, Ax)]
+    d0 = [2.0 * c / x for c in cross(m0, mx)]
+    d1 = [2.0 * c / (x - 1.0) for c in cross(m1, mx)]
     return d0, d1, [-p - q for p, q in zip(d0, d1)]
 
 
 def schlesinger_residual(profile, fam):
     """Frobenius-norm defect of the deformation equations in their line-gauge
     form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at every
-    interior sample k = 2..len-3: the x-derivatives are 5-point stencils
-    centred on k, C is `gauge_rate` and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1)
-    - 3/(t+3) the logarithmic derivative of `cross_ratio`.  Everything runs
-    on the entry arrays of the three moving residues."""
+    interior sample k = 2..len-3, computed on coefficient vectors: the
+    Frobenius norm of r.X is sqrt(2) |r|.  dm_p/dx = -SIGNS[:, p] * du/dx,
+    with du/dx the 5-point stencil centred on k applied to the three columns
+    of u; C is `gauge_rate`, and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3)
+    the logarithmic derivative of `cross_ratio`."""
     xs = fam.x.real
     w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
+    du = np.sum(w[:, None] * sliding_window_view(fam.u, 5, axis=0), axis=-1).T
     inner = fam[2:-2]
     t = inner.t
     xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
-    C = [c / xdot for c in entries(gauge_rate(profile, t))]
-    moving = [entries(A) for A in (fam.A0, fam.A1, fam.Ax)]
-    at_inner = [entries(A) for A in (inner.A0, inner.A1, inner.Ax)]
+    c = gauge_rate(profile, t).T / xdot
+    moving = np.moveaxis(inner.vectors(), (-2, -1), (0, 1))[:3]
     total = 0.0
-    for A, A_inner, want in zip(moving, at_inner,
-                                schlesinger_field(inner.x, *at_inner), strict=True):
-        sq = 0.0
-        for a, ca, f in zip(A, commutator(C, A_inner), want, strict=True):
-            got = np.sum(w * sliding_window_view(a, 5), axis=-1) + ca
-            sq = sq + np.abs(got - f) ** 2
-        total = total + np.sqrt(sq)
+    for p, (m, want) in enumerate(zip(moving, schlesinger_field(inner.x, *moving),
+                                      strict=True)):
+        r = -SIGNS[:, p, None] * du + 2.0 * np.array(cross(c, m)) - np.array(want)
+        total = total + np.sqrt(2.0 * np.sum(np.abs(r) ** 2, axis=0))
     return total
 
 
@@ -123,19 +123,22 @@ def max_schlesinger_residual(profile, fam):
 
 
 def isospectral_drift(fam):
-    """max - min of tr(A_p^2) over the family, for each of the four poles."""
+    """For each of the four poles, max over the family of
+    |tr(A_p^2)(t) - tr(A_p^2)(t_0)|, t_0 the first sample.  The four entries
+    are one quantity by construction: tr(A_p^2) = -2 u.u at every pole."""
     traces = np.stack(fam.trace_squares(), axis=-1)
     return tuple(float(d) for d in np.max(np.abs(traces - traces[0]), axis=0))
 
 
-def pair_invariants(F):
-    """Conjugation invariants tr(A_i A_j) for all pole pairs (..., 4, 4)."""
-    mats = np.stack(F.residues(), axis=-3)
-    return np.einsum("...iab,...jba->...ij", mats, mats)
+def pair_invariants(m):
+    """Conjugation invariants tr(A_i A_j) = -2 m_i.m_j for all pole pairs
+    (..., 4, 4) of residue vectors m (..., 4, 3)."""
+    return -2.0 * np.einsum("...ik,...jk->...ij", m, m)
 
 
 def schlesinger_integrate(F0, x_target):
-    """Propagate (A0, A1, Ax) along the Schlesinger flow to x_target.
+    """Propagate the residues of the one-sample F0 along the Schlesinger
+    flow to x_target, and return their vectors (4, 3) there.
 
     The flow runs along the real x axis, as the line families do:
     non-real x is a ValueError.  The interval must keep distance > 1e-3
@@ -150,19 +153,17 @@ def schlesinger_integrate(F0, x_target):
     for c in (0.0, 1.0):
         if min(x0, x1) - 1e-3 <= c <= max(x0, x1) + 1e-3:
             raise PathTooClose(f"path {x0} -> {x1} passes near {c}")
+    m = F0.vectors().astype(complex)
     if x0 == x1:
-        return F0
+        return m
 
     def flow(x, vec):
         v = vec.tolist()
-        d0, d1, dx = schlesinger_field(x, v[:4], v[4:8], v[8:])
+        d0, d1, dx = schlesinger_field(x, v[:3], v[3:6], v[6:])
         return np.array(d0 + d1 + dx)
 
-    y0 = np.concatenate([m.ravel() for m in (F0.A0, F0.A1, F0.Ax)]).astype(complex)
-    y1 = rk45(flow, x0, y0, x1, rtol=1e-11, atol=1e-13)
-    A0, A1, Ax = y1.reshape(3, 2, 2)
-    return FuchsianData(t=float("nan"), x=complex(x1), A0=A0, A1=A1, Ax=Ax,
-                        Ainf=-(A0 + A1 + Ax))
+    m0, m1, mx = rk45(flow, x0, m[:3].ravel(), x1, rtol=1e-11, atol=1e-13).reshape(3, 3)
+    return np.array([m0, m1, mx, -(m0 + m1 + mx)])
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Exact-size complex matrix kernel: 2x2 traceless arithmetic, closed-form
-eigen-decomposition, and a pivoted 3x3 solve.
+"""Exact-size complex matrix kernel: the su(2) bracket on coefficient
+vectors, 2x2 traceless arithmetic, closed-form eigen-decomposition, and a
+pivoted 3x3 solve.
 
 Matrices are plain numpy arrays used as immutable values; nothing here calls
 numpy.linalg.  The 2x2 kernels broadcast: leading axes index samples, the
-trailing two are the matrix.  The commutator works on the four entries
-(a00, a01, a10, a11) of each matrix instead (`entries`), with no matmul, so
-the same expressions run on Python numbers, one per entry, in the
-Schlesinger propagation oracle and on sample arrays in the residual check.
-The su(2) basis is
+trailing two are the matrix.  The su(2) basis is
 
     X1 = [[i, 0], [0, -i]],  X2 = [[0, 1], [-1, 0]],  X3 = [[0, i], [i, 0]],
 
-with tr(Xk^2) = -2 and [X1, X2] = 2 X3 cyclically.
+with tr(Xk^2) = -2 and [X1, X2] = 2 X3 cyclically, so an element m.X is
+carried as its coefficient vector m and the bracket is a cross product:
+[m.X, n.X] = 2 (m x n).X (`cross`).  `cross` takes 3-sequences of Python
+numbers or of broadcasting arrays, so the same expressions run in the
+Schlesinger propagation oracle and on sample arrays in the residual check.
 """
 
 from __future__ import annotations
@@ -43,20 +44,12 @@ def su2_combination(c1, c2, c3):
     return stack_trailing([[1j * c1, c2 + 1j * c3], [-c2 + 1j * c3, -1j * c1]])
 
 
-def entries(a):
-    """The entries (a00, a01, a10, a11) of a (..., 2, 2) stack, as views."""
-    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-
-
-def commutator(a, b):
-    """The entries of [A, B] = AB - BA from the entries of A and B, as
-    Python numbers or as arrays; any 2x2 pair, traceless or not."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    c00 = a01 * b10 - b01 * a10
-    da = a00 - a11
-    db = b00 - b11
-    return c00, da * b01 - db * a01, db * a10 - da * b10, -c00
+def cross(a, b):
+    """a x b of two 3-sequences of Python numbers or of arrays:
+    [a.X, b.X] = 2 (a x b).X."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
 
 
 def trace_sq(a):

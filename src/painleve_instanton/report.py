@@ -75,7 +75,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     # (the flow commutes with constant conjugation, so the line gauge serves)
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
     prop = schlesinger_integrate(raw[k0], raw[k1].x)
-    inv_err = float(np.max(np.abs(pair_invariants(prop) - pair_invariants(raw[k1]))))
+    inv_err = float(np.max(np.abs(pair_invariants(prop)
+                                 - pair_invariants(raw[k1].vectors()))))
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,

@@ -6,8 +6,8 @@ and assembly of the rank-2 Fuchsian residues from a profile.
 
 The residues have Klein-four structure: alpha_{i,p} = alpha_{i,0} SIGNS[i-1, p].
 With u = a * alpha_{.,0} (profile values times the base column), the
-Fuchsian residues are A_p = -sum_i SIGNS[i-1, p] u_i X_i, all of determinant
-u.u, and y and the PVI parameters are closed forms in u.
+Fuchsian residues are A_p = m_p.X with m_p = -SIGNS[:, p] * u, all of
+determinant u.u, and y and the PVI parameters are closed forms in u.
 
 Conventions fixed here (and relied on everywhere downstream):
 
@@ -23,8 +23,9 @@ Conventions fixed here (and relied on everywhere downstream):
   t -> 1;
 * the line geometry, the residue column and `fuchsian_data` broadcast over
   an array of t: leading axes index samples, trailing axes are the object's
-  own (3 profile components, the 3 column entries and u, 2x2 matrices).  A float
-  t stays in Python floats (square roots are `** 0.5`, not np.sqrt).
+  own (3 profile components, the 3 column entries and u, the 4 x 3 residue
+  vectors).  A float t stays in Python floats (square roots are `** 0.5`,
+  not np.sqrt).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .columns import Rows, csv_blocks
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
-from .liealg import solve3, stack_trailing, su2_combination, trace_sq
+from .liealg import solve3, stack_trailing, su2_combination
 
 SQRT3 = math.sqrt(3.0)
 
@@ -259,33 +260,23 @@ def residue_numeric(t, i, p, n_points=256):
 # connection family
 # --------------------------------------------------------------------------
 
-def form_matrix(a, c):
-    """The matrix -sum_i a_i c_i X_i of profile values a and scalar
-    coefficients c on (X1, X2, X3): a connection form or, with a = u and
-    c a column of SIGNS, the residue at that pole."""
-    ac = -a * c
-    return su2_combination(ac[..., 0], ac[..., 1], ac[..., 2])
-
-
 def connection_form(profile, t, lam):
-    """Matrix of the flat connection along the line at parameter lam."""
-    return form_matrix(profile.oriented_values(t), alpha_inv_tangent(t, lam))
+    """Matrix -sum_i a_i c_i X_i of the flat connection along the line at
+    parameter lam, c the action inverse on the tangent."""
+    return su2_combination(*(-profile.oriented_values(t) * alpha_inv_tangent(t, lam)))
 
 
 @dataclass(frozen=True)
 class FuchsianData:
-    """Residues of the normalised rank-2 Fuchsian system at one t, or at a
-    stack of samples along the line family (t and x of shape (S,), residues
-    (S, 2, 2), u (S, 3)); `len` and indexing reach the samples.  u is None
-    on quadruples built from matrices alone."""
+    """The normalised rank-2 Fuchsian system at one t, or at a stack of
+    samples along the line family (t and x of shape (S,), u (S, 3)); `len`
+    and indexing reach the samples.  The residues are carried as their
+    coefficient vectors on (X1, X2, X3), m_p = -SIGNS[:, p] * u (`vectors`);
+    the 2x2 matrices are built only for the JSON trace (`residues`)."""
 
     t: np.ndarray
     x: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
-    Ax: np.ndarray
-    Ainf: np.ndarray
-    u: np.ndarray = None
+    u: np.ndarray
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
     # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs
@@ -297,15 +288,19 @@ class FuchsianData:
         return len(self.t)
 
     def __getitem__(self, k):
-        return replace(self, t=self.t[k], x=self.x[k], A0=self.A0[k],
-                       A1=self.A1[k], Ax=self.Ax[k], Ainf=self.Ainf[k],
-                       u=None if self.u is None else self.u[k])
+        return replace(self, t=self.t[k], x=self.x[k], u=self.u[k])
+
+    def vectors(self):
+        """m_p for the poles (0, 1, x, inf), shape (..., 4, 3)."""
+        return -self.u[..., None, :] * SIGNS.T
 
     def residues(self):
-        return self.A0, self.A1, self.Ax, self.Ainf
+        """The matrices A_p = m_p.X, as a tuple over the four poles."""
+        return tuple(su2_combination(*m) for m in np.moveaxis(self.vectors(), (-2, -1), (0, 1)))
 
     def trace_squares(self):
-        return tuple(trace_sq(m) for m in self.residues())
+        """tr(A_p^2) = -2 m_p.m_p, as a tuple over the four poles."""
+        return tuple(-2.0 * np.sum(m * m, axis=-1) for m in np.moveaxis(self.vectors(), -2, 0))
 
     def to_csv(self):
         """The twistor trace of a stack: x and tr(A_p^2) per sample."""
@@ -322,8 +317,7 @@ class FuchsianData:
 
 
 def fuchsian_data(profile, t):
-    """Assemble the four residues A_p = -sum_i a_i alpha_{i,p} X_i from
-    u = a * alpha_{.,0}."""
+    """The residue model u = a * alpha_{.,0} of the four residues
+    A_p = -sum_i a_i alpha_{i,p} X_i."""
     u = profile.oriented_values(t) * residue_closed_form(t)
-    A0, A1, Ax, Ainf = (form_matrix(u, SIGNS[:, p]) for p in range(4))
-    return FuchsianData(t=t, x=cross_ratio(t), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf, u=u)
+    return FuchsianData(t=t, x=cross_ratio(t), u=u)

@@ -88,7 +88,7 @@ def test_criterion_4_conserved_quantities(fam1_raw, fam3_raw):
     worst_drift, worst_val = 0.0, 0.0
     for fam, n in ((fam1_raw, 1), (fam3_raw, 3)):
         worst_drift = max(worst_drift, max(isospectral_drift(fam)))
-        tr = trace_sq(fam[len(fam) // 2].Ainf)
+        tr = trace_sq(fam[len(fam) // 2].residues()[3])
         worst_val = max(worst_val, abs(tr - n * n / 8))
     elapsed = time.time() - start
     report(4, worst_drift < 1e-8 and worst_val < 1e-8 and elapsed < 5.0,
@@ -105,7 +105,7 @@ def test_criterion_5_schlesinger(prof1, prof3, fam1_raw, fam3_raw):
         k0, k1 = len(fam) // 4, (3 * len(fam)) // 4
         prop = schlesinger_integrate(fam[k0], fam[k1].x)
         inv_err = max(inv_err, float(np.max(np.abs(
-            pair_invariants(prop) - pair_invariants(fam[k1])))))
+            pair_invariants(prop) - pair_invariants(fam[k1].vectors())))))
     elapsed = time.time() - start
     report(5, res < 1e-6 and inv_err < 1e-7 and elapsed < 30.0,
            f"max residual {res:.3e} (201-pt grids), propagation oracle "

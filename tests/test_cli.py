@@ -25,6 +25,24 @@ def test_profile_trivial(capsys):
         assert line.endswith(",1,1,1")
 
 
+@pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
+def test_log_variable_must_name_a_level(monkeypatch, capsys, value):
+    # `logging` has attributes that are no level (BASIC_FORMAT is a format
+    # string): anything but a level name is a configuration error, not a
+    # traceback and not a silent ERROR
+    monkeypatch.setenv("PAINLEVE_INSTANTON_LOG", value)
+    code, out, err = run(capsys, "profile", "--n", "1", "--samples", "5")
+    assert code == 1 and out == ""
+    assert "configuration error" in err and "PAINLEVE_INSTANTON_LOG" in err
+
+
+@pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "error"])
+def test_log_variable_accepts_level_names(monkeypatch, capsys, value):
+    monkeypatch.setenv("PAINLEVE_INSTANTON_LOG", value)
+    code, out, _ = run(capsys, "profile", "--n", "1", "--samples", "5")
+    assert code == 0 and out.startswith("t,a1,a2,a3")
+
+
 def test_profile_rejects_bad_samples(capsys):
     code, _, err = run(capsys, "profile", "--n", "7", "--samples", "3")
     assert code == 1

@@ -443,7 +443,7 @@ def test_numeric_profile_continuous(prof5, prof7_counted):
         assert np.max(jump[inner != prof.breaks[1]]) < 1e-13
 
 
-@pytest.mark.parametrize("n", range(7, 64, 2))
+@pytest.mark.parametrize("n", range(7, 102, 2))
 def test_verify_passes_bvp(n):
     rep = build_verification_report(n)
     assert rep["passed"], {k: v for k, v in rep["checks"].items() if not v}

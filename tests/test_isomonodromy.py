@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from painleve_instanton import (cli, instanton, isomonodromy, painleve, report,
                                 stepper, twistor)
@@ -18,45 +19,62 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_field,
                                              schlesinger_integrate,
                                              schlesinger_residual)
-from painleve_instanton.liealg import eigen2, entries, trace_sq
-from painleve_instanton.twistor import (SIGNS, FuchsianData, alpha_inv,
+from painleve_instanton.liealg import cross, eigen2, su2_combination, trace_sq
+from painleve_instanton.stepper import fd_weights
+from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
-                                        form_matrix, fuchsian_data,
+                                        fuchsian_data,
                                         lambda_of_normalized, line_tangent,
                                         line_transverse)
 
 
-def _synthetic(A0, A1, Ax, x=2.5):
-    A0, A1, Ax = (np.asarray(m, dtype=complex) for m in (A0, A1, Ax))
-    return FuchsianData(t=float("nan"), x=complex(x), A0=A0, A1=A1, Ax=Ax,
-                        Ainf=-(A0 + A1 + Ax))
-
-
-def _moving_entries(F):
-    return [entries(A) for A in (F.A0, F.A1, F.Ax)]
+# diag(1, -1), diag(0.5, -0.5) and diag(-0.2, 0.2): multiples of X1
+_DIAGONAL = ([-1j, 0.0, 0.0], [-0.5j, 0.0, 0.0], [0.2j, 0.0, 0.0])
 
 
 def test_schlesinger_rhs_commuting():
-    F = _synthetic(np.diag([1, -1]), np.diag([0.5, -0.5]), np.diag([-0.2, 0.2]))
-    for d in schlesinger_field(F.x, *_moving_entries(F)):
+    for d in schlesinger_field(2.5 + 0j, *_DIAGONAL):
         assert max(abs(c) for c in d) == 0.0
 
 
 def test_schlesinger_rhs_identities(fam3_raw):
     F = fam3_raw[50]
-    d0, d1, dx = schlesinger_field(F.x, *_moving_entries(F))
+    d0, d1, dx = schlesinger_field(F.x, *F.vectors()[:3])
     assert max(abs(p + q + r) for p, q, r in zip(d0, d1, dx)) < 1e-14  # Ainf is preserved
-    assert abs(np.trace(F.A0 @ np.reshape(d0, (2, 2)))) < 1e-14       # tr(A0^2) conserved
+    A0 = F.residues()[0]
+    assert abs(np.trace(A0 @ su2_combination(*d0))) < 1e-14  # tr(A0^2) conserved
 
 
 def test_schlesinger_rhs_bad_parameter():
-    F = _synthetic(np.diag([1, -1]), np.diag([0.5, -0.5]), np.diag([-0.2, 0.2]), x=1.0)
     with pytest.raises(BadDeformationParameter):
-        schlesinger_field(F.x, *_moving_entries(F))
+        schlesinger_field(1.0 + 0j, *_DIAGONAL)
     # the sample-array path checks every sample
-    stack = [[np.full(2, c) for c in A] for A in _moving_entries(F)]
+    stack = [[np.full(2, c) for c in m] for m in _DIAGONAL]
     with pytest.raises(BadDeformationParameter):
         schlesinger_field(np.array([2.5, 1.0]), *stack)
+
+
+def test_schlesinger_field_conditioning():
+    # at n = 75 the couplings are ~1e-9 of the X2 components: the field of
+    # the family sample at t = 0.6125 (k = 50 of verify's window) agrees with
+    # a 50-digit cross product of the same float inputs.  The commutator of
+    # the 2x2 entries lost 14 % of [A0, Ax] here.
+    mp = pytest.importorskip("mpmath")
+    F = isomonodromy.make_family(instanton.solve_bvp(75), np.linspace(0.5, 0.95, 201))[50]
+    m = F.vectors()
+    with mp.workdps(50):
+        v = [[mp.mpc(c) for c in row] for row in m[:3]]
+        x = mp.mpc(F.x)
+
+        def field(a, b, scale):
+            return [2 * (a[(i + 1) % 3] * b[(i + 2) % 3] - a[(i + 2) % 3] * b[(i + 1) % 3])
+                    / scale for i in range(3)]
+
+        want = (field(v[0], v[2], x), field(v[1], v[2], x - 1))
+        for got, exact in zip(schlesinger_field(F.x, *m[:3]), want):
+            size = mp.sqrt(sum(abs(e) ** 2 for e in exact))
+            err = mp.sqrt(sum(abs(mp.mpc(g) - e) ** 2 for g, e in zip(got, exact)))
+            assert size > 0 and err <= 1e-12 * size
 
 
 def _central(f, t, h=3e-5):
@@ -72,14 +90,52 @@ def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
             a = prof.oriented_values(t)
             xd = _central(cross_ratio, t)
             F = fuchsian_data(prof, t)
-            want = gauge_rate(prof, t)
+            want = su2_combination(*gauge_rate(prof, t))
             for w in (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j):
                 lam = lambda_of_normalized(t, w)
                 lam_t = _central(lambda s: lambda_of_normalized(s, w), t)
                 c = (alpha_inv(t, lam, line_transverse(t, lam))
                      + alpha_inv(t, lam, line_tangent(t, lam)) * lam_t)
-                got = form_matrix(a, c) + xd * F.Ax / (w - F.x)
+                got = su2_combination(*(-a * c)) + xd * F.residues()[2] / (w - F.x)
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
+def test_gauge_bracket_is_the_matrix_commutator(prof3, prof5):
+    # the residual's [C, A_p] = 2 (c x m_p).X, against CA - AC
+    for prof in (prof3, prof5):
+        ts = np.linspace(0.5, 0.95, 7)
+        c = gauge_rate(prof, ts)
+        F = fuchsian_data(prof, ts)
+        C = su2_combination(*c.T)
+        for A, m in zip(F.residues(), np.moveaxis(F.vectors(), -2, 0)):
+            got = su2_combination(*(2.0 * np.array(cross(c.T, m.T))))
+            want = C @ A - A @ C
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c)) * np.max(np.abs(m))
+
+
+def test_schlesinger_residual_matches_matrix_form(prof3, prof5, fam3_raw, fam5_raw):
+    # the Frobenius norm of the matrix defect dA_p/dx + [C, A_p]/x' - Schl_p,
+    # with every bracket AB - BA and the stencil on the matrix entries
+    for prof, fam in ((prof3, fam3_raw), (prof5, fam5_raw)):
+        xs = fam.x.real
+        inner = fam[2:-2]
+        t = inner.t
+        w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
+        xdot = inner.x * (1 / (t + 1) + 3 / (t - 3) - 1 / (t - 1) - 3 / (t + 3))
+        C = su2_combination(*gauge_rate(prof, t).T) / xdot[:, None, None]
+        derivs = [np.stack([np.sum(w * sliding_window_view(R[:, i, j], 5), -1)
+                            for i in (0, 1) for j in (0, 1)], -1).reshape(-1, 2, 2)
+                  for R in fam.residues()[:3]]
+        A0, A1, Ax = inner.residues()[:3]
+        x = inner.x[:, None, None]
+        schl0 = (A0 @ Ax - Ax @ A0) / x
+        schl1 = (A1 @ Ax - Ax @ A1) / (x - 1)
+        want = sum(np.sqrt(np.sum(np.abs(dA + C @ R - R @ C - s) ** 2, axis=(1, 2)))
+                   for dA, R, s in zip(derivs, (A0, A1, Ax), (schl0, schl1, -schl0 - schl1)))
+        # the two differ by the stencils' roundoff, about 3e-13 against
+        # residuals of 3e-7 (the stencils' truncation error)
+        got = schlesinger_residual(prof, fam)
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(want)
 
 
 def count_calls(monkeypatch, names):
@@ -98,9 +154,11 @@ def count_calls(monkeypatch, names):
 
 
 def test_verify_evaluates_each_stage_once(monkeypatch):
-    # one line family, one vectorised gauge term over the inner samples, and
-    # no gauge transport: the two rk45_path sweeps are the step oracle's
-    calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form"))
+    # one line family, one vectorised gauge term over the inner samples, no
+    # gauge transport (the two rk45_path sweeps are the step oracle's), and
+    # no 2x2 matrix: the checks run on the residue vectors
+    calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form",
+                                      "su2_combination"))
     report.build_verification_report(3)
     assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1}
 
@@ -121,9 +179,9 @@ def test_schlesinger_residual_needs_gauge(prof3, fam3_raw, monkeypatch):
 
 def test_schlesinger_residual_perturbation(prof3, fam3_raw):
     k = 100
-    A0 = fam3_raw.A0.copy()
-    A0[k] += 1e-3
-    fam = replace(fam3_raw, A0=A0)
+    u = fam3_raw.u.copy()
+    u[k] += 1e-3
+    fam = replace(fam3_raw, u=u)
     assert schlesinger_residual(prof3, fam)[k - 2] > 1e-4
 
 
@@ -131,14 +189,12 @@ def test_isospectral_drift(fam1_raw, fam3_raw):
     for fam, val in ((fam1_raw, 1 / 8), (fam3_raw, 9 / 8)):
         drifts = isospectral_drift(fam)
         assert max(drifts) < 1e-8
-        assert abs(trace_sq(fam[0].Ainf) - val) < 1e-10
+        assert abs(trace_sq(fam[0].residues()[3]) - val) < 1e-10
 
 
 def test_isospectral_drift_negative_control(fam3_raw):
     F = fam3_raw
-    s = (1 + F.t)[:, None, None]
-    fam = FuchsianData(t=F.t, x=F.x, A0=s * F.A0, A1=s * F.A1, Ax=s * F.Ax,
-                       Ainf=s * F.Ainf)
+    fam = FuchsianData(t=F.t, x=F.x, u=(1 + F.t)[:, None] * F.u)
     assert max(isospectral_drift(fam)) > 0.1
 
 
@@ -160,7 +216,7 @@ def test_extract_y_common_eigenvector(prof3, fam3_raw):
     for branch in ("plus", "minus"):
         y = extract_y(F, branch)
         # the Ainf eigenvector of this branch is shared with A(y)
-        _, v_plus, v_minus = eigen2(F.Ainf)
+        _, v_plus, v_minus = eigen2(F.residues()[3])
         v = v_plus if branch == "plus" else v_minus
         lam = lambda_of_normalized(F.t, y)
         M = connection_form(prof3, F.t, lam)
@@ -184,21 +240,18 @@ def test_extract_y_invariance(fam1_raw, fam3_raw, fam5_raw, n, k, branch, re, im
     assume(np.linalg.cond(g) < 10.0)
     F = {1: fam1_raw, 3: fam3_raw, 5: fam5_raw}[n][k]
     gi = np.linalg.inv(g)
-    G = replace(F, A0=gi @ F.A0 @ g, A1=gi @ F.A1 @ g, Ax=gi @ F.Ax @ g,
-                Ainf=gi @ F.Ainf @ g)
-    y = extract_y(G, branch)
-    _, v_plus, v_minus = eigen2(G.Ainf)
+    A0, A1, Ax, Ainf = (gi @ A @ g for A in F.residues())
+    y = extract_y(F, branch)
+    _, v_plus, v_minus = eigen2(Ainf)
     v = v_plus if branch == "plus" else v_minus
-    M = G.A0 / y + G.A1 / (y - 1.0) + G.Ax / (y - G.x)
+    M = A0 / y + A1 / (y - 1.0) + Ax / (y - F.x)
     Mv = M @ v
     assert np.linalg.norm(Mv - (np.conj(v) @ Mv) * v) <= 1e-8 * np.linalg.norm(M)
 
 
 def _from_u(u, x=2.5):
     """A quadruple built from the residue model u alone."""
-    u = np.asarray(u, dtype=complex)
-    A0, A1, Ax, Ainf = (form_matrix(u, SIGNS[:, p]) for p in range(4))
-    return FuchsianData(t=0.7, x=complex(x), A0=A0, A1=A1, Ax=Ax, Ainf=Ainf, u=u)
+    return FuchsianData(t=0.7, x=complex(x), u=np.asarray(u, dtype=complex))
 
 
 def test_extract_y_reducible():
@@ -248,7 +301,7 @@ def test_jimbo_miwa_parameters(fam1_raw, fam3_raw):
 
 def test_schlesinger_integrate_zero_length(fam3_raw):
     F = fam3_raw[50]
-    assert schlesinger_integrate(F, F.x) is F
+    assert np.array_equal(schlesinger_integrate(F, F.x), F.vectors())
 
 
 def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
@@ -257,11 +310,11 @@ def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
     for fam in (fam1_raw, fam3_raw):
         k0, k1 = 40, 160
         prop = schlesinger_integrate(fam[k0], fam[k1].x)
-        direct = fam[k1]
+        direct = fam[k1].vectors()
         assert np.max(np.abs(pair_invariants(prop) - pair_invariants(direct))) < 1e-7
         for p in range(4):
             before = trace_sq(fam[k0].residues()[p])
-            after = trace_sq(prop.residues()[p])
+            after = trace_sq(su2_combination(*prop[p]))
             assert abs(before - after) < 1e-10
 
 
@@ -271,7 +324,7 @@ def test_schlesinger_integrate_flow_count(monkeypatch, fam3_raw):
     calls = count_calls(monkeypatch, ("schlesinger_field",))
     k0, k1 = len(fam3_raw) // 4, (3 * len(fam3_raw)) // 4
     schlesinger_integrate(fam3_raw[k0], fam3_raw[k1].x)
-    assert calls == {"schlesinger_field": 217}
+    assert calls == {"schlesinger_field": 241}
 
 
 @pytest.mark.parametrize("samples, evaluations", [(201, 37), (801, 25)])

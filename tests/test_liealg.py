@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_instanton.errors import DegenerateMatrix, SingularMatrix
-from painleve_instanton.liealg import (X1, X2, X3, commutator, eigen2,
-                                       entries, solve3, su2_combination,
-                                       trace_sq)
+from painleve_instanton.liealg import (X1, X2, X3, cross, eigen2, solve3,
+                                       su2_combination, trace_sq)
 
 
 def bracket(a, b):
-    """[A, B] of two 2x2 matrices, through the entry commutator."""
-    return np.reshape(commutator(entries(a), entries(b)), (2, 2))
+    """[A, B] = AB - BA of two 2x2 matrices."""
+    return a @ b - b @ a
+
+
+def vector_bracket(a, b):
+    """[a.X, b.X] through the cross product: 2 (a x b).X."""
+    return su2_combination(*(2.0 * np.array(cross(a, b))))
 
 
 def test_basis_matrices():
@@ -30,6 +34,15 @@ def test_basis_commutators():
     assert np.array_equal(bracket(X1, X2), 2 * X3)
     assert np.array_equal(bracket(X2, X3), 2 * X1)
     assert np.array_equal(bracket(X3, X1), 2 * X2)
+    # the same brackets on coefficient vectors: e_i x e_j = e_k cyclically
+    e1, e2, e3 = np.eye(3)
+    assert cross(e1, e1) == (0.0, 0.0, 0.0)
+    assert cross(e1, e2) == (0.0, 0.0, 1.0)
+    assert cross(e2, e3) == (1.0, 0.0, 0.0)
+    assert cross(e3, e1) == (0.0, 1.0, 0.0)
+    for a, b in ((e1, e2), (e2, e3), (e3, e1)):
+        assert np.array_equal(vector_bracket(a, b), bracket(su2_combination(*a),
+                                                            su2_combination(*b)))
 
 
 def test_trace_sq_examples():
@@ -107,19 +120,25 @@ def test_eigen_reconstruction(vals):
     assert np.max(np.abs(rec - m)) < 1e-10 * max(1.0, np.max(np.abs(m)))
 
 
+def _complex3(v):
+    return np.array(v[:3]) + 1j * np.array(v[3:])
+
+
 @given(st.tuples(floats, floats, floats, floats, floats, floats),
        st.tuples(floats, floats, floats, floats, floats, floats),
        st.tuples(floats, floats, floats, floats, floats, floats))
 @settings(max_examples=100, deadline=None)
 def test_commutator_antisymmetry_jacobi(v1, v2, v3):
-    a, b, c = (_random_traceless(v) for v in (v1, v2, v3))
-    assert np.max(np.abs(bracket(a, b) + bracket(b, a))) < 1e-12
-    jac = (bracket(a, bracket(b, c))
-           + bracket(b, bracket(c, a))
-           + bracket(c, bracket(a, b)))
-    assert np.max(np.abs(jac)) < 1e-12
-    cab = bracket(a, b)
-    assert abs(cab[0, 0] + cab[1, 1]) < 1e-14  # traceless by construction
+    # `cross` on complex vectors is the bracket AB - BA of the matrices that
+    # su2_combination builds, on Python numbers and on arrays alike
+    a, b, c = (_complex3(v) for v in (v1, v2, v3))
+    A, B = su2_combination(*a), su2_combination(*b)
+    assert np.max(np.abs(vector_bracket(a, b) - bracket(A, B))) < 1e-14
+    assert np.max(np.abs(np.subtract(cross(a.tolist(), b.tolist()), cross(a, b)))) < 1e-15
+    assert np.max(np.abs(np.add(cross(a, b), cross(b, a)))) < 1e-15
+    jac = (np.array(cross(a, cross(b, c))) + np.array(cross(b, cross(c, a)))
+           + np.array(cross(c, cross(a, b))))
+    assert np.max(np.abs(jac)) < 1e-13
 
 
 def test_su2_combination_traceless():

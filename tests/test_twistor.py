@@ -234,11 +234,12 @@ def test_fuchsian_data_invariants(prof3):
     for prof, target in ((asd_closed_profile(1), 1 / 8), (prof3, 9 / 8)):
         for t in (0.3, 0.6, 0.85):
             F = fuchsian_data(prof, t)
-            assert abs(trace_sq(F.Ainf) - target) < 1e-12
-            s = F.A0 + F.A1 + F.Ax + F.Ainf
+            A0, A1, Ax, Ainf = F.residues()
+            assert abs(trace_sq(Ainf) - target) < 1e-12
+            s = A0 + A1 + Ax + Ainf
             assert np.max(np.abs(s)) < 1e-10
-            assert np.max(np.abs(F.Ax + F.A0.conj().T)) < 1e-9
-            assert np.max(np.abs(F.Ainf + F.A1.conj().T)) < 1e-9
+            assert np.max(np.abs(Ax + A0.conj().T)) < 1e-9
+            assert np.max(np.abs(Ainf + A1.conj().T)) < 1e-9
             assert abs(F.x - cross_ratio(t)) == 0.0
 
 

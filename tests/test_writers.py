@@ -42,8 +42,8 @@ def fuchsian_json_dict(F):
         return [[[float(v.real), float(v.imag)] for v in row] for row in m]
     return {"t": float(F.t),
             "x": {"re": float(F.x.real), "im": float(F.x.imag)},
-            "residues": {"p0": mat(F.A0), "p1": mat(F.A1),
-                         "px": mat(F.Ax), "pinf": mat(F.Ainf)}}
+            "residues": dict(zip(("p0", "p1", "px", "pinf"),
+                                 (mat(A) for A in F.residues())))}
 
 
 def pvi_rows(sample, residuals):
