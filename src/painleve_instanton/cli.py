@@ -27,9 +27,9 @@ import numpy as np
 
 from .columns import Rows, csv_blocks, json_blocks
 from .errors import PainleveInstantonError
-from .painleve import (PviSample, pvi_integrate, pvi_residual,
-                       select_delta_variant)
+from .painleve import pvi_residual, select_delta_variant
 from .report import build_verification_report, line_transcendent, profile_for
+from .stepper import Stencil
 from .twistor import mu_pair
 
 log = logging.getLogger("painleve_instanton")
@@ -87,7 +87,7 @@ def cmd_trace(cfg):
                                                cfg.samples)
     mu_plus, mu_minus = mu_pair(sample.ts)
     residuals = np.full(len(sample), np.nan)
-    residuals[2:-2] = np.abs(pvi_residual(sample, params))
+    residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params))
 
     if cfg.fmt == "json":
         doc = {
@@ -126,10 +126,10 @@ def cmd_verify(cfg):
 def cmd_pvi_integrate(cfg):
     _, _, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
                                              cfg.samples)
-    # seeded at k = 2, the first sample with a centred 5-point slope
-    ys, _ = pvi_integrate(params, sample.xs[2:].real, sample.ys[2], sample.slope(2))
-    integrated = PviSample(ts=sample.ts[2:], xs=sample.xs[2:], ys=ys)
-    _emit(cfg, integrated.to_csv(np.abs(ys - sample.ys[2:])))
+    # seeded at the first sample with a centred stencil slope
+    k = Stencil.INNER.start
+    integrated = sample.integrate(params, Stencil(sample.xs.real), k)
+    _emit(cfg, integrated.to_csv(np.abs(integrated.ys - sample.ys[k:])))
     return 0
 
 

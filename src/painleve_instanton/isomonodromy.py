@@ -1,5 +1,5 @@
 """Deformation machinery for the Fuchsian residue family: the Schlesinger
-vector field and its finite-difference verification, conserved-quantity
+vector field and its verification by stencils (`Stencil`), conserved-quantity
 drift, and the apparent-singularity position y(x) and parameters of the
 sixth Painleve equation, both as closed forms in the residue model u (see
 `extract_y`).
@@ -27,13 +27,12 @@ by the propagation oracle `schlesinger_integrate` and on sample arrays by
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
 from .liealg import cross, stack_trailing
 from .painleve import PviParams
-from .stepper import fd_weights, rk45
+from .stepper import Stencil, rk45
 from .twistor import SIGNS, fuchsian_data, mu_pair
 
 
@@ -94,18 +93,17 @@ def schlesinger_field(x, m0, m1, mx):
     return d0, d1, [-p - q for p, q in zip(d0, d1)]
 
 
-def schlesinger_residual(profile, fam):
+def schlesinger_residual(profile, fam, stencil=None):
     """Frobenius-norm defect of the deformation equations in their line-gauge
-    form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at every
-    interior sample k = 2..len-3, computed on coefficient vectors: the
-    Frobenius norm of r.X is sqrt(2) |r|.  dm_p/dx = -SIGNS[:, p] * du/dx,
-    with du/dx the 5-point stencil centred on k applied to the three columns
-    of u; C is `gauge_rate`, and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3)
-    the logarithmic derivative of `cross_ratio`."""
-    xs = fam.x.real
-    w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
-    du = np.sum(w[:, None] * sliding_window_view(fam.u, 5, axis=0), axis=-1).T
-    inner = fam[2:-2]
+    form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at the
+    interior samples of the x grid's `Stencil` (built if not given), on
+    coefficient vectors: the Frobenius norm of r.X is sqrt(2) |r|.
+    dm_p/dx = -SIGNS[:, p] * du/dx, the stencils applied to the columns of u;
+    C is `gauge_rate`, and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3) the
+    logarithmic derivative of `cross_ratio`."""
+    stencil = stencil or Stencil(fam.x.real)
+    du = stencil.derivative(fam.u.T, 1)
+    inner = fam[Stencil.INNER]
     t = inner.t
     xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
     c = gauge_rate(profile, t).T / xdot
@@ -118,8 +116,8 @@ def schlesinger_residual(profile, fam):
     return total
 
 
-def max_schlesinger_residual(profile, fam):
-    return float(np.max(schlesinger_residual(profile, fam)))
+def max_schlesinger_residual(profile, fam, stencil=None):
+    return float(np.max(schlesinger_residual(profile, fam, stencil)))
 
 
 def isospectral_drift(fam):

@@ -1,7 +1,7 @@
 """The sixth Painleve equation: right-hand side, residual evaluation of a
-sampled transcendent, a direct integrator usable as an independent oracle,
-and the closed-form parameter families in the instanton label n (both
-published delta variants; the library measures which one is realised).
+sampled transcendent and a direct integrator usable as an independent oracle,
+both on the `Stencil` of its grid, and the closed-form parameter families in
+n (both published delta variants; the library measures which one is realised).
 """
 
 from __future__ import annotations
@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .columns import Rows, csv_blocks
 from .errors import SingularArgument, SingularityEncountered
-from .stepper import fd_weights, rk45_path
+from .stepper import Stencil, rk45_path
 
 
 @dataclass(frozen=True)
@@ -42,33 +41,25 @@ class PviSample:
     def __len__(self):
         return len(self.xs)
 
-    def _columns(self, residuals=None):
-        """The `COLUMNS` as arrays; residual_abs is NaN if not given."""
-        if residuals is None:
-            residuals = np.full(len(self.xs), np.nan)
+    def _columns(self, residuals):
+        """The `COLUMNS` as arrays."""
         return (self.ts, self.xs.real, self.xs.imag, self.ys.real, self.ys.imag,
                 residuals)
 
-    def to_csv(self, residuals=None):
+    def to_csv(self, residuals):
         return csv_blocks(self.COLUMNS, self._columns(residuals))
 
     def json_array(self, residuals):
         """The CSV rows as `Rows` of objects keyed by `COLUMNS`."""
         return Rows(self.JSON_ROW, self._columns(residuals))
 
-    def derivatives(self):
-        """(y', y'') in x at the interior samples k = 2..len-3, from the
-        5-point stencils centred on them."""
-        xs = self.xs.real
-        w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 2)
-        ys = sliding_window_view(self.ys, 5)
-        return np.sum(w[:, 1] * ys, axis=-1), np.sum(w[:, 2] * ys, axis=-1)
-
-    def slope(self, k):
-        """y' in x at the sample k = 2..len-3 alone, from the one 5-point
-        stencil centred on it: derivatives()[0][k - 2], bit for bit."""
-        xs = self.xs.real[k - 2:k + 3]
-        return np.sum(fd_weights(xs, xs[2], 1)[1] * self.ys[k - 2:k + 3])
+    def integrate(self, params, stencil, k, stop=None):
+        """The direct integrator's sample at k..stop-1, seeded with this
+        sample's y_k and its slope y'_k from the x grid's `Stencil`, at the
+        stencil's interior sample k."""
+        yp = stencil.derivative(self.ys, 1)[k - stencil.INNER.start]
+        ys, _ = pvi_integrate(params, self.xs[k:stop].real, self.ys[k], yp)
+        return PviSample(self.ts[k:stop], self.xs[k:stop], ys)
 
 
 # the argument types pvi_second_derivative computes on without coercion
@@ -103,15 +94,17 @@ def pvi_second_derivative(params, x, y, yp):
     return first - second + tail
 
 
-def pvi_residual(sample, params):
-    """y'' (5-point finite differences in x) minus the PVI right-hand side,
-    at the interior samples k = 2..len-3."""
-    yp, ypp = sample.derivatives()
-    return ypp - pvi_second_derivative(params, sample.xs[2:-2], sample.ys[2:-2], yp)
+def pvi_residual(sample, params, stencil=None):
+    """y'' minus the PVI right-hand side at the interior samples of the x
+    grid's `Stencil` (built if not given), which gives y' and y''."""
+    stencil = stencil or Stencil(sample.xs.real)
+    yp, ypp = (stencil.derivative(sample.ys, order) for order in (1, 2))
+    k = Stencil.INNER
+    return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
 
 
-def max_pvi_residual(sample, params):
-    return float(np.max(np.abs(pvi_residual(sample, params))))
+def max_pvi_residual(sample, params, stencil=None):
+    return float(np.max(np.abs(pvi_residual(sample, params, stencil))))
 
 
 def pvi_integrate(params, xs, y0, yp0):

@@ -7,12 +7,13 @@ from __future__ import annotations
 import numpy as np
 
 from .columns import Rows
+from .errors import StepSizeUnderflow
 from .instanton import asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
-from .painleve import (PviSample, max_pvi_residual, pvi_integrate,
-                       select_delta_variant)
+from .painleve import PviSample, max_pvi_residual, select_delta_variant
+from .stepper import Stencil
 
 
 def profile_for(n):
@@ -50,10 +51,9 @@ def line_transcendent(n, t_min, t_max, samples):
     return profile, fam, extract_transcendent(fam, "plus"), params
 
 
-def _step_oracle_error(sample, params, k):
+def _step_oracle_error(sample, params, stencil, k):
     """Integrate PVI over one inter-sample step and compare with extraction."""
-    ys, _ = pvi_integrate(params, sample.xs[k:k + 2].real, sample.ys[k], sample.slope(k))
-    return abs(ys[-1] - sample.ys[k + 1])
+    return abs(sample.integrate(params, stencil, k, k + 2).ys[-1] - sample.ys[k + 1])
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
@@ -64,8 +64,9 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         tols = {k: tol_override for k in tols}
 
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
+    stencil = Stencil(raw.x.real)  # every derivative check and oracle seed reads it
 
-    schl = max_schlesinger_residual(profile, raw)
+    schl = max_schlesinger_residual(profile, raw, stencil)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
     tr_ainf = raw[mid].trace_squares()[3].real
@@ -74,9 +75,12 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     # propagation oracle: quarter -> three-quarter sample, invariants only
     # (the flow commutes with constant conjugation, so the line gauge serves)
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
-    prop = schlesinger_integrate(raw[k0], raw[k1].x)
-    inv_err = float(np.max(np.abs(pair_invariants(prop)
-                                 - pair_invariants(raw[k1].vectors()))))
+    try:
+        prop = schlesinger_integrate(raw[k0], raw[k1].x)
+        inv_err = float(np.max(np.abs(pair_invariants(prop)
+                                     - pair_invariants(raw[k1].vectors()))))
+    except StepSizeUnderflow as exc:
+        inv_err, failure = None, f"StepSizeUnderflow at x = {exc.t!r}"
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,
@@ -94,8 +98,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     step_err = {}
     for b in ("plus", "minus"):
         sample = plus if b == "plus" else extract_transcendent(raw, b)
-        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b]))
-        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], mid))
+        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b], stencil))
+        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], stencil, mid))
 
     report = {
         "n": n,
@@ -129,12 +133,14 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "schlesinger": bool(schl < tols["schlesinger"]),
         "drift": bool(max(drift) < tols["drift"]),
         "trace": bool(abs(tr_ainf - tr_target) < tols["trace"]),
-        "propagation": bool(inv_err < tols["invariants"]),
+        "propagation": inv_err is not None and inv_err < tols["invariants"],
         "delta_stable": bool(delta_spread < tols["delta"]),
         "delta_variant": variant is not None,
         "pvi": bool(max(pvi_max.values()) < tols["pvi"]),
         "pvi_step": bool(max(step_err.values()) < tols["step"]),
     }
+    if inv_err is None:
+        report["propagation_failure"] = failure
     if profile.kind.value == "numeric":
         a0 = profile.values(0.0)
         a1 = profile.values(1.0)

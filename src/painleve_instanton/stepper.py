@@ -1,5 +1,7 @@
 """Shared numerical kernels: the embedded Runge-Kutta pair DOP853 with its
-continuous extension, and finite-difference weights on arbitrary nodes.
+continuous extension, finite-difference weights on arbitrary nodes, and
+`Stencil`, the one place sampled data is differentiated: the report's
+derivative checks and both PVI oracle seeds read its one table per grid.
 
 The integrator is Dormand and Prince's 8th-order pair working on (possibly
 complex) numpy vectors; it propagates the 8th-order solution and controls
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StepSizeUnderflow
 
@@ -264,3 +267,17 @@ def fd_weights(nodes, x0, order):
             w[..., 0, j] = c4 * w[..., 0, j] / c3
         c1 = c2
     return w
+
+
+class Stencil:
+    """The centred 5-point stencils of the sample grid xs at its interior
+    samples `INNER`, k = 2..len-3: one order-2 `fd_weights` table, whose row
+    1 or 2 `derivative` applies to columns sampled along the last axis."""
+
+    INNER = slice(2, -2)
+
+    def __init__(self, xs):
+        self.weights = fd_weights(sliding_window_view(xs, 5), xs[self.INNER], 2)
+
+    def derivative(self, values, order):
+        return np.sum(self.weights[:, order] * sliding_window_view(values, 5, axis=-1), -1)

@@ -158,14 +158,6 @@ def test_schlesinger_field_python_scalars(vals):
                 assert abs(c - c_stack[k]) <= 1e-14 * scale[k]
 
 
-def test_slope_is_the_derivatives_entry(fam3_raw):
-    # the step oracle's one-stencil slope, bit for bit
-    sample = report.extract_transcendent(fam3_raw, "plus")
-    slopes, _ = sample.derivatives()
-    for k in (2, 50, 100, len(sample) - 3):
-        assert sample.slope(k) == slopes[k - 2]
-
-
 @settings(max_examples=60, deadline=None)
 @given(gaps=st.lists(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
                      min_size=1, max_size=6),

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from painleve_instanton import cli, instanton
+from painleve_instanton import cli, instanton, report
 from painleve_instanton.cli import main
+from painleve_instanton.errors import StepSizeUnderflow
 from painleve_instanton.liealg import trace_sq
 
 
@@ -145,7 +146,6 @@ def scaled_n3(monkeypatch):
     delta (-0.627...) is near neither published variant."""
     from dataclasses import replace
 
-    from painleve_instanton import report
     prof = instanton.asd_closed_profile(3)
     scaled = replace(prof, component_signs=tuple(1.001 * s for s in prof.component_signs))
     monkeypatch.setattr(report, "profile_for", lambda n: scaled)
@@ -217,6 +217,36 @@ def test_verify_no_convergence(capsys, monkeypatch):
     error = json.loads(err)
     assert error["error"] == "ShotFailed" and "shot from t1" in error["detail"]
     assert time.perf_counter() - start < 5.0
+
+
+def underflowing_propagation(monkeypatch):
+    # what the real oracle does at n = 101 on [0.1, 0.95], after about a minute
+    def underflow(F0, x_target):
+        raise StepSizeUnderflow(1.32, 3e-17)
+    monkeypatch.setattr(report, "schlesinger_integrate", underflow)
+
+
+def test_report_names_a_propagation_underflow(monkeypatch):
+    underflowing_propagation(monkeypatch)
+    rep = report.build_verification_report(3)
+    assert rep["propagation_invariant_error"] is None
+    assert rep["propagation_failure"] == "StepSizeUnderflow at x = 1.32"
+    assert rep["checks"]["propagation"] is False and rep["passed"] is False
+    assert all(rep["checks"][c] for c in rep["checks"] if c != "propagation")
+
+
+def test_verify_propagation_underflow_exits_2_with_the_report(monkeypatch, capsys):
+    underflowing_propagation(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert rep["checks"]["propagation"] is False
+    assert rep["propagation_failure"].startswith("StepSizeUnderflow at x = ")
+
+
+def test_passing_report_has_no_propagation_failure(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1")
+    assert code == 0 and "propagation_failure" not in json.loads(out)
 
 
 def test_io_failure_exit_code(capsys):

@@ -4,11 +4,13 @@ class and method is referenced somewhere in src/, except where the
 name-based scan cannot tell: those names are listed."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "painleve_instanton").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "painleve_instanton").glob("*.py"))
 
 # Independent oracles the tests check the pipeline against; the pipeline
 # itself never calls them.
@@ -142,6 +144,18 @@ def test_no_public_name_without_a_caller():
     assert extra == [], f"public names nothing in src/ references: {extra}"
     stale = [name for name in ORACLES if name not in found]
     assert stale == [], f"ORACLES entries src/ defines and references, or lacks: {stale}"
+
+
+def oracles_paragraph(readme):
+    """README's "Independent oracles" paragraph and its list, up to the
+    next heading."""
+    return readme.split("**Independent oracles.**", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_names_every_oracle():
+    paragraph = oracles_paragraph((ROOT / "README.md").read_text())
+    listed = re.findall(r"^- `\w+\.(\w+)`", paragraph, flags=re.M)
+    assert sorted(listed) == sorted(ORACLES)
 
 
 def test_detects_a_public_name_without_a_caller():

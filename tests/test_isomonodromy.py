@@ -20,7 +20,7 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_integrate,
                                              schlesinger_residual)
 from painleve_instanton.liealg import cross, eigen2, su2_combination, trace_sq
-from painleve_instanton.stepper import fd_weights
+from painleve_instanton.stepper import Stencil, fd_weights
 from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
                                         fuchsian_data,
@@ -155,12 +155,14 @@ def count_calls(monkeypatch, names):
 
 def test_verify_evaluates_each_stage_once(monkeypatch):
     # one line family, one vectorised gauge term over the inner samples, no
-    # gauge transport (the two rk45_path sweeps are the step oracle's), and
-    # no 2x2 matrix: the checks run on the residue vectors
+    # gauge transport (the two rk45_path sweeps are the step oracle's), no
+    # 2x2 matrix (the checks run on the residue vectors), and one stencil
+    # table for every derivative check and oracle seed
     calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form",
-                                      "su2_combination"))
+                                      "su2_combination", "fd_weights"))
     report.build_verification_report(3)
-    assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1}
+    assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1,
+                     "fd_weights": 1}
 
 
 def test_schlesinger_residual_gauged(prof1, prof3, fam1_raw, fam3_raw):
@@ -334,7 +336,7 @@ def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
     # hundredth of the span that the step control then has to grow
     _, fam, sample, params = report.line_transcendent(3, 0.5, 0.95, samples)
     calls = count_calls(monkeypatch, ("pvi_second_derivative",))
-    report._step_oracle_error(sample, params, len(fam) // 2)
+    report._step_oracle_error(sample, params, Stencil(fam.x.real), len(fam) // 2)
     assert calls == {"pvi_second_derivative": evaluations}
 
 

@@ -127,3 +127,24 @@ def test_rk45_nan_rhs_stops_at_its_onset():
 def test_rk45_zero_length_returns_copy():
     y = rk45(Counted(), 1.0, Y0, 1.0)
     assert np.array_equal(y, Y0) and y is not Y0
+
+
+def test_stencil_is_the_one_window_stencils():
+    # on a non-uniform grid, each interior sample k = 2..len-3 gets the
+    # 5-point stencil centred on it, row 1 for d/dx and row 2 for d2/dx2;
+    # the table's rows 0-1 are the order-1 table's, bit for bit, so one
+    # order-2 table serves both derivatives
+    xs = np.cumsum(np.linspace(0.01, 0.05, 40))
+    values = np.exp(1j * xs) * xs[None, :] ** np.arange(3)[:, None]
+    stencil = stepper.Stencil(xs)
+    assert xs[stencil.INNER].tolist() == xs[2:-2].tolist()
+    for order in (1, 2):
+        got = stencil.derivative(values, order)
+        assert got.shape == (3, len(xs) - 4)
+        for k in range(2, len(xs) - 2):
+            w = stepper.fd_weights(xs[k - 2:k + 3], xs[k], order)
+            assert np.array_equal(stencil.weights[k - 2, :order + 1], w)
+            assert np.array_equal(got[:, k - 2], np.sum(w[order] * values[:, k - 2:k + 3], -1))
+    # exact on quadratics, up to roundoff
+    assert np.allclose(stencil.derivative(xs * xs, 1), 2 * xs[2:-2], rtol=1e-12)
+    assert np.allclose(stencil.derivative(xs * xs, 2), 2.0, rtol=1e-9)
