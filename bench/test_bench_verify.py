@@ -7,8 +7,10 @@ Run from the repository root (not part of the tier-1 suite, whose
 
 Each window is `verify`'s default t in [0.5, 0.95], at n = 1, 3, 5, 7, 9
 with 201 samples and n = 3 with 801.  The stages are the ones a report
-runs, each on the same inputs as in the report: the grid's stencil table,
-the Schlesinger residual, the PVI residual on each eigen-branch, the
+runs, each on the same inputs as in the report: the line family (at n = 1,
+3 and 7 with 201 samples and n = 3 with 801, with its residue column and
+the Schlesinger residual's gauge term on their own), the grid's stencil
+table, the Schlesinger residual, the PVI residual on each eigen-branch, the
 one-step PVI oracle on both branches, the Schlesinger propagation oracle,
 and the whole report.  Each benchmark's `extra_info` records the count
 that does not move with machine noise: stencil tables built, and
@@ -22,15 +24,18 @@ import pytest
 
 from painleve_instanton import (cli, instanton, isomonodromy, painleve, report, stepper,
                                 twistor)
-from painleve_instanton.isomonodromy import (jimbo_miwa_params, schlesinger_integrate,
-                                             schlesinger_residual)
+from painleve_instanton.isomonodromy import (gauge_rate, jimbo_miwa_params, make_family,
+                                             schlesinger_integrate, schlesinger_residual)
 from painleve_instanton.painleve import pvi_residual
 from painleve_instanton.report import (build_verification_report, extract_transcendent,
                                        line_transcendent)
 from painleve_instanton.stepper import Stencil
+from painleve_instanton.twistor import residue_closed_form
 
 WINDOWS = [(1, 201), (3, 201), (5, 201), (7, 201), (9, 201), (3, 801)]
 IDS = [f"n{n}-{samples}" for n, samples in WINDOWS]
+LINE_WINDOWS = [(1, 201), (3, 201), (7, 201), (3, 801)]
+LINE_IDS = [f"n{n}-{samples}" for n, samples in LINE_WINDOWS]
 _CACHE = {}
 
 
@@ -67,6 +72,25 @@ def count(monkeypatch, name, fn):
     return calls[name]
 
 
+@pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)
+def test_line_family(benchmark, n, samples):
+    w = window(n, samples)
+    fam = benchmark(make_family, w["profile"], w["fam"].t)
+    assert np.array_equal(fam.u, w["fam"].u)
+
+
+@pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)
+def test_residue_column(benchmark, n, samples):
+    column = benchmark(residue_closed_form, window(n, samples)["fam"].t)
+    assert column.shape == (samples, 3)
+
+
+@pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)
+def test_gauge_term(benchmark, n, samples):
+    c = benchmark(gauge_rate, window(n, samples)["fam"][Stencil.INNER])
+    assert c.shape == (samples - 4, 3)
+
+
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
 def test_stencil_table(benchmark, n, samples):
     xs = window(n, samples)["fam"].x.real
@@ -77,7 +101,7 @@ def test_stencil_table(benchmark, n, samples):
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
 def test_schlesinger_residual(benchmark, n, samples):
     w = window(n, samples)
-    residual = benchmark(schlesinger_residual, w["profile"], w["fam"], w["stencil"])
+    residual = benchmark(schlesinger_residual, w["fam"], w["stencil"])
     assert np.all(np.isfinite(residual))
 
 

@@ -87,7 +87,7 @@ def cmd_trace(cfg):
                                                cfg.samples)
     mu_plus, mu_minus = mu_pair(sample.ts)
     residuals = np.full(len(sample), np.nan)
-    residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params))
+    residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
 
     if cfg.fmt == "json":
         doc = {

@@ -37,7 +37,6 @@ import numpy as np
 from .columns import Rows, csv_blocks, json_blocks
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
-from .liealg import stack_trailing
 
 
 class DualitySign(enum.Enum):
@@ -105,34 +104,13 @@ class ProfileKind(enum.Enum):
     NUMERIC = "numeric"
 
 
-def _closed_values(kind, t):
-    d = t * t + 3.0
-    if kind is ProfileKind.TRIVIAL:
-        return np.ones(np.shape(t) + (3,))
-    if kind is ProfileKind.HOPF_SD:
-        return stack_trailing([(t * t - 9.0) / d,
-                               -2.0 * t * (t + 3.0) / d,
-                               -2.0 * t * (t - 3.0) / d])
-    if kind is ProfileKind.E_MINUS_3:
-        return stack_trailing([3.0 * (1.0 - t * t) / d,
-                               -6.0 * (t + 1.0) / d,
-                               -6.0 * (t - 1.0) / d])
-    raise ValueError(kind)
-
-
-def _closed_derivative(kind, t):
-    d2 = (t * t + 3.0) ** 2
-    if kind is ProfileKind.TRIVIAL:
-        return np.zeros(np.shape(t) + (3,))
-    if kind is ProfileKind.HOPF_SD:
-        return stack_trailing([24.0 * t / d2,
-                               6.0 * (t - 3.0) * (t + 1.0) / d2,
-                               -6.0 * (t + 3.0) * (t - 1.0) / d2])
-    if kind is ProfileKind.E_MINUS_3:
-        return stack_trailing([-24.0 * t / d2,
-                               6.0 * (t + 3.0) * (t - 1.0) / d2,
-                               6.0 * (t - 3.0) * (t + 1.0) / d2])
-    raise ValueError(kind)
+# The closed forms are a_i = N_i(t) / (t^2 + 3): row j holds the t^j
+# coefficients of (N_1, N_2, N_3), as printed.
+_NUMERATORS = {
+    ProfileKind.TRIVIAL: ((3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+    ProfileKind.HOPF_SD: ((-9.0, 0.0, 0.0), (0.0, -6.0, 6.0), (1.0, -2.0, -2.0)),
+    ProfileKind.E_MINUS_3: ((3.0, -6.0, 6.0), (0.0, -6.0, -6.0), (-3.0, 0.0, 0.0)),
+}
 
 
 def _horner(c, s):
@@ -195,7 +173,9 @@ class ProfileTriple:
     def values(self, t):
         """(a1, a2, a3) at t, shape (..., 3) for t of shape (...)."""
         if self.kind is not ProfileKind.NUMERIC:
-            return _closed_values(self.kind, t) * np.asarray(self.component_signs)
+            t = np.asarray(t, dtype=float)[..., None]
+            return (_horner(np.array(_NUMERATORS[self.kind]), t) / (t * t + 3.0)
+                    * self.component_signs)
         return self._on_pieces(self.coeffs, t)
 
     def oriented_values(self, t):
@@ -210,7 +190,11 @@ class ProfileTriple:
         """da/dt, shape (..., 3) for t of shape (...): exact for closed
         forms, and the derivative of its piece for numeric profiles."""
         if self.kind is not ProfileKind.NUMERIC:
-            return _closed_derivative(self.kind, t) * np.asarray(self.component_signs)
+            c = np.array(_NUMERATORS[self.kind])
+            t = np.asarray(t, dtype=float)[..., None]
+            d = t * t + 3.0  # the quotient rule on N / d
+            slope = _horner(c[1:] * ((1.0,), (2.0,)), t) * d - _horner(c, t) * 2.0 * t
+            return slope / (d * d) * self.component_signs
         slopes = self.coeffs[:, 1:] * np.arange(1.0, self.coeffs.shape[1])[:, None]
         return self._on_pieces(slopes, t)
 
@@ -226,7 +210,7 @@ class ProfileTriple:
 
 
 def closed_form_profile(kind):
-    """The three closed-form profiles, with the printed formulas verbatim."""
+    """The three closed-form profiles, as printed, over t^2 + 3."""
     kind = ProfileKind(kind) if not isinstance(kind, ProfileKind) else kind
     if kind is ProfileKind.NUMERIC:
         raise ValueError("numeric profiles come from solve_bvp")

@@ -7,14 +7,15 @@ sixth Painleve equation, both as closed forms in the residue model u (see
 The residues as the line geometry gives them ("line" gauge) carry the
 reality pairing Ax = -A0^dagger, Ainf = -A1^dagger.  The transverse
 component of the flat family connection is -x'(t) Ax/(w - x) + C(t) in the
-normalised coordinate w, with C in closed form (`gauge_rate`), so the
-Schlesinger-gauge residues are A^S_p = g^-1 A_p g with g' = -C g, and
-dA^S_p/dt = g^-1 (A_p' + [C, A_p]) g.  The Schlesinger field is
-conjugation-equivariant, so the deformation equations hold in that gauge
+normalised coordinate w, with C = c.X and c a rational multiple of u
+(`gauge_rate`).  The Schlesinger-gauge residues are A^S_p = g^-1 A_p g with
+g' = -C g, and dA^S_p/dt = g^-1 (A_p' + [C, A_p]) g.  The Schlesinger field
+is conjugation-equivariant, so the deformation equations hold in that gauge
 exactly when dA_p/dx + [C, A_p]/x' = Schl_p(A) on the line family itself,
-which `schlesinger_residual` checks; g is never integrated.  The flow also
-commutes with constant conjugation, so propagating a line-gauge sample lands
-on a conjugate of a later one, with the same `pair_invariants`.
+which `schlesinger_residual` checks from the family and its stencil alone;
+g is never integrated.  The flow also commutes with constant conjugation,
+so propagating a line-gauge sample lands on a conjugate of a later one,
+with the same `pair_invariants`.
 
 Residues are carried as coefficient vectors m_p on (X1, X2, X3), C = c.X,
 and every bracket is one cross product, [m.X, n.X] = 2 (m x n).X: exact to
@@ -33,16 +34,15 @@ from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
 from .liealg import cross, stack_trailing
 from .painleve import PviParams
 from .stepper import Stencil, rk45
-from .twistor import SIGNS, fuchsian_data, mu_pair
+from .twistor import SIGNS, fuchsian_data
 
 
-def gauge_rate(profile, t):
+def gauge_rate(F):
     """Vector c of the constant term C(t) = c.X of the transverse connection
-    in the normalised coordinate w, in closed form: c = -a * (g1, 0, g3) with
+    in the normalised coordinate w, for the family F (or one sample of it):
+    a rational multiple of its u,
 
-        g1 = i t^2 (mu_+ - mu_-) / ((t+3)^3 (t-1)),
-        g3 = -2 (mu_+ - 1) / ((t+1)(t-3)(mu_+ - mu_-) sqrt(-mu_+))
-           = -16 t^2 alpha_{3,0} / ((t^2-1)(t^2-9)).
+        c = ((t-3)^2 u1 / (t (t+3)(t-1)), 0, 16 t^2 u3 / ((t^2-1)(t^2-9))).
 
     Derivation.  At fixed w the flat family connection along t is
     B(w) = -sum_i a_i (c_T + c_L dlam/dt)_i X_i, with c_T, c_L the action
@@ -54,14 +54,17 @@ def gauge_rate(profile, t):
     v = sqrt(-mu_-), and dv/dt from the mu quadratic
     8 t^3 mu^2 - 2 S mu + 8 t^3 = 0 (S = t^4 + 18 t^2 - 27), the numerator
     of B(w) + x' Ax/(w - x) - C reduces to zero modulo that quadratic, read
-    as a quartic in v, for every w (checked with sympy); the X2 coefficient
-    vanishes.
+    as a quartic in v, for every w (checked with sympy), for
+    c = -a * (i t^2 (mu_+ - mu_-)/((t+3)^3 (t-1)), 0,
+    -16 t^2 alpha_{3,0}/((t^2-1)(t^2-9))).  With u = a * alpha_{.,0} and
+    the pole form of alpha_{1,0} and (mu_+ - mu_-)^2 in `residue_closed_form`,
+    that is the c above.
     """
-    mu_p, mu_m = mu_pair(t)
-    mu = mu_p - mu_m
-    g1 = 1j * t * t * mu / ((t + 3.0) ** 3 * (t - 1.0))
-    g3 = -2.0 * (mu_p - 1.0) / ((t + 1.0) * (t - 3.0) * mu * (-mu_p) ** 0.5)
-    return -profile.oriented_values(t) * stack_trailing([g1, 0.0 * g1, g3])
+    t = F.t
+    u1, _, u3 = np.moveaxis(F.u, -1, 0)
+    c1 = (t - 3.0) ** 2 * u1 / (t * (t + 3.0) * (t - 1.0))
+    c3 = 16.0 * t * t * u3 / ((t - 1.0) * (t + 1.0) * (t - 3.0) * (t + 3.0))
+    return stack_trailing([c1, 0.0 * c1, c3])
 
 
 def make_family(profile, ts):
@@ -93,20 +96,19 @@ def schlesinger_field(x, m0, m1, mx):
     return d0, d1, [-p - q for p, q in zip(d0, d1)]
 
 
-def schlesinger_residual(profile, fam, stencil=None):
+def schlesinger_residual(fam, stencil):
     """Frobenius-norm defect of the deformation equations in their line-gauge
     form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at the
-    interior samples of the x grid's `Stencil` (built if not given), on
-    coefficient vectors: the Frobenius norm of r.X is sqrt(2) |r|.
-    dm_p/dx = -SIGNS[:, p] * du/dx, the stencils applied to the columns of u;
-    C is `gauge_rate`, and x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3) the
-    logarithmic derivative of `cross_ratio`."""
-    stencil = stencil or Stencil(fam.x.real)
+    interior samples of the x grid's `Stencil`, on coefficient vectors: the
+    Frobenius norm of r.X is sqrt(2) |r|.  dm_p/dx = -SIGNS[:, p] * du/dx,
+    the stencils applied to the columns of u; C is `gauge_rate`, and
+    x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3) the logarithmic derivative
+    of `cross_ratio`."""
     du = stencil.derivative(fam.u.T, 1)
     inner = fam[Stencil.INNER]
     t = inner.t
     xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
-    c = gauge_rate(profile, t).T / xdot
+    c = gauge_rate(inner).T / xdot
     moving = np.moveaxis(inner.vectors(), (-2, -1), (0, 1))[:3]
     total = 0.0
     for p, (m, want) in enumerate(zip(moving, schlesinger_field(inner.x, *moving),
@@ -116,8 +118,8 @@ def schlesinger_residual(profile, fam, stencil=None):
     return total
 
 
-def max_schlesinger_residual(profile, fam, stencil=None):
-    return float(np.max(schlesinger_residual(profile, fam, stencil)))
+def max_schlesinger_residual(fam, stencil):
+    return float(np.max(schlesinger_residual(fam, stencil)))
 
 
 def isospectral_drift(fam):

@@ -94,16 +94,15 @@ def pvi_second_derivative(params, x, y, yp):
     return first - second + tail
 
 
-def pvi_residual(sample, params, stencil=None):
+def pvi_residual(sample, params, stencil):
     """y'' minus the PVI right-hand side at the interior samples of the x
-    grid's `Stencil` (built if not given), which gives y' and y''."""
-    stencil = stencil or Stencil(sample.xs.real)
+    grid's `Stencil`, which gives y' and y''."""
     yp, ypp = (stencil.derivative(sample.ys, order) for order in (1, 2))
     k = Stencil.INNER
     return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
 
 
-def max_pvi_residual(sample, params, stencil=None):
+def max_pvi_residual(sample, params, stencil):
     return float(np.max(np.abs(pvi_residual(sample, params, stencil))))
 
 

@@ -66,7 +66,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
     stencil = Stencil(raw.x.real)  # every derivative check and oracle seed reads it
 
-    schl = max_schlesinger_residual(profile, raw, stencil)
+    schl = max_schlesinger_residual(raw, stencil)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
     tr_ainf = raw[mid].trace_squares()[3].real

@@ -1,7 +1,8 @@
 """Per-line twistor data for the family of rational lines parametrised by
 t in (0, 1): the infinitesimal-action matrix, its inverse (in closed form
-on the line's tangent direction), the four divisor poles, the Moebius
-normalisation to {0, 1, x, infinity}, the residues of the scalar 1-forms,
+on the line's tangent direction), the four divisor poles and the Moebius
+normalisation to {0, 1, x, infinity} (for the oracles), the cross ratio x(t)
+and the residues of the scalar 1-forms in closed form in t (the pipeline's),
 and assembly of the rank-2 Fuchsian residues from a profile.
 
 The residues have Klein-four structure: alpha_{i,p} = alpha_{i,0} SIGNS[i-1, p].
@@ -190,20 +191,27 @@ def dlambda_dw(t, w):
 def residue_closed_form(t):
     """Closed-form residues at pole 0, the base column (..., 3):
 
-        alpha_{1,0} = -i (t^2-1)(t^2-9) / (16 t^3 mu)
-        alpha_{2,0} = (mu_- + 1) t (t+1)(t-3) / (8 t^3 mu z1)
-        alpha_{3,0} = i (mu_+ - 1) t (t-1)(t+3) / (8 t^3 mu z2)
+        alpha_{1,0} = -i/4 sqrt((1-t)(1+t) / ((3-t)(3+t)))
+        alpha_{2,0} = -i/4 sqrt((1+t) / (t (3-t)))
+        alpha_{3,0} =  1/4 sqrt((1-t) / (t (3+t)))
 
-    with mu = mu_plus - mu_minus.  The residue of alpha_i at pole p is
-    column[i-1] * SIGNS[i-1, p]: alpha_{1,0} is purely imaginary, so the
-    conjugation relating its poles is negation.
+    Derivation.  The poles give alpha_{1,0} = -i (t^2-1)(t^2-9)/(16 t^3 mu),
+    alpha_{2,0} = (mu_- + 1) t (t+1)(t-3)/(8 t^3 mu z1) and alpha_{3,0} =
+    i (mu_+ - 1) t (t-1)(t+3)/(8 t^3 mu z2), with mu = mu_+ - mu_-,
+    z1^2 = mu_- and z2^2 = mu_+ (`poles`).  The mu quadratic
+    8 t^3 mu^2 - 2 S mu + 8 t^3 = 0 gives mu_+ + mu_- = S/(4 t^3) and
+    mu_+ mu_- = 1, and S +- 8 t^3 = (t +- 3)^3 (t -+ 1), so
+    mu^2 = (t^2-1)(t^2-9)^3/(16 t^6), (mu_- + 1)^2/mu_- = (t+3)^3 (t-1)/(4 t^3)
+    and (mu_+ - 1)^2/mu_+ = (t-3)^3 (t+1)/(4 t^3): each entry squared is
+    rational in t, and the branch of z1 and z2 fixes the signs.  No mu_+-
+    difference is taken, so nothing cancels as t -> 1.  The residue of
+    alpha_i at pole p is column[i-1] * SIGNS[i-1, p]; alpha_{1,0} is purely
+    imaginary, so the conjugation relating its poles is negation.
     """
-    g = poles(t)
-    mu = g.mu_plus - g.mu_minus
-    z1, z2, _, _ = g.poles_lambda
-    a10 = -1j * (t * t - 1.0) * (t * t - 9.0) / (16.0 * t**3 * mu)
-    a20 = (g.mu_minus + 1.0) * t * (t + 1.0) * (t - 3.0) / (8.0 * t**3 * mu * z1)
-    a30 = 1j * (g.mu_plus - 1.0) * t * (t - 1.0) * (t + 3.0) / (8.0 * t**3 * mu * z2)
+    _require_inside(t, "line meets the divisor in two points")
+    a10 = -0.25j * ((1.0 - t) * (1.0 + t) / ((3.0 - t) * (3.0 + t))) ** 0.5
+    a20 = -0.25j * ((1.0 + t) / (t * (3.0 - t))) ** 0.5
+    a30 = 0.25 * ((1.0 - t) / (t * (3.0 + t))) ** 0.5
     return stack_trailing([a10, a20, a30])
 
 

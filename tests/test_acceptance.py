@@ -22,7 +22,7 @@ from painleve_instanton.painleve import (PviParams, max_pvi_residual,
                                          pvi_integrate, select_delta_variant)
 from painleve_instanton.report import (build_verification_report,
                                        extract_transcendent)
-from painleve_instanton.stepper import fd_weights
+from painleve_instanton.stepper import Stencil, fd_weights
 from painleve_instanton.twistor import (SIGNS, mu_pair, residue_closed_form,
                                         residue_numeric)
 
@@ -96,10 +96,10 @@ def test_criterion_4_conserved_quantities(fam1_raw, fam3_raw):
            f"in {elapsed:.1f}s")
 
 
-def test_criterion_5_schlesinger(prof1, prof3, fam1_raw, fam3_raw):
+def test_criterion_5_schlesinger(fam1_raw, fam3_raw):
     start = time.time()
-    res = max(max_schlesinger_residual(prof1, fam1_raw),
-              max_schlesinger_residual(prof3, fam3_raw))
+    res = max(max_schlesinger_residual(fam, Stencil(fam.x.real))
+              for fam in (fam1_raw, fam3_raw))
     inv_err = 0.0
     for fam in (fam1_raw, fam3_raw):
         k0, k1 = len(fam) // 4, (3 * len(fam)) // 4
@@ -140,10 +140,11 @@ def test_criterion_7_pvi_closure(fam3_raw):
     worst_res, worst_step = 0.0, 0.0
     rejected_res = np.inf
     rejected_step = np.inf
+    stencil = Stencil(fam3_raw.x.real)
     for branch in ("plus", "minus"):
         sample = extract_transcendent(fam3_raw, branch)
         params = jimbo_miwa_params(fam3_raw[100], branch)
-        worst_res = max(worst_res, max_pvi_residual(sample, params))
+        worst_res = max(worst_res, max_pvi_residual(sample, params, stencil))
         k = 100
         w1 = fd_weights(sample.xs[k - 2:k + 3].real, sample.xs[k].real, 1)[1]
         yp = np.dot(w1, sample.ys[k - 2:k + 3])
@@ -152,7 +153,7 @@ def test_criterion_7_pvi_closure(fam3_raw):
         worst_step = max(worst_step, abs(y_end - sample.ys[k + 1]))
         # discriminating run with the rejected delta variant (-1 for n=3)
         bad = PviParams(params.alpha, params.beta, params.gamma, -1.0)
-        rejected_res = min(rejected_res, max_pvi_residual(sample, bad))
+        rejected_res = min(rejected_res, max_pvi_residual(sample, bad, stencil))
         y_bad = pvi_integrate(bad, sample.xs[[k, k + 20]].real, sample.ys[k],
                               yp)[0][-1]
         rejected_step = min(rejected_step, abs(y_bad - sample.ys[k + 20]))
@@ -194,10 +195,11 @@ def test_criterion_9_convergence_order(prof3):
     for n_samples in sizes:
         ts = np.linspace(0.5, 0.95, n_samples)
         raw = make_family(prof3, ts)
-        schl.append(max_schlesinger_residual(prof3, raw))
+        stencil = Stencil(raw.x.real)
+        schl.append(max_schlesinger_residual(raw, stencil))
         sample = extract_transcendent(raw, "plus")
         params = jimbo_miwa_params(raw[n_samples // 2], "plus")
-        pvi.append(max_pvi_residual(sample, params))
+        pvi.append(max_pvi_residual(sample, params, stencil))
     hs = np.log([1.0 / (n - 1) for n in sizes])
     slope_schl = np.polyfit(hs, np.log(schl), 1)[0]
     slope_pvi = np.polyfit(hs, np.log(pvi), 1)[0]

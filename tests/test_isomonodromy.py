@@ -90,7 +90,7 @@ def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
             a = prof.oriented_values(t)
             xd = _central(cross_ratio, t)
             F = fuchsian_data(prof, t)
-            want = su2_combination(*gauge_rate(prof, t))
+            want = su2_combination(*gauge_rate(F))
             for w in (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j):
                 lam = lambda_of_normalized(t, w)
                 lam_t = _central(lambda s: lambda_of_normalized(s, w), t)
@@ -104,8 +104,8 @@ def test_gauge_bracket_is_the_matrix_commutator(prof3, prof5):
     # the residual's [C, A_p] = 2 (c x m_p).X, against CA - AC
     for prof in (prof3, prof5):
         ts = np.linspace(0.5, 0.95, 7)
-        c = gauge_rate(prof, ts)
         F = fuchsian_data(prof, ts)
+        c = gauge_rate(F)
         C = su2_combination(*c.T)
         for A, m in zip(F.residues(), np.moveaxis(F.vectors(), -2, 0)):
             got = su2_combination(*(2.0 * np.array(cross(c.T, m.T))))
@@ -113,16 +113,16 @@ def test_gauge_bracket_is_the_matrix_commutator(prof3, prof5):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c)) * np.max(np.abs(m))
 
 
-def test_schlesinger_residual_matches_matrix_form(prof3, prof5, fam3_raw, fam5_raw):
+def test_schlesinger_residual_matches_matrix_form(fam3_raw, fam5_raw):
     # the Frobenius norm of the matrix defect dA_p/dx + [C, A_p]/x' - Schl_p,
     # with every bracket AB - BA and the stencil on the matrix entries
-    for prof, fam in ((prof3, fam3_raw), (prof5, fam5_raw)):
+    for fam in (fam3_raw, fam5_raw):
         xs = fam.x.real
         inner = fam[2:-2]
         t = inner.t
         w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
         xdot = inner.x * (1 / (t + 1) + 3 / (t - 3) - 1 / (t - 1) - 3 / (t + 3))
-        C = su2_combination(*gauge_rate(prof, t).T) / xdot[:, None, None]
+        C = su2_combination(*gauge_rate(inner).T) / xdot[:, None, None]
         derivs = [np.stack([np.sum(w * sliding_window_view(R[:, i, j], 5), -1)
                             for i in (0, 1) for j in (0, 1)], -1).reshape(-1, 2, 2)
                   for R in fam.residues()[:3]]
@@ -134,7 +134,7 @@ def test_schlesinger_residual_matches_matrix_form(prof3, prof5, fam3_raw, fam5_r
                    for dA, R, s in zip(derivs, (A0, A1, Ax), (schl0, schl1, -schl0 - schl1)))
         # the two differ by the stencils' roundoff, about 3e-13 against
         # residuals of 3e-7 (the stencils' truncation error)
-        got = schlesinger_residual(prof, fam)
+        got = schlesinger_residual(fam, Stencil(xs))
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(want)
 
 
@@ -156,35 +156,45 @@ def count_calls(monkeypatch, names):
 def test_verify_evaluates_each_stage_once(monkeypatch):
     # one line family, one vectorised gauge term over the inner samples, no
     # gauge transport (the two rk45_path sweeps are the step oracle's), no
-    # 2x2 matrix (the checks run on the residue vectors), and one stencil
-    # table for every derivative check and oracle seed
+    # 2x2 matrix (the checks run on the residue vectors), one stencil table
+    # for every derivative check and oracle seed, no pole geometry (the
+    # residue column is a closed form in t, the gauge term one in t and u),
+    # and one profile evaluation (the family's u feeds the gauge term)
     calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form",
-                                      "su2_combination", "fd_weights"))
+                                      "su2_combination", "fd_weights", "poles",
+                                      "mobius_from_poles", "mu_pair"))
+    oriented = instanton.ProfileTriple.oriented_values
+
+    def counted(self, t):
+        calls.update(["oriented_values"])
+        return oriented(self, t)
+
+    monkeypatch.setattr(instanton.ProfileTriple, "oriented_values", counted)
     report.build_verification_report(3)
     assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1,
-                     "fd_weights": 1}
+                     "fd_weights": 1, "oriented_values": 1}
 
 
-def test_schlesinger_residual_gauged(prof1, prof3, fam1_raw, fam3_raw):
-    assert max_schlesinger_residual(prof1, fam1_raw) < 1e-6
-    assert max_schlesinger_residual(prof3, fam3_raw) < 1e-6
+def test_schlesinger_residual_gauged(fam1_raw, fam3_raw):
+    for fam in (fam1_raw, fam3_raw):
+        assert max_schlesinger_residual(fam, Stencil(fam.x.real)) < 1e-6
 
 
-def test_schlesinger_residual_needs_gauge(prof3, fam3_raw, monkeypatch):
+def test_schlesinger_residual_needs_gauge(fam3_raw, monkeypatch):
     # negative control: the line-gauge family is isomonodromic only modulo
     # conjugation, and without the gauge term the deformation equations
     # fail by orders of magnitude
     real = gauge_rate
-    monkeypatch.setattr(isomonodromy, "gauge_rate", lambda profile, t: 0.0 * real(profile, t))
-    assert max_schlesinger_residual(prof3, fam3_raw) > 1e-2
+    monkeypatch.setattr(isomonodromy, "gauge_rate", lambda F: 0.0 * real(F))
+    assert max_schlesinger_residual(fam3_raw, Stencil(fam3_raw.x.real)) > 1e-2
 
 
-def test_schlesinger_residual_perturbation(prof3, fam3_raw):
+def test_schlesinger_residual_perturbation(fam3_raw):
     k = 100
     u = fam3_raw.u.copy()
     u[k] += 1e-3
     fam = replace(fam3_raw, u=u)
-    assert schlesinger_residual(prof3, fam)[k - 2] > 1e-4
+    assert schlesinger_residual(fam, Stencil(fam.x.real))[k - 2] > 1e-4
 
 
 def test_isospectral_drift(fam1_raw, fam3_raw):

@@ -9,7 +9,7 @@ from painleve_instanton.painleve import (PviParams, max_pvi_residual,
                                          pvi_second_derivative,
                                          select_delta_variant)
 from painleve_instanton.report import extract_transcendent
-from painleve_instanton.stepper import fd_weights
+from painleve_instanton.stepper import Stencil, fd_weights
 
 
 def test_pvi_rhs_zero_case():
@@ -60,14 +60,14 @@ def test_pvi_residual_instanton_family(fam3_raw):
     for branch in ("plus", "minus"):
         sample = extract_transcendent(fam3_raw, branch)
         params = jimbo_miwa_params(fam3_raw[100], branch)
-        assert max_pvi_residual(sample, params) < 1e-5
+        assert max_pvi_residual(sample, params, Stencil(sample.xs.real)) < 1e-5
 
 
 def test_pvi_residual_negative_control(fam3_raw):
     sample = extract_transcendent(fam3_raw, "plus")
     good = jimbo_miwa_params(fam3_raw[100], "plus")
     bad = PviParams(good.alpha, good.beta + 0.1, good.gamma, good.delta)
-    assert max_pvi_residual(sample, bad) > 1e-3
+    assert max_pvi_residual(sample, bad, Stencil(sample.xs.real)) > 1e-3
 
 
 def test_pvi_integrate_zero_length():

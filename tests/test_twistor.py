@@ -154,6 +154,28 @@ def test_residue_closed_form_relations():
     assert not SIGNS.flags.writeable
 
 
+def test_residue_closed_form_near_t1():
+    # against a 40-digit evaluation of the pole formulas, on the same float
+    # t: alpha_{1,0} = -i (t^2-1)(t^2-9)/(16 t^3 mu), alpha_{2,0} =
+    # (mu_- + 1) t (t+1)(t-3)/(8 t^3 mu z1), alpha_{3,0} = i (mu_+ - 1)
+    # t (t-1)(t+3)/(8 t^3 mu z2), mu = mu_+ - mu_-, z_k = i sqrt(-mu_-+);
+    # in floats mu_+ - mu_- cancels as t -> 1
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for t in (1 - 1e-4, 1 - 1e-6, 1 - 1e-8):
+            s = mp.mpf(t)
+            S = s**4 + 18 * s * s - 27
+            mu_m = (S - mp.sqrt((s * s - 1) * (s * s - 9) ** 3)) / (8 * s**3)
+            mu_p = 1 / mu_m
+            mu = mu_p - mu_m
+            z1, z2 = 1j * mp.sqrt(-mu_m), 1j * mp.sqrt(-mu_p)
+            want = (-1j * (s * s - 1) * (s * s - 9) / (16 * s**3 * mu),
+                    (mu_m + 1) * s * (s + 1) * (s - 3) / (8 * s**3 * mu * z1),
+                    1j * (mu_p - 1) * s * (s - 1) * (s + 3) / (8 * s**3 * mu * z2))
+            for got, exact in zip(residue_closed_form(t), want, strict=True):
+                assert abs(mp.mpc(got) - exact) <= 1e-15 * abs(exact)
+
+
 def test_residue_closed_vs_quadrature():
     column = residue_closed_form(0.4)
     worst = 0.0

@@ -24,6 +24,7 @@ from painleve_instanton.columns import Rows, csv_blocks, json_blocks
 from painleve_instanton.painleve import PviSample, pvi_residual, select_delta_variant
 from painleve_instanton.report import (build_verification_report,
                                        line_transcendent, profile_for)
+from painleve_instanton.stepper import Stencil
 from painleve_instanton.twistor import FuchsianData, mu_pair
 
 SAMPLES = 21
@@ -57,7 +58,7 @@ def reference_trace(n, t_min, t_max):
     _, fam, sample, params = line_transcendent(n, t_min, t_max, SAMPLES)
     mus = np.column_stack((sample.ts,) + mu_pair(sample.ts))
     residuals = np.full(len(sample), np.nan)
-    residuals[2:-2] = np.abs(pvi_residual(sample, params))
+    residuals[2:-2] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
     cols = (fam.t, fam.x.real, fam.x.imag) + tuple(v.real for v in fam.trace_squares())
     files = {
         ".twistor.csv": csv_file("t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq",
@@ -192,7 +193,7 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
     capsys.readouterr()
     _, fam, sample, params = line_transcendent(3, 0.05, 0.95, 2001)
     residuals = np.full(len(sample), np.nan)
-    residuals[2:-2] = np.abs(pvi_residual(sample, params))
+    residuals[2:-2] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
     sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
         (fam.t, fam.x.real, fam.x.imag) + tuple(
             np.stack((A.real, A.imag), -1).reshape(-1, 8) for A in fam.residues()),
