@@ -7,14 +7,17 @@ Run from the repository root (not part of the tier-1 suite, whose
 
 Each window is `verify`'s default t in [0.5, 0.95], at n = 1, 3, 5, 7, 9
 with 201 samples and n = 3 with 801.  The stages are the ones a report
-runs, each on the same inputs as in the report: the line family (at n = 1,
+runs, each on the same inputs as in the report: the BVP solve (at n = 5,
+7, 9, 21, 63 and 101, with its piece count), the line family (at n = 1,
 3 and 7 with 201 samples and n = 3 with 801, with its residue column and
 the Schlesinger residual's gauge term on their own), the grid's stencil
 table, the Schlesinger residual, the PVI residual on each eigen-branch, the
 one-step PVI oracle on both branches, the Schlesinger propagation oracle,
 and the whole report.  Each benchmark's `extra_info` records the count
-that does not move with machine noise: stencil tables built, and
-right-hand-side evaluations of the integrating oracles.
+that does not move with machine noise: profile pieces, stencil tables
+built, and right-hand-side evaluations of the integrating oracles.  The
+JSON keeps each benchmark's summary statistics, not its raw rounds
+(`bench/conftest.py`).
 """
 
 from collections import Counter
@@ -70,6 +73,13 @@ def count(monkeypatch, name, fn):
                 m.setattr(module, name, counted)
         fn()
     return calls[name]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 21, 63, 101])
+def test_solve_bvp(benchmark, n):
+    profile = benchmark(instanton.solve_bvp, n)
+    benchmark.extra_info["pieces"] = len(profile.origins)
+    assert profile.meta["match_defect"] < 1e-9
 
 
 @pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)

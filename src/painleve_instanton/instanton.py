@@ -383,19 +383,19 @@ RTOL = 1e-12
 def _seed(n):
     """Closed-form shooting parameters (p, r, q) for odd n, with k = (n-1)/2:
 
-        p = prod_j (3j+1)/(3j-1),   r = 2/3 (prod_j (3j+2)/(3j-2) - p),
-        q = prod_j -(2j+1)/(2j),    j = 1..k.
+        p = prod_j (3j+1)/(3j-1),   r = (9n^2 - 1 - 8p^2) / (12p),
+        q = prod_j -(2j+1)/(2j),    j = 1..k;
 
-    Exact for n = 1, 3, 5; for larger n the shot from them misses the match
-    by the sweep's truncation error only (it falls with RTOL; relative to
-    |a| it is 9.4e-15 at n = 7, 4.6e-14 at 21 and <= 6.2e-14 for every odd
-    n <= 85 and n = 91, 101), so `solve_bvp` takes them as the solution.
-    Integer products keep each value one correctly rounded division.
+    r is the first integral u.u = -n^2/16 read at t = 0.  Exact for n = 1,
+    3, 5; for larger n the shot from them misses the match by the sweep's
+    truncation error only (it falls with RTOL; relative to |a| it is
+    9.4e-15 at n = 7, 4.6e-14 at 21 and <= 6.2e-14 for every odd n <= 85
+    and n = 91, 101), so `solve_bvp` takes them as the solution.  Integer
+    products keep each value one correctly rounded division.
     """
     js = range(1, (n - 1) // 2 + 1)
     p_num, p_den = math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js)
-    s_num, s_den = math.prod(3 * j + 2 for j in js), math.prod(3 * j - 2 for j in js)
-    r = 2 * (s_num * p_den - p_num * s_den) / (3 * s_den * p_den)
+    r = ((9 * n * n - 1) * p_den * p_den - 8 * p_num * p_num) / (12 * p_num * p_den)
     q = (-1) ** len(js) * math.prod(2 * j + 1 for j in js) / math.prod(2 * j for j in js)
     return p_num / p_den, r, q
 
@@ -508,16 +508,3 @@ def solve_bvp(n):
         sign_convention="a1(0)=1, a2(1)=+n",
         meta={"match_defect": defect},
     )
-
-
-def conserved_tr(profile, t):
-    """tr(A_inf^2)(t) = -2 sum_i a_i(t)^2 alpha_{i,inf}(t)^2 = -2 u.u.
-
-    Cross terms vanish because tr(X_i X_j) = 0 for i != j, and the signs
-    from alpha_{i,0} to alpha_{i,inf} square away; constancy in t is the
-    executable form of the deformation invariant.
-    """
-    from .twistor import residue_closed_form
-
-    val = -2.0 * np.sum((profile.oriented_values(t) * residue_closed_form(t)) ** 2)
-    return float(val.real) if abs(val.imag) < 1e-9 * max(1.0, abs(val)) else val

@@ -1,7 +1,7 @@
 """The sixth Painleve equation: right-hand side, residual evaluation of a
 sampled transcendent and a direct integrator usable as an independent oracle,
-both on the `Stencil` of its grid, and the closed-form parameter families in
-n (both published delta variants; the library measures which one is realised).
+both on the `Stencil` of its grid, and the parameter law in n (with the other
+published delta variant, which the report tells apart from it).
 """
 
 from __future__ import annotations
@@ -126,11 +126,12 @@ def pvi_integrate(params, xs, y0, yp0):
 
 
 def params_from_n(n, variant="intro", branch="plus"):
-    """Closed-form parameter quadruple for instanton label n.
+    """The parameter law of instanton label n: u.u = -n^2/16 in the forms of
+    `isomonodromy.jimbo_miwa_params`, since u.u is a first integral.
 
     branch selects the sign in alpha = (n +- 2)^2 / 8; the delta variant is
-    "intro" for -(n^2-4)/8 and "theorem" for -(n^2-1)/8 (the two published
-    values; the measured one is "intro").
+    "intro" for the law's -(n^2-4)/8 and "theorem" for -(n^2-1)/8, the other
+    published value.
     """
     if n % 2 == 0:
         raise ValueError("n must be odd")
@@ -146,15 +147,9 @@ def params_from_n(n, variant="intro", branch="plus"):
 
 
 def select_delta_variant(measured, n, tol=1e-6):
-    """Which published delta variant the measured value realises: "intro",
-    "theorem", or None if it is within tol of neither (a measurement, not
-    a configuration error)."""
-    intro = -(n * n - 4.0) / 8.0
-    theorem = -(n * n - 1.0) / 8.0
-    d_intro = abs(measured - intro)
-    d_theorem = abs(measured - theorem)
-    if d_intro <= tol and d_intro < d_theorem:
-        return "intro"
-    if d_theorem <= tol and d_theorem < d_intro:
-        return "theorem"
-    return None
+    """Which published delta variant of `params_from_n` the measured value
+    realises: "intro", "theorem", or None if it is within tol of neither, or
+    equally near both (a measurement, not a configuration error)."""
+    gap = {v: abs(measured - params_from_n(n, v).delta) for v in ("intro", "theorem")}
+    near, far = sorted(gap, key=gap.get)
+    return near if gap[near] <= tol and gap[near] < gap[far] else None

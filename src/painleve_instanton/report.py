@@ -12,7 +12,7 @@ from .instanton import asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
-from .painleve import PviSample, max_pvi_residual, select_delta_variant
+from .painleve import PviSample, max_pvi_residual, params_from_n, select_delta_variant
 from .stepper import Stencil
 
 
@@ -70,7 +70,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
     tr_ainf = raw[mid].trace_squares()[3].real
-    tr_target = n * n / 8.0
+    tr_target = params_from_n(n).gamma  # tr(Ainf^2) = -2 u.u = gamma
 
     # propagation oracle: quarter -> three-quarter sample, invariants only
     # (the flow commutes with constant conjugation, so the line gauge serves)

@@ -12,10 +12,10 @@ from painleve_instanton.errors import (DegenerateCoefficient, PoleAtEndpoint,
 from painleve_instanton.instanton import (DualitySign, ProfileKind,
                                           ProfileTriple, asd_closed_profile,
                                           asd_rhs, closed_form_profile,
-                                          coeff_K, conserved_tr,
-                                          duality_residual, endpoint_series,
-                                          solve_bvp)
+                                          coeff_K, duality_residual,
+                                          endpoint_series, solve_bvp)
 from painleve_instanton.report import build_verification_report
+from painleve_instanton.twistor import fuchsian_data
 
 SD = DualitySign.SELF_DUAL
 ASD = DualitySign.ANTI_SELF_DUAL
@@ -189,13 +189,13 @@ def test_endpoint_pair_rows_share_rho():
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_endpoint_series_t0_exact(n):
-    # the seed law's p and r as rationals, from _seed's integer products:
-    # every constant of the recurrence is an integer, so the series is exact
+    # the seed law's p and r as rationals, r from the first integral
+    # u.u = -n^2/16 at t = 0: every constant of the recurrence is an
+    # integer, so the series is exact
     js = range(1, (n - 1) // 2 + 1)
     p = Fraction(math.prod(3 * j + 1 for j in js), math.prod(3 * j - 1 for j in js))
-    s = Fraction(math.prod(3 * j + 2 for j in js), math.prod(3 * j - 2 for j in js))
     order = instanton.SERIES_ORDER
-    exact = endpoint_series(n, "t0", order, (p, 2 * (s - p) / 3))
+    exact = endpoint_series(n, "t0", order, (p, (9 * n * n - 1 - 8 * p * p) / (12 * p)))
     assert all(type(v) in (int, Fraction) for v in exact.ravel())
     # every order's equations vanish exactly; the chain row's order-m
     # equation needs the order-(m+1) coefficient, so it stops one short
@@ -463,6 +463,11 @@ def test_verify_match_check_catches_wrong_seed(monkeypatch, n, factors):
     assert rep["passed"] is False
 
 
+def conserved_tr(profile, t):
+    """tr(A_inf^2)(t) = -2 u.u of the assembled residues."""
+    return fuchsian_data(profile, t).trace_squares()[3]
+
+
 def test_conserved_tr_values():
     triv = closed_form_profile(ProfileKind.TRIVIAL)
     em3 = closed_form_profile(ProfileKind.E_MINUS_3)
@@ -480,8 +485,9 @@ def test_conserved_tr_drift_over_grid():
     for prof in (closed_form_profile(ProfileKind.TRIVIAL),
                  closed_form_profile(ProfileKind.E_MINUS_3),
                  closed_form_profile(ProfileKind.HOPF_SD)):
-        vals = [conserved_tr(prof, t) for t in np.linspace(0.05, 0.95, 50)]
-        assert max(vals) - min(vals) < 1e-6 * abs(vals[0])
+        vals = conserved_tr(prof, np.linspace(0.05, 0.95, 50))
+        assert np.max(np.abs(vals.imag)) < 1e-9 * np.max(np.abs(vals))
+        assert np.ptp(vals.real) < 1e-6 * abs(vals[0])
 
 
 def test_profile_serialization():
