@@ -11,12 +11,14 @@ runs, each on the same inputs as in the report: the BVP solve (at n = 5,
 7, 9, 21, 63 and 101, with its piece count), the line family (at n = 1,
 3 and 7 with 201 samples and n = 3 with 801, with its residue column and
 the Schlesinger residual's gauge term on their own), the grid's stencil
-table, the Schlesinger residual, the PVI residual on each eigen-branch, the
-one-step PVI oracle on both branches, the Schlesinger propagation oracle,
-and the whole report.  Each benchmark's `extra_info` records the count
-that does not move with machine noise: profile pieces, stencil tables
-built, and right-hand-side evaluations of the integrating oracles.  The
-JSON keeps each benchmark's summary statistics, not its raw rounds
+table, the Schlesinger residual, the `y` extraction on each eigen-branch
+(at n = 3 and 7 with 201 and 2001 samples), the PVI residual on each
+eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
+propagation oracle, the whole report, and the command line's parse of one
+`verify` argv.  Each benchmark's `extra_info` records the count that
+does not move with machine noise: profile pieces, stencil tables built,
+and right-hand-side evaluations of the integrating oracles.  The JSON
+keeps each benchmark's summary statistics, not its raw rounds
 (`bench/conftest.py`).
 """
 
@@ -27,8 +29,9 @@ import pytest
 
 from painleve_instanton import (cli, instanton, isomonodromy, painleve, report, stepper,
                                 twistor)
-from painleve_instanton.isomonodromy import (gauge_rate, jimbo_miwa_params, make_family,
-                                             schlesinger_integrate, schlesinger_residual)
+from painleve_instanton.isomonodromy import (extract_y, gauge_rate, jimbo_miwa_params,
+                                             make_family, schlesinger_integrate,
+                                             schlesinger_residual)
 from painleve_instanton.painleve import pvi_residual
 from painleve_instanton.report import (build_verification_report, extract_transcendent,
                                        line_transcendent)
@@ -39,6 +42,8 @@ WINDOWS = [(1, 201), (3, 201), (5, 201), (7, 201), (9, 201), (3, 801)]
 IDS = [f"n{n}-{samples}" for n, samples in WINDOWS]
 LINE_WINDOWS = [(1, 201), (3, 201), (7, 201), (3, 801)]
 LINE_IDS = [f"n{n}-{samples}" for n, samples in LINE_WINDOWS]
+Y_WINDOWS = [(3, 201), (7, 201), (3, 2001), (7, 2001)]
+Y_IDS = [f"n{n}-{samples}" for n, samples in Y_WINDOWS]
 _CACHE = {}
 
 
@@ -116,6 +121,14 @@ def test_schlesinger_residual(benchmark, n, samples):
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("n, samples", Y_WINDOWS, ids=Y_IDS)
+def test_extract_y(benchmark, n, samples, branch):
+    w = window(n, samples)
+    ys = benchmark(extract_y, w["fam"], branch)
+    assert np.array_equal(ys, w["sample"][branch].ys)
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
 def test_pvi_residual(benchmark, n, samples, branch):
     w = window(n, samples)
@@ -158,3 +171,8 @@ def test_report(benchmark, monkeypatch, n, samples):
 
     benchmark.extra_info["fd_weights_calls"] = count(monkeypatch, "fd_weights", verify)
     assert benchmark(verify)["passed"]
+
+
+def test_parse_args(benchmark):
+    args = benchmark(cli.parse_args, ["verify", "--n", "3", "--samples", "801"])
+    assert (args.command, args.n, args.samples) == ("verify", 3, 801)

@@ -30,6 +30,16 @@ class StepSizeUnderflow(PainleveInstantonError):
         self.h = h
 
 
+class StepLimitExceeded(PainleveInstantonError):
+    """An integrator took its limit of steps without reaching the end of
+    its interval."""
+
+    def __init__(self, t, limit):
+        super().__init__(f"step limit of {limit} steps exceeded at t={t!r}")
+        self.t = t
+        self.limit = limit
+
+
 # -- reduced duality ODE ---------------------------------------------------
 
 class PoleAtEndpoint(PainleveInstantonError):

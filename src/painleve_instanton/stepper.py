@@ -21,7 +21,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StepSizeUnderflow
+from .errors import StepLimitExceeded, StepSizeUnderflow
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6).  The
 # coefficients are those of SciPy's scipy/integrate/_ivp/dop853_coefficients.py
@@ -143,12 +143,13 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
 
     Works for real or complex state vectors; t may run backwards.  Raises
     StepSizeUnderflow when the step control drives h below the roundoff of
-    t, as it does at a singularity or a non-finite right-hand side.  After
-    each accepted step from (t, y) to (t_new, y_new) with step h, calls
-    on_step(t, y, y_new, h, K, t_new) if given, with K the (16, d) stage
-    array: rows 0-12 hold the step's stages (row 12 is f(t_new, y_new)), and
-    rows 13-15 are free for the continuous extension's stages.  K is
-    overwritten by the next step, so on_step must not keep it.
+    t, as it does at a singularity or a non-finite right-hand side, and
+    StepLimitExceeded after MAX_STEPS steps.  After each accepted step from
+    (t, y) to (t_new, y_new) with step h, calls on_step(t, y, y_new, h, K,
+    t_new) if given, with K the (16, d) stage array: rows 0-12 hold the
+    step's stages (row 12 is f(t_new, y_new)), and rows 13-15 are free for
+    the continuous extension's stages.  K is overwritten by the next step,
+    so on_step must not keep it.
     """
     y = np.array(y0, copy=True)
     t = float(t0)
@@ -165,7 +166,7 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     while (t1 - t) * direction > 0:
         steps += 1
         if steps > MAX_STEPS:
-            raise RuntimeError(f"rk45: step limit exceeded at t={t}")
+            raise StepLimitExceeded(t, MAX_STEPS)
         # Hairer's test (Solving ODEs I, II.4): shorter steps no longer move
         # t, so rejected NaN or infinite stages would shrink h to zero and
         # zero-length steps would run up to MAX_STEPS

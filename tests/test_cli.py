@@ -1,11 +1,15 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from painleve_instanton import cli, instanton, report
+from painleve_instanton import cli, instanton, report, stepper
 from painleve_instanton.cli import main
 from painleve_instanton.errors import StepSizeUnderflow
 from painleve_instanton.liealg import trace_sq
@@ -219,6 +223,17 @@ def test_verify_no_convergence(capsys, monkeypatch):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("command", ["pvi-integrate", "verify"])
+def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
+    # the DOP853 step limit is a solver failure: JSON on stderr, no traceback
+    monkeypatch.setattr(stepper, "MAX_STEPS", 3)
+    code, out, err = run(capsys, command, "--n", "3")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "StepLimitExceeded"
+    assert error["detail"].startswith("step limit of 3 steps exceeded at t=")
+
+
 def underflowing_propagation(monkeypatch):
     # what the real oracle does at n = 101 on [0.1, 0.95], after about a minute
     def underflow(F0, x_target):
@@ -358,3 +373,128 @@ def test_pvi_integrate_starts_on_trace_samples(tmp_path, capsys):
     np.testing.assert_array_equal(integrated[:, :3], traced[:, :3])  # t, x
     np.testing.assert_array_equal(integrated[0, 3:5], traced[0, 3:5])  # seed y
     assert integrated[0, 5] == 0.0
+
+
+def argparse_reference():
+    """The argparse tree the command line was parsed with before the option
+    table, built from that table: the reference `cli.parse_args` follows."""
+    parser = argparse.ArgumentParser(prog=cli.PROG)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, options) in cli._COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, (dest, kind, default) in options.items():
+            if isinstance(kind, tuple):
+                p.add_argument(flag, dest=dest, choices=kind, default=default)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, default=default)
+    return parser.parse_args
+
+
+def test_option_table_defaults():
+    # the options, types and defaults argparse had, per subcommand
+    shared = {"n": 3, "t_max": 0.95, "out": None}
+    expected = {
+        "profile": dict(t_min=0.05, samples=101, fmt="csv"),
+        "trace": dict(t_min=0.05, samples=101, fmt="csv"),
+        "verify": dict(t_min=0.5, samples=201, tol=None, delta_variant="auto"),
+        "pvi-integrate": dict(t_min=0.5, samples=201),
+    }
+    for command, defaults in expected.items():
+        assert vars(cli.parse_args([command])) == {"command": command, **shared, **defaults}
+    kinds = {dest: kind for _, _, options in cli._COMMANDS.values()
+             for dest, kind, _ in options.values()}
+    assert kinds == {"n": int, "t_min": float, "t_max": float, "samples": int, "out": str,
+                     "fmt": ("csv", "json"), "tol": float,
+                     "delta_variant": ("auto", "intro", "theorem")}
+
+
+# argv -> None when it parses, 0 for help, else a phrase of the usage error
+PARSE_CASES = [
+    (["profile"], None),
+    (["trace"], None),
+    (["verify"], None),
+    (["pvi-integrate"], None),
+    (["verify", "--n", "5", "--samples", "401", "--out", "r.json"], None),
+    (["verify", "--n=5", "--t-max=0.9", "--delta-variant=intro", "--out="], None),
+    (["profile", "--sam", "11", "--form", "json", "--t-ma=0.8"], None),
+    (["verify", "--d", "theorem", "--to", "1e-3"], None),
+    (["verify", "--t", "0.3"], "ambiguous option: --t could match"),
+    (["verify", "--t-m=0.3"], "ambiguous option: --t-m=0.3 could match"),
+    (["verify", "--t-min", "-0.5", "--tol", "-1"], None),
+    (["verify", "--tol", "-.5", "--n", "-3"], None),
+    (["verify", "--n", "3", "--n", "7", "--n=9"], None),
+    (["profile", "--format", "json", "--format=csv"], None),
+    (["trace", "--out", "-"], None),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "--n", "3", "extra", "--bogus=1"], "unrecognized arguments: extra --bogus=1"),
+    (["verify", "-x", "1"], "unrecognized arguments: -x 1"),
+    (["pvi-integrate", "--format", "json"], "unrecognized arguments: --format json"),
+    (["verify", "--n", "three"], "argument --n: invalid int value: 'three'"),
+    (["verify", "--samples", "2.5"], "argument --samples: invalid int value: '2.5'"),
+    (["trace", "--t-min", "zero"], "argument --t-min: invalid float value: 'zero'"),
+    (["verify", "--n", "x", "--bogus"], "invalid int value"),
+    (["profile", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["verify", "--delta-variant="], "argument --delta-variant: invalid choice: ''"),
+    (["verify", "--n"], "argument --n: expected one argument"),
+    (["verify", "--out", "--n", "3"], "argument --out: expected one argument"),
+    (["verify", "--tol", "-1e-3"], "argument --tol: expected one argument"),
+    (["verify", "--n", "3", "--", "--n", "5"], "unrecognized arguments: -- --n 5"),
+    ([], "the following arguments are required: command"),
+    (["solve"], "argument command: invalid choice: 'solve'"),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["--he"], 0),
+    (["verify", "-h"], 0),
+    (["trace", "--help", "--bogus"], 0),
+    (["profile", "--n", "5", "--he"], 0),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace dict or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, expected", PARSE_CASES,
+                         ids=[" ".join(argv) or "empty" for argv, _ in PARSE_CASES])
+def test_parse_matches_argparse(monkeypatch, capsys, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    ours, out, err = parse_outcome(cli.parse_args, argv, capsys)
+    reference, ref_out, ref_err = parse_outcome(argparse_reference(), argv, capsys)
+    assert ours == reference
+    if expected is None:
+        assert isinstance(ours, dict) and out == err == ""
+    elif expected == 0:
+        # help: the usage line as argparse wraps it, and every option listed
+        assert err == "" and out.split("\n\n")[0] == ref_out.split("\n\n")[0]
+        command = argv[0] if argv[0] in cli._COMMANDS else None
+        for flag in cli._COMMANDS[command][2] if command else cli._COMMANDS:
+            assert flag in out
+    else:
+        assert ours == 2 and out == ""
+        assert expected in err and expected in ref_err
+        # the same usage lines, and the error from the same parser level
+        assert err.split(": error: ")[0] == ref_err.split(": error: ")[0]
+
+
+def test_cli_does_not_import_argparse():
+    # a fresh interpreter, since this one has imported argparse for the tests
+    child = ("import contextlib, io, sys\n"
+             "import painleve_instanton.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    try:\n"
+             "        cli.main(['verify', '--help'])\n"
+             "    except SystemExit as exc:\n"
+             "        assert exc.code == 0, exc.code\n"
+             "assert 'argparse' not in sys.modules\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

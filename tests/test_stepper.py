@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from painleve_instanton import stepper
-from painleve_instanton.errors import StepSizeUnderflow
+from painleve_instanton.errors import StepLimitExceeded, StepSizeUnderflow
 from painleve_instanton.stepper import rk45, rk45_path
 
 # y' = M y with M = [[a, b], [-b, a]]: y(t) = e^{a t} R(b t) y(0), with R the
@@ -106,8 +106,9 @@ def test_rk45_path_single_node_and_bad_nodes():
 
 def test_rk45_step_limit(monkeypatch):
     monkeypatch.setattr(stepper, "MAX_STEPS", 3)
-    with pytest.raises(RuntimeError, match="step limit"):
+    with pytest.raises(StepLimitExceeded, match="step limit of 3 steps") as info:
         rk45(Counted(), 0.0, Y0, 2.0)
+    assert info.value.limit == 3 and 0.0 < info.value.t < 2.0
 
 
 def test_rk45_nan_rhs_stops_at_its_onset():
