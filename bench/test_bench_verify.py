@@ -14,10 +14,12 @@ the Schlesinger residual's gauge term on their own), the grid's stencil
 table, the Schlesinger residual, the `y` extraction on each eigen-branch
 (at n = 3 and 7 with 201 and 2001 samples), the PVI residual on each
 eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
-propagation oracle, the whole report, and the command line's parse of one
-`verify` argv.  Each benchmark's `extra_info` records the count that
-does not move with machine noise: profile pieces, stencil tables built,
-and right-hand-side evaluations of the integrating oracles.  The JSON
+propagation oracle, `pvi-integrate`'s sweep of the direct PVI integrator
+(at n = 1 with 201 samples and n = 3 with 801), the whole report, and the
+command line's parse of one `verify` argv.  Each benchmark's `extra_info`
+records the count that does not move with machine noise: profile pieces,
+stencil tables built, and right-hand-side evaluations of the integrating
+oracles and the direct integrator.  The JSON
 keeps each benchmark's summary statistics, not its raw rounds
 (`bench/conftest.py`).
 """
@@ -44,6 +46,8 @@ LINE_WINDOWS = [(1, 201), (3, 201), (7, 201), (3, 801)]
 LINE_IDS = [f"n{n}-{samples}" for n, samples in LINE_WINDOWS]
 Y_WINDOWS = [(3, 201), (7, 201), (3, 2001), (7, 2001)]
 Y_IDS = [f"n{n}-{samples}" for n, samples in Y_WINDOWS]
+PVI_WINDOWS = [(1, 201), (3, 801)]
+PVI_IDS = [f"n{n}-{samples}" for n, samples in PVI_WINDOWS]
 _CACHE = {}
 
 
@@ -162,6 +166,21 @@ def test_propagation_oracle(benchmark, monkeypatch, n, samples):
     benchmark.extra_info["schlesinger_field_calls"] = count(
         monkeypatch, "schlesinger_field", propagate)
     benchmark(propagate)
+
+
+@pytest.mark.parametrize("n, samples", PVI_WINDOWS, ids=PVI_IDS)
+def test_pvi_integrate(benchmark, monkeypatch, n, samples):
+    # pvi-integrate's sweep: the "plus" sample from the first interior
+    # sample to the end, seeded with the stencil's slope there
+    w = window(n, samples)
+    sample, k = w["sample"]["plus"], Stencil.INNER.start
+    seed = (w["params"]["plus"], sample.xs[k:].real, sample.ys[k],
+            w["stencil"].derivative(sample.ys, 1)[0])
+
+    benchmark.extra_info["pvi_second_derivative_calls"] = count(
+        monkeypatch, "pvi_second_derivative", lambda: painleve.pvi_integrate(*seed))
+    ys, _ = benchmark(painleve.pvi_integrate, *seed)
+    assert np.max(np.abs(ys - sample.ys[k:])) < 1e-6
 
 
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)

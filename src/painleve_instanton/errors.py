@@ -21,10 +21,11 @@ class StepSizeUnderflow(PainleveInstantonError):
     """An integrator's step fell below the roundoff of t: the right-hand
     side is singular there or not finite (NaN or infinite), or, in the BVP
     sweep, a component is so small against its own Taylor terms that the
-    bound relative to it admits no step."""
+    bound relative to it admits no step.  The message names the independent
+    variable as `variable` (x on the twistor line)."""
 
-    def __init__(self, t, h):
-        super().__init__(f"step size {h:.3e} below the roundoff of t={t!r}: "
+    def __init__(self, t, h, variable="t"):
+        super().__init__(f"step size {h:.3e} below the roundoff of {variable}={t!r}: "
                          "singular or non-finite right-hand side")
         self.t = t
         self.h = h
@@ -32,10 +33,10 @@ class StepSizeUnderflow(PainleveInstantonError):
 
 class StepLimitExceeded(PainleveInstantonError):
     """An integrator took its limit of steps without reaching the end of
-    its interval."""
+    its interval, at t (named `variable` in the message)."""
 
-    def __init__(self, t, limit):
-        super().__init__(f"step limit of {limit} steps exceeded at t={t!r}")
+    def __init__(self, t, limit, variable="t"):
+        super().__init__(f"step limit of {limit} steps exceeded at {variable}={t!r}")
         self.t = t
         self.limit = limit
 

@@ -160,7 +160,7 @@ def schlesinger_integrate(F0, x_target):
     def flow(x, vec):
         v = vec.tolist()
         d0, d1, dx = schlesinger_field(x, v[:3], v[3:6], v[6:])
-        return np.array(d0 + d1 + dx)
+        return d0 + d1 + dx
 
     m0, m1, mx = rk45(flow, x0, m[:3].ravel(), x1, rtol=1e-11, atol=1e-13).reshape(3, 3)
     return np.array([m0, m1, mx, -(m0 + m1 + mx)])

@@ -118,7 +118,7 @@ def pvi_integrate(params, xs, y0, yp0):
         y, yp = state.tolist()
         if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-8:
             raise SingularityEncountered(x, y)
-        return np.array([yp, pvi_second_derivative(params, x, y, yp)])
+        return [yp, pvi_second_derivative(params, x, y, yp)]
 
     states = np.array(rk45_path(flow, xs, np.array([y0, yp0], dtype=complex),
                                 rtol=1e-11, atol=1e-13))

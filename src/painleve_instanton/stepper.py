@@ -6,9 +6,12 @@ derivative checks and both PVI oracle seeds read its one table per grid.
 The integrator is Dormand and Prince's 8th-order pair working on (possibly
 complex) numpy vectors; it propagates the 8th-order solution and controls
 the step with Hairer's combined 5th/3rd-order error estimate.  A step keeps
-its stages in one preallocated (16, d) array, so each stage, the solution
-and the error estimates are small matrix products with the tableau, and f
-at the new solution is reused as the next step's first stage (FSAL).
+y and its stages in one preallocated (17, d) array, y in row 0, and folds h
+into one copy of the tableau per step, cast once to the state's dtype, so
+each stage's argument and the solution are one vector-matrix product, and
+f at the new solution is reused as the next step's first stage (FSAL).
+f may return any sequence: the stage array's row assignment converts it,
+so a right-hand side on Python numbers need not build an array.
 `rk45_path` reads intermediate nodes from the pair's 7th-order continuous
 extension instead of stopping at them.  The same kernel drives the
 Schlesinger propagation oracle and the Painleve VI oracle.
@@ -16,6 +19,7 @@ Schlesinger propagation oracle and the Painleve VI oracle.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -141,15 +145,19 @@ _UROUND = math.ulp(1.0)
 def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     """Integrate dy/dt = f(t, y) from t0 to t1 with DOP853, returning y(t1).
 
-    Works for real or complex state vectors; t may run backwards.  Raises
-    StepSizeUnderflow when the step control drives h below the roundoff of
-    t, as it does at a singularity or a non-finite right-hand side, and
-    StepLimitExceeded after MAX_STEPS steps.  After each accepted step from
-    (t, y) to (t_new, y_new) with step h, calls on_step(t, y, y_new, h, K,
-    t_new) if given, with K the (16, d) stage array: rows 0-12 hold the
-    step's stages (row 12 is f(t_new, y_new)), and rows 13-15 are free for
-    the continuous extension's stages.  K is overwritten by the next step,
-    so on_step must not keep it.
+    Works for real or complex state vectors; t may run backwards; f may
+    return an array or any sequence of d numbers.  y and the stages share
+    one (17, d) array, y in row 0, and h is folded into the step's copy of
+    the tableau, so each stage's argument is one product of a tableau row
+    with that array.  Raises StepSizeUnderflow when the step control drives
+    h below the roundoff of t, as it does at a singularity or a non-finite
+    right-hand side, and StepLimitExceeded after MAX_STEPS steps; both name
+    the independent variable as f names its first parameter.  After each
+    accepted step from (t, y) to (t_new, y_new) with step h, calls
+    on_step(t, y, y_new, h, K, t_new) if given, with K the (16, d) stage
+    array below y: rows 0-12 hold the step's stages (row 12 is f(t_new,
+    y_new)), and rows 13-15 are free for the continuous extension's stages.
+    K is overwritten by the next step, so on_step must not keep it.
     """
     y = np.array(y0, copy=True)
     t = float(t0)
@@ -160,25 +168,33 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
     span = abs(t1 - t)
     h = direction * min(span, 1e-3)
     k1 = np.asarray(f(t, y))
-    K = np.empty((16,) + k1.shape, dtype=np.result_type(y, k1))
-    K[0] = k1
+    # YK is y above the stages K; Z is refilled once per step with a 1 for y
+    # and h times _A's rows 0-12, so stage i's argument is the one product
+    # Z[i, :i+1] . YK[:i+1], and row 12's is the 8th-order solution
+    YK = np.empty((17,) + k1.shape, dtype=np.result_type(y, k1))
+    YK[0], YK[1] = y, k1
+    K = YK[1:]
+    Z = np.ones((13, 13), dtype=YK.dtype)
+    E = _E.astype(YK.dtype)
+    stages = [(i, _C[i], Z[i, :i + 1], YK[:i + 1]) for i in range(1, 12)]
     steps = 0
     while (t1 - t) * direction > 0:
         steps += 1
         if steps > MAX_STEPS:
-            raise StepLimitExceeded(t, MAX_STEPS)
+            raise StepLimitExceeded(t, MAX_STEPS, _variable(f))
         # Hairer's test (Solving ODEs I, II.4): shorter steps no longer move
         # t, so rejected NaN or infinite stages would shrink h to zero and
         # zero-length steps would run up to MAX_STEPS
         if 0.1 * abs(h) <= _UROUND * abs(t):
-            raise StepSizeUnderflow(t, h)
+            raise StepSizeUnderflow(t, h, _variable(f))
         if (t + h - t1) * direction > 0:
             h = t1 - t
-        for i in range(1, 12):
-            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
-        y_new = y + h * (_B @ K[:12])
+        np.multiply(_A[:13, :12], h, out=Z[:, 1:])
+        for i, c, z, yk in stages:
+            K[i] = f(t + c * h, z.dot(yk))
+        y_new = Z[12].dot(YK[:13])
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        n5, n3 = (np.abs((_E @ K[:12]) / scale) ** 2).sum(axis=1).tolist()
+        n5, n3 = (np.abs(E.dot(K[:12]) / scale) ** 2).sum(axis=1).tolist()
         err = abs(h) * n5 / (math.sqrt((n5 + 0.01 * n3) * y.size) or 1.0) + 1e-300
         if err <= 1.0:
             t_new = t1 if abs(t + h - t1) < 1e-15 * span else t + h
@@ -186,23 +202,40 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
             if on_step is not None:
                 on_step(t, y, y_new, h, K, t_new)
             t = t_new
-            y = y_new
+            y = YK[0] = y_new
             K[0] = K[12]  # FSAL
         h *= min(5.0, max(0.2, 0.9 * err ** -0.125))
     return y
 
 
+def _variable(f):
+    """The name f gives its independent variable, for an integrator's error
+    ("t" where f's signature cannot be read)."""
+    try:
+        return next(iter(inspect.signature(f).parameters), "t")
+    except (TypeError, ValueError):
+        return "t"
+
+
 def _dense_terms(f, t, y, y_new, h, K):
     """Evaluate the three extra stages of one accepted step (rk45's on_step
-    arguments) into K and return the terms F0..F6 of its 7th-order
+    arguments) into K and return the (7, d) terms F0..F6 of its 7th-order
     continuous extension
 
         y(t + x h) = y + x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6)))).
+
+    As in rk45, the extra stages' tableau rows carry h.
     """
-    for s in range(13, 16):
-        K[s] = f(t + _C[s] * h, y + h * (_A[s, :s] @ K[:s]))
+    for s, z in enumerate(h * _A[13:], 13):
+        K[s] = f(t + _C[s] * h, y + z[:s].dot(K[:s]))
     dy = y_new - y
-    return (dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), *(h * (_D @ K)))
+    return np.array([dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]),
+                     *(h * _D).dot(K)])
+
+
+# the extension's nested factors x, 1-x, x, ... from the outside in: their
+# running products weight F0..F6
+_ODD = np.arange(7) % 2 == 1
 
 
 def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
@@ -211,7 +244,8 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
     The nodes must be strictly monotone (either direction).  Steps are not
     clipped at interior nodes: a step that covers any evaluates the three
     extra stages of the 7th-order continuous extension and reads all of its
-    nodes in one Horner pass.  The last node is exactly rk45's y(ts[-1]).
+    nodes in one product of their basis weights with its terms.  The last
+    node is exactly rk45's y(ts[-1]).
     """
     ts = np.asarray(ts, dtype=float)
     out = [np.array(y0, copy=True)]
@@ -220,22 +254,19 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
     direction = 1.0 if ts[-1] > ts[0] else -1.0
     if not np.all(np.diff(ts) * direction > 0):
         raise ValueError("rk45_path: nodes must be strictly monotone")
+    nodes = ts.tolist()
     last = len(ts) - 1
 
     def read_nodes(t, y, y_new, h, K, t_new):
         j = len(out)
         covered = j
-        while covered < last and (ts[covered] - t_new) * direction <= 0:
+        while covered < last and (nodes[covered] - t_new) * direction <= 0:
             covered += 1
         if covered == j:
             return
         F = _dense_terms(f, t, y, y_new, h, K)
         x = ((ts[j:covered] - t) / h)[:, None]
-        weights = (1 - x, x)
-        acc = F[6]
-        for k in range(5, -1, -1):
-            acc = F[k] + weights[k % 2] * acc
-        out.extend(y + x * acc)
+        out.extend(y + np.cumprod(np.where(_ODD, 1 - x, x), axis=1).dot(F))
 
     out.append(rk45(f, ts[0], y0, ts[-1], rtol, atol, on_step=read_nodes))
     return out

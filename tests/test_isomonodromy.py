@@ -339,6 +339,15 @@ def test_schlesinger_integrate_flow_count(monkeypatch, fam3_raw):
     assert calls == {"schlesinger_field": 241}
 
 
+@pytest.mark.parametrize("n", [71, 81, 101])
+def test_propagation_margin_at_large_n(n):
+    # the oracle reads 6.7e-10, 6.4e-9 and 3.7e-10 here, two orders inside
+    # its 1e-5 tolerance; changes to how a step starts spend that margin
+    # (Hairer's starting-step estimate gave 1.2e-5 at n = 71, a growth cap
+    # of 10 gave 2.5e-6 at n = 81), so it is pinned at 1e-7
+    assert report.build_verification_report(n)["propagation_invariant_error"] < 1e-7
+
+
 @pytest.mark.parametrize("samples, evaluations", [(201, 37), (801, 25)])
 def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
     # the report's step oracle integrates PVI over one inter-sample step

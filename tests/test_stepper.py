@@ -84,6 +84,67 @@ def test_rk45_path_is_one_sweep(t0, t1, monkeypatch):
         assert sweep.calls == single.calls + 3 * covering
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, -0.5)])
+def test_list_rhs_is_bit_identical(t0, t1):
+    # f may return a sequence: the stage array's assignment converts it, so
+    # every result is bit for bit the array-returning f's
+    def as_list(t, y):
+        return (M @ y).tolist()
+
+    y0 = exact(t0)
+    assert np.array_equal(rk45(as_list, t0, y0, t1), rk45(Counted(), t0, y0, t1))
+    ts = np.linspace(t0, t1, 101)
+    for a, b in zip(rk45_path(as_list, ts, y0), rk45_path(Counted(), ts, y0), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_on_step_gets_the_stage_array():
+    # on_step sees the (16, d) K: rows 0-12 are the step's stages, f at the
+    # tableau's times and arguments (row 12 at the new solution), and rows
+    # 13-15 are free, so filling them moves nothing
+    A, C = stepper._A, stepper._C
+
+    def f(t, y):
+        return (1.0 + t) * (M @ y)
+
+    steps = []
+
+    def check(t, y, y_new, h, K, t_new):
+        assert K.shape == (16, 2)
+        for i in range(12):
+            want = f(t + C[i] * h, y + h * (A[i, :i] @ K[:i]))
+            assert np.allclose(K[i], want, rtol=1e-14, atol=0)
+        assert np.array_equal(K[12], f(t_new, y_new))
+        K[13:] = np.nan
+        steps.append(t_new)
+
+    y = rk45(f, 0.0, Y0, 2.0, on_step=check)
+    assert len(steps) > 10 and steps[-1] == 2.0
+    assert np.array_equal(y, rk45(f, 0.0, Y0, 2.0))
+
+
+def test_rk45_path_nodes_are_the_nested_extension():
+    # rk45_path weights F0..F6 by running products of x, 1-x, x, ...; the
+    # extension's nested form, evaluated node by node, agrees to roundoff
+    ts = np.linspace(0.0, 2.0, 1001)
+    ys = rk45_path(Counted(), ts, Y0)
+    nested = {}
+
+    def horner(t, y, y_new, h, K, t_new):
+        F = stepper._dense_terms(Counted(), t, y, y_new, h, K)
+        for k in np.flatnonzero((ts > t) & (ts <= t_new) & (ts < ts[-1])):
+            x = (ts[k] - t) / h
+            acc = F[6]
+            for m in range(5, -1, -1):
+                acc = F[m] + (x if m % 2 else 1 - x) * acc
+            nested[k] = y + x * acc
+
+    rk45(Counted(), 0.0, Y0, 2.0, on_step=horner)
+    assert sorted(nested) == list(range(1, 1000))
+    for k, y in nested.items():
+        assert np.max(np.abs(ys[k] - y)) <= 2 * np.finfo(float).eps * np.max(np.abs(y))
+
+
 def test_dop853_tableau():
     # consistency of every stage, the quadrature order conditions of the
     # 8th-order weights, and error estimates that vanish on constants
