@@ -95,7 +95,7 @@ def test_solve_bvp(benchmark, n):
 def test_line_family(benchmark, n, samples):
     w = window(n, samples)
     fam = benchmark(make_family, w["profile"], w["fam"].t)
-    assert np.array_equal(fam.u, w["fam"].u)
+    assert np.array_equal(fam.w, w["fam"].w)
 
 
 @pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)
@@ -161,7 +161,7 @@ def test_propagation_oracle(benchmark, monkeypatch, n, samples):
     k0, k1 = len(fam) // 4, (3 * len(fam)) // 4
 
     def propagate():
-        return schlesinger_integrate(fam[k0], fam[k1].x)
+        return schlesinger_integrate(fam[k0], fam[k1].t)
 
     benchmark.extra_info["schlesinger_field_calls"] = count(
         monkeypatch, "schlesinger_field", propagate)

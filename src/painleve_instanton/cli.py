@@ -91,12 +91,12 @@ def cmd_trace(cfg):
                                                cfg.samples)
     mu_plus, mu_minus = mu_pair(sample.ts)
     residuals = np.full(len(sample), np.nan)
-    residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
+    residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params, Stencil(sample.xs)))
 
     if cfg.fmt == "json":
         doc = {
             "params": params.as_dict(),
-            "delta_variant": select_delta_variant(params.delta.real, cfg.n),
+            "delta_variant": select_delta_variant(params.delta, cfg.n),
             "twistor": fam.json_array(),
             "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
                        (sample.ts, mu_plus, mu_minus)),
@@ -132,7 +132,7 @@ def cmd_pvi_integrate(cfg):
                                              cfg.samples)
     # seeded at the first sample with a centred stencil slope
     k = Stencil.INNER.start
-    integrated = sample.integrate(params, Stencil(sample.xs.real), k)
+    integrated = sample.integrate(params, Stencil(sample.xs), k)
     _emit(cfg, integrated.to_csv(np.abs(integrated.ys - sample.ys[k:])))
     return 0
 

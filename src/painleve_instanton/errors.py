@@ -22,10 +22,11 @@ class StepSizeUnderflow(PainleveInstantonError):
     side is singular there or not finite (NaN or infinite), or, in the BVP
     sweep, a component is so small against its own Taylor terms that the
     bound relative to it admits no step.  The message names the independent
-    variable as `variable` (x on the twistor line)."""
+    variable as `variable` (x on the twistor line, t in the propagation
+    oracle and the BVP sweep) and gives its value as a plain float."""
 
     def __init__(self, t, h, variable="t"):
-        super().__init__(f"step size {h:.3e} below the roundoff of {variable}={t!r}: "
+        super().__init__(f"step size {h:.3e} below the roundoff of {variable}={float(t)}: "
                          "singular or non-finite right-hand side")
         self.t = t
         self.h = h
@@ -33,10 +34,10 @@ class StepSizeUnderflow(PainleveInstantonError):
 
 class StepLimitExceeded(PainleveInstantonError):
     """An integrator took its limit of steps without reaching the end of
-    its interval, at t (named `variable` in the message)."""
+    its interval, at t (named `variable` in the message, a plain float)."""
 
     def __init__(self, t, limit, variable="t"):
-        super().__init__(f"step limit of {limit} steps exceeded at {variable}={t!r}")
+        super().__init__(f"step limit of {limit} steps exceeded at {variable}={float(t)}")
         self.t = t
         self.limit = limit
 
@@ -63,8 +64,9 @@ class NoAnalyticBranch(PainleveInstantonError):
 
 class ShotFailed(PainleveInstantonError):
     """A boundary-value shot failed on one side: "t0" if the t = 0 series
-    overflowed; "t1" if the t = 1 series overflowed, the sweep from it blew
-    up, or the sweep's step no longer moved t."""
+    overflowed; "t1" if the t = 1 series overflowed, its launch state or
+    the swept state has a1 = 0 or a3 = 0 (underflow), the sweep from it
+    blew up, or the sweep's step no longer moved t."""
 
     def __init__(self, side, reason):
         super().__init__(f"shot from {side} failed: {reason}")

@@ -457,6 +457,13 @@ def _sweep(t, a, t_end, pieces):
         t = t_new
 
 
+def _require_coupled(t, a):
+    """ShotFailed("t1") if the t = 1 shot's state a at t has a1 = 0 or a3 = 0."""
+    if a[0] == 0.0 or a[2] == 0.0:
+        raise ShotFailed("t1", f"a1 = {float(a[0])}, a3 = {float(a[2])} at t = {t} "
+                               "(underflow)")
+
+
 def solve_bvp(n):
     """Shooting solve of the anti-self-dual boundary-value problem from the
     closed-form shooting parameters `_seed(n)`.
@@ -478,7 +485,11 @@ def solve_bvp(n):
     endpoint series and the Taylor polynomial of every step, zero-padded to
     the t = 1 series' degree.  Its jump at breaks[1] is the unscaled defect.
     ShotFailed names the side: "t0" if its series overflows, "t1" if its
-    series or the sweep blows up or a step no longer moves t.  An n that is
+    series or the sweep blows up, a step no longer moves t, or a1 or a3 is
+    0 at the launch or at the end of the sweep.  That last is underflow,
+    not the solution, which vanishes only at t = 1: from n = 473 on,
+    q s^((n-1)/2) at the launch depth s is below the smallest subnormal, and
+    a sweep from a1 = a3 = 0 stays on that invariant plane.  An n that is
     not odd and positive is `endpoint_series`' ValueError.
     """
     p, r, q = _seed(n)
@@ -492,9 +503,12 @@ def solve_bvp(n):
     try:
         right = endpoint_series(n, "t1", SERIES_ORDER + (n - 1) // 2, (q,))
         t_right = 1.0 - min(_step_size(right), MAX_LAUNCH_DEPTH)
-        a_right = _sweep(t_right, _horner(right.T, t_right - 1.0).tolist(), t_left, steps)
+        launch = _horner(right.T, t_right - 1.0).tolist()
+        _require_coupled(t_right, launch)
+        a_right = _sweep(t_right, launch, t_left, steps)
     except (OverflowError, StepSizeUnderflow) as exc:
         raise ShotFailed("t1", str(exc)) from exc
+    _require_coupled(t_left, a_right)
     defect = float(np.linalg.norm(a_left - a_right)) / float(np.max(np.abs(a_left)))
 
     pieces = [(0.0, 0.0, left.T), *reversed(steps), (t_right, 1.0, right.T)]

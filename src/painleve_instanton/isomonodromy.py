@@ -1,13 +1,13 @@
 """Deformation machinery for the Fuchsian residue family: the Schlesinger
 vector field and its verification by stencils (`Stencil`), conserved-quantity
 drift, and the apparent-singularity position y(x) and parameters of the
-sixth Painleve equation, both as closed forms in the residue model u (see
-`extract_y`).
+sixth Painleve equation, both as closed forms in the residue model u, in
+its real form w (see `extract_y`).
 
 The residues as the line geometry gives them ("line" gauge) carry the
 reality pairing Ax = -A0^dagger, Ainf = -A1^dagger.  The transverse
-component of the flat family connection is -x'(t) Ax/(w - x) + C(t) in the
-normalised coordinate w, with C = c.X and c a rational multiple of u
+component of the flat family connection is -x'(t) Ax/(z - x) + C(t) in the
+normalised coordinate z, with C = c.X and c a rational multiple of u
 (`gauge_rate`).  The Schlesinger-gauge residues are A^S_p = g^-1 A_p g with
 g' = -C g, and dA^S_p/dt = g^-1 (A_p' + [C, A_p]) g.  The Schlesinger field
 is conjugation-equivariant, so the deformation equations hold in that gauge
@@ -17,12 +17,16 @@ g is never integrated.  The flow also commutes with constant conjugation,
 so propagating a line-gauge sample lands on a conjugate of a later one,
 with the same `pair_invariants`.
 
-Residues are carried as coefficient vectors m_p on (X1, X2, X3), C = c.X,
-and every bracket is one cross product, [m.X, n.X] = 2 (m x n).X: exact to
-one rounding on the line family, whose m_p are signed copies of one u.
-`schlesinger_field` is the one Schlesinger field, called on Python numbers
-by the propagation oracle `schlesinger_integrate` and on sample arrays by
-`schlesinger_residual`.
+Residues are carried as the real forms m_p of their coefficient vectors
+on (X1, X2, X3), A_p = (REAL_FORM * m_p).X with m_p = -SIGNS[:, p] * w
+(`liealg`), and so is C = (REAL_FORM * c).X.  Every bracket is one
+Lorentzian cross product, [A, B] = 2 (REAL_FORM * lorentz_cross(m, n)).X,
+exact to one rounding on the line family, whose m_p are signed copies of
+one w, and every invariant is the Killing form u.v = -p1 q1 - p2 q2 +
+p3 q3: all of it on floats.  `schlesinger_field` is the one Schlesinger
+field, called on Python numbers by the propagation oracle
+`schlesinger_integrate`, which integrates it in the family's own parameter
+t, and on sample arrays by `schlesinger_residual`, which checks it in x.
 """
 
 from __future__ import annotations
@@ -31,39 +35,41 @@ import numpy as np
 
 from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
-from .liealg import cross, stack_trailing
+from .liealg import METRIC, lorentz_cross, stack_trailing
 from .painleve import PviParams
 from .stepper import Stencil, rk45
-from .twistor import SIGNS, fuchsian_data
+from .twistor import SIGNS, dlog_x, fuchsian_data, x_of_t
 
 
 def gauge_rate(F):
-    """Vector c of the constant term C(t) = c.X of the transverse connection
-    in the normalised coordinate w, for the family F (or one sample of it):
-    a rational multiple of its u,
+    """Real form c of the constant term C(t) = (REAL_FORM * c).X of the
+    transverse connection in the normalised coordinate z, for the family F
+    (or one sample of it): a rational multiple of its w,
 
-        c = ((t-3)^2 u1 / (t (t+3)(t-1)), 0, 16 t^2 u3 / ((t^2-1)(t^2-9))).
+        c = ((t-3)^2 w1 / (t (t+3)(t-1)), 0, 16 t^2 w3 / ((t^2-1)(t^2-9))),
 
-    Derivation.  At fixed w the flat family connection along t is
-    B(w) = -sum_i a_i (c_T + c_L dlam/dt)_i X_i, with c_T, c_L the action
-    inverse on `line_transverse` and `line_tangent` at lam = lam(t, w), the
+    the same multiple of u = REAL_FORM * w as of w.
+
+    Derivation.  At fixed z the flat family connection along t is
+    B(z) = -sum_i a_i (c_T + c_L dlam/dt)_i X_i, with c_T, c_L the action
+    inverse on `line_transverse` and `line_tangent` at lam = lam(t, z), the
     inverse of the normalisation.  The normalisation pins the poles 0, 1 and
-    infinity, so B has a pole in w only at the moving x, with residue
-    -x' Ax: B(w) + x' Ax/(w - x) is holomorphic on the w-sphere, hence
+    infinity, so B has a pole in z only at the moving x, with residue
+    -x' Ax: B(z) + x' Ax/(z - x) is holomorphic on the z-sphere, hence
     constant, and that constant is C(t).  With the poles at +-i v, +-i/v,
     v = sqrt(-mu_-), and dv/dt from the mu quadratic
     8 t^3 mu^2 - 2 S mu + 8 t^3 = 0 (S = t^4 + 18 t^2 - 27), the numerator
-    of B(w) + x' Ax/(w - x) - C reduces to zero modulo that quadratic, read
-    as a quartic in v, for every w (checked with sympy), for
+    of B(z) + x' Ax/(z - x) - C reduces to zero modulo that quadratic, read
+    as a quartic in v, for every z (checked with sympy), for
     c = -a * (i t^2 (mu_+ - mu_-)/((t+3)^3 (t-1)), 0,
     -16 t^2 alpha_{3,0}/((t^2-1)(t^2-9))).  With u = a * alpha_{.,0} and
     the pole form of alpha_{1,0} and (mu_+ - mu_-)^2 in `residue_closed_form`,
     that is the c above.
     """
     t = F.t
-    u1, _, u3 = np.moveaxis(F.u, -1, 0)
-    c1 = (t - 3.0) ** 2 * u1 / (t * (t + 3.0) * (t - 1.0))
-    c3 = 16.0 * t * t * u3 / ((t - 1.0) * (t + 1.0) * (t - 3.0) * (t + 3.0))
+    w1, _, w3 = np.moveaxis(F.w, -1, 0)
+    c1 = (t - 3.0) ** 2 * w1 / (t * (t + 3.0) * (t - 1.0))
+    c3 = 16.0 * t * t * w3 / ((t - 1.0) * (t + 1.0) * (t - 3.0) * (t + 3.0))
     return stack_trailing([c1, 0.0 * c1, c3])
 
 
@@ -71,7 +77,7 @@ def make_family(profile, ts):
     """Sample the line-gauge residue family at the increasing ts, as one
     FuchsianData stack."""
     fam = fuchsian_data(profile, np.asarray(ts, dtype=float))
-    if not np.all(np.diff(fam.x.real) > 0):
+    if not np.all(np.diff(fam.x) > 0):
         raise ValueError("deformation parameter x is not strictly monotone")
     return fam
 
@@ -80,41 +86,41 @@ def make_family(profile, ts):
 # Schlesinger equations
 # --------------------------------------------------------------------------
 
-def schlesinger_field(x, m0, m1, mx):
-    """(dm0, dm1, dmx)/dx of the Schlesinger system on residue vectors:
-    dm0/dx = 2 m0 x mx / x, dm1/dx = 2 m1 x mx / (x - 1).  x and the
-    components are Python numbers in the propagation oracle, where coercing
-    to arrays costs more than the arithmetic, or sample arrays."""
+def schlesinger_field(x, m0, m1, mx, rate=1.0):
+    """(dm0, dm1, dmx)/ds of the Schlesinger system on real-form residue
+    vectors, for a parameter s with dx/ds = rate (1: s is x):
+    dm0/dx = 2 L(m0, mx) / x, dm1/dx = 2 L(m1, mx) / (x - 1), with L =
+    `lorentz_cross`.  x, rate and the components are Python numbers in the
+    propagation oracle, where coercing to arrays costs more than the
+    arithmetic, or sample arrays."""
     if isinstance(x, np.ndarray):
         near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
         if near.any():
             raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
     elif min(abs(x), abs(x - 1.0)) < 1e-12:
         raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
-    d0 = [2.0 * c / x for c in cross(m0, mx)]
-    d1 = [2.0 * c / (x - 1.0) for c in cross(m1, mx)]
+    k0, k1 = 2.0 * rate / x, 2.0 * rate / (x - 1.0)
+    d0 = [k0 * c for c in lorentz_cross(m0, mx)]
+    d1 = [k1 * c for c in lorentz_cross(m1, mx)]
     return d0, d1, [-p - q for p, q in zip(d0, d1)]
 
 
 def schlesinger_residual(fam, stencil):
     """Frobenius-norm defect of the deformation equations in their line-gauge
     form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at the
-    interior samples of the x grid's `Stencil`, on coefficient vectors: the
-    Frobenius norm of r.X is sqrt(2) |r|.  dm_p/dx = -SIGNS[:, p] * du/dx,
-    the stencils applied to the columns of u; C is `gauge_rate`, and
-    x'/x = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3) the logarithmic derivative
-    of `cross_ratio`."""
-    du = stencil.derivative(fam.u.T, 1)
+    interior samples of the x grid's `Stencil`, on real-form vectors: the
+    Frobenius norm of (REAL_FORM * r).X is sqrt(2) |r|.  dm_p/dx =
+    -SIGNS[:, p] * dw/dx, the stencils applied to the columns of w; C is
+    `gauge_rate`, and x' is x times `dlog_x`."""
+    dw = stencil.derivative(fam.w.T, 1)
     inner = fam[Stencil.INNER]
-    t = inner.t
-    xdot = inner.x * (1.0 / (t + 1.0) + 3.0 / (t - 3.0) - 1.0 / (t - 1.0) - 3.0 / (t + 3.0))
-    c = gauge_rate(inner).T / xdot
+    c = gauge_rate(inner).T / (inner.x * dlog_x(inner.t))
     moving = np.moveaxis(inner.vectors(), (-2, -1), (0, 1))[:3]
     total = 0.0
     for p, (m, want) in enumerate(zip(moving, schlesinger_field(inner.x, *moving),
                                       strict=True)):
-        r = -SIGNS[:, p, None] * du + 2.0 * np.array(cross(c, m)) - np.array(want)
-        total = total + np.sqrt(2.0 * np.sum(np.abs(r) ** 2, axis=0))
+        r = -SIGNS[:, p, None] * dw + 2.0 * np.array(lorentz_cross(c, m)) - np.array(want)
+        total = total + np.sqrt(2.0 * np.sum(r * r, axis=0))
     return total
 
 
@@ -131,55 +137,60 @@ def isospectral_drift(fam):
 
 
 def pair_invariants(m):
-    """Conjugation invariants tr(A_i A_j) = -2 m_i.m_j for all pole pairs
-    (..., 4, 4) of residue vectors m (..., 4, 3)."""
-    return -2.0 * np.einsum("...ik,...jk->...ij", m, m)
+    """Conjugation invariants tr(A_i A_j) = -2 u_i.u_j for all pole pairs
+    (..., 4, 4) of real-form residue vectors m (..., 4, 3)."""
+    return -2.0 * np.einsum("...ik,...jk->...ij", METRIC * m, m)
 
 
-def schlesinger_integrate(F0, x_target):
+def schlesinger_integrate(F0, t_target):
     """Propagate the residues of the one-sample F0 along the Schlesinger
-    flow to x_target, and return their vectors (4, 3) there.
+    flow to the line at t_target, and return their real-form vectors (4, 3)
+    there.
 
-    The flow runs along the real x axis, as the line families do:
-    non-real x is a ValueError.  The interval must keep distance > 1e-3
-    from the fixed singular points {0, 1} (PathTooClose).  Used as an
-    independent oracle: the result must agree with direct construction in
-    all conjugation invariants.
+    The flow is integrated in the family's own parameter t, on 9 reals:
+    dm/dt = x'(t) Schl(m, x(t)), with x(t) the cross ratio.  Its fixed
+    singular points x = 1 and x = infinity are t = 0 and t = 1, and x(t)
+    lies in (1, infinity) between them, so the path check is one on t:
+    both ends must keep distance > 1e-3 from 0 and 1 (PathTooClose), and
+    non-real t is a ValueError.  Used as an independent oracle: the result
+    must agree with direct construction in all conjugation invariants.
     """
-    x0, x1 = complex(F0.x), complex(x_target)
-    if x0.imag != 0.0 or x1.imag != 0.0:
-        raise ValueError(f"the flow runs along real x, got {x0} -> {x1}")
-    x0, x1 = x0.real, x1.real
-    for c in (0.0, 1.0):
-        if min(x0, x1) - 1e-3 <= c <= max(x0, x1) + 1e-3:
-            raise PathTooClose(f"path {x0} -> {x1} passes near {c}")
-    m = F0.vectors().astype(complex)
-    if x0 == x1:
+    t0, t1 = complex(F0.t), complex(t_target)
+    if t0.imag != 0.0 or t1.imag != 0.0:
+        raise ValueError(f"the flow runs along real t, got {t0} -> {t1}")
+    t0, t1 = t0.real, t1.real
+    if not 1e-3 < min(t0, t1) <= max(t0, t1) < 1.0 - 1e-3:
+        raise PathTooClose(f"path t = {t0} -> {t1} passes near t = 0 or 1")
+    m = F0.vectors()
+    if t0 == t1:
         return m
 
-    def flow(x, vec):
+    def flow(t, vec):
         v = vec.tolist()
-        d0, d1, dx = schlesinger_field(x, v[:3], v[3:6], v[6:])
+        x = x_of_t(t)
+        d0, d1, dx = schlesinger_field(x, v[:3], v[3:6], v[6:], x * dlog_x(t))
         return d0 + d1 + dx
 
-    m0, m1, mx = rk45(flow, x0, m[:3].ravel(), x1, rtol=1e-11, atol=1e-13).reshape(3, 3)
+    m0, m1, mx = rk45(flow, t0, m[:3].ravel(), t1, rtol=1e-11, atol=1e-13).reshape(3, 3)
     return np.array([m0, m1, mx, -(m0 + m1 + mx)])
 
 
 # --------------------------------------------------------------------------
-# Jimbo-Miwa extraction, in closed form in u
+# Jimbo-Miwa extraction, in closed form in w
 # --------------------------------------------------------------------------
 
 def _branch_root(F, branch):
-    """(u.u, sigma lam): lam is the canonical root of -u.u (Re >= 0, ties
-    by Im >= 0) and sigma = +1 on "plus", -1 on "minus"; sigma lam is the
-    eigenvalue of Ainf on the branch's eigenvector."""
+    """(u.u, sigma lam): lam = sqrt(-u.u) = sqrt(w1^2 + w2^2 - w3^2) and
+    sigma = +1 on "plus", -1 on "minus"; sigma lam is the eigenvalue of
+    Ainf on the branch's eigenvector.  lam is real (n/4 on the family,
+    where u.u = -n^2/16) unless some u.u > 0, as at points of the phase
+    space off the family: then lam is complex, i sqrt(u.u) there."""
     sigma = {"plus": 1.0, "minus": -1.0}.get(branch)
     if sigma is None:
         raise ValueError("branch must be 'plus' or 'minus'")
-    uu = np.sum(F.u * F.u, axis=-1)
-    lam = np.sqrt(-uu + 0j)
-    return uu, sigma * np.where((lam.real == 0) & (lam.imag < 0), -lam, lam)
+    uu = np.sum(METRIC * F.w * F.w, axis=-1)
+    lam = np.sqrt(-uu) if (uu <= 0.0).all() else np.sqrt(-uu + 0j)
+    return uu, sigma * lam
 
 
 def _require(ok, error, what, F, branch):
@@ -191,7 +202,8 @@ def _require(ok, error, what, F, branch):
 
 def extract_y(F, branch="plus"):
     """Position y of the apparent singularity on the chosen eigen-branch,
-    y = x / (x + (1 - x) rho), rho = u3 (u1 u3 + sigma lam u2) / (u1 (u2^2 + u3^2)).
+    y = x / (x + (1 - x) rho), rho = w3 (w1 w3 + sigma lam w2) / (w1 (w3^2 - w2^2)),
+    real where lam is (`_branch_root`).
 
     Derivation (Jimbo & Miwa, Physica D 2, 1981).  y is where the sigma-lam
     eigenvector v of Ainf is also an eigenvector of A(z) = A0/z + A1/(z-1)
@@ -199,34 +211,38 @@ def extract_y(F, branch="plus"):
     is the root of b0 (z-1)(z-x) + b1 z(z-x) + bx z(z-1), whose z^2 term
     -b_inf vanishes: y = b0 x / (b0 x - b1 (1-x)).  N = v r is nilpotent, N = n.X with
     n.n = 0 and tr(Ainf N) = 0; the Killing form is diagonal in the X basis
-    (tr(Xi Xj) = -2 delta_ij), so b_p = tr(A_p N) is proportional to m_p.e
-    for A_p = m_p.X, m_p = -SIGNS[:, p] * u, and e the null vector
-    orthogonal to m_inf, scaled to e1 = 1.  m_inf.e = 0 reads
+    (tr(Xi Xj) = -2 delta_ij), so b_p = tr(A_p N) is proportional to u_p.e
+    for A_p = u_p.X, u_p = -SIGNS[:, p] * u, and e the null vector
+    orthogonal to u_inf, scaled to e1 = 1.  u_inf.e = 0 reads
     u2 e2 + u3 e3 = u1, so b0 = -2 u1, b1 = 2 u3 e3, bx = 2 (u1 - u3 e3);
     e.e = 0 leaves (u2^2 + u3^2) e3^2 - 2 u1 u3 e3 + u1^2 + u2^2 = 0, and
     [Ainf, N] = 2 sigma lam N picks its root e3 = (u1 u3 + sigma lam u2) /
-    (u2^2 + u3^2).  No matrix entry is read back, so nothing cancels.
+    (u2^2 + u3^2).  In the real form u = (i w1, i w2, w3) that is
+    (b0, b1, bx) = 2i (-w1, q, w1 - q) with q = w3 (w1 w3 + sigma lam w2) /
+    (w3^2 - w2^2), so rho = q / w1.  No matrix entry is read back, so
+    nothing cancels.
 
     Raises ReducibleSystem when all couplings vanish, and IndeterminateY
     when u1 does (y on the pole 0) or the denominator does, naming the t of
     the first such sample.  Only exact zeros and non-finite values count
-    (NaN fails every comparison): no floor relative to max|u|, because u1
-    and u3 shrink like (1 - t)^((n-1)/2) toward t = 1 while u2 stays near n.
+    (NaN fails every comparison): no floor relative to max|w|, because w1
+    and w3 shrink like (1 - t)^((n-1)/2) toward t = 1 while w2 stays near n.
     """
     _, lam = _branch_root(F, branch)
-    u1, u2, u3 = np.moveaxis(F.u, -1, 0)
-    u3e3 = u3 * (u1 * u3 + lam * u2) / (u2 * u2 + u3 * u3)
-    _require(np.maximum(np.abs(u1), np.abs(u3e3)) > 0.0, ReducibleSystem,
+    w1, w2, w3 = np.moveaxis(F.w, -1, 0)
+    q = w3 * (w1 * w3 + lam * w2) / (w3 * w3 - w2 * w2)
+    _require(np.maximum(np.abs(w1), np.abs(q)) > 0.0, ReducibleSystem,
              "all couplings vanish", F, branch)
-    _require(np.abs(u1) > 0.0, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
-    den = F.x + (1.0 - F.x) * u3e3 / u1
+    _require(np.abs(w1) > 0.0, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
+    den = F.x + (1.0 - F.x) * q / w1
     _require(np.abs(den) > 1e-12, IndeterminateY, "vanishing denominator", F, branch)
     return F.x / den
 
 
 def jimbo_miwa_params(F, branch="plus"):
-    """Painleve VI parameters per eigen-branch of Ainf: det A_p = u.u at
-    every pole gives beta, gamma and delta, and alpha = (2 sigma lam - 1)^2 / 2."""
+    """Painleve VI parameters per eigen-branch of Ainf, real where lam is
+    (`_branch_root`): det A_p = u.u at every pole gives beta, gamma and
+    delta, and alpha = (2 sigma lam - 1)^2 / 2."""
     uu, lam = _branch_root(F, branch)
     return PviParams(alpha=0.5 * (2.0 * lam - 1.0) ** 2, beta=2.0 * uu,
                      gamma=-2.0 * uu, delta=0.5 * (1.0 + 4.0 * uu))

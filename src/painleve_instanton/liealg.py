@@ -1,6 +1,6 @@
-"""Exact-size complex matrix kernel: the su(2) bracket on coefficient
-vectors, 2x2 traceless arithmetic, closed-form eigen-decomposition, and a
-pivoted 3x3 solve.
+"""Exact-size complex matrix kernel: the real form of su(2) that the line
+family lives in, 2x2 traceless arithmetic, closed-form eigen-decomposition,
+and a pivoted 3x3 solve.
 
 Matrices are plain numpy arrays used as immutable values; nothing here calls
 numpy.linalg.  The 2x2 kernels broadcast: leading axes index samples, the
@@ -8,11 +8,18 @@ trailing two are the matrix.  The su(2) basis is
 
     X1 = [[i, 0], [0, -i]],  X2 = [[0, 1], [-1, 0]],  X3 = [[0, i], [i, 0]],
 
-with tr(Xk^2) = -2 and [X1, X2] = 2 X3 cyclically, so an element m.X is
-carried as its coefficient vector m and the bracket is a cross product:
-[m.X, n.X] = 2 (m x n).X (`cross`).  `cross` takes 3-sequences of Python
-numbers or of broadcasting arrays, so the same expressions run in the
-Schlesinger propagation oracle and on sample arrays in the residual check.
+with tr(Xk^2) = -2 and [X1, X2] = 2 X3 cyclically, so an element u.X is
+carried as its coefficient vector u, tr((u.X)(v.X)) = -2 u.v and
+[u.X, v.X] = 2 (u x v).X.  Every residue of the line family, and its gauge
+term, has u = (i w1, i w2, w3) with w real (`REAL_FORM`): the matrices
+[[-w1, i (w2 + w3)], [i (w3 - w2), w1]].  So the pipeline carries the real
+w.  On it the Killing form has Lorentzian signature, u.v = -p1 q1 - p2 q2 +
+p3 q3 for v = (i q1, i q2, q3) (`METRIC`), and the bracket is the
+Lorentzian cross product u x v = (i r1, i r2, r3) with r = `lorentz_cross`
+(p, q) = ((p x q)1, (p x q)2, -(p x q)3).  `lorentz_cross` takes
+3-sequences of Python numbers or of broadcasting arrays, so the same
+expressions run in the Schlesinger propagation oracle and on sample arrays
+in the residual check.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ X1 = np.array([[1j, 0], [0, -1j]])
 X2 = np.array([[0, 1], [-1, 0]], dtype=complex)
 X3 = np.array([[0, 1j], [1j, 0]])
 for _m in (X1, X2, X3):
+    _m.setflags(write=False)
+
+# u = REAL_FORM * w; METRIC = REAL_FORM**2 is the Killing form's signature
+REAL_FORM = np.array([1j, 1j, 1.0])
+METRIC = np.array([-1.0, -1.0, 1.0])
+for _m in (REAL_FORM, METRIC):
     _m.setflags(write=False)
 
 
@@ -44,12 +57,12 @@ def su2_combination(c1, c2, c3):
     return stack_trailing([[1j * c1, c2 + 1j * c3], [-c2 + 1j * c3, -1j * c1]])
 
 
-def cross(a, b):
-    """a x b of two 3-sequences of Python numbers or of arrays:
-    [a.X, b.X] = 2 (a x b).X."""
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    return a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+def lorentz_cross(p, q):
+    """r of two real-form vectors p and q (3-sequences of Python numbers or
+    of arrays): [(REAL_FORM p).X, (REAL_FORM q).X] = 2 (REAL_FORM r).X."""
+    p1, p2, p3 = p
+    q1, q2, q3 = q
+    return p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p2 * q1 - p1 * q2
 
 
 def trace_sq(a):

@@ -6,7 +6,7 @@ published delta variant, which the report tells apart from it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .stepper import Stencil, rk45_path
 
 @dataclass(frozen=True)
 class PviParams:
+    """(alpha, beta, gamma, delta): real on the line family, complex
+    allowed; numbers, or arrays for a stack of samples."""
+
     alpha: complex
     beta: complex
     gamma: complex
@@ -58,7 +61,7 @@ class PviSample:
         sample's y_k and its slope y'_k from the x grid's `Stencil`, at the
         stencil's interior sample k."""
         yp = stencil.derivative(self.ys, 1)[k - stencil.INNER.start]
-        ys, _ = pvi_integrate(params, self.xs[k:stop].real, self.ys[k], yp)
+        ys, _ = pvi_integrate(params, self.xs[k:stop], self.ys[k], yp)
         return PviSample(self.ts[k:stop], self.xs[k:stop], ys)
 
 
@@ -71,13 +74,14 @@ def pvi_second_derivative(params, x, y, yp):
 
     Python numbers are computed on as they are: the direct integrator calls
     this once per stage, where coercing to arrays costs more than the
-    arithmetic.  Anything else is coerced to complex arrays.
+    arithmetic.  Anything else is coerced to arrays, which stay real when
+    x, y and y' are.
     """
     if type(x) in _NUMBERS and type(y) in _NUMBERS and type(yp) in _NUMBERS:
         if min(abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)) < 1e-12:
             raise SingularArgument(f"excluded coincidence at x={x}, y={y}")
     else:
-        x, y, yp = (np.asarray(v, dtype=complex) for v in (x, y, yp))
+        x, y, yp = (np.asarray(v) for v in (x, y, yp))
         gap = np.minimum.reduce([abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)])
         excluded = gap < 1e-12
         if excluded.any():
@@ -111,8 +115,11 @@ def pvi_integrate(params, xs, y0, yp0):
     the strictly monotone real nodes xs in one sweep.
 
     Steps are rejected (SingularityEncountered) when y drifts within 1e-8
-    of {0, 1, x}.  Returns the arrays (y, y') at the nodes.
+    of {0, 1, x}.  Returns the arrays (y, y') at the nodes.  The state's
+    dtype follows the seed, so a real seed integrates in reals, and the
+    parameters reach the flow as Python numbers.
     """
+    params = PviParams(*np.array(astuple(params)).tolist())
 
     def flow(x, state):
         y, yp = state.tolist()
@@ -120,8 +127,7 @@ def pvi_integrate(params, xs, y0, yp0):
             raise SingularityEncountered(x, y)
         return [yp, pvi_second_derivative(params, x, y, yp)]
 
-    states = np.array(rk45_path(flow, xs, np.array([y0, yp0], dtype=complex),
-                                rtol=1e-11, atol=1e-13))
+    states = np.array(rk45_path(flow, xs, np.array([y0, yp0]), rtol=1e-11, atol=1e-13))
     return states[:, 0], states[:, 1]
 
 

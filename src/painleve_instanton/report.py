@@ -64,34 +64,34 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         tols = {k: tol_override for k in tols}
 
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
-    stencil = Stencil(raw.x.real)  # every derivative check and oracle seed reads it
+    stencil = Stencil(raw.x)  # every derivative check and oracle seed reads it
 
     schl = max_schlesinger_residual(raw, stencil)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
-    tr_ainf = raw[mid].trace_squares()[3].real
+    tr_ainf = raw[mid].trace_squares()[3]
     tr_target = params_from_n(n).gamma  # tr(Ainf^2) = -2 u.u = gamma
 
     # propagation oracle: quarter -> three-quarter sample, invariants only
     # (the flow commutes with constant conjugation, so the line gauge serves)
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
     try:
-        prop = schlesinger_integrate(raw[k0], raw[k1].x)
+        prop = schlesinger_integrate(raw[k0], raw[k1].t)
         inv_err = float(np.max(np.abs(pair_invariants(prop)
                                      - pair_invariants(raw[k1].vectors()))))
     except StepSizeUnderflow as exc:
-        inv_err, failure = None, f"StepSizeUnderflow at x = {exc.t!r}"
+        inv_err, failure = None, f"StepSizeUnderflow at t = {float(exc.t)}"
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,
                         "minus": jimbo_miwa_params(raw[mid], "minus")}
-    a_by_branch = {b: params_by_branch[b].alpha.real for b in ("plus", "minus")}
+    a_by_branch = {b: params_by_branch[b].alpha for b in ("plus", "minus")}
     hi_branch = max(a_by_branch, key=a_by_branch.get)
     lo_branch = min(a_by_branch, key=a_by_branch.get)
 
     deltas = jimbo_miwa_params(raw, "plus").delta
-    delta_measured = complex(deltas[mid])
-    variant = select_delta_variant(delta_measured.real, n, tols["delta_variant"])
+    delta_measured = float(deltas[mid])
+    variant = select_delta_variant(delta_measured, n, tols["delta_variant"])
     delta_spread = float(np.max(np.abs(deltas - deltas[mid])))
 
     pvi_max = {}
@@ -113,9 +113,9 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "params": {
             "alpha_plus": float(a_by_branch[hi_branch]),
             "alpha_minus": float(a_by_branch[lo_branch]),
-            "beta": float(params_by_branch["plus"].beta.real),
-            "gamma": float(params_by_branch["plus"].gamma.real),
-            "delta": float(delta_measured.real),
+            "beta": float(params_by_branch["plus"].beta),
+            "gamma": float(params_by_branch["plus"].gamma),
+            "delta": delta_measured,
         },
         "branch_pairing": {
             "alpha_plus_from_eigen_branch": hi_branch,

@@ -10,6 +10,14 @@ With u = a * alpha_{.,0} (profile values times the base column), the
 Fuchsian residues are A_p = m_p.X with m_p = -SIGNS[:, p] * u, all of
 determinant u.u, and y and the PVI parameters are closed forms in u.
 
+The family is carried in its real form (`liealg`): alpha_{1,0} and
+alpha_{2,0} are imaginary and alpha_{3,0} is real, so alpha_{.,0} =
+REAL_FORM * w_hat (`residue_closed_form` returns the real w_hat), and with
+real a every u = REAL_FORM * w, w = a * w_hat real, and u.u = -w1^2 - w2^2
++ w3^2.  x(t) is real too, in (1, infinity) for t in (0, 1).  Complex
+numbers are built only where the JSON trace writes the 2x2 residues
+(`FuchsianData.residues`).
+
 Conventions fixed here (and relied on everywhere downstream):
 
 * the action matrix is stored in the complex basis
@@ -24,7 +32,7 @@ Conventions fixed here (and relied on everywhere downstream):
   t -> 1;
 * the line geometry, the residue column and `fuchsian_data` broadcast over
   an array of t: leading axes index samples, trailing axes are the object's
-  own (3 profile components, the 3 column entries and u, the 4 x 3 residue
+  own (3 profile components, the 3 column entries and w, the 4 x 3 residue
   vectors).  A float t stays in Python floats (square roots are `** 0.5`,
   not np.sqrt).
 """
@@ -38,7 +46,7 @@ import numpy as np
 
 from .columns import Rows, csv_blocks
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
-from .liealg import solve3, stack_trailing, su2_combination
+from .liealg import METRIC, REAL_FORM, solve3, stack_trailing, su2_combination
 
 SQRT3 = math.sqrt(3.0)
 
@@ -151,9 +159,24 @@ def poles(t):
 
 
 def cross_ratio(t):
-    """Cross ratio of the four poles under the normalisation z1,z2,z4 -> 0,1,inf."""
+    """Cross ratio of the four poles under the normalisation z1,z2,z4 -> 0,1,inf:
+    real, increasing from 1 to infinity on t in (0, 1)."""
     _require_inside(t, "cross ratio undefined")
-    return ((t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3)) + 0j
+    return x_of_t(t)
+
+
+def x_of_t(t):
+    """x(t) = (t+1)(t-3)^3 / ((t-1)(t+3)^3), without `cross_ratio`'s check
+    that t lies in (0, 1), which costs over ten times the formula on a
+    float: for a caller that checked its interval once, as the propagation
+    oracle does."""
+    return (t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3)
+
+
+def dlog_x(t):
+    """x'(t)/x(t) = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3)
+    = 16 t^2 / ((t^2 - 1)(t^2 - 9)), the logarithmic derivative of `x_of_t`."""
+    return 16.0 * t * t / ((t * t - 1.0) * (t * t - 9.0))
 
 
 def mobius_from_poles(z1, z2, z4):
@@ -189,7 +212,8 @@ def dlambda_dw(t, w):
 # --------------------------------------------------------------------------
 
 def residue_closed_form(t):
-    """Closed-form residues at pole 0, the base column (..., 3):
+    """Closed-form residues at pole 0, the base column alpha_{.,0} =
+    REAL_FORM * w_hat, as the real w_hat (..., 3):
 
         alpha_{1,0} = -i/4 sqrt((1-t)(1+t) / ((3-t)(3+t)))
         alpha_{2,0} = -i/4 sqrt((1+t) / (t (3-t)))
@@ -205,14 +229,15 @@ def residue_closed_form(t):
     and (mu_+ - 1)^2/mu_+ = (t-3)^3 (t+1)/(4 t^3): each entry squared is
     rational in t, and the branch of z1 and z2 fixes the signs.  No mu_+-
     difference is taken, so nothing cancels as t -> 1.  The residue of
-    alpha_i at pole p is column[i-1] * SIGNS[i-1, p]; alpha_{1,0} is purely
-    imaginary, so the conjugation relating its poles is negation.
+    alpha_i at pole p is REAL_FORM[i-1] * w_hat[i-1] * SIGNS[i-1, p];
+    alpha_{1,0} is purely imaginary, so the conjugation relating its poles
+    is negation.
     """
     _require_inside(t, "line meets the divisor in two points")
-    a10 = -0.25j * ((1.0 - t) * (1.0 + t) / ((3.0 - t) * (3.0 + t))) ** 0.5
-    a20 = -0.25j * ((1.0 + t) / (t * (3.0 - t))) ** 0.5
-    a30 = 0.25 * ((1.0 - t) / (t * (3.0 + t))) ** 0.5
-    return stack_trailing([a10, a20, a30])
+    w1 = -0.25 * ((1.0 - t) * (1.0 + t) / ((3.0 - t) * (3.0 + t))) ** 0.5
+    w2 = -0.25 * ((1.0 + t) / (t * (3.0 - t))) ** 0.5
+    w3 = 0.25 * ((1.0 - t) / (t * (3.0 + t))) ** 0.5
+    return stack_trailing([w1, w2, w3])
 
 
 def residue_table_printed(t):
@@ -277,14 +302,15 @@ def connection_form(profile, t, lam):
 @dataclass(frozen=True)
 class FuchsianData:
     """The normalised rank-2 Fuchsian system at one t, or at a stack of
-    samples along the line family (t and x of shape (S,), u (S, 3)); `len`
-    and indexing reach the samples.  The residues are carried as their
-    coefficient vectors on (X1, X2, X3), m_p = -SIGNS[:, p] * u (`vectors`);
-    the 2x2 matrices are built only for the JSON trace (`residues`)."""
+    samples along the line family (t and the real x of shape (S,), the real
+    w (S, 3), u = REAL_FORM * w); `len` and indexing reach the samples.  The
+    residues are carried as the real forms of their coefficient vectors on
+    (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`); the complex 2x2
+    matrices are built only for the JSON trace (`residues`)."""
 
     t: np.ndarray
     x: np.ndarray
-    u: np.ndarray
+    w: np.ndarray
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
     # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs
@@ -296,29 +322,34 @@ class FuchsianData:
         return len(self.t)
 
     def __getitem__(self, k):
-        return replace(self, t=self.t[k], x=self.x[k], u=self.u[k])
+        return replace(self, t=self.t[k], x=self.x[k], w=self.w[k])
 
     def vectors(self):
-        """m_p for the poles (0, 1, x, inf), shape (..., 4, 3)."""
-        return -self.u[..., None, :] * SIGNS.T
+        """The real m_p for the poles (0, 1, x, inf), shape (..., 4, 3)."""
+        return -self.w[..., None, :] * SIGNS.T
 
     def residues(self):
-        """The matrices A_p = m_p.X, as a tuple over the four poles."""
-        return tuple(su2_combination(*m) for m in np.moveaxis(self.vectors(), (-2, -1), (0, 1)))
+        """The matrices A_p = (REAL_FORM * m_p).X, as a tuple over the four poles."""
+        return tuple(su2_combination(*m)
+                     for m in np.moveaxis(REAL_FORM * self.vectors(), (-2, -1), (0, 1)))
 
     def trace_squares(self):
-        """tr(A_p^2) = -2 m_p.m_p, as a tuple over the four poles."""
-        return tuple(-2.0 * np.sum(m * m, axis=-1) for m in np.moveaxis(self.vectors(), -2, 0))
+        """tr(A_p^2) = -2 u_p.u_p in the Killing form's signature, as a
+        tuple over the four poles."""
+        return tuple(-2.0 * np.sum(METRIC * m * m, axis=-1)
+                     for m in np.moveaxis(self.vectors(), -2, 0))
 
     def to_csv(self):
         """The twistor trace of a stack: x and tr(A_p^2) per sample."""
-        cols = (self.t, self.x.real, self.x.imag) + tuple(
-            v.real for v in self.trace_squares())
+        cols = (self.t, self.x, self.x.imag) + self.trace_squares()
         return csv_blocks(self.CSV_COLUMNS, cols)
 
     def json_array(self):
-        """The `Rows` of a stack: one `JSON_ROW` per sample."""
-        cols = (self.t, self.x.real, self.x.imag) + tuple(
+        """The `Rows` of a stack: one `JSON_ROW` per sample.  x's `im` is 0,
+        and so are half of the residues' cells, A_p = [[-m1, i (m2 + m3)],
+        [i (m3 - m2), m1]] for m = m_p, with the signs that the products
+        of `residues` give those zeros."""
+        cols = (self.t, self.x, self.x.imag) + tuple(
             np.stack((A.real, A.imag), -1).reshape(len(self), 8)
             for A in self.residues())
         return Rows(self.JSON_ROW, cols)
@@ -326,6 +357,6 @@ class FuchsianData:
 
 def fuchsian_data(profile, t):
     """The residue model u = a * alpha_{.,0} of the four residues
-    A_p = -sum_i a_i alpha_{i,p} X_i."""
-    u = profile.oriented_values(t) * residue_closed_form(t)
-    return FuchsianData(t=t, x=cross_ratio(t), u=u)
+    A_p = -sum_i a_i alpha_{i,p} X_i, in its real form w = a * w_hat."""
+    w = profile.oriented_values(t) * residue_closed_form(t)
+    return FuchsianData(t=t, x=cross_ratio(t), w=w)

@@ -13,7 +13,7 @@ from painleve_instanton import (instanton, isomonodromy, liealg, painleve,
 from painleve_instanton.instanton import closed_form_profile
 from painleve_instanton.isomonodromy import (extract_y, jimbo_miwa_params,
                                              schlesinger_field)
-from painleve_instanton.liealg import eigen2, su2_combination
+from painleve_instanton.liealg import REAL_FORM, eigen2, su2_combination
 from painleve_instanton.painleve import PviParams, pvi_second_derivative
 from painleve_instanton.stepper import fd_weights
 from painleve_instanton.twistor import fuchsian_data
@@ -41,7 +41,7 @@ def test_profile_values_and_residues_broadcast(prof1, prof3, prof5, ts):
         F = fuchsian_data(prof, ts)
         singles = [fuchsian_data(prof, t) for t in ts]
         assert_stack_matches(F.x, [G.x for G in singles], 1e-14)
-        assert_stack_matches(F.u, [G.u for G in singles], 1e-14)
+        assert_stack_matches(F.w, [G.w for G in singles], 1e-14)
         for p, A in enumerate(F.residues()):
             assert_stack_matches(A, [G.residues()[p] for G in singles], 1e-14)
         lam, v_plus, v_minus = eigen2(F.residues()[3])
@@ -130,32 +130,33 @@ def test_pvi_second_derivative_python_scalars(vals, coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(vals=st.lists(st.tuples(*[finite] * 20), min_size=1, max_size=8))
+@given(vals=st.lists(st.tuples(*[finite] * 11), min_size=1, max_size=8))
 def test_schlesinger_field_python_scalars(vals):
-    # the propagation oracle's path: the coefficient vectors of general
-    # complex residues as Python complex numbers agree with the residual
-    # check's call on sample arrays, and both are the matrix field
-    # [A0, Ax]/x, [A1, Ax]/(x - 1) of AB - BA.  Python and numpy round
-    # complex division differently, so the tolerance is relative to the
-    # largest product of components over the nearer pole
+    # the propagation oracle's path: real-form residue vectors and x and the
+    # rate dx/ds as Python floats give the residual check's call on sample
+    # arrays bit for bit (both round the same float operations), and both
+    # are the matrix field rate [A0, Ax]/x, rate [A1, Ax]/(x - 1) of AB - BA,
+    # to a tolerance relative to the largest product of components over the
+    # nearer pole
     v = np.array(vals)
-    z = v[:, 0:18:2] + 1j * v[:, 1:18:2]
-    x = 1.5 + v[:, 18] ** 2 - 1j * v[:, 19] ** 2
+    z = v[:, :9]
+    x, rate = 1.5 + v[:, 9] ** 2, 0.25 + v[:, 10] ** 2
     m0, m1, mx = np.moveaxis(z.reshape(-1, 3, 3), (1, 2), (0, 1))
-    scale = np.max(np.abs(z), axis=1) ** 2 / np.minimum(abs(x), abs(x - 1))
-    stack = schlesinger_field(x, m0, m1, mx)
-    A0, A1, Ax = (su2_combination(*m) for m in (m0, m1, mx))
-    want0 = (A0 @ Ax - Ax @ A0) / x[:, None, None]
-    want1 = (A1 @ Ax - Ax @ A1) / (x - 1.0)[:, None, None]
+    scale = np.max(np.abs(z), axis=1) ** 2 * rate / np.minimum(abs(x), abs(x - 1))
+    stack = schlesinger_field(x, m0, m1, mx, rate)
+    A0, A1, Ax = (su2_combination(*(REAL_FORM[:, None] * m)) for m in (m0, m1, mx))
+    want0 = (A0 @ Ax - Ax @ A0) * (rate / x)[:, None, None]
+    want1 = (A1 @ Ax - Ax @ A1) * (rate / (x - 1.0))[:, None, None]
     for d, want in zip(stack, (want0, want1, -want0 - want1), strict=True):
-        err = np.max(np.abs(su2_combination(*d) - want), axis=(1, 2))
+        got = su2_combination(*(REAL_FORM[:, None] * np.array(d)))
+        err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale)
-    for k, (xk, row) in enumerate(zip(x.tolist(), z.tolist())):
-        single = schlesinger_field(xk, row[:3], row[3:6], row[6:])
+    for k, (xk, rk, row) in enumerate(zip(x.tolist(), rate.tolist(), z.tolist())):
+        single = schlesinger_field(xk, row[:3], row[3:6], row[6:], rk)
         for d_single, d_stack in zip(single, stack, strict=True):
             for c, c_stack in zip(d_single, d_stack, strict=True):
-                assert type(c) is complex
-                assert abs(c - c_stack[k]) <= 1e-14 * scale[k]
+                assert type(c) is float
+                assert c == c_stack[k]
 
 
 @settings(max_examples=60, deadline=None)

@@ -223,6 +223,30 @@ def test_verify_no_convergence(capsys, monkeypatch):
     assert time.perf_counter() - start < 5.0
 
 
+def test_underflowed_shot_exits_2_naming_the_solve(capsys):
+    # from n = 473 on, the t = 1 series' a1 and a3 underflow to 0 at its
+    # launch, and a sweep from there stays on a1 = a3 = 0: the solve fails
+    # on that side instead of returning a zero profile
+    for command in ("profile", "verify"):
+        code, out, err = run(capsys, command, "--n", "501")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ShotFailed"
+        assert error["detail"].startswith("shot from t1 failed: a1 = 0.0, a3 = 0.0 at t = ")
+
+
+def test_solver_errors_print_plain_numbers(capsys):
+    # at n = 457 the sweep's step no longer moves t: the message gives t as
+    # a number, not as a numpy scalar's repr
+    code, out, err = run(capsys, "verify", "--n", "457")
+    assert code == 2 and out == ""
+    detail = json.loads(err)["detail"]
+    assert "np." not in detail
+    prefix = "shot from t1 failed: step size 0.000e+00 below the roundoff of t="
+    assert detail.startswith(prefix)
+    assert 0.95 < float(detail[len(prefix):].split(":")[0]) < 0.96
+
+
 @pytest.mark.parametrize("command", ["pvi-integrate", "verify"])
 def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
     # the DOP853 step limit is a solver failure: JSON on stderr, no traceback
@@ -231,17 +255,21 @@ def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "StepLimitExceeded"
-    # both commands stop in an x-flow (the direct PVI integrator, the
-    # propagation oracle), so the error names x, which exceeds 1 on the line
-    prefix = "step limit of 3 steps exceeded at x="
+    # pvi-integrate stops in the direct PVI integrator, an x-flow, so the
+    # error names x, which exceeds 1 on the line; verify stops first in the
+    # propagation oracle, which runs in the family's t in (0, 1)
+    variable, inside = {"pvi-integrate": ("x", lambda v: v > 1.0),
+                        "verify": ("t", lambda v: 0.0 < v < 1.0)}[command]
+    prefix = f"step limit of 3 steps exceeded at {variable}="
     assert error["detail"].startswith(prefix)
-    assert float(error["detail"][len(prefix):]) > 1.0
+    assert inside(float(error["detail"][len(prefix):]))
 
 
 def underflowing_propagation(monkeypatch):
-    # what the real oracle does at n = 101 on [0.1, 0.95], after about a minute
-    def underflow(F0, x_target):
-        raise StepSizeUnderflow(1.32, 3e-17)
+    # what the real oracle does at n = 101 on [0.1, 0.95], after about 30 s
+    # (at t = 0.679); a numpy t is reported as a plain number
+    def underflow(F0, t_target):
+        raise StepSizeUnderflow(np.float64(0.62), 3e-17)
     monkeypatch.setattr(report, "schlesinger_integrate", underflow)
 
 
@@ -249,7 +277,7 @@ def test_report_names_a_propagation_underflow(monkeypatch):
     underflowing_propagation(monkeypatch)
     rep = report.build_verification_report(3)
     assert rep["propagation_invariant_error"] is None
-    assert rep["propagation_failure"] == "StepSizeUnderflow at x = 1.32"
+    assert rep["propagation_failure"] == "StepSizeUnderflow at t = 0.62"
     assert rep["checks"]["propagation"] is False and rep["passed"] is False
     assert all(rep["checks"][c] for c in rep["checks"] if c != "propagation")
 
@@ -260,7 +288,7 @@ def test_verify_propagation_underflow_exits_2_with_the_report(monkeypatch, capsy
     assert code == 2 and err == ""
     rep = json.loads(out)
     assert rep["checks"]["propagation"] is False
-    assert rep["propagation_failure"].startswith("StepSizeUnderflow at x = ")
+    assert rep["propagation_failure"].startswith("StepSizeUnderflow at t = ")
 
 
 def test_passing_report_has_no_propagation_failure(capsys):

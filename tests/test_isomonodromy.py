@@ -19,7 +19,8 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_field,
                                              schlesinger_integrate,
                                              schlesinger_residual)
-from painleve_instanton.liealg import cross, eigen2, su2_combination, trace_sq
+from painleve_instanton.liealg import (REAL_FORM, eigen2, lorentz_cross,
+                                       su2_combination, trace_sq)
 from painleve_instanton.stepper import Stencil, fd_weights
 from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
@@ -28,12 +29,18 @@ from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         line_transverse)
 
 
-# diag(1, -1), diag(0.5, -0.5) and diag(-0.2, 0.2): multiples of X1
-_DIAGONAL = ([-1j, 0.0, 0.0], [-0.5j, 0.0, 0.0], [0.2j, 0.0, 0.0])
+# diag(1, -1), diag(0.5, -0.5) and diag(-0.2, 0.2): multiples of X1, as
+# real-form vectors (u1 = i w1)
+_DIAGONAL = ([-1.0, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.2, 0.0, 0.0])
+
+
+def real_matrix(m):
+    """(REAL_FORM * m).X for real-form vectors m (trailing axis 3)."""
+    return su2_combination(*np.moveaxis(REAL_FORM * np.asarray(m), -1, 0))
 
 
 def test_schlesinger_rhs_commuting():
-    for d in schlesinger_field(2.5 + 0j, *_DIAGONAL):
+    for d in schlesinger_field(2.5, *_DIAGONAL):
         assert max(abs(c) for c in d) == 0.0
 
 
@@ -42,12 +49,12 @@ def test_schlesinger_rhs_identities(fam3_raw):
     d0, d1, dx = schlesinger_field(F.x, *F.vectors()[:3])
     assert max(abs(p + q + r) for p, q, r in zip(d0, d1, dx)) < 1e-14  # Ainf is preserved
     A0 = F.residues()[0]
-    assert abs(np.trace(A0 @ su2_combination(*d0))) < 1e-14  # tr(A0^2) conserved
+    assert abs(np.trace(A0 @ real_matrix(d0))) < 1e-14  # tr(A0^2) conserved
 
 
 def test_schlesinger_rhs_bad_parameter():
     with pytest.raises(BadDeformationParameter):
-        schlesinger_field(1.0 + 0j, *_DIAGONAL)
+        schlesinger_field(1.0, *_DIAGONAL)
     # the sample-array path checks every sample
     stack = [[np.full(2, c) for c in m] for m in _DIAGONAL]
     with pytest.raises(BadDeformationParameter):
@@ -63,17 +70,19 @@ def test_schlesinger_field_conditioning():
     F = isomonodromy.make_family(instanton.solve_bvp(75), np.linspace(0.5, 0.95, 201))[50]
     m = F.vectors()
     with mp.workdps(50):
-        v = [[mp.mpc(c) for c in row] for row in m[:3]]
-        x = mp.mpc(F.x)
+        v = [[mp.mpf(c) for c in row] for row in m[:3]]
+        x = mp.mpf(F.x)
 
         def field(a, b, scale):
-            return [2 * (a[(i + 1) % 3] * b[(i + 2) % 3] - a[(i + 2) % 3] * b[(i + 1) % 3])
+            # the Lorentzian cross product: the third component's sign flips
+            return [(1 if i < 2 else -1) * 2
+                    * (a[(i + 1) % 3] * b[(i + 2) % 3] - a[(i + 2) % 3] * b[(i + 1) % 3])
                     / scale for i in range(3)]
 
         want = (field(v[0], v[2], x), field(v[1], v[2], x - 1))
         for got, exact in zip(schlesinger_field(F.x, *m[:3]), want):
             size = mp.sqrt(sum(abs(e) ** 2 for e in exact))
-            err = mp.sqrt(sum(abs(mp.mpc(g) - e) ** 2 for g, e in zip(got, exact)))
+            err = mp.sqrt(sum(abs(mp.mpf(g) - e) ** 2 for g, e in zip(got, exact)))
             assert size > 0 and err <= 1e-12 * size
 
 
@@ -90,7 +99,7 @@ def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
             a = prof.oriented_values(t)
             xd = _central(cross_ratio, t)
             F = fuchsian_data(prof, t)
-            want = su2_combination(*gauge_rate(F))
+            want = real_matrix(gauge_rate(F))
             for w in (0.37 + 0.41j, -0.83 + 0.29j, 1.72 - 0.63j):
                 lam = lambda_of_normalized(t, w)
                 lam_t = _central(lambda s: lambda_of_normalized(s, w), t)
@@ -106,9 +115,9 @@ def test_gauge_bracket_is_the_matrix_commutator(prof3, prof5):
         ts = np.linspace(0.5, 0.95, 7)
         F = fuchsian_data(prof, ts)
         c = gauge_rate(F)
-        C = su2_combination(*c.T)
+        C = real_matrix(c)
         for A, m in zip(F.residues(), np.moveaxis(F.vectors(), -2, 0)):
-            got = su2_combination(*(2.0 * np.array(cross(c.T, m.T))))
+            got = real_matrix(2.0 * np.array(lorentz_cross(c.T, m.T)).T)
             want = C @ A - A @ C
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c)) * np.max(np.abs(m))
 
@@ -122,7 +131,7 @@ def test_schlesinger_residual_matches_matrix_form(fam3_raw, fam5_raw):
         t = inner.t
         w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
         xdot = inner.x * (1 / (t + 1) + 3 / (t - 3) - 1 / (t - 1) - 3 / (t + 3))
-        C = su2_combination(*gauge_rate(inner).T) / xdot[:, None, None]
+        C = real_matrix(gauge_rate(inner)) / xdot[:, None, None]
         derivs = [np.stack([np.sum(w * sliding_window_view(R[:, i, j], 5), -1)
                             for i in (0, 1) for j in (0, 1)], -1).reshape(-1, 2, 2)
                   for R in fam.residues()[:3]]
@@ -191,9 +200,9 @@ def test_schlesinger_residual_needs_gauge(fam3_raw, monkeypatch):
 
 def test_schlesinger_residual_perturbation(fam3_raw):
     k = 100
-    u = fam3_raw.u.copy()
-    u[k] += 1e-3
-    fam = replace(fam3_raw, u=u)
+    w = fam3_raw.w.copy()
+    w[k] += 1e-3
+    fam = replace(fam3_raw, w=w)
     assert schlesinger_residual(fam, Stencil(fam.x.real))[k - 2] > 1e-4
 
 
@@ -206,7 +215,7 @@ def test_isospectral_drift(fam1_raw, fam3_raw):
 
 def test_isospectral_drift_negative_control(fam3_raw):
     F = fam3_raw
-    fam = FuchsianData(t=F.t, x=F.x, u=(1 + F.t)[:, None] * F.u)
+    fam = FuchsianData(t=F.t, x=F.x, w=(1 + F.t)[:, None] * F.w)
     assert max(isospectral_drift(fam)) > 0.1
 
 
@@ -261,32 +270,32 @@ def test_extract_y_invariance(fam1_raw, fam3_raw, fam5_raw, n, k, branch, re, im
     assert np.linalg.norm(Mv - (np.conj(v) @ Mv) * v) <= 1e-8 * np.linalg.norm(M)
 
 
-def _from_u(u, x=2.5):
-    """A quadruple built from the residue model u alone."""
-    return FuchsianData(t=0.7, x=complex(x), u=np.asarray(u, dtype=complex))
+def _from_w(w, x=2.5):
+    """A quadruple built from the real form w of the residue model alone."""
+    return FuchsianData(t=0.7, x=float(x), w=np.asarray(w, dtype=float))
 
 
 def test_extract_y_reducible():
-    # u1 = 0 and one of u2, u3 zero: every residue is a multiple of the same
+    # w1 = 0 and one of w2, w3 zero: every residue is a multiple of the same
     # X_i, so the residues commute and all couplings vanish
-    for u in ((0.0, 0.5, 0.0), (0.0, 0.0, 0.5)):
+    for w in ((0.0, 0.5, 0.0), (0.0, 0.0, 0.5)):
         with pytest.raises(ReducibleSystem, match=r"t = 0.7 \(plus branch\)"):
-            extract_y(_from_u(u), "plus")
+            extract_y(_from_w(w), "plus")
 
 
 def test_extract_y_on_the_pole_zero():
-    # u1 = 0 with u2 u3 != 0: b0 = 0 and y falls on the pole 0
+    # u1 = i w1 = 0 with w2 w3 != 0: b0 = 0 and y falls on the pole 0
     for branch in ("plus", "minus"):
         with pytest.raises(IndeterminateY, match=f"u1 = 0.*{branch} branch"):
-            extract_y(_from_u((0.0, 0.4, 0.7)), branch)
+            extract_y(_from_w((0.0, 0.4, 0.7)), branch)
 
 
 def test_extract_y_vanishing_denominator():
     # choose x where x + (1 - x) rho = 0, from rho computed here
-    u1, u2, u3 = u = (1.0, 0.5, 0.7)
-    lam = np.sqrt(complex(-(u1 * u1 + u2 * u2 + u3 * u3)))
-    rho = u3 * (u1 * u3 + lam * u2) / (u1 * (u2 * u2 + u3 * u3))
-    F = _from_u(u, x=rho / (rho - 1.0))
+    w1, w2, w3 = w = (1.0, 0.5, 0.7)
+    lam = np.sqrt(w1 * w1 + w2 * w2 - w3 * w3)
+    rho = w3 * (w1 * w3 + lam * w2) / (w1 * (w3 * w3 - w2 * w2))
+    F = _from_w(w, x=rho / (rho - 1.0))
     with pytest.raises(IndeterminateY, match="denominator.*plus branch"):
         extract_y(F, "plus")
     assert np.isfinite(extract_y(F, "minus"))
@@ -313,7 +322,7 @@ def test_jimbo_miwa_parameters(fam1_raw, fam3_raw):
 
 def test_schlesinger_integrate_zero_length(fam3_raw):
     F = fam3_raw[50]
-    assert np.array_equal(schlesinger_integrate(F, F.x), F.vectors())
+    assert np.array_equal(schlesinger_integrate(F, F.t), F.vectors())
 
 
 def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
@@ -321,12 +330,12 @@ def test_schlesinger_integrate_oracle(fam3_raw, fam1_raw):
     # invariants are those of the Schlesinger-gauge family
     for fam in (fam1_raw, fam3_raw):
         k0, k1 = 40, 160
-        prop = schlesinger_integrate(fam[k0], fam[k1].x)
+        prop = schlesinger_integrate(fam[k0], fam[k1].t)
         direct = fam[k1].vectors()
         assert np.max(np.abs(pair_invariants(prop) - pair_invariants(direct))) < 1e-7
         for p in range(4):
             before = trace_sq(fam[k0].residues()[p])
-            after = trace_sq(su2_combination(*prop[p]))
+            after = trace_sq(real_matrix(prop[p]))
             assert abs(before - after) < 1e-10
 
 
@@ -335,17 +344,17 @@ def test_schlesinger_integrate_flow_count(monkeypatch, fam3_raw):
     # field evaluations is fixed by the step sequence, not by their cost
     calls = count_calls(monkeypatch, ("schlesinger_field",))
     k0, k1 = len(fam3_raw) // 4, (3 * len(fam3_raw)) // 4
-    schlesinger_integrate(fam3_raw[k0], fam3_raw[k1].x)
-    assert calls == {"schlesinger_field": 241}
+    schlesinger_integrate(fam3_raw[k0], fam3_raw[k1].t)
+    assert calls == {"schlesinger_field": 108}
 
 
 @pytest.mark.parametrize("n", [71, 81, 101])
 def test_propagation_margin_at_large_n(n):
-    # the oracle reads 6.7e-10, 6.4e-9 and 3.7e-10 here, two orders inside
-    # its 1e-5 tolerance; changes to how a step starts spend that margin
-    # (Hairer's starting-step estimate gave 1.2e-5 at n = 71, a growth cap
-    # of 10 gave 2.5e-6 at n = 81), so it is pinned at 1e-7
-    assert report.build_verification_report(n)["propagation_invariant_error"] < 1e-7
+    # the oracle reads 2.1e-10, 9.3e-11 and 6.8e-13 here, four orders inside
+    # its 1e-5 tolerance; changes to how a step starts spend that margin (a
+    # growth cap of 10 gives 2.7e-7, 8.5e-7 and 4.1e-8), so it is pinned at
+    # 1e-9
+    assert report.build_verification_report(n)["propagation_invariant_error"] < 1e-9
 
 
 @pytest.mark.parametrize("samples, evaluations", [(201, 37), (801, 25)])
@@ -360,19 +369,21 @@ def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
 
 
 def test_schlesinger_integrate_path_check(fam3_raw):
-    with pytest.raises(PathTooClose):
-        schlesinger_integrate(fam3_raw[50], 0.5 + 0j)
+    # the fixed singular points x = 1 and x = infinity are t = 0 and t = 1
+    for t_target in (1.0, 0.0, 0.9995, 1.5):
+        with pytest.raises(PathTooClose):
+            schlesinger_integrate(fam3_raw[50], t_target)
 
 
 @pytest.mark.parametrize("start, target", [(0.0, 0.5j), (0.0, -3.0j), (0.1j, 0.0)],
                          ids=["target-up", "target-down", "start"])
-def test_schlesinger_integrate_rejects_complex_x(fam3_raw, start, target):
-    # the flow runs along real x: a non-real end is refused, not integrated
+def test_schlesinger_integrate_rejects_complex_t(fam3_raw, start, target):
+    # the flow runs along real t: a non-real end is refused, not integrated
     # along its real part and labelled with the complex value
     F = fam3_raw[50]
-    F = replace(F, x=F.x + start)
-    with pytest.raises(ValueError, match="real x"):
-        schlesinger_integrate(F, 2.0 + target)
+    F = replace(F, t=F.t + start)
+    with pytest.raises(ValueError, match="real t"):
+        schlesinger_integrate(F, 0.7 + target)
 
 
 def test_x_monotone(fam3_raw):

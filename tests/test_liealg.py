@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_instanton.errors import DegenerateMatrix, SingularMatrix
-from painleve_instanton.liealg import (X1, X2, X3, cross, eigen2, solve3,
-                                       su2_combination, trace_sq)
+from painleve_instanton.liealg import (REAL_FORM, X1, X2, X3, eigen2,
+                                       lorentz_cross, solve3, su2_combination,
+                                       trace_sq)
 
 
 def bracket(a, b):
@@ -13,9 +14,15 @@ def bracket(a, b):
     return a @ b - b @ a
 
 
-def vector_bracket(a, b):
-    """[a.X, b.X] through the cross product: 2 (a x b).X."""
-    return su2_combination(*(2.0 * np.array(cross(a, b))))
+def real_matrix(p):
+    """(REAL_FORM * p).X = (i p1) X1 + (i p2) X2 + p3 X3 of real p."""
+    return su2_combination(*(REAL_FORM * np.asarray(p)))
+
+
+def vector_bracket(p, q):
+    """[P, Q] of the real-form matrices through the Lorentzian cross
+    product: 2 (REAL_FORM * lorentz_cross(p, q)).X."""
+    return real_matrix(2.0 * np.array(lorentz_cross(p, q)))
 
 
 def test_basis_matrices():
@@ -34,15 +41,15 @@ def test_basis_commutators():
     assert np.array_equal(bracket(X1, X2), 2 * X3)
     assert np.array_equal(bracket(X2, X3), 2 * X1)
     assert np.array_equal(bracket(X3, X1), 2 * X2)
-    # the same brackets on coefficient vectors: e_i x e_j = e_k cyclically
+    # the same brackets on real-form vectors (i X1, i X2, X3): the
+    # Lorentzian cross product, whose third component changes sign
     e1, e2, e3 = np.eye(3)
-    assert cross(e1, e1) == (0.0, 0.0, 0.0)
-    assert cross(e1, e2) == (0.0, 0.0, 1.0)
-    assert cross(e2, e3) == (1.0, 0.0, 0.0)
-    assert cross(e3, e1) == (0.0, 1.0, 0.0)
+    assert lorentz_cross(e1, e1) == (0.0, 0.0, 0.0)
+    assert lorentz_cross(e1, e2) == (0.0, 0.0, -1.0)
+    assert lorentz_cross(e2, e3) == (1.0, 0.0, 0.0)
+    assert lorentz_cross(e3, e1) == (0.0, 1.0, 0.0)
     for a, b in ((e1, e2), (e2, e3), (e3, e1)):
-        assert np.array_equal(vector_bracket(a, b), bracket(su2_combination(*a),
-                                                            su2_combination(*b)))
+        assert np.array_equal(vector_bracket(a, b), bracket(real_matrix(a), real_matrix(b)))
 
 
 def test_trace_sq_examples():
@@ -120,24 +127,20 @@ def test_eigen_reconstruction(vals):
     assert np.max(np.abs(rec - m)) < 1e-10 * max(1.0, np.max(np.abs(m)))
 
 
-def _complex3(v):
-    return np.array(v[:3]) + 1j * np.array(v[3:])
-
-
-@given(st.tuples(floats, floats, floats, floats, floats, floats),
-       st.tuples(floats, floats, floats, floats, floats, floats),
-       st.tuples(floats, floats, floats, floats, floats, floats))
+@given(st.tuples(floats, floats, floats), st.tuples(floats, floats, floats),
+       st.tuples(floats, floats, floats))
 @settings(max_examples=100, deadline=None)
 def test_commutator_antisymmetry_jacobi(v1, v2, v3):
-    # `cross` on complex vectors is the bracket AB - BA of the matrices that
-    # su2_combination builds, on Python numbers and on arrays alike
-    a, b, c = (_complex3(v) for v in (v1, v2, v3))
-    A, B = su2_combination(*a), su2_combination(*b)
-    assert np.max(np.abs(vector_bracket(a, b) - bracket(A, B))) < 1e-14
-    assert np.max(np.abs(np.subtract(cross(a.tolist(), b.tolist()), cross(a, b)))) < 1e-15
-    assert np.max(np.abs(np.add(cross(a, b), cross(b, a)))) < 1e-15
-    jac = (np.array(cross(a, cross(b, c))) + np.array(cross(b, cross(c, a)))
-           + np.array(cross(c, cross(a, b))))
+    # `lorentz_cross` on real vectors is the bracket AB - BA of the
+    # real-form matrices, on Python numbers and on arrays alike, and a Lie
+    # bracket: antisymmetric, with the Jacobi identity
+    a, b, c = (np.array(v) for v in (v1, v2, v3))
+    assert np.max(np.abs(vector_bracket(a, b) - bracket(real_matrix(a), real_matrix(b)))) < 1e-14
+    assert lorentz_cross(a.tolist(), b.tolist()) == tuple(lorentz_cross(a, b))
+    assert np.max(np.abs(np.add(lorentz_cross(a, b), lorentz_cross(b, a)))) == 0.0
+    jac = (np.array(lorentz_cross(a, lorentz_cross(b, c)))
+           + np.array(lorentz_cross(b, lorentz_cross(c, a)))
+           + np.array(lorentz_cross(c, lorentz_cross(a, b))))
     assert np.max(np.abs(jac)) < 1e-13
 
 

@@ -19,6 +19,7 @@ import sympy
 from painleve_instanton import instanton
 from painleve_instanton.isomonodromy import extract_y, jimbo_miwa_params
 from painleve_instanton.painleve import PviParams, params_from_n, pvi_second_derivative
+from painleve_instanton.liealg import METRIC
 from painleve_instanton.twistor import FuchsianData, cross_ratio, residue_closed_form
 
 T = sympy.Symbol("t")
@@ -70,14 +71,16 @@ def test_uu_is_a_first_integral():
     # at t = 1 only alpha_{2,0} survives, alpha_{2,0}(1)^2 = -1/16: with
     # a(1) = (0, n, 0), u.u = -n^2/16
     assert [sq.subs(T, 1) for sq in ALPHA_SQ] == [0, sympy.Rational(-1, 16), 0]
-    # the squares are the pipeline's column, whose alpha_{2,0}(1) is -i/4
+    # the squares are the pipeline's real column w_hat, alpha_{.,0} =
+    # REAL_FORM * w_hat, in the Killing form's signature; alpha_{2,0}(1) is
+    # -i/4, so w_hat_2(1) = -1/4
     for t in (0.05, 0.3, 0.6, 0.95):
-        assert np.allclose(residue_closed_form(t) ** 2,
+        assert np.allclose(METRIC * residue_closed_form(t) ** 2,
                            [float(sq.subs(T, t)) for sq in ALPHA_SQ], rtol=1e-14, atol=0)
-    assert abs(residue_closed_form(1.0 - 1e-13)[1] + 0.25j) < 1e-12
+    assert abs(residue_closed_form(1.0 - 1e-13)[1] + 0.25) < 1e-12
     # and jimbo_miwa_params turns u.u = -n^2/16 into the law, exactly
     for n in range(1, 102, 2):
-        F = FuchsianData(t=1.0, x=None, u=np.array([0.0, -0.25j * n, 0.0]))
+        F = FuchsianData(t=1.0, x=None, w=np.array([0.0, -0.25 * n, 0.0]))
         for branch, alpha_side in (("plus", "minus"), ("minus", "plus")):
             assert (jimbo_miwa_params(F, branch).as_dict()
                     == params_from_n(n, "intro", alpha_side).as_dict()), (n, branch)
@@ -169,7 +172,7 @@ def test_pvi_holds_on_the_phase_space():
             t = mpmath.mpf(rng.uniform(0.05, 0.95))
             a = [mpmath.mpf(rng.uniform(-2.0, 2.0)) for _ in range(3)]
             F = FuchsianData(t=float(t), x=cross_ratio(float(t)),
-                             u=np.array([float(v) for v in a]) * residue_closed_form(float(t)))
+                             w=np.array([float(v) for v in a]) * residue_closed_form(float(t)))
             for sigma, branch in ((1, "plus"), (-1, "minus")):
                 x, y, uu = phase_point(t, a, sigma)
                 assert abs(uu.c[1]) <= 1e-40

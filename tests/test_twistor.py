@@ -8,7 +8,7 @@ from painleve_instanton.columns import json_blocks
 from painleve_instanton.errors import DegenerateLine, OnDivisor
 from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
                                           closed_form_profile)
-from painleve_instanton.liealg import trace_sq
+from painleve_instanton.liealg import REAL_FORM, trace_sq
 from painleve_instanton.twistor import (COMPLEX_BASIS, SIGNS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
                                         alpha_matrix, connection_form,
@@ -143,8 +143,9 @@ def test_mobius_normalize():
 
 def test_residue_closed_form_relations():
     ts = np.linspace(0.05, 0.95, 19)
-    column = residue_closed_form(ts)
-    assert column.shape == (19, 3)
+    w_hat = residue_closed_form(ts)
+    assert w_hat.shape == (19, 3) and w_hat.dtype == np.float64
+    column = REAL_FORM * w_hat
     # alpha_{1,0} is purely imaginary, so the conjugate that relates its
     # poles (x = 1 = conjugate of 0) is its negative: SIGNS row 1
     assert np.all(column[:, 0].real == 0)
@@ -172,12 +173,12 @@ def test_residue_closed_form_near_t1():
             want = (-1j * (s * s - 1) * (s * s - 9) / (16 * s**3 * mu),
                     (mu_m + 1) * s * (s + 1) * (s - 3) / (8 * s**3 * mu * z1),
                     1j * (mu_p - 1) * s * (s - 1) * (s + 3) / (8 * s**3 * mu * z2))
-            for got, exact in zip(residue_closed_form(t), want, strict=True):
+            for got, exact in zip(REAL_FORM * residue_closed_form(t), want, strict=True):
                 assert abs(mp.mpc(got) - exact) <= 1e-15 * abs(exact)
 
 
 def test_residue_closed_vs_quadrature():
-    column = residue_closed_form(0.4)
+    column = REAL_FORM * residue_closed_form(0.4)
     worst = 0.0
     for i in (1, 2, 3):
         total = 0.0
@@ -198,7 +199,7 @@ def test_residue_quadrature_point_doubling():
 def test_residue_limits_toward_right_end():
     # quadratic extrapolation in s = sqrt(1 - t)
     svals = np.array([0.03, 0.02, 0.01])
-    at_inf = residue_closed_form(1.0 - svals * svals) * SIGNS[:, 3]
+    at_inf = REAL_FORM * residue_closed_form(1.0 - svals * svals) * SIGNS[:, 3]
     lim1, lim2, lim3 = np.polyfit(svals, at_inf, 2)[-1]
     assert abs(lim2 - 0.25j) < 1e-6
     assert abs(lim1) < 1e-6
@@ -211,7 +212,7 @@ def test_printed_residue_table_discrepancy():
     characterisation pinned so the discrepancy stays visible."""
     for t in (0.4, 0.5, 0.7):
         _, mu_m = mu_pair(t)
-        r1, r2, r3 = residue_closed_form(t) / residue_table_printed(t)
+        r1, r2, r3 = REAL_FORM * residue_closed_form(t) / residue_table_printed(t)
         print(f"printed-table ratios at t={t}: row1 {r1:.6g} row2 {r2:.6g} row3 {r3:.6g}")
         assert abs(r1 + 1.0) < 1e-12                # sign flip
         assert abs(r2 - 1.0 / t) < 1e-12            # 8t^2 vs 8t^3
