@@ -15,22 +15,27 @@ table, the Schlesinger residual, the `y` extraction on each eigen-branch
 (at n = 3 and 7 with 201 and 2001 samples), the PVI residual on each
 eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
 propagation oracle, `pvi-integrate`'s sweep of the direct PVI integrator
-(at n = 1 with 201 samples and n = 3 with 801), the whole report, and the
-command line's parse of one `verify` argv.  Each benchmark's `extra_info`
-records the count that does not move with machine noise: profile pieces,
-stencil tables built, and right-hand-side evaluations of the integrating
-oracles and the direct integrator.  The JSON
+(at n = 1 with 201 samples and n = 3 with 801), the whole report, the
+command line's parse of one `verify` argv, and the files of
+`trace --n 3 --samples 2001` (its JSON document, and its three CSVs) built
+from the transcendent and written to a null sink.  Each benchmark's
+`extra_info` records the count that does not move with machine noise:
+profile pieces, stencil tables built, right-hand-side evaluations of the
+integrating oracles and the direct integrator, and the writers' blocks
+with the `tracemalloc` peak of one run (kB).  The JSON
 keeps each benchmark's summary statistics, not its raw rounds
 (`bench/conftest.py`).
 """
 
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from painleve_instanton import (cli, instanton, isomonodromy, painleve, report, stepper,
-                                twistor)
+from painleve_instanton import (cli, columns, instanton, isomonodromy, painleve, report,
+                                stepper, twistor)
 from painleve_instanton.isomonodromy import (extract_y, gauge_rate, jimbo_miwa_params,
                                              make_family, schlesinger_integrate,
                                              schlesinger_residual)
@@ -73,7 +78,8 @@ def count(monkeypatch, name, fn):
     any timing, through every module that binds it."""
     calls = Counter()
     with monkeypatch.context() as m:
-        for module in (cli, instanton, isomonodromy, painleve, report, stepper, twistor):
+        for module in (cli, columns, instanton, isomonodromy, painleve, report, stepper,
+                       twistor):
             real = getattr(module, name, None)
             if real is not None:
                 def counted(*args, _real=real, **kwargs):
@@ -195,3 +201,24 @@ def test_report(benchmark, monkeypatch, n, samples):
 def test_parse_args(benchmark):
     args = benchmark(cli.parse_args, ["verify", "--n", "3", "--samples", "801"])
     assert (args.command, args.n, args.samples) == ("verify", 3, 801)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_trace_files(benchmark, monkeypatch, fmt):
+    # `trace`'s residual and mu columns, its rows and their spelling, from
+    # the transcendent: one `_fill` call per block of rows
+    cfg = cli.parse_args(["trace", "--n", "3", "--samples", "2001", "--format", fmt])
+    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
+    with open(os.devnull, "w") as sink:
+        def write():
+            for blocks in cli.trace_files(fmt, cfg.n, fam, sample, params).values():
+                sink.writelines(blocks)
+
+        benchmark.extra_info["blocks"] = count(monkeypatch, "_fill", write)
+        tracemalloc.start()
+        try:
+            write()
+            benchmark.extra_info["tracemalloc_peak_kb"] = tracemalloc.get_traced_memory()[1] // 1000
+        finally:
+            tracemalloc.stop()
+        benchmark(write)

@@ -84,33 +84,37 @@ def cmd_profile(cfg):
     return 0
 
 
-def cmd_trace(cfg):
-    if cfg.fmt == "csv" and cfg.out is None:
-        raise ValueError("csv trace needs --out (three files are written)")
-    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
-                                               cfg.samples)
+def trace_files(fmt, n, fam, sample, params):
+    """suffix -> the text blocks of each file `trace` writes for the family
+    `fam` and its transcendent `sample`: the JSON document (suffix "") or
+    the three CSVs."""
     mu_plus, mu_minus = mu_pair(sample.ts)
     residuals = np.full(len(sample), np.nan)
     residuals[Stencil.INNER] = np.abs(pvi_residual(sample, params, Stencil(sample.xs)))
-
-    if cfg.fmt == "json":
+    if fmt == "json":
         doc = {
             "params": params.as_dict(),
-            "delta_variant": select_delta_variant(params.delta, cfg.n),
+            "delta_variant": select_delta_variant(params.delta, n),
             "twistor": fam.json_array(),
             "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
                        (sample.ts, mu_plus, mu_minus)),
             "pvi": sample.json_array(residuals),
         }
-        _emit(cfg, json_blocks(doc))
-        return 0
-    files = {
+        return {"": json_blocks(doc)}
+    return {
         ".twistor.csv": fam.to_csv(),
         ".mu.csv": csv_blocks(("t", "mu_plus", "mu_minus", "mu_product"),
                               (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus)),
         ".pvi.csv": sample.to_csv(residuals),
     }
-    for suffix, blocks in files.items():
+
+
+def cmd_trace(cfg):
+    if cfg.fmt == "csv" and cfg.out is None:
+        raise ValueError("csv trace needs --out (three files are written)")
+    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
+                                               cfg.samples)
+    for suffix, blocks in trace_files(cfg.fmt, cfg.n, fam, sample, params).items():
         _emit(cfg, blocks, suffix)
     return 0
 

@@ -1,17 +1,22 @@
 """Whole-column writers shared by every output schema, streamed in blocks.
 
-A schema is a CSV header or a JSON row skeleton (`None` at each cell), with
-one real column per cell.  Each writer yields its file's text in blocks of
-whole rows, at most `BLOCK_CELLS` cells (or one row), so its memory does
-not grow with the row count.  Both formats share one core, applied to each
-block on its own: the block's cells are keyed by bit pattern (`np.unique`
-on `.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct
-value is spelled once, and the spellings fill a `%s` template with one copy
-per row.  CSV spells `%.17g`.  JSON spells with `json.dumps` itself, and
-its row template is `json.dumps` of the skeleton, re-indented to the
-array's depth, so numbers, `NaN`, `Infinity`, keys, separators and
-indentation are exactly what `json.dumps` writes for dict rows.  Every JSON
-document (profile, trace and verify report) goes through `json_blocks`.
+A schema is a CSV header or a JSON row skeleton (`None` at each cell that a
+column fills; any other leaf is written as it stands), with one real column
+per cell.  Each writer yields its file's text in blocks of whole rows, at
+most `BLOCK_CELLS` cells (or one row), so its memory does not grow with the
+row count.  Both formats share one core, applied to each block on its own:
+the block's cells are keyed by bit pattern (`np.unique` on
+`.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct value
+is spelled once, and the spellings fill a `%s` template with one copy per
+row.  A block holds one spelled string per distinct cell, so it is largest
+when every cell is distinct; `BLOCK_CELLS` is sized for that case, which
+bounds one writer's working memory at a few hundred kB, whatever the row
+count and however the values repeat.  CSV spells `%.17g`.  JSON spells with
+`json.dumps` itself, and its row template is `json.dumps` of the skeleton,
+re-indented to the array's depth, so numbers, `NaN`, `Infinity`, keys,
+separators and indentation are exactly what `json.dumps` writes for dict
+rows.  Every JSON document (profile, trace and verify report) goes through
+`json_blocks`.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# cells per block: 256 rows of the twistor trace's 35, the widest schema
-BLOCK_CELLS = 8960
+# cells per block: 2,048 all-distinct cells spell to about 0.3 MB of strings
+BLOCK_CELLS = 2048
 
 
 class Rows(NamedTuple):
     """An array of rows: the skeleton `row`'s `None` leaves take the
-    `columns` in order, one row per entry of a column (the skeleton's keys
-    may not contain "null")."""
+    `columns` in order, one row per entry of a column, and its other leaves
+    are the same in every row (the skeleton's keys and leaves may not
+    contain "null")."""
 
     row: object
     columns: tuple

@@ -14,9 +14,11 @@ The family is carried in its real form (`liealg`): alpha_{1,0} and
 alpha_{2,0} are imaginary and alpha_{3,0} is real, so alpha_{.,0} =
 REAL_FORM * w_hat (`residue_closed_form` returns the real w_hat), and with
 real a every u = REAL_FORM * w, w = a * w_hat real, and u.u = -w1^2 - w2^2
-+ w3^2.  x(t) is real too, in (1, infinity) for t in (0, 1).  Complex
-numbers are built only where the JSON trace writes the 2x2 residues
-(`FuchsianData.residues`).
++ w3^2.  x(t) is real too, in (1, infinity) for t in (0, 1).  No command
+builds a complex number for the residues: the JSON trace writes the 2x2
+residues' nonzero cells straight from the real m_p, and only
+`FuchsianData.residues`, which the tests compare against, builds the
+complex matrices.
 
 Conventions fixed here (and relied on everywhere downstream):
 
@@ -305,17 +307,19 @@ class FuchsianData:
     samples along the line family (t and the real x of shape (S,), the real
     w (S, 3), u = REAL_FORM * w); `len` and indexing reach the samples.  The
     residues are carried as the real forms of their coefficient vectors on
-    (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`); the complex 2x2
-    matrices are built only for the JSON trace (`residues`)."""
+    (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`).  Only `residues`
+    builds the complex 2x2 matrices, for the tests; no command calls it."""
 
     t: np.ndarray
     x: np.ndarray
     w: np.ndarray
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
-    # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs
-    JSON_ROW = {"t": None, "x": {"re": None, "im": None},
-                "residues": {p: [[[None, None]] * 2] * 2
+    # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs,
+    # A_p = [[-m1, i (m2 + m3)], [i (m3 - m2), m1]] for m = m_p: x's `im`
+    # and the residues' structural zeros are literal cells
+    JSON_ROW = {"t": None, "x": {"re": None, "im": 0.0},
+                "residues": {p: [[[None, 0.0], [0.0, None]], [[0.0, None], [None, 0.0]]]
                              for p in ("p0", "p1", "px", "pinf")}}
 
     def __len__(self):
@@ -345,14 +349,11 @@ class FuchsianData:
         return csv_blocks(self.CSV_COLUMNS, cols)
 
     def json_array(self):
-        """The `Rows` of a stack: one `JSON_ROW` per sample.  x's `im` is 0,
-        and so are half of the residues' cells, A_p = [[-m1, i (m2 + m3)],
-        [i (m3 - m2), m1]] for m = m_p, with the signs that the products
-        of `residues` give those zeros."""
-        cols = (self.t, self.x, self.x.imag) + tuple(
-            np.stack((A.real, A.imag), -1).reshape(len(self), 8)
-            for A in self.residues())
-        return Rows(self.JSON_ROW, cols)
+        """The `Rows` of a stack: one `JSON_ROW` per sample, whose 16
+        nonzero residue cells are -m1, m2 + m3, m3 - m2 and m1 per pole."""
+        m1, m2, m3 = np.moveaxis(self.vectors(), -1, 0)
+        cells = np.stack((-m1, m2 + m3, m3 - m2, m1), -1).reshape(len(self), 16)
+        return Rows(self.JSON_ROW, (self.t, self.x, cells))
 
 
 def fuchsian_data(profile, t):

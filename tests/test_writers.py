@@ -7,8 +7,10 @@ the awkward cells of `csv_blocks` and `json_blocks` (signed zeros, NaN,
 infinities, repeats, `%` and `null` in the other fields), a property checks
 both against per-value spelling on random columns and documents, indented
 or not, with blocks of a few cells (one to six rows) so that every array
-crosses block boundaries.  A count shows each block spells its distinct values once, and
-a memory test shows that streaming does not hold the whole document."""
+crosses block boundaries.  A count shows each block spells its distinct
+values once, a memory test shows that streaming does not hold the whole
+document, and another bounds one writer's memory in absolute terms when
+every cell is distinct."""
 
 import json
 import tracemalloc
@@ -39,8 +41,10 @@ def csv_file(header, rows):
 
 
 def fuchsian_json_dict(F):
+    # the residues' structural zeros are written unsigned (+ 0.0 maps -0.0
+    # to 0.0 and leaves every other value as it is)
     def mat(m):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        return [[[float(v.real) + 0.0, float(v.imag) + 0.0] for v in row] for row in m]
     return {"t": float(F.t),
             "x": {"re": float(F.x.real), "im": float(F.x.imag)},
             "residues": dict(zip(("p0", "p1", "px", "pinf"),
@@ -124,11 +128,12 @@ def expanded(doc):
 def test_json_text_signed_zero_nan_inf_and_repeats(monkeypatch):
     col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.1, -0.0])
     cols = (col, -col, col[::-1])
-    # the other fields are written as given: a '%' or 'null' in them is text
-    doc = {"n": 1, "rows": Rows({"v": None, "w": [None, None]}, cols),
+    # the other fields are written as given: a '%' or 'null' in them is text;
+    # so is a skeleton's leaf that is not None, in every row
+    doc = {"n": 1, "rows": Rows({"v": None, "w": [None, 0.0, None]}, cols),
            "note": "100% null", "more": Rows({"u": None}, (col,)),
            "none": Rows({"u": None}, (col[:0],)), "end": [None, {"%s": 2}]}
-    rows = [{"v": v, "w": [w1, w2]}
+    rows = [{"v": v, "w": [w1, 0.0, w2]}
             for v, w1, w2 in zip(*(c.tolist() for c in cols))]
     want = {**doc, "rows": rows, "more": [{"u": u} for u in col.tolist()], "none": []}
     # budgets of 1 and 4 cells hold one row of width 3, 7 cells hold two
@@ -136,8 +141,8 @@ def test_json_text_signed_zero_nan_inf_and_repeats(monkeypatch):
         monkeypatch.setattr(columns, "BLOCK_CELLS", block_cells)
         for indent in (None, 2):
             assert json_text(doc, indent) == json.dumps(want, indent=indent) + "\n"
-    assert json_text(doc).startswith('{"n": 1, "rows": [{"v": 0.0, "w": [-0.0, -0.0]}, '
-                                     '{"v": -0.0, "w": [0.0, 0.1]}')
+    assert json_text(doc).startswith('{"n": 1, "rows": [{"v": 0.0, "w": [-0.0, 0.0, -0.0]}, '
+                                     '{"v": -0.0, "w": [0.0, 0.0, 0.1]}')
 
 
 SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.1, 5e-324,
@@ -195,24 +200,26 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
     residuals = np.full(len(sample), np.nan)
     residuals[2:-2] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
     sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
-        (fam.t, fam.x.real, fam.x.imag) + tuple(
-            np.stack((A.real, A.imag), -1).reshape(-1, 8) for A in fam.residues()),
+        # the residues' nonzero cells: [0][0].re, [0][1].im, [1][0].im, [1][1].re
+        (fam.t, fam.x) + tuple(np.stack((A.real, A.imag), -1).reshape(-1, 8)[:, [0, 3, 5, 6]]
+                               for A in fam.residues()),
         (sample.ts,) + mu_pair(sample.ts),
         (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
          residuals),
     )
     # each call spells exactly the distinct values of one block of one array:
-    # as many rows of its width (35, 3 and 6 cells) as fit in BLOCK_CELLS
-    steps = [columns.BLOCK_CELLS // width for width in (35, 3, 6)]
+    # as many rows of its width (18, 3 and 6 cells) as fit in BLOCK_CELLS
+    steps = [columns.BLOCK_CELLS // width for width in (18, 3, 6)]
     blocks = [np.column_stack([c[i:i + step] for c in cols]).ravel()
               for cols, step in zip(sections, steps) for i in range(0, 2001, step)]
-    assert len(spelled) == len(blocks) == 8 + 1 + 2
+    assert len(spelled) == len(blocks) == 18 + 3 + 6
     for words, block in zip(spelled, blocks):
         assert np.array_equal(words, np.unique(block.view(np.int64)))
-    cells = np.concatenate(blocks)
-    distinct = np.unique(cells.view(np.int64)).size
-    assert cells.size == 2001 * (35 + 3 + 6)
-    assert distinct < 0.3 * cells.size
+    # a twistor row spells 8 distinct values in its 18 cells: t, x, and the
+    # Klein-four residues' +-w1, +-(w2 + w3) and +-(w2 - w3)
+    twistor = np.concatenate(blocks[:18])
+    assert twistor.size == 2001 * 18
+    assert np.unique(twistor.view(np.int64)).size == 2001 * 8
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -220,7 +227,7 @@ def test_trace_files_match_per_sample_writers(n, tmp_path, capsys):
     window = ("--n", str(n), "--samples", str(SAMPLES), "--t-min", "0.5")
     files, doc = reference_trace(n, 0.5, 0.95)
     assert "nan" in files[".pvi.csv"]
-    assert "NaN" in doc and "-0.0" in doc
+    assert "NaN" in doc
     assert main(["trace", *window, "--out", str(tmp_path / "tr")]) == 0
     for suffix, text in files.items():
         assert (tmp_path / ("tr" + suffix)).read_bytes() == text.encode(), suffix
@@ -245,6 +252,17 @@ def test_verify_report_matches_dict_rows(n, capsys):
     assert cli_bytes(capsys, "verify", "--n", str(n)) == doc.encode()
 
 
+def traced_peak(blocks):
+    """tracemalloc's peak while `blocks` are drained to a null sink."""
+    tracemalloc.start()
+    try:
+        for _ in blocks:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_streaming_memory_does_not_grow_with_rows():
     # a trace-shaped document (the twistor, mu and pvi arrays) streamed to a
     # null sink: the writer holds one block, not the document.  The cells
@@ -256,18 +274,27 @@ def test_streaming_memory_does_not_grow_with_rows():
         t = np.linspace(0.05, 0.95, count)
         doc = {"n": 3,
                "twistor": Rows(FuchsianData.JSON_ROW,
-                               (t,) + tuple(rng.choice(pool, (2, count)))
-                               + tuple(rng.choice(pool, (4, count, 8)))),
+                               (t, rng.choice(pool, count), rng.choice(pool, (count, 16)))),
                "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
                           (t,) + tuple(rng.choice(pool, (2, count)))),
                "pvi": Rows(PviSample.JSON_ROW, (t,) + tuple(rng.choice(pool, (5, count))))}
-        tracemalloc.start()
-        try:
-            for _ in json_blocks(doc):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(json_blocks(doc))
 
     small, large = peak(2_001), peak(20_001)
     assert large < 2 * small, (small, large)
+
+
+@pytest.mark.parametrize("count", [2_001, 20_001])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_all_distinct_cells_fit_the_block_budget(fmt, count):
+    # every cell distinct, so each block spells one string per cell: the
+    # widest schemas (the twistor CSV and JSON rows), drained to a null sink
+    rng = np.random.default_rng(count)
+    if fmt == "csv":
+        blocks = csv_blocks(FuchsianData.CSV_COLUMNS, tuple(rng.standard_normal((7, count))))
+    else:
+        cols = (rng.standard_normal(count), rng.standard_normal(count),
+                rng.standard_normal((count, 16)))
+        blocks = json_blocks({"n": 3, "twistor": Rows(FuchsianData.JSON_ROW, cols)})
+    peak = traced_peak(blocks)
+    assert peak < 0.6e6, peak
