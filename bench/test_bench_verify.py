@@ -8,9 +8,9 @@ Run from the repository root (not part of the tier-1 suite, whose
 Each window is `verify`'s default t in [0.5, 0.95], at n = 1, 3, 5, 7, 9
 with 201 samples and n = 3 with 801.  The stages are the ones a report
 runs, each on the same inputs as in the report: the BVP solve (at n = 5,
-7, 9, 21, 63 and 101, with its piece count), the line family (at n = 1,
-3 and 7 with 201 samples and n = 3 with 801, with its residue column and
-the Schlesinger residual's gauge term on their own), the grid's stencil
+7, 9, 21, 63, 101, 201 and 451, with its piece count), the line family
+(at n = 1, 3 and 7 with 201 samples and n = 3 with 801, with its residue
+column and the Schlesinger residual's gauge term on their own), the grid's stencil
 table, the Schlesinger residual, the `y` extraction on each eigen-branch
 (at n = 3 and 7 with 201 and 2001 samples), the PVI residual on each
 eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
@@ -90,7 +90,7 @@ def count(monkeypatch, name, fn):
     return calls[name]
 
 
-@pytest.mark.parametrize("n", [5, 7, 9, 21, 63, 101])
+@pytest.mark.parametrize("n", [5, 7, 9, 21, 63, 101, 201, 451])
 def test_solve_bvp(benchmark, n):
     profile = benchmark(instanton.solve_bvp, n)
     benchmark.extra_info["pieces"] = len(profile.origins)

@@ -66,7 +66,8 @@ class ShotFailed(PainleveInstantonError):
     """A boundary-value shot failed on one side: "t0" if the t = 0 series
     overflowed; "t1" if the t = 1 series overflowed, its launch state or
     the swept state has a1 = 0 or a3 = 0 (underflow), the sweep from it
-    blew up, or the sweep's step no longer moved t."""
+    blew up, the sweep's step no longer moved t, or the swept state missed
+    the t = 0 series by more than truncation can (the match defect)."""
 
     def __init__(self, side, reason):
         super().__init__(f"shot from {side} failed: {reason}")

@@ -17,7 +17,12 @@ with the closed-form shooting parameters and sweeps from the t = 1 series
 down to the t = 0 series' launch point, where the two are matched.  The
 system is polynomial, so one recurrence gives its Taylor coefficients about
 any point: the endpoint series at t = 0 and t = 1, and the steps of the
-sweep in between.
+sweep in between.  The recurrence (`_chain_order`) keeps the coefficients
+and the sources a_j a_k - a_i as three per-component rows, so each order is
+a few sums of products over slices of Python numbers: floats in the solve,
+Fractions in the exactness tests.  Each sum keeps one fixed order, so the
+rounding, and every profile coefficient, is the same however the rows are
+laid out.
 
 Boundary data used by the solver: a1(0) = 1, a2(0) = a3(0) (regularity),
 and (a1, a2, a3)(1) = (0, n, 0); the sign of a2(1) is conventional (pairs of
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
+from operator import mul
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,34 +281,47 @@ _SIDES = {"t0": (*_local_polynomials(0), 0, (1, 2), -2),
           "t1": (*_local_polynomials(1), 1, (0, 2), 2)}
 
 
-def _sources(c, m):
-    """Order-m coefficients of the sources a_j a_k - a_i for the coefficient
-    rows c (3 lists), each Cauchy product summed in increasing index order."""
-    return tuple(sum(map(operator.mul, c[j][:m + 1], c[k][m::-1])) - c[i][m]
-                 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+# (i, j, k) of each source a_j a_k - a_i
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _sources(c, g, m):
+    """Set the order-m coefficients g[i][m] of the sources a_j a_k - a_i
+    from the coefficient rows c.  c and g are three per-component rows
+    (lists indexed by order), so component i's equation reads its source
+    row g[i], reversed, as one slice.  Each Cauchy product is summed in
+    increasing index order of its first factor: the one order the
+    coefficients are rounded in, which the outputs are pinned to."""
+    for i, j, k in _CYCLIC:
+        g[i][m] = sum(map(mul, c[j][:m + 1], c[k][m::-1])) - c[i][m]
 
 
 def _equation(P, Q, c, g, i, m):
     """Order-m coefficient of P_i a_i' - Q_i (a_j a_k - a_i) for the
-    coefficient rows c and the source coefficients g (g[e] from _sources)."""
+    coefficient rows c and the source rows g (`_sources`)."""
     ci = c[i]
-    lhs = 0
-    for d in range(max(0, m + 2 - len(ci)), min(len(P[i]) - 1, m) + 1):
-        lhs += P[i][d] * ((m + 1 - d) * ci[m + 1 - d])
-    rhs = 0
-    for d in range(min(len(Q[i]) - 1, m) + 1):
-        rhs += Q[i][d] * g[m - d][i]
-    return lhs - rhs
+    top = min(m + 1, len(ci) - 1)  # a_i's highest coefficient in the order-m term
+    return (sum(map(mul, P[i][m + 1 - top:], map(mul, range(top, 0, -1), ci[top:0:-1])))
+            - sum(map(mul, Q[i], g[i][m::-1])))
 
 
 def _chain_order(P, Q, c, g, rows, m):
     """One order of the recurrence: form the order-(m-1) sources once, into
-    g[m - 1] (replacing a provisional entry), and give each chain row i
-    (P_i(0) != 0) its order-m coefficient from its order-(m-1) equation, by
-    one division by P_i(0) m."""
-    g[m - 1:] = [_sources(c, m - 1)]
+    g[.][m - 1] (replacing a provisional entry), and give each chain row i
+    (P_i(0) != 0) its order-m coefficient x from its order-(m-1) equation,
+
+        P_i(0) m x + sum_{d>=1} P_i[d] (m-d) c_i[m-d]
+                   - sum_d Q_i[d] g_i[m-1-d] = 0,
+
+    formed inline by one division by P_i(0) m.  The two sums run in
+    `_equation`'s order (x's term, still an exact 0 there, drops out), so
+    the coefficients are `_equation`'s to the bit, and on Fractions exact."""
+    e = m - 1
+    _sources(c, g, e)
     for i in rows:
-        c[i][m] = -_equation(P, Q, c, g, i, m - 1) / (P[i][0] * m)
+        ci, Pi = c[i], P[i]
+        ci[m] = -(sum(map(mul, Pi[1:], map(mul, range(e, 0, -1), ci[e:0:-1])))
+                  - sum(map(mul, Q[i], g[i][e::-1]))) / (Pi[0] * m)
 
 
 def endpoint_series(n, side, order, params=None):
@@ -349,12 +367,12 @@ def endpoint_series(n, side, order, params=None):
         raise ValueError("side must be 't0' or 't1'")
     P, Q, chain, pair, rho = _SIDES[side]
     c = [[v] + [0] * order for v in start]
-    g = []
+    g = [[0] * (order + 1) for _ in start]
     c0 = start[chain]
     for m in range(1, order + 1):
         _chain_order(P, Q, c, g, (chain,), m)
         # provisional: the pair rows' order-m coefficients are still 0
-        g.append(_sources(c, m))
+        _sources(c, g, m)
         b = [_equation(P, Q, c, g, row, m) for row in pair]
         u_a, u_b = (-e / Q[row][0] for e, row in zip(b, pair))
         x = []  # x_a + x_b, x_a - x_b
@@ -378,6 +396,11 @@ def endpoint_series(n, side, order, params=None):
 
 SERIES_ORDER = 20
 RTOL = 1e-12
+# The largest match defect a solve returns, which is also the report's
+# `match` tolerance.  Truncation stays far below it: at most 3.95e-13 over
+# odd n <= 101 and n = 151, 201, ..., 455 at RTOL, and 9e-11 at RTOL = 1e-9.
+# A larger miss is a shot off the seed law, and `profile` must not write it.
+MAX_MATCH_DEFECT = 1e-9
 
 
 def _seed(n):
@@ -410,10 +433,12 @@ MAX_LAUNCH_DEPTH = 0.15
 def _taylor(origin, a, order):
     """Coefficients (3 lists, increasing powers of t - origin) of the
     solution through a(origin) = a up to `order`, for an origin inside
-    (0, 1): there every P_i(origin) != 0, so all three rows are chain rows."""
+    (0, 1): there every P_i(origin) != 0, so all three rows are chain rows.
+    The rows are padded with an exact 0, which no order reads before
+    setting it; Fraction origins and states give the exact coefficients."""
     P, Q = _local_polynomials(origin)
-    c = [[v] + [0.0] * order for v in a]
-    g = []
+    c = [[v] + [0] * order for v in a]
+    g = [[0] * order for _ in a]
     for m in range(1, order + 1):
         _chain_order(P, Q, c, g, (0, 1, 2), m)
     return c
@@ -479,18 +504,19 @@ def solve_bvp(n):
     decay like (1 - t)^((n-1)/2) toward t = 1.  There is no iteration: the
     seed law is the solution, and the shot misses the match only by the
     sweep's truncation error.  meta["match_defect"] is that miss relative
-    to the solution's size, ||a_left - a_right|| / max|a_left|, for the
-    report's `match` check to bound.
+    to the solution's size, ||a_left - a_right|| / max|a_left|, at most
+    MAX_MATCH_DEFECT.
     The profile is the shot kept as its piecewise polynomial: the two
     endpoint series and the Taylor polynomial of every step, zero-padded to
     the t = 1 series' degree.  Its jump at breaks[1] is the unscaled defect.
     ShotFailed names the side: "t0" if its series overflows, "t1" if its
-    series or the sweep blows up, a step no longer moves t, or a1 or a3 is
-    0 at the launch or at the end of the sweep.  That last is underflow,
-    not the solution, which vanishes only at t = 1: from n = 473 on,
-    q s^((n-1)/2) at the launch depth s is below the smallest subnormal, and
-    a sweep from a1 = a3 = 0 stays on that invariant plane.  An n that is
-    not odd and positive is `endpoint_series`' ValueError.
+    series or the sweep blows up, a step no longer moves t, a1 or a3 is 0
+    at the launch or at the end of the sweep, or the defect exceeds
+    MAX_MATCH_DEFECT.  A zero a1 or a3 is underflow, not the solution,
+    which vanishes only at t = 1: from n = 473 on, q s^((n-1)/2) at the
+    launch depth s is below the smallest subnormal, and a sweep from
+    a1 = a3 = 0 stays on that invariant plane.  An n that is not odd and
+    positive is `endpoint_series`' ValueError.
     """
     p, r, q = _seed(n)
     try:
@@ -510,6 +536,9 @@ def solve_bvp(n):
         raise ShotFailed("t1", str(exc)) from exc
     _require_coupled(t_left, a_right)
     defect = float(np.linalg.norm(a_left - a_right)) / float(np.max(np.abs(a_left)))
+    if not defect <= MAX_MATCH_DEFECT:
+        raise ShotFailed("t1", f"match defect {defect:.3e} at t = {t_left} exceeds "
+                               f"{MAX_MATCH_DEFECT:g} (not truncation)")
 
     pieces = [(0.0, 0.0, left.T), *reversed(steps), (t_right, 1.0, right.T)]
     lefts, origins, blocks = zip(*pieces)

@@ -86,13 +86,16 @@ def make_family(profile, ts):
 # Schlesinger equations
 # --------------------------------------------------------------------------
 
-def schlesinger_field(x, m0, m1, mx, rate=1.0):
-    """(dm0, dm1, dmx)/ds of the Schlesinger system on real-form residue
-    vectors, for a parameter s with dx/ds = rate (1: s is x):
-    dm0/dx = 2 L(m0, mx) / x, dm1/dx = 2 L(m1, mx) / (x - 1), with L =
-    `lorentz_cross`.  x, rate and the components are Python numbers in the
-    propagation oracle, where coercing to arrays costs more than the
-    arithmetic, or sample arrays."""
+def schlesinger_field(x, m, rate=1.0):
+    """dm/ds of the Schlesinger system for a parameter s with dx/ds = rate
+    (1: s is x), on one flat 9-row m = (m0, m1, mx) of real-form residue
+    vectors, returned as the flat 9-row (dm0, dm1, dmx): dm0/dx =
+    2 L(m0, mx) / x, dm1/dx = 2 L(m1, mx) / (x - 1) and dmx = -dm0 - dm1,
+    with L = `lorentz_cross`.  In the propagation oracle m is the state's
+    list of 9 Python numbers and x and rate are Python numbers, where
+    coercing to arrays costs more than the arithmetic, and the returned
+    list is the state's derivative as `rk45` stores it; in the residual
+    check m is a (9, S) array of samples and x has shape (S,)."""
     if isinstance(x, np.ndarray):
         near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
         if near.any():
@@ -100,9 +103,11 @@ def schlesinger_field(x, m0, m1, mx, rate=1.0):
     elif min(abs(x), abs(x - 1.0)) < 1e-12:
         raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
     k0, k1 = 2.0 * rate / x, 2.0 * rate / (x - 1.0)
-    d0 = [k0 * c for c in lorentz_cross(m0, mx)]
-    d1 = [k1 * c for c in lorentz_cross(m1, mx)]
-    return d0, d1, [-p - q for p, q in zip(d0, d1)]
+    mx = m[6:]
+    d1, d2, d3 = lorentz_cross(m[:3], mx)
+    e1, e2, e3 = lorentz_cross(m[3:6], mx)
+    d1, d2, d3, e1, e2, e3 = k0 * d1, k0 * d2, k0 * d3, k1 * e1, k1 * e2, k1 * e3
+    return [d1, d2, d3, e1, e2, e3, -d1 - e1, -d2 - e2, -d3 - e3]
 
 
 def schlesinger_residual(fam, stencil):
@@ -116,10 +121,10 @@ def schlesinger_residual(fam, stencil):
     inner = fam[Stencil.INNER]
     c = gauge_rate(inner).T / (inner.x * dlog_x(inner.t))
     moving = np.moveaxis(inner.vectors(), (-2, -1), (0, 1))[:3]
+    field = np.reshape(schlesinger_field(inner.x, moving.reshape(9, -1)), moving.shape)
     total = 0.0
-    for p, (m, want) in enumerate(zip(moving, schlesinger_field(inner.x, *moving),
-                                      strict=True)):
-        r = -SIGNS[:, p, None] * dw + 2.0 * np.array(lorentz_cross(c, m)) - np.array(want)
+    for p, (m, want) in enumerate(zip(moving, field, strict=True)):
+        r = -SIGNS[:, p, None] * dw + 2.0 * np.array(lorentz_cross(c, m)) - want
         total = total + np.sqrt(2.0 * np.sum(r * r, axis=0))
     return total
 
@@ -166,10 +171,8 @@ def schlesinger_integrate(F0, t_target):
         return m
 
     def flow(t, vec):
-        v = vec.tolist()
         x = x_of_t(t)
-        d0, d1, dx = schlesinger_field(x, v[:3], v[3:6], v[6:], x * dlog_x(t))
-        return d0 + d1 + dx
+        return schlesinger_field(x, vec.tolist(), x * dlog_x(t))
 
     m0, m1, mx = rk45(flow, t0, m[:3].ravel(), t1, rtol=1e-11, atol=1e-13).reshape(3, 3)
     return np.array([m0, m1, mx, -(m0 + m1 + mx)])

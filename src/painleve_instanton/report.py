@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .columns import Rows
-from .errors import StepSizeUnderflow
-from .instanton import asd_closed_profile, solve_bvp
+from .errors import StepLimitExceeded, StepSizeUnderflow
+from .instanton import MAX_MATCH_DEFECT, asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
@@ -30,7 +30,7 @@ def default_tolerances(n):
         per_n = {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
                  "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
     return {**per_n, "delta": 1e-7, "delta_variant": 1e-6, "boundary": 1e-8,
-            "match": 1e-9}
+            "match": MAX_MATCH_DEFECT}
 
 
 def extract_transcendent(fam, branch):
@@ -79,8 +79,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         prop = schlesinger_integrate(raw[k0], raw[k1].t)
         inv_err = float(np.max(np.abs(pair_invariants(prop)
                                      - pair_invariants(raw[k1].vectors()))))
-    except StepSizeUnderflow as exc:
-        inv_err, failure = None, f"StepSizeUnderflow at t = {float(exc.t)}"
+    except (StepSizeUnderflow, StepLimitExceeded) as exc:
+        inv_err, failure = None, f"{type(exc).__name__} at t = {float(exc.t)}"
 
     # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
     params_by_branch = {"plus": params_plus,

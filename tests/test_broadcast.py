@@ -132,31 +132,33 @@ def test_pvi_second_derivative_python_scalars(vals, coeffs):
 @settings(max_examples=60, deadline=None)
 @given(vals=st.lists(st.tuples(*[finite] * 11), min_size=1, max_size=8))
 def test_schlesinger_field_python_scalars(vals):
-    # the propagation oracle's path: real-form residue vectors and x and the
-    # rate dx/ds as Python floats give the residual check's call on sample
-    # arrays bit for bit (both round the same float operations), and both
-    # are the matrix field rate [A0, Ax]/x, rate [A1, Ax]/(x - 1) of AB - BA,
-    # to a tolerance relative to the largest product of components over the
-    # nearer pole
+    # the propagation oracle's path: one flat row (m0, m1, mx) of real-form
+    # residue vectors and x and the rate dx/ds as Python floats give the
+    # residual check's call on a (9, S) array of samples bit for bit (both
+    # round the same float operations), and both are the matrix field
+    # rate [A0, Ax]/x, rate [A1, Ax]/(x - 1) of AB - BA, to a tolerance
+    # relative to the largest product of components over the nearer pole
     v = np.array(vals)
     z = v[:, :9]
     x, rate = 1.5 + v[:, 9] ** 2, 0.25 + v[:, 10] ** 2
-    m0, m1, mx = np.moveaxis(z.reshape(-1, 3, 3), (1, 2), (0, 1))
     scale = np.max(np.abs(z), axis=1) ** 2 * rate / np.minimum(abs(x), abs(x - 1))
-    stack = schlesinger_field(x, m0, m1, mx, rate)
-    A0, A1, Ax = (su2_combination(*(REAL_FORM[:, None] * m)) for m in (m0, m1, mx))
+    stack = schlesinger_field(x, z.T, rate)  # one (9, S) array of samples
+    assert len(stack) == 9
+    A0, A1, Ax = (su2_combination(*(REAL_FORM[:, None] * m))
+                  for m in z.T.reshape(3, 3, -1))
     want0 = (A0 @ Ax - Ax @ A0) * (rate / x)[:, None, None]
     want1 = (A1 @ Ax - Ax @ A1) * (rate / (x - 1.0))[:, None, None]
-    for d, want in zip(stack, (want0, want1, -want0 - want1), strict=True):
-        got = su2_combination(*(REAL_FORM[:, None] * np.array(d)))
+    for d, want in zip(np.reshape(stack, (3, 3, -1)), (want0, want1, -want0 - want1),
+                       strict=True):
+        got = su2_combination(*(REAL_FORM[:, None] * d))
         err = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale)
     for k, (xk, rk, row) in enumerate(zip(x.tolist(), rate.tolist(), z.tolist())):
-        single = schlesinger_field(xk, row[:3], row[3:6], row[6:], rk)
-        for d_single, d_stack in zip(single, stack, strict=True):
-            for c, c_stack in zip(d_single, d_stack, strict=True):
-                assert type(c) is float
-                assert c == c_stack[k]
+        single = schlesinger_field(xk, row, rk)  # one flat row of Python floats
+        assert type(single) is list
+        for c, c_stack in zip(single, stack, strict=True):
+            assert type(c) is float
+            assert c == c_stack[k]
 
 
 @settings(max_examples=60, deadline=None)

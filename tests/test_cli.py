@@ -235,6 +235,22 @@ def test_underflowed_shot_exits_2_naming_the_solve(capsys):
         assert error["detail"].startswith("shot from t1 failed: a1 = 0.0, a3 = 0.0 at t = ")
 
 
+def test_oversize_match_defect_exits_2_naming_the_solve(monkeypatch, capsys):
+    # q off the seed law by 1e-6 misses the match by 5.9e-7 at n = 7, far
+    # above truncation: neither command writes that profile
+    law = instanton._seed
+    monkeypatch.setattr(instanton, "_seed", lambda n: (*law(n)[:2], law(n)[2] * (1 + 1e-6)))
+    for command in ("profile", "verify"):
+        code, out, err = run(capsys, command, "--n", "7")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ShotFailed"
+        prefix = "shot from t1 failed: match defect "
+        assert error["detail"].startswith(prefix)
+        assert 5e-7 < float(error["detail"][len(prefix):].split()[0]) < 7e-7
+        assert error["detail"].endswith("exceeds 1e-09 (not truncation)")
+
+
 def test_solver_errors_print_plain_numbers(capsys):
     # at n = 457 the sweep's step no longer moves t: the message gives t as
     # a number, not as a numpy scalar's repr
@@ -249,20 +265,42 @@ def test_solver_errors_print_plain_numbers(capsys):
 
 @pytest.mark.parametrize("command", ["pvi-integrate", "verify"])
 def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
-    # the DOP853 step limit is a solver failure: JSON on stderr, no traceback
+    # the DOP853 step limit is a solver failure: exit 2, no traceback.
+    # pvi-integrate stops in the direct PVI integrator, an x-flow: JSON on
+    # stderr naming x, which exceeds 1 on the line.  verify's propagation
+    # oracle runs in the family's t in (0, 1); the report fails that check
+    # alone and names the error and its t, as for a step underflow
     monkeypatch.setattr(stepper, "MAX_STEPS", 3)
     code, out, err = run(capsys, command, "--n", "3")
-    assert code == 2 and out == ""
-    error = json.loads(err)
-    assert error["error"] == "StepLimitExceeded"
-    # pvi-integrate stops in the direct PVI integrator, an x-flow, so the
-    # error names x, which exceeds 1 on the line; verify stops first in the
-    # propagation oracle, which runs in the family's t in (0, 1)
-    variable, inside = {"pvi-integrate": ("x", lambda v: v > 1.0),
-                        "verify": ("t", lambda v: 0.0 < v < 1.0)}[command]
-    prefix = f"step limit of 3 steps exceeded at {variable}="
-    assert error["detail"].startswith(prefix)
-    assert inside(float(error["detail"][len(prefix):]))
+    assert code == 2
+    if command == "pvi-integrate":
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "StepLimitExceeded"
+        prefix = "step limit of 3 steps exceeded at x="
+        assert error["detail"].startswith(prefix)
+        assert float(error["detail"][len(prefix):]) > 1.0
+    else:
+        assert err == ""
+        rep = json.loads(out)
+        assert [k for k, ok in rep["checks"].items() if not ok] == ["propagation"]
+        prefix = "StepLimitExceeded at t = "
+        assert rep["propagation_failure"].startswith(prefix)
+        assert 0.0 < float(rep["propagation_failure"][len(prefix):]) < 1.0
+
+
+def test_grinding_propagation_ends_at_the_step_limit(capsys):
+    # at n = 101 on [0.1, 0.95] the propagation oracle's steps shrink
+    # toward t = 0.679 without underflowing for 270,447 steps (12-29 s);
+    # the step budget ends it in well under a second, and the report
+    # names the limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--n", "101", "--t-min", "0.1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert rep["checks"]["propagation"] is False
+    assert rep["propagation_failure"].startswith("StepLimitExceeded at t = 0.679")
 
 
 def underflowing_propagation(monkeypatch):

@@ -63,6 +63,48 @@ def test_taylor_order_one_is_asd_rhs(rng):
         np.testing.assert_allclose(c[:, 1], asd_rhs(ASD, t, a), rtol=1e-14, atol=0.0)
 
 
+def test_chain_order_rounds_as_the_equation(rng):
+    # the inline recurrence is the equation as `_equation` writes it, to the
+    # bit: each coefficient is -(its row's order-(m-1) equation, with the
+    # coefficient itself still 0) / (P_i(0) m)
+    order = instanton.SERIES_ORDER
+    for t, a in zip(rng.uniform(0.01, 0.99, 20).tolist(), rng.uniform(-3.0, 3.0, (20, 3))):
+        P, Q = instanton._local_polynomials(t)
+        c = instanton._taylor(t, a.tolist(), order)
+        g = source_rows(c)
+        for m in range(1, order + 1):
+            known = [row[:m] + [0] * (order + 1 - m) for row in c]
+            for i in range(3):
+                assert c[i][m] == -instanton._equation(P, Q, known, g, i, m - 1) / (P[i][0] * m)
+
+
+def test_taylor_exact_at_interior_origins(rng):
+    # the sweep's step from dyadic origins and states (exact as floats and
+    # as Fractions): from Fractions every coefficient is exact, so every
+    # order's equation vanishes; the order-m equation needs the order-(m+1)
+    # coefficient, so it stops one short
+    order = instanton.SERIES_ORDER
+    origins = rng.integers(2, 63, 6) / 64
+    states = rng.integers(-96, 97, (6, 3)) / 32
+    for t, a in zip(origins.tolist(), states.tolist()):
+        P, Q = instanton._local_polynomials(Fraction(t))
+        c = instanton._taylor(Fraction(t), [Fraction(v) for v in a], order)
+        assert all(type(v) is Fraction for row in c for v in row)
+        g = source_rows(c)
+        for m in range(order):
+            for i in range(3):
+                assert instanton._equation(P, Q, c, g, i, m) == 0, (t, m, i)
+        # the float step from the same origin and state, per order relative
+        # to that order's largest coefficient (measured <= 1.4e-14 over 124
+        # such draws)
+        approx = instanton._taylor(t, a, order)
+        assert all(type(v) is float for row in approx for v in row)
+        for m in range(order + 1):
+            size = max(abs(row[m]) for row in c)
+            err = max(abs(Fraction(row[m]) - exact[m]) for row, exact in zip(approx, c))
+            assert err <= 3e-14 * size, (t, m)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e9])
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_asd_flow_blow_up_guard(bad, slot):
@@ -187,6 +229,15 @@ def test_endpoint_pair_rows_share_rho():
             assert P[row][0] == 0 and P[row][1] == rho * Q[row][0] != 0
 
 
+def source_rows(c):
+    """The per-component source rows (`instanton._sources`) of the
+    coefficient rows c at every order."""
+    g = [[0] * len(c[0]) for _ in c]
+    for m in range(len(c[0])):
+        instanton._sources(c, g, m)
+    return g
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_endpoint_series_t0_exact(n):
     # the seed law's p and r as rationals, r from the first integral
@@ -201,7 +252,7 @@ def test_endpoint_series_t0_exact(n):
     # equation needs the order-(m+1) coefficient, so it stops one short
     P, Q, chain, _, _ = instanton._SIDES["t0"]
     c = exact.tolist()
-    g = [instanton._sources(c, m) for m in range(order + 1)]
+    g = source_rows(c)
     for m in range(order + 1):
         for i in range(3):
             if m < order or i != chain:
@@ -454,10 +505,16 @@ def test_verify_passes_bvp(n):
                          ids=["n7-p", "n13-q"])
 def test_verify_match_check_catches_wrong_seed(monkeypatch, n, factors):
     # verify's window [0.5, 0.95] reads only the t1 sweep, whose residuals
-    # barely see q: a seed off the law fails through the match check alone
+    # barely see q: a seed off the law misses the match (defects 1.2e-3 and
+    # 5.0e-7), which the solve refuses, naming the defect
     law = instanton._seed
     monkeypatch.setattr(instanton, "_seed",
                         lambda n: tuple(v * f for v, f in zip(law(n), factors)))
+    with pytest.raises(ShotFailed, match="match defect") as err:
+        build_verification_report(n)
+    assert err.value.side == "t1"
+    # without the solve's bound, it fails through the report's match check alone
+    monkeypatch.setattr(instanton, "MAX_MATCH_DEFECT", math.inf)
     rep = build_verification_report(n)
     assert [k for k, ok in rep["checks"].items() if not ok] == ["match"]
     assert rep["passed"] is False
