@@ -10,9 +10,10 @@ with 201 samples and n = 3 with 801.  The stages are the ones a report
 runs, each on the same inputs as in the report: the BVP solve (at n = 5,
 7, 9, 21, 63, 101, 201 and 451, with its piece count), the line family
 (at n = 1, 3 and 7 with 201 samples and n = 3 with 801, with its residue
-column and the Schlesinger residual's gauge term on their own), the grid's stencil
-table, the Schlesinger residual, the `y` extraction on each eigen-branch
-(at n = 3 and 7 with 201 and 2001 samples), the PVI residual on each
+column and the Schlesinger residual's gauge term on their own), the
+profile's derivative rows (its `jet`), the Schlesinger residual, the `y`
+extraction on its jets on each eigen-branch (at n = 3 and 7 with 201 and
+2001 samples), the PVI residual on each
 eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
 propagation oracle, `pvi-integrate`'s sweep of the direct PVI integrator
 (at n = 1 with 201 samples and n = 3 with 801), the whole report, the
@@ -20,7 +21,7 @@ command line's parse of one `verify` argv, and the files of
 `trace --n 3 --samples 2001` (its JSON document, and its three CSVs) built
 from the transcendent and written to a null sink.  Each benchmark's
 `extra_info` records the count that does not move with machine noise:
-profile pieces, stencil tables built, right-hand-side evaluations of the
+profile pieces, right-hand-side evaluations of the
 integrating oracles and the direct integrator, and the writers' blocks
 with the `tracemalloc` peak of one run (kB).  The JSON
 keeps each benchmark's summary statistics, not its raw rounds
@@ -42,7 +43,6 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate, jimbo_miwa_p
 from painleve_instanton.painleve import pvi_residual
 from painleve_instanton.report import (build_verification_report, extract_transcendent,
                                        line_transcendent)
-from painleve_instanton.stepper import Stencil
 from painleve_instanton.twistor import residue_closed_form
 
 WINDOWS = [(1, 201), (3, 201), (5, 201), (7, 201), (9, 201), (3, 801)]
@@ -58,14 +58,14 @@ _CACHE = {}
 
 def window(n, samples):
     """The report's inputs for one window, built once per session: profile,
-    line family, its stencil, the sample on each branch with its parameters,
-    and the middle sample."""
+    line family, the sample on each branch with its parameters, and the
+    middle sample."""
     key = (n, samples)
     if key not in _CACHE:
         profile, fam, plus, params_plus = line_transcendent(n, 0.5, 0.95, samples)
         mid = len(fam) // 2
         _CACHE[key] = {
-            "profile": profile, "fam": fam, "mid": mid, "stencil": Stencil(fam.x.real),
+            "profile": profile, "fam": fam, "mid": mid,
             "sample": {"plus": plus, "minus": extract_transcendent(fam, "minus")},
             "params": {"plus": params_plus,
                        "minus": jimbo_miwa_params(fam[mid], "minus")},
@@ -112,21 +112,24 @@ def test_residue_column(benchmark, n, samples):
 
 @pytest.mark.parametrize("n, samples", LINE_WINDOWS, ids=LINE_IDS)
 def test_gauge_term(benchmark, n, samples):
-    c = benchmark(gauge_rate, window(n, samples)["fam"][Stencil.INNER])
-    assert c.shape == (samples - 4, 3)
+    c = benchmark(gauge_rate, window(n, samples)["fam"])
+    assert c.shape == (samples, 3)
 
 
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
-def test_stencil_table(benchmark, n, samples):
-    xs = window(n, samples)["fam"].x.real
-    table = benchmark(Stencil, xs)
-    assert table.weights.shape == (samples - 4, 3, 5)
+def test_derivative_rows(benchmark, n, samples):
+    # the profile's Taylor rows (a, a', a''/2), the one derivative source
+    w = window(n, samples)
+    t = w["fam"].t
+    jet = benchmark(w["profile"].oriented_jet, t)
+    assert jet.rows.shape == (3, samples, 3)
+    assert np.array_equal(jet.rows[0] * residue_closed_form(t), w["fam"].w)
 
 
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
 def test_schlesinger_residual(benchmark, n, samples):
     w = window(n, samples)
-    residual = benchmark(schlesinger_residual, w["fam"], w["stencil"])
+    residual = benchmark(schlesinger_residual, w["fam"])
     assert np.all(np.isfinite(residual))
 
 
@@ -135,15 +138,14 @@ def test_schlesinger_residual(benchmark, n, samples):
 def test_extract_y(benchmark, n, samples, branch):
     w = window(n, samples)
     ys = benchmark(extract_y, w["fam"], branch)
-    assert np.array_equal(ys, w["sample"][branch].ys)
+    assert np.array_equal(ys.rows[0], w["sample"][branch].ys)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
 def test_pvi_residual(benchmark, n, samples, branch):
     w = window(n, samples)
-    residual = benchmark(pvi_residual, w["sample"][branch], w["params"][branch],
-                         w["stencil"])
+    residual = benchmark(pvi_residual, w["sample"][branch], w["params"][branch])
     assert np.all(np.isfinite(residual))
 
 
@@ -153,7 +155,7 @@ def test_step_oracle(benchmark, monkeypatch, n, samples):
     k = w["mid"]
 
     def both_branches():
-        return [w["sample"][b].integrate(w["params"][b], w["stencil"], k, k + 2)
+        return [w["sample"][b].integrate(w["params"][b], k, k + 2)
                 for b in ("plus", "minus")]
 
     benchmark.extra_info["pvi_second_derivative_calls"] = count(
@@ -176,12 +178,11 @@ def test_propagation_oracle(benchmark, monkeypatch, n, samples):
 
 @pytest.mark.parametrize("n, samples", PVI_WINDOWS, ids=PVI_IDS)
 def test_pvi_integrate(benchmark, monkeypatch, n, samples):
-    # pvi-integrate's sweep: the "plus" sample from the first interior
-    # sample to the end, seeded with the stencil's slope there
+    # pvi-integrate's sweep: the "plus" sample from the third sample to
+    # the end, seeded with the exact slope there
     w = window(n, samples)
-    sample, k = w["sample"]["plus"], Stencil.INNER.start
-    seed = (w["params"]["plus"], sample.xs[k:].real, sample.ys[k],
-            w["stencil"].derivative(sample.ys, 1)[0])
+    sample, k = w["sample"]["plus"], 2
+    seed = (w["params"]["plus"], sample.xs[k:].real, sample.ys[k], sample.yp[k])
 
     benchmark.extra_info["pvi_second_derivative_calls"] = count(
         monkeypatch, "pvi_second_derivative", lambda: painleve.pvi_integrate(*seed))
@@ -190,11 +191,10 @@ def test_pvi_integrate(benchmark, monkeypatch, n, samples):
 
 
 @pytest.mark.parametrize("n, samples", WINDOWS, ids=IDS)
-def test_report(benchmark, monkeypatch, n, samples):
+def test_report(benchmark, n, samples):
     def verify():
         return build_verification_report(n, samples=samples)
 
-    benchmark.extra_info["fd_weights_calls"] = count(monkeypatch, "fd_weights", verify)
     assert benchmark(verify)["passed"]
 
 

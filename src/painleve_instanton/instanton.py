@@ -42,6 +42,7 @@ import numpy as np
 from .columns import Rows, csv_blocks, json_blocks
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
+from .stepper import Jet
 
 
 class DualitySign(enum.Enum):
@@ -55,6 +56,16 @@ class DualitySign(enum.Enum):
 _ODE = (((-1, (1, -1, 3, -3)), (8, (0,))),
         ((-2, (0, 3, -1)), (1, (-3, 1))),
         ((-2, (0, -3, 1)), (1, (3, -1))))
+
+# Q_i/P_i = sum_a ODE_EXPONENTS[a, i] / (t - a) over the roots a of the P_i
+# (partial fractions, P_i having simple roots): Q_i(a)/P_i'(a).  The residue
+# column has w_hat_i'/w_hat_i = Q_i/P_i, so these are its powers of t - a.
+ROOTS = (0, 1, -1, 3, -3)
+ODE_EXPONENTS = np.array([[q_lead * math.prod(a - r for r in q_roots)
+                           / (p_lead * math.prod(a - r for r in p_roots if r != a))
+                           if a in p_roots else 0.0
+                           for (p_lead, p_roots), (q_lead, q_roots) in _ODE]
+                          for a in ROOTS])
 
 
 def coeff_K(index, t):
@@ -127,6 +138,20 @@ def _horner(c, s):
     return acc
 
 
+def _taylor_rows(c, s):
+    """(p, p', p''/2) at s for p = sum_j c[j] s^j, stacked on a leading
+    axis, by Horner's rule with three accumulators over the first axis of
+    c, updated together; p is `_horner`'s, to the bit."""
+    p = np.zeros((3,) + np.broadcast_shapes(np.shape(c[-1]), np.shape(s)))
+    p[0] = c[-1]
+    for row in c[-2::-1]:
+        q = p * s
+        q[1:] += p[:2]
+        q[0] += row
+        p = q
+    return p
+
+
 @dataclass(frozen=True)
 class ProfileTriple:
     """Profile functions (a1, a2, a3) on (0, 1), closed-form or numeric.
@@ -165,43 +190,32 @@ class ProfileTriple:
                     0, len(self.origins) - 1)
         return k, t - self.origins[k]
 
-    def _on_pieces(self, coeffs, t):
-        """sum_j coeffs[k, j] (t - origins[k])^j on the piece k of each t,
-        by Horner up to the highest degree of the pieces from the first to
-        the last k: the zero-padded rows above it would only add exact
-        zeros."""
+    def jet(self, t):
+        """(a, a', a''/2) at t as a `Jet` of rows of shape (..., 3) for t of
+        shape (...), in one pass of `_taylor_rows`: on the closed form's
+        numerator N, then divided by t^2 + 3, or on the piece of each t, up
+        to the highest degree of the pieces from the first to the last (the
+        zero-padded rows above it would only add exact zeros), with the
+        samples on the last axis."""
+        if self.kind is not ProfileKind.NUMERIC:
+            t = np.asarray(t, dtype=float)[..., None]
+            N = Jet(_taylor_rows(np.array(_NUMERATORS[self.kind]), t))
+            return N / Jet(np.stack([t * t + 3.0, 2.0 * t, np.ones_like(t)])) * self.component_signs
         k, s = self._local(t)
         used = self.coeffs[np.min(k):np.max(k) + 1].any(axis=(0, 2))
         top = np.flatnonzero(used).max(initial=1)
-        return _horner(coeffs[:, :top + 1].swapaxes(0, 1)[:, k], s[..., None])
+        c = np.take(self.coeffs[:, :top + 1].transpose(1, 2, 0), k, axis=-1)
+        return Jet(np.moveaxis(_taylor_rows(c, s), 1, -1))
 
     def values(self, t):
         """(a1, a2, a3) at t, shape (..., 3) for t of shape (...)."""
-        if self.kind is not ProfileKind.NUMERIC:
-            t = np.asarray(t, dtype=float)[..., None]
-            return (_horner(np.array(_NUMERATORS[self.kind]), t) / (t * t + 3.0)
-                    * self.component_signs)
-        return self._on_pieces(self.coeffs, t)
+        return self.jet(t).rows[0]
 
-    def oriented_values(self, t):
-        """Components in the anti-self-dual orientation used by the twistor
+    def oriented_jet(self, t):
+        """`jet` in the anti-self-dual orientation used by the twistor
         machinery: self-dual profiles couple with axes 2 and 3 exchanged."""
-        a = self.values(t)
-        if self.kind is ProfileKind.HOPF_SD:
-            return a[..., [0, 2, 1]]
-        return a
-
-    def derivative(self, t):
-        """da/dt, shape (..., 3) for t of shape (...): exact for closed
-        forms, and the derivative of its piece for numeric profiles."""
-        if self.kind is not ProfileKind.NUMERIC:
-            c = np.array(_NUMERATORS[self.kind])
-            t = np.asarray(t, dtype=float)[..., None]
-            d = t * t + 3.0  # the quotient rule on N / d
-            slope = _horner(c[1:] * ((1.0,), (2.0,)), t) * d - _horner(c, t) * 2.0 * t
-            return slope / (d * d) * self.component_signs
-        slopes = self.coeffs[:, 1:] * np.arange(1.0, self.coeffs.shape[1])[:, None]
-        return self._on_pieces(slopes, t)
+        a = self.jet(t)
+        return a[..., [0, 2, 1]] if self.kind is ProfileKind.HOPF_SD else a
 
     # -- serialization ------------------------------------------------------
 
@@ -242,12 +256,11 @@ def asd_closed_profile(n):
 def duality_residual(profile, sign, t, global_negation=False):
     """Residuals r_i = sigma*K_i/2 * da_i - (a_j a_k - a_i) at t.
 
-    Closed forms use exact derivatives, numeric profiles the derivative of
-    their piecewise polynomial.  With global_negation the test is applied
-    to (-a1, -a2, -a3).
+    The derivatives are the profile's `jet`: exact for closed forms, the
+    piece's own for numeric profiles.  With global_negation the test is
+    applied to (-a1, -a2, -a3).
     """
-    a = profile.values(t)
-    da = profile.derivative(t)
+    a, da, _ = profile.jet(t).rows
     if global_negation:
         a, da = -a, -da
     coef, source = _duality_terms(sign, t, a)

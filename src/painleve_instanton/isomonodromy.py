@@ -1,8 +1,9 @@
 """Deformation machinery for the Fuchsian residue family: the Schlesinger
-vector field and its verification by stencils (`Stencil`), conserved-quantity
-drift, and the apparent-singularity position y(x) and parameters of the
-sixth Painleve equation, both as closed forms in the residue model u, in
-its real form w (see `extract_y`).
+vector field and its verification on the family's exact derivatives in t
+(its `jets`), conserved-quantity drift, and the apparent-singularity
+position y(x) and parameters of the sixth Painleve equation, both as closed
+forms in the residue model u, in its real form w (see `extract_y`), whose
+formula runs on the same jets to give y's derivatives.
 
 The residues as the line geometry gives them ("line" gauge) carry the
 reality pairing Ax = -A0^dagger, Ainf = -A1^dagger.  The transverse
@@ -12,7 +13,7 @@ normalised coordinate z, with C = c.X and c a rational multiple of u
 g' = -C g, and dA^S_p/dt = g^-1 (A_p' + [C, A_p]) g.  The Schlesinger field
 is conjugation-equivariant, so the deformation equations hold in that gauge
 exactly when dA_p/dx + [C, A_p]/x' = Schl_p(A) on the line family itself,
-which `schlesinger_residual` checks from the family and its stencil alone;
+which `schlesinger_residual` checks from the family and its jets alone;
 g is never integrated.  The flow also commutes with constant conjugation,
 so propagating a line-gauge sample lands on a conjugate of a later one,
 with the same `pair_invariants`.
@@ -37,7 +38,7 @@ from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
                      ReducibleSystem)
 from .liealg import METRIC, lorentz_cross, stack_trailing
 from .painleve import PviParams
-from .stepper import Stencil, rk45
+from .stepper import Jet, rk45
 from .twistor import SIGNS, dlog_x, fuchsian_data, x_of_t
 
 
@@ -110,18 +111,17 @@ def schlesinger_field(x, m, rate=1.0):
     return [d1, d2, d3, e1, e2, e3, -d1 - e1, -d2 - e2, -d3 - e3]
 
 
-def schlesinger_residual(fam, stencil):
+def schlesinger_residual(fam):
     """Frobenius-norm defect of the deformation equations in their line-gauge
-    form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at the
-    interior samples of the x grid's `Stencil`, on real-form vectors: the
-    Frobenius norm of (REAL_FORM * r).X is sqrt(2) |r|.  dm_p/dx =
-    -SIGNS[:, p] * dw/dx, the stencils applied to the columns of w; C is
-    `gauge_rate`, and x' is x times `dlog_x`."""
-    dw = stencil.derivative(fam.w.T, 1)
-    inner = fam[Stencil.INNER]
-    c = gauge_rate(inner).T / (inner.x * dlog_x(inner.t))
-    moving = np.moveaxis(inner.vectors(), (-2, -1), (0, 1))[:3]
-    field = np.reshape(schlesinger_field(inner.x, moving.reshape(9, -1)), moving.shape)
+    form dA_p/dx + [C, A_p]/x' = Schl_p(A) (module docstring), at every
+    sample, on real-form vectors: the Frobenius norm of (REAL_FORM * r).X
+    is sqrt(2) |r|.  dm_p/dx = -SIGNS[:, p] * dw/dx, with dw/dx = w'/x' and
+    x' = x `dlog_x` from the family's `jets`, and C is `gauge_rate`."""
+    x, w = fam.jets
+    dw = w.rows[1].T / x.rows[1]
+    c = gauge_rate(fam).T / x.rows[1]
+    moving = np.moveaxis(fam.vectors(), (-2, -1), (0, 1))[:3]
+    field = np.reshape(schlesinger_field(fam.x, moving.reshape(9, -1)), moving.shape)
     total = 0.0
     for p, (m, want) in enumerate(zip(moving, field, strict=True)):
         r = -SIGNS[:, p, None] * dw + 2.0 * np.array(lorentz_cross(c, m)) - want
@@ -129,8 +129,8 @@ def schlesinger_residual(fam, stencil):
     return total
 
 
-def max_schlesinger_residual(fam, stencil):
-    return float(np.max(schlesinger_residual(fam, stencil)))
+def max_schlesinger_residual(fam):
+    return float(np.max(schlesinger_residual(fam)))
 
 
 def isospectral_drift(fam):
@@ -196,6 +196,11 @@ def _branch_root(F, branch):
     return uu, sigma * lam
 
 
+def _value(v):
+    """The value row of a `Jet`, or v itself."""
+    return v.rows[0] if isinstance(v, Jet) else v
+
+
 def _require(ok, error, what, F, branch):
     """Raise `error` naming the t of the first sample where `ok` fails."""
     bad = ~np.ravel(ok)
@@ -225,6 +230,11 @@ def extract_y(F, branch="plus"):
     (w3^2 - w2^2), so rho = q / w1.  No matrix entry is read back, so
     nothing cancels.
 
+    On an F that carries its `jets`, as `fuchsian_data` builds it, the
+    formula runs on them and y is returned as a `Jet` in t, whose value row
+    is the y of F's values, to the bit; lam enters as each sample's
+    constant, since u.u is a first integral of the family
+    (`test_uu_is_a_first_integral`).
     Raises ReducibleSystem when all couplings vanish, and IndeterminateY
     when u1 does (y on the pole 0) or the denominator does, naming the t of
     the first such sample.  Only exact zeros and non-finite values count
@@ -232,14 +242,15 @@ def extract_y(F, branch="plus"):
     and w3 shrink like (1 - t)^((n-1)/2) toward t = 1 while w2 stays near n.
     """
     _, lam = _branch_root(F, branch)
-    w1, w2, w3 = np.moveaxis(F.w, -1, 0)
+    x, w = (F.x, F.w) if F.jets is None else F.jets
+    w1, w2, w3 = (w[..., i] for i in range(3))
     q = w3 * (w1 * w3 + lam * w2) / (w3 * w3 - w2 * w2)
-    _require(np.maximum(np.abs(w1), np.abs(q)) > 0.0, ReducibleSystem,
+    _require(np.maximum(np.abs(_value(w1)), np.abs(_value(q))) > 0.0, ReducibleSystem,
              "all couplings vanish", F, branch)
-    _require(np.abs(w1) > 0.0, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
-    den = F.x + (1.0 - F.x) * q / w1
-    _require(np.abs(den) > 1e-12, IndeterminateY, "vanishing denominator", F, branch)
-    return F.x / den
+    _require(np.abs(_value(w1)) > 0.0, IndeterminateY, "u1 = 0, y on the pole 0", F, branch)
+    den = x + (1.0 - x) * q / w1
+    _require(np.abs(_value(den)) > 1e-12, IndeterminateY, "vanishing denominator", F, branch)
+    return x / den
 
 
 def jimbo_miwa_params(F, branch="plus"):

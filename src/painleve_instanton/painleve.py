@@ -1,7 +1,8 @@
 """The sixth Painleve equation: right-hand side, residual evaluation of a
-sampled transcendent and a direct integrator usable as an independent oracle,
-both on the `Stencil` of its grid, and the parameter law in n (with the other
-published delta variant, which the report tells apart from it).
+transcendent sampled with its exact derivatives in x, a direct integrator
+usable as an independent oracle, seeded with the exact slope, and the
+parameter law in n (with the other published delta variant, which the
+report tells apart from it).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .columns import Rows, csv_blocks
 from .errors import SingularArgument, SingularityEncountered
-from .stepper import Stencil, rk45_path
+from .stepper import rk45_path
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,14 @@ class PviParams:
 
 @dataclass(frozen=True)
 class PviSample:
-    """Sampled transcendent: points (x_k, y_k), monotone in the underlying t."""
+    """Sampled transcendent: points (x_k, y_k), monotone in the underlying
+    t, with y' and y'' in x where they are known (`from_jets`)."""
 
     ts: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
+    yp: np.ndarray | None = None
+    ypp: np.ndarray | None = None
 
     COLUMNS = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
     JSON_ROW = dict.fromkeys(COLUMNS)
@@ -56,12 +60,18 @@ class PviSample:
         """The CSV rows as `Rows` of objects keyed by `COLUMNS`."""
         return Rows(self.JSON_ROW, self._columns(residuals))
 
-    def integrate(self, params, stencil, k, stop=None):
+    @classmethod
+    def from_jets(cls, ts, x, y):
+        """The sample of y(x) from x and y as `Jet`s in t: y' = y_t/x_t and
+        y'' = (y_tt - y' x_tt)/x_t^2, the Jets' rows holding f_t and f_tt/2."""
+        (x0, x1, x2), (y0, y1, y2) = x.rows, y.rows
+        yp = y1 / x1
+        return cls(ts, x0, y0, yp, 2.0 * (y2 - yp * x2) / (x1 * x1))
+
+    def integrate(self, params, k, stop=None):
         """The direct integrator's sample at k..stop-1, seeded with this
-        sample's y_k and its slope y'_k from the x grid's `Stencil`, at the
-        stencil's interior sample k."""
-        yp = stencil.derivative(self.ys, 1)[k - stencil.INNER.start]
-        ys, _ = pvi_integrate(params, self.xs[k:stop], self.ys[k], yp)
+        sample's y_k and y'_k."""
+        ys, _ = pvi_integrate(params, self.xs[k:stop], self.ys[k], self.yp[k])
         return PviSample(self.ts[k:stop], self.xs[k:stop], ys)
 
 
@@ -98,16 +108,13 @@ def pvi_second_derivative(params, x, y, yp):
     return first - second + tail
 
 
-def pvi_residual(sample, params, stencil):
-    """y'' minus the PVI right-hand side at the interior samples of the x
-    grid's `Stencil`, which gives y' and y''."""
-    yp, ypp = (stencil.derivative(sample.ys, order) for order in (1, 2))
-    k = Stencil.INNER
-    return ypp - pvi_second_derivative(params, sample.xs[k], sample.ys[k], yp)
+def pvi_residual(sample, params):
+    """y'' minus the PVI right-hand side at every sample."""
+    return sample.ypp - pvi_second_derivative(params, sample.xs, sample.ys, sample.yp)
 
 
-def max_pvi_residual(sample, params, stencil):
-    return float(np.max(np.abs(pvi_residual(sample, params, stencil))))
+def max_pvi_residual(sample, params):
+    return float(np.max(np.abs(pvi_residual(sample, params))))
 
 
 def pvi_integrate(params, xs, y0, yp0):
@@ -115,9 +122,10 @@ def pvi_integrate(params, xs, y0, yp0):
     the strictly monotone real nodes xs in one sweep.
 
     Steps are rejected (SingularityEncountered) when y drifts within 1e-8
-    of {0, 1, x}.  Returns the arrays (y, y') at the nodes.  The state's
-    dtype follows the seed, so a real seed integrates in reals, and the
-    parameters reach the flow as Python numbers.
+    of {0, 1, x} or past the float range, and a non-finite state ends in
+    StepSizeUnderflow, without numpy warnings.  Returns the arrays (y, y')
+    at the nodes.  The state's dtype follows the seed, so a real seed
+    integrates in reals, and the parameters reach the flow as Python numbers.
     """
     params = PviParams(*np.array(astuple(params)).tolist())
 
@@ -125,9 +133,13 @@ def pvi_integrate(params, xs, y0, yp0):
         y, yp = state.tolist()
         if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-8:
             raise SingularityEncountered(x, y)
-        return [yp, pvi_second_derivative(params, x, y, yp)]
+        try:
+            return [yp, pvi_second_derivative(params, x, y, yp)]
+        except OverflowError:
+            raise SingularityEncountered(x, y) from None
 
-    states = np.array(rk45_path(flow, xs, np.array([y0, yp0]), rtol=1e-11, atol=1e-13))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.array(rk45_path(flow, xs, np.array([y0, yp0]), rtol=1e-11, atol=1e-13))
     return states[:, 0], states[:, 1]
 
 

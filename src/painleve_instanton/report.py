@@ -13,7 +13,6 @@ from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
 from .painleve import PviSample, max_pvi_residual, params_from_n, select_delta_variant
-from .stepper import Stencil
 
 
 def profile_for(n):
@@ -34,7 +33,8 @@ def default_tolerances(n):
 
 
 def extract_transcendent(fam, branch):
-    return PviSample(ts=fam.t, xs=fam.x, ys=extract_y(fam, branch))
+    """y(x) on the branch, with y' and y'' from the family's `jets`."""
+    return PviSample.from_jets(fam.t, fam.jets[0], extract_y(fam, branch))
 
 
 def line_transcendent(n, t_min, t_max, samples):
@@ -51,9 +51,9 @@ def line_transcendent(n, t_min, t_max, samples):
     return profile, fam, extract_transcendent(fam, "plus"), params
 
 
-def _step_oracle_error(sample, params, stencil, k):
+def _step_oracle_error(sample, params, k):
     """Integrate PVI over one inter-sample step and compare with extraction."""
-    return abs(sample.integrate(params, stencil, k, k + 2).ys[-1] - sample.ys[k + 1])
+    return abs(sample.integrate(params, k, k + 2).ys[-1] - sample.ys[k + 1])
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
@@ -64,9 +64,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         tols = {k: tol_override for k in tols}
 
     profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
-    stencil = Stencil(raw.x)  # every derivative check and oracle seed reads it
 
-    schl = max_schlesinger_residual(raw, stencil)
+    schl = max_schlesinger_residual(raw)
     drift = isospectral_drift(raw)
     mid = len(raw) // 2
     tr_ainf = raw[mid].trace_squares()[3]
@@ -98,8 +97,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     step_err = {}
     for b in ("plus", "minus"):
         sample = plus if b == "plus" else extract_transcendent(raw, b)
-        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b], stencil))
-        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], stencil, mid))
+        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b]))
+        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], mid))
 
     report = {
         "n": n,

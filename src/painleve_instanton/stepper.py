@@ -1,7 +1,8 @@
 """Shared numerical kernels: the embedded Runge-Kutta pair DOP853 with its
-continuous extension, finite-difference weights on arbitrary nodes, and
-`Stencil`, the one place sampled data is differentiated: the report's
-derivative checks and both PVI oracle seeds read its one table per grid.
+continuous extension, `Jet`, the order-2 Taylor arithmetic that carries
+the derivatives of the profile through the line family to y(x), and
+finite-difference weights on arbitrary nodes, which the tests check
+those derivatives against: no stage differentiates sampled data.
 
 The integrator is Dormand and Prince's 8th-order pair working on (possibly
 complex) numpy vectors; it propagates the 8th-order solution and controls
@@ -23,7 +24,6 @@ import inspect
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StepLimitExceeded, StepSizeUnderflow
 
@@ -307,15 +307,57 @@ def fd_weights(nodes, x0, order):
     return w
 
 
-class Stencil:
-    """The centred 5-point stencils of the sample grid xs at its interior
-    samples `INNER`, k = 2..len-3: one order-2 `fd_weights` table, whose row
-    1 or 2 `derivative` applies to columns sampled along the last axis."""
+class Jet:
+    """Order-2 Taylor rows (f, f', f''/2) of a function of t, stacked on the
+    leading axis of `rows`, in Taylor arithmetic (Griewank & Walther,
+    Evaluating Derivatives, 2nd ed., ch. 13): +, -, * and / with Jets, a
+    constant on the right of + and either side of - and *, and indexing of
+    every row.  Each value row takes the operations of the expression on
+    values, in the same order, so it rounds the same."""
 
-    INNER = slice(2, -2)
+    __array_ufunc__ = None
 
-    def __init__(self, xs):
-        self.weights = fd_weights(sliding_window_view(xs, 5), xs[self.INNER], 2)
+    def __init__(self, rows):
+        self.rows = rows
 
-    def derivative(self, values, order):
-        return np.sum(self.weights[:, order] * sliding_window_view(values, 5, axis=-1), -1)
+    @classmethod
+    def from_log_derivative(cls, f, dlog, dlog_t):
+        """The Jet of a function with value f, f'/f = dlog and (f'/f)' = dlog_t."""
+        first = f * dlog
+        return cls(np.stack([f, first, 0.5 * (f * dlog_t + first * dlog)]))
+
+    def __getitem__(self, key):
+        return Jet(self.rows[(slice(None),) + np.index_exp[key]])
+
+    def __neg__(self):
+        return Jet(-self.rows)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.rows + other.rows)
+        return Jet(np.concatenate(([self.rows[0] + other], self.rows[1:])))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.rows * other)
+        a, b = self.rows, other.rows
+        c = a[0] * b
+        c[1:] += a[1] * b[:2]
+        c[2] += a[2] * b[0]
+        return Jet(c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b = self.rows, other.rows
+        q = a / b[0]
+        d = b[1:] / b[0]
+        q[1] -= q[0] * d[0]
+        q[2] -= q[0] * d[1] + q[1] * d[0]
+        return Jet(q)

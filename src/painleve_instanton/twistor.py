@@ -48,7 +48,9 @@ import numpy as np
 
 from .columns import Rows, csv_blocks
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
+from .instanton import ODE_EXPONENTS, ROOTS
 from .liealg import METRIC, REAL_FORM, solve3, stack_trailing, su2_combination
+from .stepper import Jet
 
 SQRT3 = math.sqrt(3.0)
 
@@ -175,6 +177,9 @@ def x_of_t(t):
     return (t + 1.0) * (t - 3.0) ** 3 / ((t - 1.0) * (t + 3.0) ** 3)
 
 
+_X_EXPONENTS = np.array([0.0, -1.0, 1.0, 3.0, -3.0])  # x's powers of t - a, a in ROOTS
+
+
 def dlog_x(t):
     """x'(t)/x(t) = 1/(t+1) + 3/(t-3) - 1/(t-1) - 3/(t+3)
     = 16 t^2 / ((t^2 - 1)(t^2 - 9)), the logarithmic derivative of `x_of_t`."""
@@ -298,7 +303,7 @@ def residue_numeric(t, i, p, n_points=256):
 def connection_form(profile, t, lam):
     """Matrix -sum_i a_i c_i X_i of the flat connection along the line at
     parameter lam, c the action inverse on the tangent."""
-    return su2_combination(*(-profile.oriented_values(t) * alpha_inv_tangent(t, lam)))
+    return su2_combination(*(-profile.oriented_jet(t).rows[0] * alpha_inv_tangent(t, lam)))
 
 
 @dataclass(frozen=True)
@@ -307,12 +312,14 @@ class FuchsianData:
     samples along the line family (t and the real x of shape (S,), the real
     w (S, 3), u = REAL_FORM * w); `len` and indexing reach the samples.  The
     residues are carried as the real forms of their coefficient vectors on
-    (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`).  Only `residues`
-    builds the complex 2x2 matrices, for the tests; no command calls it."""
+    (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`); `fuchsian_data` adds
+    x and w as `Jet`s in t (`jets`).  Only `residues` builds the complex
+    2x2 matrices, for the tests; no command calls it."""
 
     t: np.ndarray
     x: np.ndarray
     w: np.ndarray
+    jets: tuple | None = None
 
     CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
     # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs,
@@ -326,7 +333,8 @@ class FuchsianData:
         return len(self.t)
 
     def __getitem__(self, k):
-        return replace(self, t=self.t[k], x=self.x[k], w=self.w[k])
+        jets = None if self.jets is None else tuple(j[k] for j in self.jets)
+        return replace(self, t=self.t[k], x=self.x[k], w=self.w[k], jets=jets)
 
     def vectors(self):
         """The real m_p for the poles (0, 1, x, inf), shape (..., 4, 3)."""
@@ -358,6 +366,16 @@ class FuchsianData:
 
 def fuchsian_data(profile, t):
     """The residue model u = a * alpha_{.,0} of the four residues
-    A_p = -sum_i a_i alpha_{i,p} X_i, in its real form w = a * w_hat."""
-    w = profile.oriented_values(t) * residue_closed_form(t)
-    return FuchsianData(t=t, x=cross_ratio(t), w=w)
+    A_p = -sum_i a_i alpha_{i,p} X_i, in its real form w = a * w_hat, with
+    the `jets` of w and x: a's from the profile's `oriented_jet`.  Each entry
+    of w_hat, and x, is a product of powers k_a of t - a over a in
+    `instanton.ROOTS`, so its logarithmic derivative is sum_a k_a/(t - a):
+    w_hat_i'/w_hat_i = Q_i/P_i of the ODE (`instanton.ODE_EXPONENTS`), and
+    x'/x is `dlog_x`."""
+    w_hat = residue_closed_form(t)  # first: it rejects t outside (0, 1)
+    e = 1.0 / (np.asarray(t, dtype=float)[..., None] - ROOTS)
+    e2 = -e * e
+    w = profile.oriented_jet(t) * Jet.from_log_derivative(
+        w_hat, e @ ODE_EXPONENTS, e2 @ ODE_EXPONENTS)
+    x = Jet.from_log_derivative(cross_ratio(t), e @ _X_EXPONENTS, e2 @ _X_EXPONENTS)
+    return FuchsianData(t=t, x=x.rows[0], w=w.rows[0], jets=(x, w))

@@ -7,8 +7,8 @@ from painleve_instanton.isomonodromy import make_family
 
 @pytest.fixture(scope="session")
 def ts_default():
-    # below t ~ 0.4 the poles 1 and x collide (dx/dt -> 0) and the
-    # finite-difference residual checks become ill-conditioned
+    # verify's default window, away from t -> 0, where the poles 1 and x
+    # collide (dx/dt -> 0)
     return np.linspace(0.5, 0.95, 201)
 
 

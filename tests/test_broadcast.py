@@ -42,6 +42,11 @@ def test_profile_values_and_residues_broadcast(prof1, prof3, prof5, ts):
         singles = [fuchsian_data(prof, t) for t in ts]
         assert_stack_matches(F.x, [G.x for G in singles], 1e-14)
         assert_stack_matches(F.w, [G.w for G in singles], 1e-14)
+        # the derivative rows sum the log-derivative's partial fractions by
+        # a matrix product, whose order of summation may differ for one sample
+        for jet, single in zip(F.jets, zip(*(G.jets for G in singles))):
+            for order in (1, 2):
+                assert_stack_matches(jet.rows[order], [j.rows[order] for j in single], 1e-13)
         for p, A in enumerate(F.residues()):
             assert_stack_matches(A, [G.residues()[p] for G in singles], 1e-14)
         lam, v_plus, v_minus = eigen2(F.residues()[3])
@@ -59,23 +64,25 @@ def test_profile_values_and_residues_broadcast(prof1, prof3, prof5, ts):
 @settings(max_examples=40, deadline=None)
 @given(ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(np.array))
 def test_profile_derivative_broadcast(prof5, ts):
-    # closed forms, and nearest-node stencils on the grid, clipped at its ends
-    for kind in ("trivial", "hopf_sd", "e_minus_3"):
-        prof = closed_form_profile(kind)
-        assert_stack_matches(prof.derivative(ts), [prof.derivative(t) for t in ts], 1e-14)
-    assert_stack_matches(prof5.derivative(ts), [prof5.derivative(t) for t in ts], 1e-14)
+    # every Taylor row of the closed forms, and of the pieces of a numeric
+    # profile, whose end pieces extend beyond [0, 1]
+    for prof in (*map(closed_form_profile, ("trivial", "hopf_sd", "e_minus_3")), prof5):
+        rows = prof.jet(ts).rows
+        for order in (1, 2):
+            assert_stack_matches(rows[order], [prof.jet(t).rows[order] for t in ts], 1e-14)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ts=window_ts)
 def test_extract_y_broadcast(prof1, prof3, ts):
-    # y amplifies the roundoff of the residues (about 7e3 at n = 3)
+    # y amplifies the roundoff of the residues (about 7e3 at n = 3); each
+    # of its Taylor rows
     for prof in (prof1, prof3):
         F = fuchsian_data(prof, ts)
         for branch in ("plus", "minus"):
-            assert_stack_matches(extract_y(F, branch),
-                                 [extract_y(F[k], branch) for k in range(len(F))],
-                                 1e-10)
+            singles = [extract_y(F[k], branch).rows for k in range(len(F))]
+            for order, row in enumerate(extract_y(F, branch).rows):
+                assert_stack_matches(row, [s[order] for s in singles], 1e-10)
 
 
 finite = st.floats(-2.0, 2.0)
@@ -176,7 +183,7 @@ def test_fd_weights_broadcast_bit_identical(gaps, order):
 
 def test_check_calls_do_not_grow_with_samples(monkeypatch):
     # every check runs once over the whole window, not once per sample
-    names = ("fuchsian_data", "extract_y", "fd_weights")
+    names = ("fuchsian_data", "extract_y", "schlesinger_residual", "pvi_residual")
     calls = Counter()
 
     def counted(name, fn):

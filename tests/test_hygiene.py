@@ -15,7 +15,8 @@ SRC = sorted((ROOT / "src" / "painleve_instanton").glob("*.py"))
 # Independent oracles the tests check the pipeline against; the pipeline
 # itself never calls them.
 ORACLES = ("residue_numeric", "residue_table_printed", "line_transverse",
-           "connection_form", "duality_residual", "eigen2", "asd_rhs", "residues")
+           "connection_form", "duality_residual", "eigen2", "asd_rhs", "residues",
+           "fd_weights")
 
 # Public names the caller scan cannot see, because a builtin container's
 # attribute or a variable bound in src/ has the same spelling.  Each has real

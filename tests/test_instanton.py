@@ -39,7 +39,7 @@ def test_asd_rhs_hopf_slope():
     hopf = closed_form_profile(ProfileKind.HOPF_SD)
     rhs = asd_rhs(SD, 0.5, hopf.values(0.5))
     assert abs(rhs[0] - 192 / 169) < 1e-13
-    assert np.allclose(rhs, hopf.derivative(0.5), atol=1e-13)
+    assert np.allclose(rhs, hopf.jet(0.5).rows[1], atol=1e-13)
 
 
 def test_asd_rhs_direct_value():
@@ -159,7 +159,9 @@ def test_closed_form_derivatives_match_fd(rng):
         prof = closed_form_profile(kind)
         for t in rng.uniform(0.1, 0.9, 5):
             fd = (prof.values(t + h) - prof.values(t - h)) / (2 * h)
-            assert np.max(np.abs(prof.derivative(t) - fd)) < 1e-8
+            assert np.max(np.abs(prof.jet(t).rows[1] - fd)) < 1e-8
+            fd2 = (prof.values(t + h) - 2 * prof.values(t) + prof.values(t - h)) / (2 * h * h)
+            assert np.max(np.abs(prof.jet(t).rows[2] - fd2)) < 1e-3
 
 
 def test_duality_residuals_closed_forms(rng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from painleve_instanton import (cli, instanton, isomonodromy, painleve, report,
                                 stepper, twistor)
@@ -21,7 +20,6 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_residual)
 from painleve_instanton.liealg import (REAL_FORM, eigen2, lorentz_cross,
                                        su2_combination, trace_sq)
-from painleve_instanton.stepper import Stencil, fd_weights
 from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
                                         fuchsian_data,
@@ -97,7 +95,7 @@ def test_gauge_rate_against_connection_route(prof1, prof3, prof5):
     # from the 3x3-solve action inverse on both line directions
     for prof in (prof1, prof3, prof5):
         for t in np.linspace(0.05, 0.95, 19):
-            a = prof.oriented_values(t)
+            a = prof.oriented_jet(t).rows[0]
             xd = _central(cross_ratio, t)
             F = fuchsian_data(prof, t)
             want = real_matrix(gauge_rate(F))
@@ -125,27 +123,26 @@ def test_gauge_bracket_is_the_matrix_commutator(prof3, prof5):
 
 def test_schlesinger_residual_matches_matrix_form(fam3_raw, fam5_raw):
     # the Frobenius norm of the matrix defect dA_p/dx + [C, A_p]/x' - Schl_p,
-    # with every bracket AB - BA and the stencil on the matrix entries
+    # with every bracket AB - BA and dA_p/dx = A_p'(t)/x'(t) from the
+    # matrices of the jets' derivative row, x'/x written out by hand
     for fam in (fam3_raw, fam5_raw):
-        xs = fam.x.real
-        inner = fam[2:-2]
-        t = inner.t
-        w = fd_weights(sliding_window_view(xs, 5), xs[2:-2], 1)[:, 1]
-        xdot = inner.x * (1 / (t + 1) + 3 / (t - 3) - 1 / (t - 1) - 3 / (t + 3))
-        C = real_matrix(gauge_rate(inner)) / xdot[:, None, None]
-        derivs = [np.stack([np.sum(w * sliding_window_view(R[:, i, j], 5), -1)
-                            for i in (0, 1) for j in (0, 1)], -1).reshape(-1, 2, 2)
-                  for R in fam.residues()[:3]]
-        A0, A1, Ax = inner.residues()[:3]
-        x = inner.x[:, None, None]
+        t = fam.t
+        _, w = fam.jets
+        xdot = fam.x * (1 / (t + 1) + 3 / (t - 3) - 1 / (t - 1) - 3 / (t + 3))
+        C = real_matrix(gauge_rate(fam)) / xdot[:, None, None]
+        derivs = [R / xdot[:, None, None]
+                  for R in replace(fam, w=w.rows[1]).residues()[:3]]
+        A0, A1, Ax = fam.residues()[:3]
+        x = fam.x[:, None, None]
         schl0 = (A0 @ Ax - Ax @ A0) / x
         schl1 = (A1 @ Ax - Ax @ A1) / (x - 1)
         want = sum(np.sqrt(np.sum(np.abs(dA + C @ R - R @ C - s) ** 2, axis=(1, 2)))
                    for dA, R, s in zip(derivs, (A0, A1, Ax), (schl0, schl1, -schl0 - schl1)))
-        # the two differ by the stencils' roundoff, about 3e-13 against
-        # residuals of 3e-7 (the stencils' truncation error)
-        got = schlesinger_residual(fam, Stencil(xs))
-        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(want)
+        # both are roundoff: the field and the gauge term are O(1e-1) to
+        # O(10) against residuals of at most a few 1e-13
+        got = schlesinger_residual(fam)
+        assert np.max(want) < 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def count_calls(monkeypatch, names):
@@ -164,30 +161,29 @@ def count_calls(monkeypatch, names):
 
 
 def test_verify_evaluates_each_stage_once(monkeypatch):
-    # one line family, one vectorised gauge term over the inner samples, no
+    # one line family, one vectorised gauge term over the samples, no
     # gauge transport (the two rk45_path sweeps are the step oracle's), no
-    # 2x2 matrix (the checks run on the residue vectors), one stencil table
-    # for every derivative check and oracle seed, no pole geometry (the
-    # residue column is a closed form in t, the gauge term one in t and u),
-    # and one profile evaluation (the family's u feeds the gauge term)
+    # 2x2 matrix (the checks run on the residue vectors), no stencil (every
+    # derivative check and oracle seed reads the family's jets), no pole
+    # geometry (the residue column is a closed form in t, the gauge term one
+    # in t and u), and one profile evaluation (its jet feeds the family)
     calls = count_calls(monkeypatch, ("gauge_rate", "rk45_path", "residue_closed_form",
                                       "su2_combination", "fd_weights", "poles",
                                       "mobius_from_poles", "mu_pair"))
-    oriented = instanton.ProfileTriple.oriented_values
+    jet = instanton.ProfileTriple.jet
 
     def counted(self, t):
-        calls.update(["oriented_values"])
-        return oriented(self, t)
+        calls.update(["jet"])
+        return jet(self, t)
 
-    monkeypatch.setattr(instanton.ProfileTriple, "oriented_values", counted)
+    monkeypatch.setattr(instanton.ProfileTriple, "jet", counted)
     report.build_verification_report(3)
-    assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1,
-                     "fd_weights": 1, "oriented_values": 1}
+    assert calls == {"gauge_rate": 1, "rk45_path": 2, "residue_closed_form": 1, "jet": 1}
 
 
 def test_schlesinger_residual_gauged(fam1_raw, fam3_raw):
     for fam in (fam1_raw, fam3_raw):
-        assert max_schlesinger_residual(fam, Stencil(fam.x.real)) < 1e-6
+        assert max_schlesinger_residual(fam) < 1e-6
 
 
 def test_schlesinger_residual_needs_gauge(fam3_raw, monkeypatch):
@@ -196,7 +192,7 @@ def test_schlesinger_residual_needs_gauge(fam3_raw, monkeypatch):
     # fail by orders of magnitude
     real = gauge_rate
     monkeypatch.setattr(isomonodromy, "gauge_rate", lambda F: 0.0 * real(F))
-    assert max_schlesinger_residual(fam3_raw, Stencil(fam3_raw.x.real)) > 1e-2
+    assert max_schlesinger_residual(fam3_raw) > 1e-2
 
 
 def test_schlesinger_residual_perturbation(fam3_raw):
@@ -204,7 +200,7 @@ def test_schlesinger_residual_perturbation(fam3_raw):
     w = fam3_raw.w.copy()
     w[k] += 1e-3
     fam = replace(fam3_raw, w=w)
-    assert schlesinger_residual(fam, Stencil(fam.x.real))[k - 2] > 1e-4
+    assert schlesinger_residual(fam)[k] > 1e-4
 
 
 def test_isospectral_drift(fam1_raw, fam3_raw):
@@ -224,19 +220,19 @@ def test_extract_y_region(fam3_raw):
     for k in range(0, len(fam3_raw), 20):
         F = fam3_raw[k]
         for branch in ("plus", "minus"):
-            y = extract_y(F, branch)
+            y = extract_y(F, branch).rows[0]
             assert min(abs(y), abs(y - 1.0), abs(y - F.x)) > 1e-3
             assert abs(y) < 1e3
     # the two branches give distinct roots
     F = fam3_raw[100]
-    assert abs(extract_y(F, "plus") - extract_y(F, "minus")) > 1e-3
+    assert abs(extract_y(F, "plus").rows[0] - extract_y(F, "minus").rows[0]) > 1e-3
 
 
 def test_extract_y_common_eigenvector(prof3, fam3_raw):
     k = 120
     F = fam3_raw[k]
     for branch in ("plus", "minus"):
-        y = extract_y(F, branch)
+        y = extract_y(F, branch).rows[0]
         # the Ainf eigenvector of this branch is shared with A(y)
         _, v_plus, v_minus = eigen2(F.residues()[3])
         v = v_plus if branch == "plus" else v_minus
@@ -263,7 +259,7 @@ def test_extract_y_invariance(fam1_raw, fam3_raw, fam5_raw, n, k, branch, re, im
     F = {1: fam1_raw, 3: fam3_raw, 5: fam5_raw}[n][k]
     gi = np.linalg.inv(g)
     A0, A1, Ax, Ainf = (gi @ A @ g for A in F.residues())
-    y = extract_y(F, branch)
+    y = extract_y(F, branch).rows[0]
     _, v_plus, v_minus = eigen2(Ainf)
     v = v_plus if branch == "plus" else v_minus
     M = A0 / y + A1 / (y - 1.0) + Ax / (y - F.x)
@@ -365,7 +361,7 @@ def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
     # hundredth of the span that the step control then has to grow
     _, fam, sample, params = report.line_transcendent(3, 0.5, 0.95, samples)
     calls = count_calls(monkeypatch, ("pvi_second_derivative",))
-    report._step_oracle_error(sample, params, Stencil(fam.x.real), len(fam) // 2)
+    report._step_oracle_error(sample, params, len(fam) // 2)
     assert calls == {"pvi_second_derivative": evaluations}
 
 

@@ -191,22 +191,46 @@ def test_rk45_zero_length_returns_copy():
     assert np.array_equal(y, Y0) and y is not Y0
 
 
-def test_stencil_is_the_one_window_stencils():
-    # on a non-uniform grid, each interior sample k = 2..len-3 gets the
-    # 5-point stencil centred on it, row 1 for d/dx and row 2 for d2/dx2;
-    # the table's rows 0-1 are the order-1 table's, bit for bit, so one
-    # order-2 table serves both derivatives
-    xs = np.cumsum(np.linspace(0.01, 0.05, 40))
-    values = np.exp(1j * xs) * xs[None, :] ** np.arange(3)[:, None]
-    stencil = stepper.Stencil(xs)
-    assert xs[stencil.INNER].tolist() == xs[2:-2].tolist()
-    for order in (1, 2):
-        got = stencil.derivative(values, order)
-        assert got.shape == (3, len(xs) - 4)
-        for k in range(2, len(xs) - 2):
-            w = stepper.fd_weights(xs[k - 2:k + 3], xs[k], order)
-            assert np.array_equal(stencil.weights[k - 2, :order + 1], w)
-            assert np.array_equal(got[:, k - 2], np.sum(w[order] * values[:, k - 2:k + 3], -1))
-    # exact on quadratics, up to roundoff
-    assert np.allclose(stencil.derivative(xs * xs, 1), 2 * xs[2:-2], rtol=1e-12)
-    assert np.allclose(stencil.derivative(xs * xs, 2), 2.0, rtol=1e-9)
+def test_jet_rows_are_the_taylor_coefficients():
+    # f, f' and f''/2 of a rational expression built with every operation,
+    # constants on either side, against sympy; the value row is the float
+    # expression's own, bit for bit
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+
+    def f(t):
+        return (2.0 * t - 1.0) * (t * t + 3.0) / (t - 4.0) + 1.5 - t * t * t + (0.5 - t) * 3.0
+
+    ts = np.linspace(0.1, 0.9, 9)
+    jet = f(stepper.Jet(np.stack([ts, np.ones_like(ts), np.zeros_like(ts)])))
+    assert np.array_equal(jet.rows[0], f(ts))
+    exact = f(T)
+    for order, row in enumerate(jet.rows):
+        want = [float(sympy.diff(exact, T, order).subs(T, t)) / (1, 1, 2)[order] for t in ts]
+        assert np.allclose(row, want, rtol=1e-13, atol=1e-13)
+    # indexing reaches every row, and ndarray operands defer to the Jet
+    assert np.array_equal(jet[2:4].rows, jet.rows[:, 2:4])
+    assert isinstance(np.ones(9) * jet, stepper.Jet)
+
+
+def test_jet_from_log_derivative():
+    # f = t^3 / (t - 2): f'/f = 3/t - 1/(t - 2), (f'/f)' = -3/t^2 + 1/(t - 2)^2
+    t = np.array([0.3, 0.7])
+    jet = stepper.Jet.from_log_derivative(t ** 3 / (t - 2.0), 3 / t - 1 / (t - 2.0),
+                                          -3 / t ** 2 + 1 / (t - 2.0) ** 2)
+    d1 = (2 * t ** 3 - 6 * t ** 2) / (t - 2.0) ** 2
+    d2 = (2 * t ** 3 - 12 * t ** 2 + 24 * t) / (t - 2.0) ** 3
+    assert np.allclose(jet.rows[1], d1, rtol=1e-14)
+    assert np.allclose(jet.rows[2], d2 / 2, rtol=1e-14)
+
+
+def test_fd_weights_are_exact_on_quartics():
+    # the tests' stencil oracle: 5 non-uniform nodes differentiate every
+    # polynomial of degree <= 4 exactly, up to roundoff
+    nodes = np.array([0.1, 0.13, 0.2, 0.22, 0.3])
+    w = stepper.fd_weights(nodes, 0.2, 2)
+    c = np.array([0.7, -1.3, 2.1, 0.4, -3.0])
+    values = np.polynomial.polynomial.polyval(nodes, c)
+    for order in range(3):
+        want = np.polynomial.polynomial.polyval(0.2, np.polynomial.polynomial.polyder(c, order))
+        assert abs(w[order] @ values - want) <= 1e-9 * max(1.0, abs(want))

@@ -225,8 +225,8 @@ def test_connection_form_structure():
     assert abs(m[0, 0]) < 1e-15  # X1 component carries a factor lambda
     # linearity under profile scaling
     class Doubled:
-        def oriented_values(self, t):
-            return 2.0 * triv.oriented_values(t)
+        def oriented_jet(self, t):
+            return 2.0 * triv.oriented_jet(t)
     m2 = connection_form(Doubled(), 0.5, 0.3 + 0.1j)
     m1 = connection_form(triv, 0.5, 0.3 + 0.1j)
     assert np.max(np.abs(m2 - 2 * m1)) < 1e-14

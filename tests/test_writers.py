@@ -26,7 +26,6 @@ from painleve_instanton.columns import Rows, csv_blocks, json_blocks
 from painleve_instanton.painleve import PviSample, pvi_residual, select_delta_variant
 from painleve_instanton.report import (build_verification_report,
                                        line_transcendent, profile_for)
-from painleve_instanton.stepper import Stencil
 from painleve_instanton.twistor import FuchsianData, mu_pair
 
 SAMPLES = 21
@@ -61,8 +60,7 @@ def reference_trace(n, t_min, t_max):
     """suffix -> text of `trace --out`, and the `--format json` text."""
     _, fam, sample, params = line_transcendent(n, t_min, t_max, SAMPLES)
     mus = np.column_stack((sample.ts,) + mu_pair(sample.ts))
-    residuals = np.full(len(sample), np.nan)
-    residuals[2:-2] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
+    residuals = np.abs(pvi_residual(sample, params))
     cols = (fam.t, fam.x.real, fam.x.imag) + tuple(v.real for v in fam.trace_squares())
     files = {
         ".twistor.csv": csv_file("t,x_re,x_im,trA0sq,trA1sq,trAxsq,trAinfsq",
@@ -197,8 +195,7 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
     assert main(["trace", "--n", "3", "--samples", "2001", "--format", "json"]) == 0
     capsys.readouterr()
     _, fam, sample, params = line_transcendent(3, 0.05, 0.95, 2001)
-    residuals = np.full(len(sample), np.nan)
-    residuals[2:-2] = np.abs(pvi_residual(sample, params, Stencil(sample.xs.real)))
+    residuals = np.abs(pvi_residual(sample, params))
     sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
         # the residues' nonzero cells: [0][0].re, [0][1].im, [1][0].im, [1][1].re
         (fam.t, fam.x) + tuple(np.stack((A.real, A.imag), -1).reshape(-1, 8)[:, [0, 3, 5, 6]]
@@ -226,8 +223,10 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
 def test_trace_files_match_per_sample_writers(n, tmp_path, capsys):
     window = ("--n", str(n), "--samples", str(SAMPLES), "--t-min", "0.5")
     files, doc = reference_trace(n, 0.5, 0.95)
-    assert "nan" in files[".pvi.csv"]
-    assert "NaN" in doc
+    # every sample has a residual; the spelling of NaN is pinned by the
+    # text tests above
+    assert "nan" not in files[".pvi.csv"]
+    assert "NaN" not in doc
     assert main(["trace", *window, "--out", str(tmp_path / "tr")]) == 0
     for suffix, text in files.items():
         assert (tmp_path / ("tr" + suffix)).read_bytes() == text.encode(), suffix
