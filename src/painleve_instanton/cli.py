@@ -120,9 +120,9 @@ def cmd_trace(cfg):
 def cmd_verify(cfg):
     report = build_verification_report(cfg.n, t_min=cfg.t_min, t_max=cfg.t_max,
                                        samples=cfg.samples, tol_override=cfg.tol)
-    if cfg.delta_variant != "auto" and report["delta_variant"] != cfg.delta_variant:
-        report["passed"] = False
-        report["checks"]["delta_variant_preference"] = False
+    if cfg.delta_variant != "auto":
+        report["checks"]["delta_variant_preference"] = report["delta_variant"] == cfg.delta_variant
+        report["passed"] = all(report["checks"].values())
     _emit(cfg, json_blocks(report, indent=2))
     if cfg.out is not None:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + "\n")
@@ -316,7 +316,8 @@ def main(argv=None):
         level = logging.getLevelName(name.upper())  # an int for level names only
         if not isinstance(level, int):
             raise ValueError(f"PAINLEVE_INSTANTON_LOG={name!r} is not a logging level name")
-        logging.basicConfig(level=level)
+        logging.basicConfig(level=level)  # a no-op once the root logger has a handler
+        log.setLevel(level)
         _check_ranges(args)
         return _COMMANDS[args.command][0](args)
     except OSError as exc:

@@ -518,7 +518,8 @@ def solve_bvp(n):
     seed law is the solution, and the shot misses the match only by the
     sweep's truncation error.  meta["match_defect"] is that miss relative
     to the solution's size, ||a_left - a_right|| / max|a_left|, at most
-    MAX_MATCH_DEFECT.
+    MAX_MATCH_DEFECT, and meta["launch_depths"] is {"t0": ..., "t1": ...},
+    each series' launch depth from its endpoint.
     The profile is the shot kept as its piecewise polynomial: the two
     endpoint series and the Taylor polynomial of every step, zero-padded to
     the t = 1 series' degree.  Its jump at breaks[1] is the unscaled defect.
@@ -562,5 +563,6 @@ def solve_bvp(n):
         kind=ProfileKind.NUMERIC, n=n, breaks=np.array(lefts + (1.0,)),
         origins=np.array(origins), coeffs=coeffs,
         sign_convention="a1(0)=1, a2(1)=+n",
-        meta={"match_defect": defect},
+        meta={"match_defect": defect,
+              "launch_depths": {"t0": float(t_left), "t1": float(1.0 - t_right)}},
     )

@@ -39,7 +39,7 @@ from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
 from .liealg import METRIC, lorentz_cross, stack_trailing
 from .painleve import PviParams
 from .stepper import Jet, rk45
-from .twistor import SIGNS, dlog_x, fuchsian_data, x_of_t
+from .twistor import SIGNS, cross_ratio, dlog_x, fuchsian_data
 
 
 def gauge_rate(F):
@@ -134,11 +134,11 @@ def max_schlesinger_residual(fam):
 
 
 def isospectral_drift(fam):
-    """For each of the four poles, max over the family of
-    |tr(A_p^2)(t) - tr(A_p^2)(t_0)|, t_0 the first sample.  The four entries
-    are one quantity by construction: tr(A_p^2) = -2 u.u at every pole."""
-    traces = np.stack(fam.trace_squares(), axis=-1)
-    return tuple(float(d) for d in np.max(np.abs(traces - traces[0]), axis=0))
+    """For each of the four poles, max over the family of |tr(A_p^2)(t) -
+    tr(A_p^2)(t_0)|, t_0 the first sample: one quantity by construction,
+    since tr(A_p^2) = -2 u.u at every pole (`FuchsianData.trace_squares`)."""
+    trace = fam.trace_squares()[0]
+    return (float(np.max(np.abs(trace - trace[0]))),) * 4
 
 
 def pair_invariants(m):
@@ -171,10 +171,10 @@ def schlesinger_integrate(F0, t_target):
         return m
 
     def flow(t, vec):
-        x = x_of_t(t)
+        x = cross_ratio(t)
         return schlesinger_field(x, vec.tolist(), x * dlog_x(t))
 
-    m0, m1, mx = rk45(flow, t0, m[:3].ravel(), t1, rtol=1e-11, atol=1e-13).reshape(3, 3)
+    m0, m1, mx = rk45(flow, t0, m[:3].ravel(), t1).reshape(3, 3)
     return np.array([m0, m1, mx, -(m0 + m1 + mx)])
 
 
@@ -191,7 +191,7 @@ def _branch_root(F, branch):
     sigma = {"plus": 1.0, "minus": -1.0}.get(branch)
     if sigma is None:
         raise ValueError("branch must be 'plus' or 'minus'")
-    uu = np.sum(METRIC * F.w * F.w, axis=-1)
+    uu = F.first_integral()
     lam = np.sqrt(-uu) if (uu <= 0.0).all() else np.sqrt(-uu + 0j)
     return uu, sigma * lam
 

@@ -139,7 +139,7 @@ def pvi_integrate(params, xs, y0, yp0):
             raise SingularityEncountered(x, y) from None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        states = np.array(rk45_path(flow, xs, np.array([y0, yp0]), rtol=1e-11, atol=1e-13))
+        states = np.array(rk45_path(flow, xs, np.array([y0, yp0])))
     return states[:, 0], states[:, 1]
 
 

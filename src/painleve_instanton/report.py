@@ -150,9 +150,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         report["a2_at_1"] = float(a1[1])
         checks["boundary"] = bool(boundary_err < tols["boundary"])
         checks["match"] = bool(report["match_defect"] < tols["match"])
-        # the first and last pieces are the endpoint series
-        report["launch_depths"] = {"t0": float(profile.breaks[1]),
-                                   "t1": float(1.0 - profile.breaks[-2])}
+        report["launch_depths"] = profile.meta["launch_depths"]
     report["checks"] = checks
     report["passed"] = bool(all(checks.values()))
     return report

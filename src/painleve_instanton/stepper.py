@@ -14,8 +14,8 @@ f at the new solution is reused as the next step's first stage (FSAL).
 f may return any sequence: the stage array's row assignment converts it,
 so a right-hand side on Python numbers need not build an array.
 `rk45_path` reads intermediate nodes from the pair's 7th-order continuous
-extension instead of stopping at them.  The same kernel drives the
-Schlesinger propagation oracle and the Painleve VI oracle.
+extension instead of stopping at them.  One kernel at one RTOL and ATOL
+drives the Schlesinger propagation oracle and the Painleve VI oracle.
 """
 
 from __future__ import annotations
@@ -144,11 +144,12 @@ _D = np.array([
 # it.  A run past this budget is grinding: at n = 101 on [0.1, 0.95] the
 # propagation oracle took 270,447 steps before its step underflowed.
 MAX_STEPS = 10_000
+RTOL, ATOL = 1e-11, 1e-13  # the step control's relative and absolute tolerances
 # unit roundoff of the step-size test
 _UROUND = math.ulp(1.0)
 
 
-def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
+def rk45(f, t0, y0, t1, on_step=None):
     """Integrate dy/dt = f(t, y) from t0 to t1 with DOP853, returning y(t1).
 
     Works for real or complex state vectors; t may run backwards; f may
@@ -199,7 +200,7 @@ def rk45(f, t0, y0, t1, rtol=1e-11, atol=1e-12, on_step=None):
         for i, c, z, yk in stages:
             K[i] = f(t + c * h, z.dot(yk))
         y_new = Z[12].dot(YK[:13])
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
         n5, n3 = (np.abs(E.dot(K[:12]) / scale) ** 2).sum(axis=1).tolist()
         err = abs(h) * n5 / (math.sqrt((n5 + 0.01 * n3) * y.size) or 1.0) + 1e-300
         if err <= 1.0:
@@ -244,7 +245,7 @@ def _dense_terms(f, t, y, y_new, h, K):
 _ODD = np.arange(7) % 2 == 1
 
 
-def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
+def rk45_path(f, ts, y0):
     """Integrate once from ts[0] to ts[-1], returning y at every node.
 
     The nodes must be strictly monotone (either direction).  Steps are not
@@ -274,7 +275,7 @@ def rk45_path(f, ts, y0, rtol=1e-11, atol=1e-12):
         x = ((ts[j:covered] - t) / h)[:, None]
         out.extend(y + np.cumprod(np.where(_ODD, 1 - x, x), axis=1).dot(F))
 
-    out.append(rk45(f, ts[0], y0, ts[-1], rtol, atol, on_step=read_nodes))
+    out.append(rk45(f, ts[0], y0, ts[-1], on_step=read_nodes))
     return out
 
 

@@ -48,6 +48,34 @@ def test_log_variable_accepts_level_names(monkeypatch, capsys, value):
     assert code == 0 and out.startswith("t,a1,a2,a3")
 
 
+def test_log_variable_applies_on_every_call(monkeypatch, caplog, tmp_path):
+    # the root logger has a handler here (caplog's), as in any host that
+    # configured logging, so the variable must reach the package logger on
+    # every call, the second one included
+    path = str(tmp_path / "p.csv")
+    argv = ["profile", "--n", "1", "--samples", "5", "--out", path]
+    monkeypatch.setenv("PAINLEVE_INSTANTON_LOG", "info")
+    assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [f"wrote {path}"]
+    caplog.clear()
+    monkeypatch.setenv("PAINLEVE_INSTANTON_LOG", "error")
+    assert main(argv) == 0
+    assert caplog.records == []
+
+
+def test_log_variable_prints_in_a_fresh_process(tmp_path):
+    # a fresh process has no handler on the root logger: main adds one on
+    # stderr
+    path = str(tmp_path / "p.csv")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PAINLEVE_INSTANTON_LOG": "info", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "painleve_instanton.cli", "profile",
+                           "--n", "1", "--samples", "5", "--out", path],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == f"INFO:painleve_instanton:wrote {path}\n"
+
+
 def test_profile_rejects_bad_samples(capsys):
     code, _, err = run(capsys, "profile", "--n", "7", "--samples", "3")
     assert code == 1
@@ -143,6 +171,14 @@ def test_verify_delta_variant_preference(capsys):
     assert rep["delta_variant"] == "intro"
     assert rep["checks"]["delta_variant_preference"] is False
     assert rep["passed"] is False
+
+
+def test_verify_delta_variant_preference_that_holds_is_recorded(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1", "--delta-variant", "intro")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["checks"]["delta_variant_preference"] is True
+    assert rep["passed"] is True
 
 
 def scaled_n3(monkeypatch):

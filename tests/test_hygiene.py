@@ -5,6 +5,7 @@ name-based scan cannot tell: those names are listed."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +182,45 @@ def test_detects_a_shadowed_public_name():
                      "class Box:\n    def index(self):\n        return 1\n\n"
                      "    def used(self):\n        spare = size(2)\n        return spare\n")
     assert shadowed_public_names([tree]) == ["index", "spare"]
+
+
+def imported_modules(trees):
+    """Top-level names of the modules the trees import absolutely."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_modules(pyproject):
+    """Module names of the runtime and optional dependencies a parsed
+    pyproject.toml declares, spelled as imports spell them."""
+    project = pyproject["project"]
+    requirements = [*project["dependencies"],
+                    *(r for extra in project["optional-dependencies"].values() for r in extra)]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_test_and_bench_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    declared = declared_modules(tomllib.loads((ROOT / "pyproject.toml").read_text()))
+    local = {p.stem for d in (ROOT, ROOT / "src", ROOT / "tests", ROOT / "bench")
+             for p in d.iterdir() if p.suffix == ".py" or p.is_dir()}
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    imported = imported_modules([ast.parse(p.read_text(), filename=str(p)) for p in files])
+    undeclared = sorted(imported - declared - local - set(sys.stdlib_module_names))
+    assert undeclared == [], f"imported under tests/ or bench/, undeclared: {undeclared}"
+
+
+def test_detects_an_undeclared_import():
+    tree = ast.parse("import os.path\nimport numpy as np\nfrom mpmath import mp\n"
+                     "from . import helper\n\n\ndef f():\n    import sympy\n")
+    assert imported_modules([tree]) == {"os", "numpy", "mpmath", "sympy"}
+    pyproject = {"project": {"dependencies": ["numpy>=1.24"],
+                             "optional-dependencies": {"bench": ["pytest-benchmark"]}}}
+    assert declared_modules(pyproject) == {"numpy", "pytest_benchmark"}

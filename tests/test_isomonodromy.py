@@ -18,7 +18,7 @@ from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              schlesinger_field,
                                              schlesinger_integrate,
                                              schlesinger_residual)
-from painleve_instanton.liealg import (REAL_FORM, eigen2, lorentz_cross,
+from painleve_instanton.liealg import (METRIC, REAL_FORM, eigen2, lorentz_cross,
                                        su2_combination, trace_sq)
 from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
@@ -208,6 +208,18 @@ def test_isospectral_drift(fam1_raw, fam3_raw):
         drifts = isospectral_drift(fam)
         assert max(drifts) < 1e-8
         assert abs(trace_sq(fam[0].residues()[3]) - val) < 1e-10
+
+
+def test_trace_squares_are_the_per_pole_traces(fam3_raw, fam5_raw):
+    # tr(A_p^2) and its drift come from one u.u, which is each pole's own
+    # -2 m_p.m_p to the bit, since every m_p is a signed copy of w
+    for fam in (fam3_raw, fam5_raw):
+        m = np.moveaxis(fam.vectors(), -2, 0)
+        want = tuple(-2.0 * np.sum(METRIC * mp * mp, axis=-1) for mp in m)
+        got = fam.trace_squares()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        drift = tuple(float(np.max(np.abs(w - w[0]))) for w in want)
+        assert isospectral_drift(fam) == drift
 
 
 def test_isospectral_drift_negative_control(fam3_raw):

@@ -62,11 +62,11 @@ def test_rk45_path_is_one_sweep(t0, t1, monkeypatch):
               on_step=lambda t, y, y_new, h, K, t_new: single_steps.append((t, t_new)))
     sweep_steps = []
 
-    def recording(f, a, y0, b, rtol, atol, on_step):
+    def recording(f, a, y0, b, on_step):
         def record(t, y, y_new, h, K, t_new):
             sweep_steps.append((t, t_new))
             on_step(t, y, y_new, h, K, t_new)
-        return rk45(f, a, y0, b, rtol, atol, on_step=record)
+        return rk45(f, a, y0, b, on_step=record)
 
     monkeypatch.setattr(stepper, "rk45", recording)
     sign = np.sign(t1 - t0)

@@ -121,6 +121,15 @@ def test_cross_ratio_values():
     assert abs(cross_ratio(1e-6) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 1.5])
+def test_cross_ratio_checks_t(t):
+    # a float takes a shorter check than an array: both reject t outside (0, 1)
+    with pytest.raises(DegenerateLine, match=f"at t = {t}"):
+        cross_ratio(t)
+    with pytest.raises(DegenerateLine, match=f"at t = {t}"):
+        cross_ratio(np.array([0.5, t, 0.25]))
+
+
 def test_cross_ratio_matches_pole_cross_ratio(rng):
     for t in rng.uniform(0.02, 0.98, 100):
         g = poles(t)
