@@ -25,11 +25,13 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 
-from .columns import Rows, csv_blocks, json_blocks
+from .columns import (MU, PROFILE, TRANSCENDENT, TWISTOR, TWISTOR_ROW, Rows,
+                      complex_cell, csv_blocks, json_blocks)
 from .errors import PainleveInstantonError
 from .painleve import pvi_residual, select_delta_variant
 from .report import build_verification_report, line_transcendent, profile_for
@@ -79,8 +81,20 @@ def _emit(cfg, blocks, suffix=""):
 def cmd_profile(cfg):
     prof = profile_for(cfg.n)
     ts = np.linspace(cfg.t_min, cfg.t_max, cfg.samples)
-    _emit(cfg, prof.to_csv(ts) if cfg.fmt == "csv" else prof.to_json(ts))
+    cols = (ts, prof.values(ts))
+    if cfg.fmt == "csv":
+        _emit(cfg, csv_blocks(PROFILE, cols))
+    else:
+        _emit(cfg, json_blocks({"n": prof.n, "kind": prof.kind.value,
+                                "sign_convention": prof.sign_convention,
+                                "points": Rows(dict.fromkeys(PROFILE), cols)}))
     return 0
+
+
+def _transcendent(sample, residuals):
+    """The `TRANSCENDENT` columns of `sample` with its `residuals`."""
+    return (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
+            residuals)
 
 
 def trace_files(fmt, n, fam, sample, params):
@@ -88,22 +102,22 @@ def trace_files(fmt, n, fam, sample, params):
     `fam` and its transcendent `sample`: the JSON document (suffix "") or
     the three CSVs."""
     mu_plus, mu_minus = mu_pair(sample.ts)
-    residuals = np.abs(pvi_residual(sample, params))
+    pvi = _transcendent(sample, np.abs(pvi_residual(sample, params)))
     if fmt == "json":
+        m1, m2, m3 = np.moveaxis(fam.vectors(), -1, 0)
+        cells = np.stack((-m1, m2 + m3, m3 - m2, m1), -1).reshape(len(fam), 16)
         doc = {
-            "params": params.as_dict(),
+            "params": {k: complex_cell(v) for k, v in asdict(params).items()},
             "delta_variant": select_delta_variant(params.delta, n),
-            "twistor": fam.json_array(),
-            "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
-                       (sample.ts, mu_plus, mu_minus)),
-            "pvi": sample.json_array(residuals),
+            "twistor": Rows(TWISTOR_ROW, (fam.t, fam.x, cells)),
+            "mu": Rows(dict.fromkeys(MU[:3]), (sample.ts, mu_plus, mu_minus)),
+            "pvi": Rows(dict.fromkeys(TRANSCENDENT), pvi),
         }
         return {"": json_blocks(doc)}
     return {
-        ".twistor.csv": fam.to_csv(),
-        ".mu.csv": csv_blocks(("t", "mu_plus", "mu_minus", "mu_product"),
-                              (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus)),
-        ".pvi.csv": sample.to_csv(residuals),
+        ".twistor.csv": csv_blocks(TWISTOR, (fam.t, fam.x, fam.x.imag) + fam.trace_squares()),
+        ".mu.csv": csv_blocks(MU, (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus)),
+        ".pvi.csv": csv_blocks(TRANSCENDENT, pvi),
     }
 
 
@@ -137,7 +151,8 @@ def cmd_pvi_integrate(cfg):
     # so moving the start is a change of the benchmark
     k = 2
     integrated = sample.integrate(params, k)
-    _emit(cfg, integrated.to_csv(np.abs(integrated.ys - sample.ys[k:])))
+    _emit(cfg, csv_blocks(TRANSCENDENT,
+                          _transcendent(integrated, np.abs(integrated.ys - sample.ys[k:]))))
     return 0
 
 

@@ -17,6 +17,10 @@ re-indented to the array's depth, so numbers, `NaN`, `Infinity`, keys,
 separators and indentation are exactly what `json.dumps` writes for dict
 rows.  Every JSON document (profile, trace and verify report) goes through
 `json_blocks`.
+
+The output schemas are declared here, once each, beside the writers that
+spell them; `cli` fills them for the files and `report` for the verify
+report, from the math objects' arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +32,29 @@ import numpy as np
 
 # cells per block: 2,048 all-distinct cells spell to about 0.3 MB of strings
 BLOCK_CELLS = 2048
+
+# `profile`: the CSV header, and the JSON `points` row's keys
+PROFILE = ("t", "a1", "a2", "a3")
+# `trace`'s twistor CSV: x and tr(A_p^2) per sample
+TWISTOR = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
+# `trace`'s twistor JSON row: t, x, then each residue as a 2x2 of [re, im]
+# pairs, A_p = [[-m1, i (m2 + m3)], [i (m3 - m2), m1]] for m = m_p: x's `im`
+# and the residues' structural zeros are literal cells, and the 16 others
+# are -m1, m2 + m3, m3 - m2 and m1 per pole
+TWISTOR_ROW = {"t": None, "x": {"re": None, "im": 0.0},
+               "residues": {p: [[[None, 0.0], [0.0, None]], [[0.0, None], [None, 0.0]]]
+                            for p in ("p0", "p1", "px", "pinf")}}
+# `trace`'s line data: the CSV header; a JSON row has the first three keys
+MU = ("t", "mu_plus", "mu_minus", "mu_product")
+# the transcendent: the CSV header of `trace` and `pvi-integrate`, and the
+# JSON `pvi` row's keys; the report's `y_samples` rows have x_re..y_im
+TRANSCENDENT = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
+
+
+def complex_cell(z):
+    """The JSON cell of the complex number z, as `trace` writes each PVI
+    parameter."""
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 class Rows(NamedTuple):

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import Rows, csv_blocks, json_blocks
 from .errors import (DegenerateCoefficient, NoAnalyticBranch, PoleAtEndpoint,
                      ShotFailed, StepSizeUnderflow)
 from .stepper import Jet
@@ -171,9 +170,6 @@ class ProfileTriple:
     sign_convention: str = "printed"
     meta: dict = field(default_factory=dict)
 
-    COLUMNS = ("t", "a1", "a2", "a3")
-    JSON_ROW = dict.fromkeys(COLUMNS)
-
     def __post_init__(self):
         if self.kind is ProfileKind.NUMERIC:
             if any(v is None for v in (self.breaks, self.origins, self.coeffs)):
@@ -216,16 +212,6 @@ class ProfileTriple:
         machinery: self-dual profiles couple with axes 2 and 3 exchanged."""
         a = self.jet(t)
         return a[..., [0, 2, 1]] if self.kind is ProfileKind.HOPF_SD else a
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, ts):
-        return csv_blocks(self.COLUMNS, (ts, self.values(np.asarray(ts))))
-
-    def to_json(self, ts):
-        return json_blocks({"n": self.n, "kind": self.kind.value,
-                            "sign_convention": self.sign_convention,
-                            "points": Rows(self.JSON_ROW, (ts, self.values(np.asarray(ts))))})
 
 
 def closed_form_profile(kind):

@@ -11,7 +11,6 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .columns import Rows, csv_blocks
 from .errors import SingularArgument, SingularityEncountered
 from .stepper import rk45_path
 
@@ -26,39 +25,19 @@ class PviParams:
     gamma: complex
     delta: complex
 
-    def as_dict(self):
-        return {k: {"re": float(getattr(self, k).real), "im": float(getattr(self, k).imag)}
-                for k in ("alpha", "beta", "gamma", "delta")}
-
 
 @dataclass(frozen=True)
 class PviSample:
     """Sampled transcendent: points (x_k, y_k), monotone in the underlying
-    t, with y' and y'' in x where they are known (`from_jets`)."""
+    t, with y' and y'' in x where they are known (`from_jets`).  `trace`
+    and `pvi-integrate` write t, x and y as the `columns.TRANSCENDENT`
+    columns."""
 
     ts: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     yp: np.ndarray | None = None
     ypp: np.ndarray | None = None
-
-    COLUMNS = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
-    JSON_ROW = dict.fromkeys(COLUMNS)
-
-    def __len__(self):
-        return len(self.xs)
-
-    def _columns(self, residuals):
-        """The `COLUMNS` as arrays."""
-        return (self.ts, self.xs.real, self.xs.imag, self.ys.real, self.ys.imag,
-                residuals)
-
-    def to_csv(self, residuals):
-        return csv_blocks(self.COLUMNS, self._columns(residuals))
-
-    def json_array(self, residuals):
-        """The CSV rows as `Rows` of objects keyed by `COLUMNS`."""
-        return Rows(self.JSON_ROW, self._columns(residuals))
 
     @classmethod
     def from_jets(cls, ts, x, y):
@@ -164,7 +143,11 @@ def params_from_n(n, variant="intro", branch="plus"):
                      gamma=n * n / 8.0, delta=delta)
 
 
-def select_delta_variant(measured, n, tol=1e-6):
+# how near a measured delta must lie to a published variant to realise it
+DELTA_VARIANT_TOL = 1e-6
+
+
+def select_delta_variant(measured, n, tol=DELTA_VARIANT_TOL):
     """Which published delta variant of `params_from_n` the measured value
     realises: "intro", "theorem", or None if it is within tol of neither, or
     equally near both (a measurement, not a configuration error)."""

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .columns import Rows
+from .columns import TRANSCENDENT, Rows
 from .errors import StepLimitExceeded, StepSizeUnderflow
 from .instanton import MAX_MATCH_DEFECT, asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
                            pair_invariants, schlesinger_integrate)
-from .painleve import PviSample, max_pvi_residual, params_from_n, select_delta_variant
+from .painleve import (DELTA_VARIANT_TOL, PviSample, max_pvi_residual, params_from_n,
+                       select_delta_variant)
 
 
 def profile_for(n):
@@ -28,7 +29,7 @@ def default_tolerances(n):
     else:
         per_n = {"schlesinger": 1e-5, "drift": 1e-5, "trace": 1e-6,
                  "pvi": 1e-5, "step": 1e-5, "invariants": 1e-5}
-    return {**per_n, "delta": 1e-7, "delta_variant": 1e-6, "boundary": 1e-8,
+    return {**per_n, "delta": 1e-7, "delta_variant": DELTA_VARIANT_TOL, "boundary": 1e-8,
             "match": MAX_MATCH_DEFECT}
 
 
@@ -124,7 +125,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "delta_spread": delta_spread,
         "pvi_max_residual": pvi_max,
         "pvi_step_error": step_err,
-        "y_samples": Rows(dict.fromkeys(("x_re", "x_im", "y_re", "y_im")),
+        "y_samples": Rows(dict.fromkeys(TRANSCENDENT[1:5]),
                           (plus.xs.real, plus.xs.imag, plus.ys.real, plus.ys.imag)),
         "tolerances": tols,
     }

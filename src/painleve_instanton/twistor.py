@@ -15,10 +15,10 @@ alpha_{2,0} are imaginary and alpha_{3,0} is real, so alpha_{.,0} =
 REAL_FORM * w_hat (`residue_closed_form` returns the real w_hat), and with
 real a every u = REAL_FORM * w, w = a * w_hat real, and u.u = -w1^2 - w2^2
 + w3^2.  x(t) is real too, in (1, infinity) for t in (0, 1).  No command
-builds a complex number for the residues: the JSON trace writes the 2x2
-residues' nonzero cells straight from the real m_p, and only
-`FuchsianData.residues`, which the tests compare against, builds the
-complex matrices.
+builds a complex number for the residues: `cli` fills the JSON trace's
+2x2 residues' nonzero cells (`columns.TWISTOR_ROW`) straight from the real
+m_p, and only `FuchsianData.residues`, which the tests compare against,
+builds the complex matrices.
 
 Conventions fixed here (and relied on everywhere downstream):
 
@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .columns import Rows, csv_blocks
 from .errors import DegenerateLine, OnDivisor, QuadratureFailure
 from .instanton import ODE_EXPONENTS, ROOTS
 from .liealg import METRIC, REAL_FORM, solve3, stack_trailing, su2_combination
@@ -308,21 +307,14 @@ class FuchsianData:
     w (S, 3), u = REAL_FORM * w); `len` and indexing reach the samples.  The
     residues are carried as the real forms of their coefficient vectors on
     (X1, X2, X3), m_p = -SIGNS[:, p] * w (`vectors`); `fuchsian_data` adds
-    x and w as `Jet`s in t (`jets`).  Only `residues` builds the complex
-    2x2 matrices, for the tests; no command calls it."""
+    x and w as `Jet`s in t (`jets`).  `trace` writes a stack from `vectors`
+    and `trace_squares`.  Only `residues` builds the complex 2x2 matrices,
+    for the tests; no command calls it."""
 
     t: np.ndarray
     x: np.ndarray
     w: np.ndarray
     jets: tuple | None = None
-
-    CSV_COLUMNS = ("t", "x_re", "x_im", "trA0sq", "trA1sq", "trAxsq", "trAinfsq")
-    # one JSON row: t, x, then each residue as a 2x2 of [re, im] pairs,
-    # A_p = [[-m1, i (m2 + m3)], [i (m3 - m2), m1]] for m = m_p: x's `im`
-    # and the residues' structural zeros are literal cells
-    JSON_ROW = {"t": None, "x": {"re": None, "im": 0.0},
-                "residues": {p: [[[None, 0.0], [0.0, None]], [[0.0, None], [None, 0.0]]]
-                             for p in ("p0", "p1", "px", "pinf")}}
 
     def __len__(self):
         return len(self.t)
@@ -347,18 +339,6 @@ class FuchsianData:
     def trace_squares(self):
         """tr(A_p^2) = -2 u.u, as a tuple over the four poles."""
         return (-2.0 * self.first_integral(),) * 4
-
-    def to_csv(self):
-        """The twistor trace of a stack: x and tr(A_p^2) per sample."""
-        cols = (self.t, self.x, self.x.imag) + self.trace_squares()
-        return csv_blocks(self.CSV_COLUMNS, cols)
-
-    def json_array(self):
-        """The `Rows` of a stack: one `JSON_ROW` per sample, whose 16
-        nonzero residue cells are -m1, m2 + m3, m3 - m2 and m1 per pole."""
-        m1, m2, m3 = np.moveaxis(self.vectors(), -1, 0)
-        cells = np.stack((-m1, m2 + m3, m3 - m2, m1), -1).reshape(len(self), 16)
-        return Rows(self.JSON_ROW, (self.t, self.x, cells))
 
 
 def fuchsian_data(profile, t):

@@ -184,6 +184,33 @@ def test_detects_a_shadowed_public_name():
     assert shadowed_public_names([tree]) == ["index", "spare"]
 
 
+# the modules that fill the output schemas `columns` declares
+WRITERS = ("cli", "columns", "report")
+
+
+def imports_columns(tree):
+    """Whether a module of the package imports `columns` or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "columns" or (
+                    node.module is None and any(a.name == "columns" for a in node.names)):
+                return True
+    return False
+
+
+def test_only_the_writers_import_columns():
+    extra = [p.stem for p in SRC if p.stem not in WRITERS
+             and imports_columns(ast.parse(p.read_text(), filename=str(p)))]
+    assert extra == [], f"modules other than {WRITERS} that import columns: {extra}"
+
+
+def test_detects_an_import_of_columns():
+    for source in ("from .columns import Rows\n", "from . import columns\n",
+                   "def f():\n    from .columns import csv_blocks\n"):
+        assert imports_columns(ast.parse(source))
+    assert not imports_columns(ast.parse("from .errors import ShotFailed\nimport columns\n"))
+
+
 def imported_modules(trees):
     """Top-level names of the modules the trees import absolutely."""
     names = set()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from painleve_instanton import instanton
+from painleve_instanton.cli import main
+from painleve_instanton.columns import PROFILE
 from painleve_instanton.errors import (DegenerateCoefficient, PoleAtEndpoint,
                                       ShotFailed, StepSizeUnderflow)
 from painleve_instanton.instanton import (DualitySign, ProfileKind,
@@ -549,10 +551,13 @@ def test_conserved_tr_drift_over_grid():
         assert np.ptp(vals.real) < 1e-6 * abs(vals[0])
 
 
-def test_profile_serialization():
-    prof = closed_form_profile(ProfileKind.TRIVIAL)
-    csv = "".join(prof.to_csv([0.25, 0.5]))
-    assert csv.splitlines()[0] == "t,a1,a2,a3"
+def test_profile_serialization(capsys):
+    # `profile` fills the `columns.PROFILE` schema from the profile's values
+    window = ("profile", "--n", "1", "--t-min", "0.25", "--t-max", "0.5", "--samples", "5")
+    assert main([*window]) == 0
+    csv = capsys.readouterr().out
+    assert csv.splitlines()[0] == ",".join(PROFILE) == "t,a1,a2,a3"
     assert csv.splitlines()[1] == "0.25,1,1,1"
-    js = "".join(prof.to_json([0.5]))
+    assert main([*window, "--format", "json"]) == 0
+    js = capsys.readouterr().out
     assert '"kind": "trivial"' in js and '"sign_convention"' in js

@@ -10,6 +10,7 @@ delta = -(n^2 - 4)/8 (`params_from_n`), as identities that hold for every n:
 
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -82,8 +83,8 @@ def test_uu_is_a_first_integral():
     for n in range(1, 102, 2):
         F = FuchsianData(t=1.0, x=None, w=np.array([0.0, -0.25 * n, 0.0]))
         for branch, alpha_side in (("plus", "minus"), ("minus", "plus")):
-            assert (jimbo_miwa_params(F, branch).as_dict()
-                    == params_from_n(n, "intro", alpha_side).as_dict()), (n, branch)
+            assert (astuple(jimbo_miwa_params(F, branch))
+                    == astuple(params_from_n(n, "intro", alpha_side))), (n, branch)
 
 
 class Jet:

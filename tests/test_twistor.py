@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from painleve_instanton.columns import json_blocks
+from painleve_instanton.cli import trace_files
 from painleve_instanton.errors import DegenerateLine, OnDivisor
 from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
                                           closed_form_profile)
 from painleve_instanton.liealg import REAL_FORM, trace_sq
+from painleve_instanton.report import line_transcendent
 from painleve_instanton.twistor import (COMPLEX_BASIS, SIGNS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
                                         alpha_matrix, connection_form,
@@ -283,10 +284,12 @@ def test_trace_constancy_all_poles(prof3):
         assert np.max(np.abs(col - col[0])) < 1e-6 * abs(col[0])
 
 
-def test_fuchsian_json_schema(prof3):
+def test_fuchsian_json_schema():
+    # the `columns.TWISTOR_ROW` rows `trace --format json` writes
     ts = np.array([0.5, 0.7])
-    doc = {"twistor": fuchsian_data(prof3, ts).json_array()}
-    rows = json.loads("".join(json_blocks(doc)))["twistor"]
+    _, fam, sample, params = line_transcendent(3, 0.5, 0.7, 2)
+    assert np.array_equal(fam.t, ts)
+    rows = json.loads("".join(trace_files("json", 3, fam, sample, params)[""]))["twistor"]
     assert len(rows) == 2
     for t, d in zip(ts, rows):
         assert set(d) == {"t", "x", "residues"} and d["t"] == t

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 
 from painleve_instanton import columns
 from painleve_instanton.cli import main
-from painleve_instanton.columns import Rows, csv_blocks, json_blocks
-from painleve_instanton.painleve import PviSample, pvi_residual, select_delta_variant
+from painleve_instanton.columns import (MU, TRANSCENDENT, TWISTOR, TWISTOR_ROW, Rows,
+                                        csv_blocks, json_blocks)
+from painleve_instanton.painleve import pvi_residual, select_delta_variant
 from painleve_instanton.report import (build_verification_report,
                                        line_transcendent, profile_for)
-from painleve_instanton.twistor import FuchsianData, mu_pair
+from painleve_instanton.twistor import mu_pair
 
 SAMPLES = 21
 
@@ -72,7 +73,9 @@ def reference_trace(n, t_min, t_max):
     }
     keys = ("t", "x_re", "x_im", "y_re", "y_im", "residual_abs")
     payload = {
-        "params": params.as_dict(),
+        "params": {k: {"re": float(getattr(params, k).real),
+                       "im": float(getattr(params, k).imag)}
+                   for k in ("alpha", "beta", "gamma", "delta")},
         "delta_variant": select_delta_variant(params.delta.real, n),
         "twistor": [fuchsian_json_dict(fam[k]) for k in range(len(fam))],
         "mu": [{"t": float(t), "mu_plus": float(mp), "mu_minus": float(mm)}
@@ -272,11 +275,11 @@ def test_streaming_memory_does_not_grow_with_rows():
         pool = rng.standard_normal(64)
         t = np.linspace(0.05, 0.95, count)
         doc = {"n": 3,
-               "twistor": Rows(FuchsianData.JSON_ROW,
+               "twistor": Rows(TWISTOR_ROW,
                                (t, rng.choice(pool, count), rng.choice(pool, (count, 16)))),
-               "mu": Rows(dict.fromkeys(("t", "mu_plus", "mu_minus")),
-                          (t,) + tuple(rng.choice(pool, (2, count)))),
-               "pvi": Rows(PviSample.JSON_ROW, (t,) + tuple(rng.choice(pool, (5, count))))}
+               "mu": Rows(dict.fromkeys(MU[:3]), (t,) + tuple(rng.choice(pool, (2, count)))),
+               "pvi": Rows(dict.fromkeys(TRANSCENDENT),
+                           (t,) + tuple(rng.choice(pool, (5, count))))}
         return traced_peak(json_blocks(doc))
 
     small, large = peak(2_001), peak(20_001)
@@ -290,10 +293,10 @@ def test_all_distinct_cells_fit_the_block_budget(fmt, count):
     # widest schemas (the twistor CSV and JSON rows), drained to a null sink
     rng = np.random.default_rng(count)
     if fmt == "csv":
-        blocks = csv_blocks(FuchsianData.CSV_COLUMNS, tuple(rng.standard_normal((7, count))))
+        blocks = csv_blocks(TWISTOR, tuple(rng.standard_normal((7, count))))
     else:
         cols = (rng.standard_normal(count), rng.standard_normal(count),
                 rng.standard_normal((count, 16)))
-        blocks = json_blocks({"n": 3, "twistor": Rows(FuchsianData.JSON_ROW, cols)})
+        blocks = json_blocks({"n": 3, "twistor": Rows(TWISTOR_ROW, cols)})
     peak = traced_peak(blocks)
     assert peak < 0.6e6, peak
