@@ -1,13 +1,13 @@
 """Batch command-line front-end.
 
 The subcommands `profile`, `trace`, `verify` and `pvi-integrate` and the
-options of each are one table, `_COMMANDS`: `painleve-instanton --help`
-and `painleve-instanton COMMAND --help` print it.  `parse_args` reads argv
-against that table as argparse would, with no parser to build: `--opt
-value`, `--opt=value`, unambiguous prefixes and negative numbers as
-values, the last of a repeated option winning.  An option the subcommand
-does not take, a bad number or choice, a missing value or an ambiguous
-prefix is a usage error: usage and message on stderr, exit code 2.
+options of each are one table, `_COMMANDS`.  `parse_args` reads a
+subcommand followed only by exact `--flag value` pairs itself, so the runs
+never import argparse.  argparse, built from the table, reads every other
+argv: `--opt=value`, unambiguous prefixes, negative numbers as values and
+`--`.  It prints the help (`painleve-instanton --help`,
+`painleve-instanton COMMAND --help`) and every usage error: usage and
+message on stderr, exit code 2.
 
 Output is deterministic (17 significant digits, fixed column order),
 streamed in blocks of rows once every value is computed, and written
@@ -22,9 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import sys
-import tempfile
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -51,14 +49,12 @@ def _check_ranges(args):
 
 
 def _atomic_write(path, blocks):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       ".tmp-" + os.urandom(8).hex())
+    # the kernel applies the umask to 0o666, as for a file `open` creates
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            # mkstemp makes the file 0600; give it what `open` gives a new file
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
@@ -133,10 +129,8 @@ def cmd_trace(cfg):
 
 def cmd_verify(cfg):
     report = build_verification_report(cfg.n, t_min=cfg.t_min, t_max=cfg.t_max,
-                                       samples=cfg.samples, tol_override=cfg.tol)
-    if cfg.delta_variant != "auto":
-        report["checks"]["delta_variant_preference"] = report["delta_variant"] == cfg.delta_variant
-        report["passed"] = all(report["checks"].values())
+                                       samples=cfg.samples, tol_override=cfg.tol,
+                                       preferred_variant=cfg.delta_variant)
     _emit(cfg, json_blocks(report, indent=2))
     if cfg.out is not None:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + "\n")
@@ -187,141 +181,52 @@ _COMMANDS = {
 }
 
 PROG = "painleve-instanton"
-_HELP = ("-h", "--help")
-# what argparse takes for a negative number rather than an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _invocation(flag, dest, kind):
-    return f"{flag} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper())
+def _argparse(argv):
+    """argv parsed by argparse with one subparser per `_COMMANDS` entry:
+    prefixes, `--opt=value`, negative numbers, `--`, help and every usage
+    error.  argparse is imported and its tree built only here."""
+    import argparse
 
-
-def _prog(command):
-    return PROG if command is None else f"{PROG} {command}"
-
-
-def _usage(command):
-    """The usage of `command`, or of the program for None, wrapped at 80
-    columns as argparse wraps it."""
-    if command is None:
-        groups = ["{" + ",".join(_COMMANDS) + "}", "..."]
-    else:
-        groups = [f"[{_invocation(flag, dest, kind)}]"
-                  for flag, (dest, kind, _) in _COMMANDS[command][2].items()]
-    lines = [f"usage: {_prog(command)}"]
-    for group in ("[-h]", *groups):
-        if len(lines[-1]) + len(group) >= 79:
-            lines.append(" " * (len(_prog(command)) + 7))
-        lines[-1] += " " + group
-    return "\n".join(lines) + "\n"
-
-
-def _usage_error(command, message):
-    """argparse's usage error: the usage and the message on stderr, and
-    exit status 2."""
-    sys.stderr.write(f"{_usage(command)}{_prog(command)}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help(command):
-    """Print the help of `command`, or of the program for None, and exit 0."""
-    if command is None:
-        body = ("Invariant instanton profiles, isomonodromic residue families and\n"
-                "Painleve VI verification.\n\ncommands:\n"
-                + "".join(f"  {name:<15}{summary}\n"
-                          for name, (_, summary, _) in _COMMANDS.items())
-                + f"\n`{PROG} COMMAND --help` lists the options of a command.\n")
-    else:
-        body = "options:\n  -h, --help              show this help message and exit\n"
-        for flag, (dest, kind, default) in _COMMANDS[command][2].items():
-            line = f"  {_invocation(flag, dest, kind):<22}"
-            body += (line if default is None else f"{line}  default: {default}").rstrip() + "\n"
-    sys.stdout.write(f"{_usage(command)}\n{body}")
-    raise SystemExit(0)
-
-
-def _option(token, flags, command):
-    """How argparse reads `token` against the option strings `flags` of
-    `command`: None for a value, else (flag, the value attached with "="
-    or None), where flag is None for an option `flags` does not hold.  A
-    "--" prefix of more than one flag is a usage error."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    flag, eq, value = token.partition("=")
-    if eq and flag in flags:
-        return flag, value
-    if token.startswith("--"):
-        matches = [f for f in flags if f.startswith(flag)]
-        if len(matches) > 1:
-            _usage_error(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    if _NEGATIVE.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _choices(values):
-    return "(choose from " + ", ".join(map(repr, values)) + ")"
+    parser = argparse.ArgumentParser(prog=PROG)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, (dest, kind, default) in options.items():
+            checked = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            command.add_argument(flag, dest=dest, default=default,
+                                 help="default: %(default)s", **checked)
+    return parser.parse_args(argv)
 
 
 def parse_args(argv):
     """The namespace `cmd_*` reads, from the arguments after the program
-    name, parsed as argparse parses them with one subparser per
-    `_COMMANDS` entry.  `-h`/`--help` prints a help built from the table
-    and raises SystemExit(0); a usage error raises SystemExit(2)."""
-    command = argv[0] if argv else None
-    if command not in _COMMANDS:
-        if command is None:
-            _usage_error(None, "the following arguments are required: command")
-        if _option(command, _HELP, None) in (("-h", None), ("--help", None)):
-            _help(None)
-        _usage_error(None, f"argument command: invalid choice: {command!r} "
-                           + _choices(_COMMANDS))
-
-    options = _COMMANDS[command][2]
-    tokens = argv[1:]
-    # argparse reads every token before it converts a value; from "--" on,
-    # all are positional arguments, and no command takes one
-    head = tokens[:tokens.index("--")] if "--" in tokens else tokens
-    read = [_option(token, (*_HELP, *options), command) for token in head]
-    values = {dest: default for dest, _, default in options.values()}
-    extras = []
-    i = 0
-    while i < len(head):
-        token, opt = head[i], read[i]
-        i += 1
-        if opt is None or opt[0] is None:
-            extras.append(token)
-            continue
-        flag, value = opt
-        if flag in _HELP:
-            if value is not None:
-                _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
-            _help(command)
-        if value is None:
-            if i == len(head) or read[i] is not None:
-                _usage_error(command, f"argument {flag}: expected one argument")
-            value = head[i]
-            i += 1
-        dest, kind, _ = options[flag]
-        if isinstance(kind, tuple):
-            if value not in kind:
-                _usage_error(command, f"argument {flag}: invalid choice: {value!r} "
-                                      + _choices(kind))
+    name.  A subcommand followed only by exact `--flag value` pairs, no
+    value starting with "-" and each converting with its type or being one
+    of its choices, is read here, the last of a repeated flag winning;
+    any other argv goes to `_argparse`, which gives the same namespace for
+    such pairs."""
+    command, pairs = (argv[0], argv[1:]) if argv else (None, [])
+    if command in _COMMANDS and len(pairs) % 2 == 0:
+        options = _COMMANDS[command][2]
+        values = {dest: default for dest, _, default in options.values()}
+        for flag, value in zip(pairs[::2], pairs[1::2]):
+            if flag not in options or value.startswith("-"):
+                break
+            dest, kind, _ = options[flag]
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    break
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    break
+            values[dest] = value
         else:
-            try:
-                value = kind(value)
-            except ValueError:
-                _usage_error(command, f"argument {flag}: invalid {kind.__name__} value: "
-                                      f"{value!r}")
-        values[dest] = value
-    extras += tokens[len(head):]
-    if extras:
-        _usage_error(None, "unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(command=command, **values)
+            return SimpleNamespace(command=command, **values)
+    return _argparse(argv)
 
 
 def main(argv=None):

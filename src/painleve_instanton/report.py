@@ -58,8 +58,10 @@ def _step_oracle_error(sample, params, k):
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
-                              tol_override=None):
-    """Run the verification suite for one n and return the report dict."""
+                              tol_override=None, preferred_variant="auto"):
+    """Run the verification suite for one n and return the report dict.
+    A `preferred_variant` other than "auto" adds the check that the
+    measured delta variant is that one."""
     tols = default_tolerances(n)
     if tol_override is not None:
         tols = {k: tol_override for k in tols}
@@ -152,6 +154,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         checks["boundary"] = bool(boundary_err < tols["boundary"])
         checks["match"] = bool(report["match_defect"] < tols["match"])
         report["launch_depths"] = profile.meta["launch_depths"]
+    if preferred_variant != "auto":
+        checks["delta_variant_preference"] = variant == preferred_variant
     report["checks"] = checks
     report["passed"] = bool(all(checks.values()))
     return report
