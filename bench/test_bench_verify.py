@@ -37,12 +37,10 @@ import pytest
 
 from painleve_instanton import (cli, columns, instanton, isomonodromy, painleve, report,
                                 stepper, twistor)
-from painleve_instanton.isomonodromy import (extract_y, gauge_rate, jimbo_miwa_params,
-                                             make_family, schlesinger_integrate,
-                                             schlesinger_residual)
+from painleve_instanton.isomonodromy import (extract_y, gauge_rate, make_family,
+                                             schlesinger_integrate, schlesinger_residual)
 from painleve_instanton.painleve import pvi_residual
-from painleve_instanton.report import (build_verification_report, extract_transcendent,
-                                       line_transcendent)
+from painleve_instanton.report import build_verification_report, line_family, transcendent
 from painleve_instanton.twistor import residue_closed_form
 
 WINDOWS = [(1, 201), (3, 201), (5, 201), (7, 201), (9, 201), (3, 801)]
@@ -62,13 +60,12 @@ def window(n, samples):
     middle sample."""
     key = (n, samples)
     if key not in _CACHE:
-        profile, fam, plus, params_plus = line_transcendent(n, 0.5, 0.95, samples)
-        mid = len(fam) // 2
+        profile, fam = line_family(n, 0.5, 0.95, samples)
+        by_branch = {b: transcendent(fam, b) for b in ("plus", "minus")}
         _CACHE[key] = {
-            "profile": profile, "fam": fam, "mid": mid,
-            "sample": {"plus": plus, "minus": extract_transcendent(fam, "minus")},
-            "params": {"plus": params_plus,
-                       "minus": jimbo_miwa_params(fam[mid], "minus")},
+            "profile": profile, "fam": fam, "mid": len(fam) // 2,
+            "sample": {b: sample for b, (sample, _) in by_branch.items()},
+            "params": {b: params for b, (_, params) in by_branch.items()},
         }
     return _CACHE[key]
 
@@ -208,7 +205,8 @@ def test_trace_files(benchmark, monkeypatch, fmt):
     # `trace`'s residual and mu columns, its rows and their spelling, from
     # the transcendent: one `_fill` call per block of rows
     cfg = cli.parse_args(["trace", "--n", "3", "--samples", "2001", "--format", fmt])
-    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
+    _, fam = line_family(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
+    sample, params = transcendent(fam, "plus")
     with open(os.devnull, "w") as sink:
         def write():
             for blocks in cli.trace_files(fmt, cfg.n, fam, sample, params).values():

@@ -32,7 +32,7 @@ from .columns import (MU, PROFILE, TRANSCENDENT, TWISTOR, TWISTOR_ROW, Rows,
                       complex_cell, csv_blocks, json_blocks)
 from .errors import PainleveInstantonError
 from .painleve import pvi_residual, select_delta_variant
-from .report import build_verification_report, line_transcendent, profile_for
+from .report import build_verification_report, line_family, profile_for, transcendent
 from .twistor import mu_pair
 
 log = logging.getLogger("painleve_instanton")
@@ -120,8 +120,8 @@ def trace_files(fmt, n, fam, sample, params):
 def cmd_trace(cfg):
     if cfg.fmt == "csv" and cfg.out is None:
         raise ValueError("csv trace needs --out (three files are written)")
-    _, fam, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
-                                               cfg.samples)
+    _, fam = line_family(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
+    sample, params = transcendent(fam, "plus")
     for suffix, blocks in trace_files(cfg.fmt, cfg.n, fam, sample, params).items():
         _emit(cfg, blocks, suffix)
     return 0
@@ -138,8 +138,8 @@ def cmd_verify(cfg):
 
 
 def cmd_pvi_integrate(cfg):
-    _, _, sample, params = line_transcendent(cfg.n, cfg.t_min, cfg.t_max,
-                                             cfg.samples)
+    _, fam = line_family(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
+    sample, params = transcendent(fam, "plus")
     # seeded at the third sample, where a 5-point stencil's slope once
     # started it; perfbench's check_pvi_integrate counts samples - 2 rows,
     # so moving the start is a change of the benchmark

@@ -1,13 +1,16 @@
-"""End-to-end verification pipeline for one instanton label n: build the
-profile, sample the residue family, run the Schlesinger / conserved-trace /
-parameter / Painleve-VI checks and assemble a machine-readable report."""
+"""End-to-end verification pipeline for one instanton label n: the profile
+and its residue family (`line_family`), y(x) on each eigen-branch
+(`transcendent`), the Schlesinger / conserved-trace / parameter / Painleve-VI
+checks, with both integrating oracles behind one guard (`_oracle`), and a
+machine-readable report."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .columns import TRANSCENDENT, Rows
-from .errors import StepLimitExceeded, StepSizeUnderflow
+from .errors import (PathTooClose, SingularityEncountered, StepLimitExceeded,
+                     StepSizeUnderflow)
 from .instanton import MAX_MATCH_DEFECT, asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
@@ -33,28 +36,29 @@ def default_tolerances(n):
             "match": MAX_MATCH_DEFECT}
 
 
-def extract_transcendent(fam, branch):
-    """y(x) on the branch, with y' and y'' from the family's `jets`."""
-    return PviSample.from_jets(fam.t, fam.jets[0], extract_y(fam, branch))
-
-
-def line_transcendent(n, t_min, t_max, samples):
-    """The stage shared by verify, trace and pvi-integrate: profile ->
-    line-gauge residue family on `samples` evenly spaced t in [t_min, t_max]
-    -> y(x) on the "plus" eigen-branch, with the PVI parameters of the
-    middle sample.
-
-    Returns (profile, family, sample, params).
-    """
+def line_family(n, t_min, t_max, samples):
+    """(profile, family) for verify, trace and pvi-integrate: the profile and
+    its line-gauge residue family on `samples` evenly spaced t in [t_min, t_max]."""
     profile = profile_for(n)
-    fam = make_family(profile, np.linspace(t_min, t_max, samples))
-    params = jimbo_miwa_params(fam[len(fam) // 2], "plus")
-    return profile, fam, extract_transcendent(fam, "plus"), params
+    return profile, make_family(profile, np.linspace(t_min, t_max, samples))
 
 
-def _step_oracle_error(sample, params, k):
-    """Integrate PVI over one inter-sample step and compare with extraction."""
-    return abs(sample.integrate(params, k, k + 2).ys[-1] - sample.ys[k + 1])
+def transcendent(fam, branch):
+    """y(x) on the eigen-branch, with y' and y'' from the family's `jets`,
+    and the PVI parameters of the middle sample.  Returns (sample, params)."""
+    params = jimbo_miwa_params(fam[len(fam) // 2], branch)
+    return PviSample.from_jets(fam.t, fam.jets[0], extract_y(fam, branch)), params
+
+
+def _oracle(failures, key, run):
+    """run(), an integrating oracle's error, as a float; or None when the
+    oracle's own run fails, with failures[key] = "<ErrorClass>: <message>",
+    whose message names the variable and where the run stopped."""
+    try:
+        return float(run())
+    except (StepSizeUnderflow, StepLimitExceeded, SingularityEncountered, PathTooClose) as exc:
+        failures[key] = f"{type(exc).__name__}: {exc}"
+        return None
 
 
 def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
@@ -66,7 +70,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     if tol_override is not None:
         tols = {k: tol_override for k in tols}
 
-    profile, raw, plus, params_plus = line_transcendent(n, t_min, t_max, samples)
+    profile, raw = line_family(n, t_min, t_max, samples)
 
     schl = max_schlesinger_residual(raw)
     drift = isospectral_drift(raw)
@@ -77,31 +81,28 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
     # propagation oracle: quarter -> three-quarter sample, invariants only
     # (the flow commutes with constant conjugation, so the line gauge serves)
     k0, k1 = len(raw) // 4, (3 * len(raw)) // 4
-    try:
-        prop = schlesinger_integrate(raw[k0], raw[k1].t)
-        inv_err = float(np.max(np.abs(pair_invariants(prop)
-                                     - pair_invariants(raw[k1].vectors()))))
-    except (StepSizeUnderflow, StepLimitExceeded) as exc:
-        inv_err, failure = None, f"{type(exc).__name__} at t = {float(exc.t)}"
+    failures = {"propagation_failure": None, "pvi_step_failure": {}}  # by report key
+    inv_err = _oracle(failures, "propagation_failure", lambda: np.max(np.abs(
+        pair_invariants(schlesinger_integrate(raw[k0], raw[k1].t))
+        - pair_invariants(raw[k1].vectors()))))
 
-    # parameters, both eigen-branches; report alpha_plus = (n+2)^2/8 side
-    params_by_branch = {"plus": params_plus,
-                        "minus": jimbo_miwa_params(raw[mid], "minus")}
-    a_by_branch = {b: params_by_branch[b].alpha for b in ("plus", "minus")}
-    hi_branch = max(a_by_branch, key=a_by_branch.get)
-    lo_branch = min(a_by_branch, key=a_by_branch.get)
+    # each eigen-branch; the step oracle integrates PVI one step from the middle
+    by_branch = {b: transcendent(raw, b) for b in ("plus", "minus")}
+    pvi_max, step_err = {}, {}
+    for b, (sample, params) in by_branch.items():
+        pvi_max[b] = float(max_pvi_residual(sample, params))
+        step_err[b] = _oracle(failures["pvi_step_failure"], b, lambda: abs(
+            sample.integrate(params, mid, mid + 2).ys[-1] - sample.ys[mid + 1]))
+
+    # report alpha_plus = (n+2)^2/8 side
+    a_by_branch = {b: params.alpha for b, (_, params) in by_branch.items()}
+    lo_branch, hi_branch = sorted(a_by_branch, key=a_by_branch.get)
 
     deltas = jimbo_miwa_params(raw, "plus").delta
     delta_measured = float(deltas[mid])
     variant = select_delta_variant(delta_measured, n, tols["delta_variant"])
     delta_spread = float(np.max(np.abs(deltas - deltas[mid])))
-
-    pvi_max = {}
-    step_err = {}
-    for b in ("plus", "minus"):
-        sample = plus if b == "plus" else extract_transcendent(raw, b)
-        pvi_max[b] = float(max_pvi_residual(sample, params_by_branch[b]))
-        step_err[b] = float(_step_oracle_error(sample, params_by_branch[b], mid))
+    plus, plus_params = by_branch["plus"]
 
     report = {
         "n": n,
@@ -115,8 +116,8 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "params": {
             "alpha_plus": float(a_by_branch[hi_branch]),
             "alpha_minus": float(a_by_branch[lo_branch]),
-            "beta": float(params_by_branch["plus"].beta),
-            "gamma": float(params_by_branch["plus"].gamma),
+            "beta": float(plus_params.beta),
+            "gamma": float(plus_params.gamma),
             "delta": delta_measured,
         },
         "branch_pairing": {
@@ -138,11 +139,10 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         "propagation": inv_err is not None and inv_err < tols["invariants"],
         "delta_stable": bool(delta_spread < tols["delta"]),
         "delta_variant": variant is not None,
-        "pvi": bool(max(pvi_max.values()) < tols["pvi"]),
-        "pvi_step": bool(max(step_err.values()) < tols["step"]),
+        "pvi": all(r < tols["pvi"] for r in pvi_max.values()),
+        "pvi_step": all(e is not None and e < tols["step"] for e in step_err.values()),
     }
-    if inv_err is None:
-        report["propagation_failure"] = failure
+    report.update({key: failure for key, failure in failures.items() if failure})
     if profile.kind.value == "numeric":
         a0 = profile.values(0.0)
         a1 = profile.values(1.0)

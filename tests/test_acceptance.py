@@ -21,8 +21,7 @@ from painleve_instanton.isomonodromy import (isospectral_drift,
 from painleve_instanton.liealg import REAL_FORM, trace_sq
 from painleve_instanton.painleve import (PviParams, max_pvi_residual,
                                          pvi_integrate, select_delta_variant)
-from painleve_instanton.report import (build_verification_report,
-                                       extract_transcendent)
+from painleve_instanton.report import build_verification_report, transcendent
 from painleve_instanton.stepper import fd_weights
 from painleve_instanton.twistor import (SIGNS, mu_pair, residue_closed_form,
                                         residue_numeric)
@@ -141,8 +140,7 @@ def test_criterion_7_pvi_closure(fam3_raw):
     rejected_res = np.inf
     rejected_step = np.inf
     for branch in ("plus", "minus"):
-        sample = extract_transcendent(fam3_raw, branch)
-        params = jimbo_miwa_params(fam3_raw[100], branch)
+        sample, params = transcendent(fam3_raw, branch)
         worst_res = max(worst_res, max_pvi_residual(sample, params))
         k = 100
         yp = sample.yp[k]
@@ -198,8 +196,7 @@ def test_criterion_9_convergence_order(prof3):
         ts = np.linspace(0.5, 0.95, n_samples)
         raw = make_family(prof3, ts)
         schl.append(max_schlesinger_residual(raw))
-        sample = extract_transcendent(raw, "plus")
-        params = jimbo_miwa_params(raw[n_samples // 2], "plus")
+        sample, params = transcendent(raw, "plus")
         pvi.append(max_pvi_residual(sample, params))
         weights = fd_weights(sliding_window_view(raw.x, 5), raw.x[2:-2], 2)
 

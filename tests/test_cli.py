@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painleve_instanton import cli, instanton, report, stepper
+from painleve_instanton import cli, instanton, painleve, report, stepper
 from painleve_instanton.cli import main
-from painleve_instanton.errors import StepSizeUnderflow
+from painleve_instanton.errors import SingularityEncountered, StepSizeUnderflow
 from painleve_instanton.liealg import trace_sq
 
 
@@ -311,7 +311,7 @@ def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
     # pvi-integrate stops in the direct PVI integrator, an x-flow: JSON on
     # stderr naming x, which exceeds 1 on the line.  verify's propagation
     # oracle runs in the family's t in (0, 1); the report fails that check
-    # alone and names the error and its t, as for a step underflow
+    # alone and names the error, as "<ErrorClass>: <message>", and its t
     monkeypatch.setattr(stepper, "MAX_STEPS", 3)
     code, out, err = run(capsys, command, "--n", "3")
     assert code == 2
@@ -326,7 +326,7 @@ def test_step_limit_exits_2_with_the_error_named(monkeypatch, capsys, command):
         assert err == ""
         rep = json.loads(out)
         assert [k for k, ok in rep["checks"].items() if not ok] == ["propagation"]
-        prefix = "StepLimitExceeded at t = "
+        prefix = "StepLimitExceeded: step limit of 3 steps exceeded at t="
         assert rep["propagation_failure"].startswith(prefix)
         assert 0.0 < float(rep["propagation_failure"][len(prefix):]) < 1.0
 
@@ -342,7 +342,8 @@ def test_grinding_propagation_ends_at_the_step_limit(capsys):
     assert code == 2 and err == ""
     rep = json.loads(out)
     assert rep["checks"]["propagation"] is False
-    assert rep["propagation_failure"].startswith("StepLimitExceeded at t = 0.679")
+    assert rep["propagation_failure"].startswith(
+        "StepLimitExceeded: step limit of 10000 steps exceeded at t=0.679")
 
 
 def underflowing_propagation(monkeypatch):
@@ -357,7 +358,9 @@ def test_report_names_a_propagation_underflow(monkeypatch):
     underflowing_propagation(monkeypatch)
     rep = report.build_verification_report(3)
     assert rep["propagation_invariant_error"] is None
-    assert rep["propagation_failure"] == "StepSizeUnderflow at t = 0.62"
+    assert rep["propagation_failure"] == ("StepSizeUnderflow: step size 3.000e-17 below the "
+                                          "roundoff of t=0.62: singular or non-finite "
+                                          "right-hand side")
     assert rep["checks"]["propagation"] is False and rep["passed"] is False
     assert all(rep["checks"][c] for c in rep["checks"] if c != "propagation")
 
@@ -368,12 +371,74 @@ def test_verify_propagation_underflow_exits_2_with_the_report(monkeypatch, capsy
     assert code == 2 and err == ""
     rep = json.loads(out)
     assert rep["checks"]["propagation"] is False
-    assert rep["propagation_failure"].startswith("StepSizeUnderflow at t = ")
+    assert rep["propagation_failure"].startswith(
+        "StepSizeUnderflow: step size 3.000e-17 below the roundoff of t=0.62:")
+
+
+def test_report_names_a_step_oracle_singularity(monkeypatch):
+    # a step oracle's run that stops at a movable singularity fails that
+    # check on each branch where it stopped, named with its x and y
+    def singular(params, xs, y0, yp0):
+        raise SingularityEncountered(1.5, 1e-9)
+    monkeypatch.setattr(painleve, "pvi_integrate", singular)
+    rep = report.build_verification_report(3)
+    assert rep["pvi_step_error"] == {"plus": None, "minus": None}
+    assert rep["pvi_step_failure"] == dict.fromkeys(
+        ("plus", "minus"),
+        "SingularityEncountered: integration stopped near a singularity at x=1.5, y=1e-09")
+    assert [k for k, ok in rep["checks"].items() if not ok] == ["pvi_step"]
+
+
+def test_non_finite_pvi_residual_fails_on_either_branch(monkeypatch):
+    # a NaN residual fails the pvi check on whichever branch it occurs:
+    # max() over the branches kept a NaN only when it came first
+    real = report.max_pvi_residual
+    for nan_branch in ("plus", "minus"):
+        branches = iter(("plus", "minus"))
+
+        def residual(sample, params):
+            return float("nan") if next(branches) == nan_branch else real(sample, params)
+        monkeypatch.setattr(report, "max_pvi_residual", residual)
+        rep = report.build_verification_report(3)
+        assert [k for k, ok in rep["checks"].items() if not ok] == ["pvi"]
+
+
+def test_propagation_path_too_close_is_a_failed_check(capsys):
+    # on [0.9975, 0.9999] the propagation oracle's quarter samples lie
+    # within 1e-3 of t = 1, so its run refuses the path; every other check
+    # passes, and the report names the refusal and the path
+    code, out, err = run(capsys, "verify", "--n", "1", "--t-min", "0.9975",
+                         "--t-max", "0.9999")
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert [k for k, ok in rep["checks"].items() if not ok] == ["propagation"]
+    assert rep["propagation_invariant_error"] is None
+    assert rep["propagation_failure"].startswith("PathTooClose: path t = 0.9981 -> 0.9993")
+    assert "pvi_step_failure" not in rep
+
+
+def test_step_oracle_underflow_is_a_failed_check(capsys):
+    # at n = 455 on 21 samples the step oracle's run underflows on both
+    # eigen-branches, just past the middle sample's x, where every other
+    # check passes: the report names each branch's failure and its x, and
+    # fails that check alone
+    code, out, err = run(capsys, "verify", "--n", "455", "--samples", "21")
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert [k for k, ok in rep["checks"].items() if not ok] == ["pvi_step"]
+    assert rep["pvi_step_error"] == {"plus": None, "minus": None}
+    prefix = "StepSizeUnderflow: step size "
+    for branch, x in (("plus", 1.4966), ("minus", 1.4943)):
+        failure = rep["pvi_step_failure"][branch]
+        assert failure.startswith(prefix)
+        assert abs(float(failure.split("roundoff of x=")[1].split(":")[0]) - x) < 1e-4
+    assert "propagation_failure" not in rep
 
 
 def test_passing_report_has_no_propagation_failure(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1")
-    assert code == 0 and "propagation_failure" not in json.loads(out)
+    rep = json.loads(out)
+    assert code == 0 and not {"propagation_failure", "pvi_step_failure"} & set(rep)
 
 
 def test_io_failure_exit_code(capsys):

@@ -371,9 +371,11 @@ def test_step_oracle_evaluation_count(monkeypatch, samples, evaluations):
     # the report's step oracle integrates PVI over one inter-sample step
     # (6.8e-3 and 1.7e-3 in x): rk45's first step is its 1e-3 cap, not a
     # hundredth of the span that the step control then has to grow
-    _, fam, sample, params = report.line_transcendent(3, 0.5, 0.95, samples)
+    _, fam = report.line_family(3, 0.5, 0.95, samples)
+    sample, params = report.transcendent(fam, "plus")
+    k = len(fam) // 2
     calls = count_calls(monkeypatch, ("pvi_second_derivative",))
-    report._step_oracle_error(sample, params, len(fam) // 2)
+    sample.integrate(params, k, k + 2)
     assert calls == {"pvi_second_derivative": evaluations}
 
 

@@ -8,7 +8,7 @@ from painleve_instanton.painleve import (PviParams, max_pvi_residual,
                                          params_from_n, pvi_integrate,
                                          pvi_second_derivative,
                                          select_delta_variant)
-from painleve_instanton.report import extract_transcendent
+from painleve_instanton.report import transcendent
 
 
 def test_pvi_rhs_zero_case():
@@ -57,14 +57,12 @@ def test_pvi_rhs_double_transcription(rng):
 
 def test_pvi_residual_instanton_family(fam3_raw):
     for branch in ("plus", "minus"):
-        sample = extract_transcendent(fam3_raw, branch)
-        params = jimbo_miwa_params(fam3_raw[100], branch)
+        sample, params = transcendent(fam3_raw, branch)
         assert max_pvi_residual(sample, params) < 1e-5
 
 
 def test_pvi_residual_negative_control(fam3_raw):
-    sample = extract_transcendent(fam3_raw, "plus")
-    good = jimbo_miwa_params(fam3_raw[100], "plus")
+    sample, good = transcendent(fam3_raw, "plus")
     bad = PviParams(good.alpha, good.beta + 0.1, good.gamma, good.delta)
     assert max_pvi_residual(sample, bad) > 1e-3
 
@@ -77,8 +75,7 @@ def test_pvi_integrate_zero_length():
 
 def test_pvi_integrate_single_step(fam1_raw, fam3_raw):
     for fam in (fam1_raw, fam3_raw):
-        sample = extract_transcendent(fam, "plus")
-        params = jimbo_miwa_params(fam[100], "plus")
+        sample, params = transcendent(fam, "plus")
         k = 100
         y_end = pvi_integrate(params, sample.xs[[k, k + 1]].real, sample.ys[k],
                               sample.yp[k])[0][-1]
@@ -102,8 +99,7 @@ def test_parameter_route_consistency(fam1_raw, fam3_raw):
 
 
 def test_pvi_integrate_delta_discrimination(fam3_raw):
-    sample = extract_transcendent(fam3_raw, "plus")
-    good = jimbo_miwa_params(fam3_raw[100], "plus")
+    sample, good = transcendent(fam3_raw, "plus")
     bad = PviParams(good.alpha, good.beta, good.gamma, -1.0)  # rejected variant
     k0, k1 = 100, 120
     yp = sample.yp[k0]

@@ -9,7 +9,7 @@ from painleve_instanton.errors import DegenerateLine, OnDivisor
 from painleve_instanton.instanton import (ProfileKind, asd_closed_profile,
                                           closed_form_profile)
 from painleve_instanton.liealg import REAL_FORM, trace_sq
-from painleve_instanton.report import line_transcendent
+from painleve_instanton.report import line_family, transcendent
 from painleve_instanton.twistor import (COMPLEX_BASIS, SIGNS, SQRT3,
                                         alpha_inv, alpha_inv_tangent,
                                         alpha_matrix, connection_form,
@@ -287,7 +287,8 @@ def test_trace_constancy_all_poles(prof3):
 def test_fuchsian_json_schema():
     # the `columns.TWISTOR_ROW` rows `trace --format json` writes
     ts = np.array([0.5, 0.7])
-    _, fam, sample, params = line_transcendent(3, 0.5, 0.7, 2)
+    _, fam = line_family(3, 0.5, 0.7, 2)
+    sample, params = transcendent(fam, "plus")
     assert np.array_equal(fam.t, ts)
     rows = json.loads("".join(trace_files("json", 3, fam, sample, params)[""]))["twistor"]
     assert len(rows) == 2

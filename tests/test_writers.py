@@ -25,8 +25,8 @@ from painleve_instanton.cli import main
 from painleve_instanton.columns import (MU, TRANSCENDENT, TWISTOR, TWISTOR_ROW, Rows,
                                         csv_blocks, json_blocks)
 from painleve_instanton.painleve import pvi_residual, select_delta_variant
-from painleve_instanton.report import (build_verification_report,
-                                       line_transcendent, profile_for)
+from painleve_instanton.report import (build_verification_report, line_family, profile_for,
+                                       transcendent)
 from painleve_instanton.twistor import mu_pair
 
 SAMPLES = 21
@@ -59,7 +59,8 @@ def pvi_rows(sample, residuals):
 
 def reference_trace(n, t_min, t_max):
     """suffix -> text of `trace --out`, and the `--format json` text."""
-    _, fam, sample, params = line_transcendent(n, t_min, t_max, SAMPLES)
+    _, fam = line_family(n, t_min, t_max, SAMPLES)
+    sample, params = transcendent(fam, "plus")
     mus = np.column_stack((sample.ts,) + mu_pair(sample.ts))
     residuals = np.abs(pvi_residual(sample, params))
     cols = (fam.t, fam.x.real, fam.x.imag) + tuple(v.real for v in fam.trace_squares())
@@ -197,7 +198,8 @@ def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
     monkeypatch.setattr(columns, "_json_words", counting)
     assert main(["trace", "--n", "3", "--samples", "2001", "--format", "json"]) == 0
     capsys.readouterr()
-    _, fam, sample, params = line_transcendent(3, 0.05, 0.95, 2001)
+    _, fam = line_family(3, 0.05, 0.95, 2001)
+    sample, params = transcendent(fam, "plus")
     residuals = np.abs(pvi_residual(sample, params))
     sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
         # the residues' nonzero cells: [0][0].re, [0][1].im, [1][0].im, [1][1].re
