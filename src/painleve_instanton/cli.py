@@ -128,9 +128,7 @@ def cmd_trace(cfg):
 
 
 def cmd_verify(cfg):
-    report = build_verification_report(cfg.n, t_min=cfg.t_min, t_max=cfg.t_max,
-                                       samples=cfg.samples, tol_override=cfg.tol,
-                                       preferred_variant=cfg.delta_variant)
+    report = build_verification_report(cfg.n, cfg.t_min, cfg.t_max, cfg.samples)
     _emit(cfg, json_blocks(report, indent=2))
     if cfg.out is not None:
         sys.stdout.write(("PASS" if report["passed"] else "FAIL") + "\n")
@@ -173,8 +171,7 @@ _COMMANDS = {
     "trace": (cmd_trace, "write the twistor trace, line data and transcendent files",
               {**_window(0.05, 101), **_FORMAT}),
     "verify": (cmd_verify, "run the verification suite for one n, emit the report JSON",
-               {**_window(0.5, 201), "--tol": ("tol", float, None),
-                "--delta-variant": ("delta_variant", ("auto", "intro", "theorem"), "auto")}),
+               _window(0.5, 201)),
     "pvi-integrate": (cmd_pvi_integrate,
                       "propagate the transcendent with the direct PVI integrator",
                       _window(0.5, 201)),

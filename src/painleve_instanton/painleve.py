@@ -147,10 +147,10 @@ def params_from_n(n, variant="intro", branch="plus"):
 DELTA_VARIANT_TOL = 1e-6
 
 
-def select_delta_variant(measured, n, tol=DELTA_VARIANT_TOL):
+def select_delta_variant(measured, n):
     """Which published delta variant of `params_from_n` the measured value
-    realises: "intro", "theorem", or None if it is within tol of neither, or
-    equally near both (a measurement, not a configuration error)."""
+    realises: "intro", "theorem", or None when within DELTA_VARIANT_TOL of
+    neither, or equally near both (a measurement, not a configuration error)."""
     gap = {v: abs(measured - params_from_n(n, v).delta) for v in ("intro", "theorem")}
     near, far = sorted(gap, key=gap.get)
-    return near if gap[near] <= tol and gap[near] < gap[far] else None
+    return near if gap[near] <= DELTA_VARIANT_TOL and gap[near] < gap[far] else None

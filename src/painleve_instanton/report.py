@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .columns import TRANSCENDENT, Rows
-from .errors import (PathTooClose, SingularityEncountered, StepLimitExceeded,
-                     StepSizeUnderflow)
+from .errors import PainleveInstantonError
 from .instanton import MAX_MATCH_DEFECT, asd_closed_profile, solve_bvp
 from .isomonodromy import (extract_y, isospectral_drift, jimbo_miwa_params,
                            make_family, max_schlesinger_residual,
@@ -52,23 +51,19 @@ def transcendent(fam, branch):
 
 def _oracle(failures, key, run):
     """run(), an integrating oracle's error, as a float; or None when the
-    oracle's own run fails, with failures[key] = "<ErrorClass>: <message>",
-    whose message names the variable and where the run stopped."""
+    oracle's own run raises a package error, with failures[key] =
+    "<ErrorClass>: <message>", whose message names where the run stopped."""
     try:
         return float(run())
-    except (StepSizeUnderflow, StepLimitExceeded, SingularityEncountered, PathTooClose) as exc:
+    except PainleveInstantonError as exc:
         failures[key] = f"{type(exc).__name__}: {exc}"
         return None
 
 
-def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
-                              tol_override=None, preferred_variant="auto"):
-    """Run the verification suite for one n and return the report dict.
-    A `preferred_variant` other than "auto" adds the check that the
-    measured delta variant is that one."""
+def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201):
+    """Run the verification suite for one n and return the report dict,
+    every check against its `default_tolerances(n)` threshold."""
     tols = default_tolerances(n)
-    if tol_override is not None:
-        tols = {k: tol_override for k in tols}
 
     profile, raw = line_family(n, t_min, t_max, samples)
 
@@ -100,7 +95,7 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
 
     deltas = jimbo_miwa_params(raw, "plus").delta
     delta_measured = float(deltas[mid])
-    variant = select_delta_variant(delta_measured, n, tols["delta_variant"])
+    variant = select_delta_variant(delta_measured, n)
     delta_spread = float(np.max(np.abs(deltas - deltas[mid])))
     plus, plus_params = by_branch["plus"]
 
@@ -154,8 +149,6 @@ def build_verification_report(n, t_min=0.5, t_max=0.95, samples=201,
         checks["boundary"] = bool(boundary_err < tols["boundary"])
         checks["match"] = bool(report["match_defect"] < tols["match"])
         report["launch_depths"] = profile.meta["launch_depths"]
-    if preferred_variant != "auto":
-        checks["delta_variant_preference"] = variant == preferred_variant
     report["checks"] = checks
     report["passed"] = bool(all(checks.values()))
     return report

@@ -1,45 +1,53 @@
 import numpy as np
 import pytest
 
-from painleve_instanton.instanton import asd_closed_profile, solve_bvp
-from painleve_instanton.isomonodromy import make_family
+from painleve_instanton.report import line_family
+
+# verify's default window, away from t -> 0, where the poles 1 and x
+# collide (dx/dt -> 0)
+WINDOW = (0.5, 0.95, 201)
 
 
 @pytest.fixture(scope="session")
 def ts_default():
-    # verify's default window, away from t -> 0, where the poles 1 and x
-    # collide (dx/dt -> 0)
-    return np.linspace(0.5, 0.95, 201)
+    return np.linspace(*WINDOW)
 
 
 @pytest.fixture(scope="session")
-def prof1():
-    return asd_closed_profile(1)
+def line_families():
+    """n -> (profile, line family) on that window, from the stage that
+    `verify`, `trace` and `pvi-integrate` run."""
+    return {n: line_family(n, *WINDOW) for n in (1, 3, 5)}
 
 
 @pytest.fixture(scope="session")
-def prof3():
-    return asd_closed_profile(3)
+def prof1(line_families):
+    return line_families[1][0]
 
 
 @pytest.fixture(scope="session")
-def prof5():
-    return solve_bvp(5)
+def prof3(line_families):
+    return line_families[3][0]
 
 
 @pytest.fixture(scope="session")
-def fam1_raw(prof1, ts_default):
-    return make_family(prof1, ts_default)
+def prof5(line_families):
+    return line_families[5][0]
 
 
 @pytest.fixture(scope="session")
-def fam3_raw(prof3, ts_default):
-    return make_family(prof3, ts_default)
+def fam1_raw(line_families):
+    return line_families[1][1]
 
 
 @pytest.fixture(scope="session")
-def fam5_raw(prof5, ts_default):
-    return make_family(prof5, ts_default)
+def fam3_raw(line_families):
+    return line_families[3][1]
+
+
+@pytest.fixture(scope="session")
+def fam5_raw(line_families):
+    return line_families[5][1]
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from painleve_instanton import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "painleve_instanton").glob("*.py"))
 
@@ -157,6 +159,24 @@ def test_readme_names_every_oracle():
     paragraph = oracles_paragraph((ROOT / "README.md").read_text())
     listed = re.findall(r"^- `\w+\.(\w+)`", paragraph, flags=re.M)
     assert sorted(listed) == sorted(ORACLES)
+
+
+def readme_flags(readme):
+    """The flags README's "Flags:" paragraph names in backquotes, up to the
+    blank line that ends it."""
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"`(--[\w-]+)", paragraph))
+
+
+def test_readme_names_every_flag():
+    flags = {flag for _, _, options in cli._COMMANDS.values() for flag in options}
+    assert readme_flags((ROOT / "README.md").read_text()) == flags
+
+
+def test_detects_a_flag_readme_names():
+    readme = ("Intro `--help`.\n\nFlags: `--n` and\n`--format {csv,json}`; "
+              "not `--tol`.\n\nAlso `--opt value`.\n")
+    assert readme_flags(readme) == {"--n", "--format", "--tol"}
 
 
 def test_detects_a_public_name_without_a_caller():
