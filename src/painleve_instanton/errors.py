@@ -91,10 +91,6 @@ class QuadratureFailure(PainleveInstantonError):
 
 # -- deformation / transcendent extraction ---------------------------------
 
-class BadDeformationParameter(PainleveInstantonError):
-    """Deformation parameter x too close to a fixed singular point."""
-
-
 class ReducibleSystem(PainleveInstantonError):
     """All off-diagonal couplings vanish: common eigenvector everywhere."""
 
@@ -104,7 +100,8 @@ class IndeterminateY(PainleveInstantonError):
 
 
 class SingularArgument(PainleveInstantonError):
-    """Painleve right-hand side evaluated at an excluded coincidence."""
+    """The direct PVI integrator reached x within 1e-12 of the fixed
+    singular point 0 or 1."""
 
 
 class SingularityEncountered(PainleveInstantonError):

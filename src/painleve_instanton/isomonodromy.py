@@ -28,14 +28,16 @@ p3 q3: all of it on floats.  `schlesinger_field` is the one Schlesinger
 field, called on Python numbers by the propagation oracle
 `schlesinger_integrate`, which integrates it in the family's own parameter
 t, and on sample arrays by `schlesinger_residual`, which checks it in x.
+It is pure arithmetic on either: the oracle's path check keeps x - 1 >=
+5.9e-10 (`schlesinger_integrate`), and the residual check on a window that
+reaches a fixed singular point fails by value, with a large finite residual.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (BadDeformationParameter, IndeterminateY, PathTooClose,
-                     ReducibleSystem)
+from .errors import IndeterminateY, PathTooClose, ReducibleSystem
 from .liealg import METRIC, lorentz_cross, stack_trailing
 from .painleve import PviParams
 from .stepper import Jet, rk45
@@ -96,13 +98,9 @@ def schlesinger_field(x, m, rate=1.0):
     list of 9 Python numbers and x and rate are Python numbers, where
     coercing to arrays costs more than the arithmetic, and the returned
     list is the state's derivative as `rk45` stores it; in the residual
-    check m is a (9, S) array of samples and x has shape (S,)."""
-    if isinstance(x, np.ndarray):
-        near = np.minimum(abs(x), abs(x - 1.0)) < 1e-12
-        if near.any():
-            raise BadDeformationParameter(f"x = {x[near][0]} touches a fixed singular point")
-    elif min(abs(x), abs(x - 1.0)) < 1e-12:
-        raise BadDeformationParameter(f"x = {x} touches a fixed singular point")
+    check m is a (9, S) array of samples and x has shape (S,).  Pure
+    arithmetic: the callers choose x, and only the oracle's path needs a
+    guard, which `schlesinger_integrate` keeps (`PathTooClose`)."""
     k0, k1 = 2.0 * rate / x, 2.0 * rate / (x - 1.0)
     mx = m[6:]
     d1, d2, d3 = lorentz_cross(m[:3], mx)
@@ -157,8 +155,10 @@ def schlesinger_integrate(F0, t_target):
     singular points x = 1 and x = infinity are t = 0 and t = 1, and x(t)
     lies in (1, infinity) between them, so the path check is one on t:
     both ends must keep distance > 1e-3 from 0 and 1 (PathTooClose), and
-    non-real t is a ValueError.  Used as an independent oracle: the result
-    must agree with direct construction in all conjugation invariants.
+    non-real t is a ValueError.  x is increasing, so every admitted t has
+    x - 1 >= x(1e-3) - 1 = 5.9e-10: this check is the field's guard.  Used
+    as an independent oracle: the result must agree with direct
+    construction in all conjugation invariants.
     """
     t0, t1 = complex(F0.t), complex(t_target)
     if t0.imag != 0.0 or t1.imag != 0.0:

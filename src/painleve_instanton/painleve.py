@@ -54,29 +54,13 @@ class PviSample:
         return PviSample(self.ts[k:stop], self.xs[k:stop], ys)
 
 
-# the argument types pvi_second_derivative computes on without coercion
-_NUMBERS = (int, float, complex)
-
-
 def pvi_second_derivative(params, x, y, yp):
-    """d2y/dx2 from the Painleve VI right-hand side, elementwise.
-
-    Python numbers are computed on as they are: the direct integrator calls
-    this once per stage, where coercing to arrays costs more than the
-    arithmetic.  Anything else is coerced to arrays, which stay real when
-    x, y and y' are.
+    """d2y/dx2 from the Painleve VI right-hand side, elementwise, on Python
+    numbers (the direct integrator's stages, where coercing to arrays costs
+    more than the arithmetic) or on arrays (the residual check).  Pure
+    arithmetic: `pvi_integrate`'s flow guards the points it chooses, and a
+    residual sample near {0, 1, x} fails by value.
     """
-    if type(x) in _NUMBERS and type(y) in _NUMBERS and type(yp) in _NUMBERS:
-        if min(abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)) < 1e-12:
-            raise SingularArgument(f"excluded coincidence at x={x}, y={y}")
-    else:
-        x, y, yp = (np.asarray(v) for v in (x, y, yp))
-        gap = np.minimum.reduce([abs(y), abs(y - 1.0), abs(y - x), abs(x), abs(x - 1.0)])
-        excluded = gap < 1e-12
-        if excluded.any():
-            k = np.argmax(np.ravel(excluded))
-            raise SingularArgument(f"excluded coincidence at x={np.ravel(x)[k]}, "
-                                   f"y={np.ravel(y)[k]}")
     first = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
     second = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
     bracket = (params.alpha
@@ -101,8 +85,9 @@ def pvi_integrate(params, xs, y0, yp0):
     the strictly monotone real nodes xs in one sweep.
 
     Steps are rejected (SingularityEncountered) when y drifts within 1e-8
-    of {0, 1, x} or past the float range, and a non-finite state ends in
-    StepSizeUnderflow, without numpy warnings.  Returns the arrays (y, y')
+    of {0, 1, x} or past the float range, a stage at x within 1e-12 of the
+    fixed singular point 0 or 1 is SingularArgument, and a non-finite state
+    ends in StepSizeUnderflow, without numpy warnings.  Returns the arrays (y, y')
     at the nodes.  The state's dtype follows the seed, so a real seed
     integrates in reals, and the parameters reach the flow as Python numbers.
     """
@@ -112,6 +97,8 @@ def pvi_integrate(params, xs, y0, yp0):
         y, yp = state.tolist()
         if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-8:
             raise SingularityEncountered(x, y)
+        if min(abs(x), abs(x - 1.0)) < 1e-12:
+            raise SingularArgument(f"excluded coincidence at x={x}, y={y}")
         try:
             return [yp, pvi_second_derivative(params, x, y, yp)]
         except OverflowError:

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from painleve_instanton import cli, instanton, painleve, report, stepper
 from painleve_instanton.cli import main
-from painleve_instanton.errors import (BadDeformationParameter, SingularityEncountered,
-                                      StepSizeUnderflow)
+from painleve_instanton.errors import OnDivisor, SingularityEncountered, StepSizeUnderflow
 from painleve_instanton.liealg import trace_sq
 
 
@@ -364,14 +363,14 @@ def test_verify_propagation_underflow_exits_2_with_the_report(monkeypatch, capsy
 def test_verify_names_any_package_error_of_an_oracle(monkeypatch, capsys):
     # the guard catches the package's base error class: a named error from
     # an oracle's own run, of any class, is that oracle's failed check
-    def bad_x(F0, t_target):
-        raise BadDeformationParameter("x = 1.0 touches a fixed singular point")
-    monkeypatch.setattr(report, "schlesinger_integrate", bad_x)
+    def on_divisor(F0, t_target):
+        raise OnDivisor("evaluation on the divisor")
+    monkeypatch.setattr(report, "schlesinger_integrate", on_divisor)
     code, out, err = run(capsys, "verify", "--n", "3")
     assert code == 2 and err == ""
     rep = json.loads(out)
     assert rep["checks"]["propagation"] is False
-    assert rep["propagation_failure"].startswith("BadDeformationParameter: ")
+    assert rep["propagation_failure"].startswith("OnDivisor: ")
 
 
 def test_report_names_a_step_oracle_singularity(monkeypatch):
@@ -432,6 +431,44 @@ def test_step_oracle_underflow_is_a_failed_check(capsys):
         assert failure.startswith(prefix)
         assert abs(float(failure.split("roundoff of x=")[1].split(":")[0]) - x) < 1e-4
     assert "propagation_failure" not in rep
+
+
+TINY_WINDOW = ("--n", "3", "--t-min", "0.0001", "--t-max", "0.003")
+
+
+def test_verify_near_x_1_writes_its_report(capsys):
+    # on [1e-4, 3e-3] x - 1 falls to 5.9e-13: the residual checks fail by
+    # value, with finite residuals, and the propagation oracle refuses the
+    # path; the step oracle still passes
+    code, out, err = run(capsys, "verify", *TINY_WINDOW)
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert [k for k, ok in rep["checks"].items() if not ok] == [
+        "schlesinger", "propagation", "pvi"]
+    residuals = [rep["schlesinger_max_residual"], *rep["pvi_max_residual"].values()]
+    assert all(np.isfinite(residuals))
+    assert rep["propagation_failure"].startswith("PathTooClose: ")
+
+
+def test_trace_near_x_1_writes_its_files(tmp_path, capsys):
+    stem = tmp_path / "tr"
+    code, out, err = run(capsys, "trace", *TINY_WINDOW, "--out", str(stem))
+    assert (code, out, err) == (0, "", "")
+    rows = {suffix: _csv_rows((tmp_path / f"tr{suffix}").read_text())
+            for suffix in (".twistor.csv", ".mu.csv", ".pvi.csv")}
+    assert {len(r) for r in rows.values()} == {101}
+    assert np.all(np.isfinite(rows[".pvi.csv"][:, 5]))
+
+
+def test_pvi_integrate_near_x_1_stops_at_the_singularity(capsys):
+    # the flow's y-check stops the run before its x-check can
+    code, out, err = run(capsys, "pvi-integrate", "--n", "3", "--t-min", "0.0001",
+                         "--t-max", "0.00012")
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "SingularityEncountered"
+    assert failure["detail"].startswith(
+        "integration stopped near a singularity at x=1.0000000000005966, y=0.99999999")
 
 
 def test_passing_report_has_no_propagation_failure(capsys):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from painleve_instanton import (cli, instanton, isomonodromy, painleve, report,
                                 stepper, twistor)
-from painleve_instanton.errors import (BadDeformationParameter, IndeterminateY,
-                                       PathTooClose, ReducibleSystem)
+from painleve_instanton.errors import IndeterminateY, PathTooClose, ReducibleSystem
 from painleve_instanton.isomonodromy import (extract_y, gauge_rate,
                                              isospectral_drift,
                                              jimbo_miwa_params,
@@ -22,7 +22,7 @@ from painleve_instanton.liealg import (METRIC, REAL_FORM, eigen2, lorentz_cross,
                                        su2_combination, trace_sq)
 from painleve_instanton.twistor import (FuchsianData, alpha_inv,
                                         connection_form, cross_ratio,
-                                        fuchsian_data,
+                                        dlog_x, fuchsian_data,
                                         lambda_of_normalized, line_tangent,
                                         line_transverse)
 
@@ -50,13 +50,21 @@ def test_schlesinger_rhs_identities(fam3_raw):
     assert abs(np.trace(A0 @ real_matrix(d0))) < 1e-14  # tr(A0^2) conserved
 
 
-def test_schlesinger_rhs_bad_parameter():
-    with pytest.raises(BadDeformationParameter):
-        schlesinger_field(1.0, sum(_DIAGONAL, []))
-    # the sample-array path checks every sample
-    stack = np.repeat(np.ravel(_DIAGONAL)[:, None], 2, axis=1)
-    with pytest.raises(BadDeformationParameter):
-        schlesinger_field(np.array([2.5, 1.0]), stack)
+def test_path_check_keeps_x_off_the_fixed_singular_points(prof3):
+    # schlesinger_field has no check of its own: the propagation oracle
+    # admits only t in (1e-3, 1 - 1e-3), where x = cross_ratio(t) increases,
+    # so x - 1 >= 5.9e-10 at every t it admits
+    lo, hi = math.nextafter(1e-3, 1.0), math.nextafter(1.0 - 1e-3, 0.0)
+    for t in (lo, hi):
+        F = fuchsian_data(prof3, t)
+        assert np.array_equal(schlesinger_integrate(F, t), F.vectors())
+    for t in (1e-3, 1.0 - 1e-3):
+        with pytest.raises(PathTooClose):
+            schlesinger_integrate(fuchsian_data(prof3, t), t)
+    ts = np.linspace(lo, hi, 100001)
+    x = cross_ratio(ts)
+    assert np.all(np.diff(x) > 0) and np.all(dlog_x(ts) > 0)
+    assert x[0] - 1.0 >= 5.9e-10 and np.isfinite(x[-1])
 
 
 def test_schlesinger_field_conditioning():
