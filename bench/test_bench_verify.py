@@ -22,8 +22,9 @@ command line's parse of one `verify` argv, and the files of
 from the transcendent and written to a null sink.  Each benchmark's
 `extra_info` records the count that does not move with machine noise:
 profile pieces, right-hand-side evaluations of the
-integrating oracles and the direct integrator, and the writers' blocks
-with the `tracemalloc` peak of one run (kB).  The JSON
+integrating oracles and the direct integrator, and the writers' blocks,
+the values each speller spelled (`%.17g`, orjson, `json.dumps`) and the
+`tracemalloc` peak of one run (kB).  The JSON
 keeps each benchmark's summary statistics, not its raw rounds
 (`bench/conftest.py`).
 """
@@ -85,6 +86,26 @@ def count(monkeypatch, name, fn):
                 m.setattr(module, name, counted)
         fn()
     return calls[name]
+
+
+def spelled(monkeypatch, fn):
+    """Values each speller of `columns` spelled during one fn() call:
+    `%.17g` (CSV), orjson and `json.dumps` (JSON)."""
+    sizes = Counter()
+    with monkeypatch.context() as m:
+        for name in ("_csv_words", "_json_words"):
+            def counted(values, _real=getattr(columns, name), _name=name):
+                sizes[_name] += len(values)
+                return _real(values)
+            m.setattr(columns, name, counted)
+
+        def dumps(obj, *args, _real=columns.orjson.dumps, **kwargs):
+            sizes["orjson"] += len(obj)
+            return _real(obj, *args, **kwargs)
+        m.setattr(columns.orjson, "dumps", dumps)
+        fn()
+    return {"spelled_17g": sizes["_csv_words"], "spelled_orjson": sizes["orjson"],
+            "spelled_json_dumps": sizes["_json_words"] - sizes["orjson"]}
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 21, 63, 101, 201, 451])
@@ -213,6 +234,7 @@ def test_trace_files(benchmark, monkeypatch, fmt):
                 sink.writelines(blocks)
 
         benchmark.extra_info["blocks"] = count(monkeypatch, "_fill", write)
+        benchmark.extra_info.update(spelled(monkeypatch, write))
         tracemalloc.start()
         try:
             write()

@@ -9,9 +9,10 @@ argv: `--opt=value`, unambiguous prefixes, negative numbers as values and
 `painleve-instanton COMMAND --help`) and every usage error: usage and
 message on stderr, exit code 2.
 
-Output is deterministic (17 significant digits, fixed column order),
-streamed in blocks of rows once every value is computed, and written
-atomically (temp file + rename, with the mode `open` gives a new file).
+Output is deterministic (CSV numbers with 17 significant digits, JSON
+numbers as `json.dumps` spells them, fixed column order), streamed in
+blocks of rows once every value is computed, and written atomically (temp
+file + rename, with the mode `open` gives a new file).
 Exit codes: 0 success, 1 invalid configuration, 2 usage error or solver
 failure, 3 I/O failure; verification failures also exit 2 with the report
 on stdout.

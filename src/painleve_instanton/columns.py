@@ -11,12 +11,23 @@ is spelled once, and the spellings fill a `%s` template with one copy per
 row.  A block holds one spelled string per distinct cell, so it is largest
 when every cell is distinct; `BLOCK_CELLS` is sized for that case, which
 bounds one writer's working memory at a few hundred kB, whatever the row
-count and however the values repeat.  CSV spells `%.17g`.  JSON spells with
-`json.dumps` itself, and its row template is `json.dumps` of the skeleton,
-re-indented to the array's depth, so numbers, `NaN`, `Infinity`, keys,
-separators and indentation are exactly what `json.dumps` writes for dict
-rows.  Every JSON document (profile, trace and verify report) goes through
-`json_blocks`.
+count and however the values repeat.  CSV spells `%.17g`.  JSON spells the
+text `json.dumps` writes for each value, the shortest that round-trips, and
+its row template is `json.dumps` of the skeleton, re-indented to the
+array's depth, so numbers, `NaN`, `Infinity`, keys, separators and
+indentation are exactly what `json.dumps` writes for dict rows.  Every JSON
+document (profile, trace and verify report) goes through `json_blocks`.
+
+A block's values at ±0 and 1e-4 <= |x| < 1e16 are spelled by `orjson` (a
+runtime dependency), whose digits are `repr`'s and whose text is then
+`json.dumps`' own; the others go through `json.dumps`.  Outside that range
+orjson lays the same digits out differently (`0.00001` for `1e-05`, `1e16`
+for `1e+16`, `null` for NaN and ±inf).  `tests/test_writers.py` holds the
+rule to the installed orjson on arbitrary bit patterns.  On a 2-core guest
+with Python 3.11.7 and orjson 3.8.3, a standard normal value costs about
+30 ns through orjson and 550 ns through `json.dumps`, and
+`trace --n 3 --samples 2001 --format json` takes about 11 ms in process
+instead of 24 ms.
 
 The output schemas are declared here, once each, beside the writers that
 spell them; `cli` fills them for the files and `report` for the verify
@@ -29,6 +40,7 @@ import json
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 # cells per block: 2,048 all-distinct cells spell to about 0.3 MB of strings
 BLOCK_CELLS = 2048
@@ -76,7 +88,17 @@ def _csv_words(values):
 
 
 def _json_words(values):
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    """`json.dumps` of each value: orjson's spelling where it is the same
+    text, ±0 and 1e-4 <= |x| < 1e16, and `json.dumps`' own elsewhere."""
+    magnitude = np.abs(values)
+    same = (magnitude < 1e16) & ((magnitude >= 1e-4) | (magnitude == 0.0))
+    words = np.empty(len(values), dtype=object)
+    if same.any():
+        text = orjson.dumps(values[same], option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        words[same] = text[1:-1].split(",")
+    if not same.all():
+        words[~same] = json.dumps(values[~same].tolist())[1:-1].split(", ")
+    return words.tolist()
 
 
 def _fill(template, columns, spell):

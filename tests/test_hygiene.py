@@ -1,7 +1,9 @@
 """Source hygiene: every name a library module imports is used there, every
 module-level name is loaded somewhere in src/, and every public function,
 class and method is referenced somewhere in src/, except where the
-name-based scan cannot tell: those names are listed."""
+name-based scan cannot tell: those names are listed.  Every third-party
+import is declared in pyproject.toml: under src/ as a runtime dependency,
+under tests/ and bench/ as one or as an optional extra."""
 
 import ast
 import re
@@ -243,25 +245,48 @@ def imported_modules(trees):
     return names
 
 
-def declared_modules(pyproject):
-    """Module names of the runtime and optional dependencies a parsed
-    pyproject.toml declares, spelled as imports spell them."""
-    project = pyproject["project"]
-    requirements = [*project["dependencies"],
-                    *(r for extra in project["optional-dependencies"].values() for r in extra)]
+def requirement_modules(requirements):
+    """Module names of pyproject.toml requirement strings, spelled as
+    imports spell them."""
     return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
             for r in requirements}
 
 
+def declared_modules(pyproject):
+    """Module names of the runtime and optional dependencies a parsed
+    pyproject.toml declares, spelled as imports spell them."""
+    project = pyproject["project"]
+    return requirement_modules(
+        [*project["dependencies"],
+         *(r for extra in project["optional-dependencies"].values() for r in extra)])
+
+
+def undeclared_imports(trees, declared):
+    """Modules the trees import absolutely that are neither in the standard
+    library nor among the `declared` names."""
+    return sorted(imported_modules(trees) - declared - set(sys.stdlib_module_names))
+
+
+def read_pyproject():
+    """The repository's parsed pyproject.toml (skips without tomllib)."""
+    return pytest.importorskip("tomllib").loads((ROOT / "pyproject.toml").read_text())
+
+
 def test_test_and_bench_imports_are_declared():
-    tomllib = pytest.importorskip("tomllib")
-    declared = declared_modules(tomllib.loads((ROOT / "pyproject.toml").read_text()))
     local = {p.stem for d in (ROOT, ROOT / "src", ROOT / "tests", ROOT / "bench")
              for p in d.iterdir() if p.suffix == ".py" or p.is_dir()}
     files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    imported = imported_modules([ast.parse(p.read_text(), filename=str(p)) for p in files])
-    undeclared = sorted(imported - declared - local - set(sys.stdlib_module_names))
+    undeclared = undeclared_imports([ast.parse(p.read_text(), filename=str(p)) for p in files],
+                                    declared_modules(read_pyproject()) | local)
     assert undeclared == [], f"imported under tests/ or bench/, undeclared: {undeclared}"
+
+
+def test_src_imports_are_runtime_dependencies():
+    # an optional extra is not installed with the package, so it does not count
+    runtime = requirement_modules(read_pyproject()["project"]["dependencies"])
+    undeclared = undeclared_imports([ast.parse(p.read_text(), filename=str(p)) for p in SRC],
+                                    runtime)
+    assert undeclared == [], f"imported under src/, not a runtime dependency: {undeclared}"
 
 
 def test_detects_an_undeclared_import():
@@ -271,3 +296,13 @@ def test_detects_an_undeclared_import():
     pyproject = {"project": {"dependencies": ["numpy>=1.24"],
                              "optional-dependencies": {"bench": ["pytest-benchmark"]}}}
     assert declared_modules(pyproject) == {"numpy", "pytest_benchmark"}
+
+
+def test_detects_a_src_import_only_an_extra_declares():
+    tree = ast.parse("import json\nimport numpy as np\nimport orjson\n"
+                     "from sympy import Symbol\nfrom .columns import Rows\n")
+    project = {"dependencies": ["numpy>=1.24"],
+               "optional-dependencies": {"test": ["sympy", "pytest"]}}
+    assert undeclared_imports([tree], requirement_modules(project["dependencies"])) == [
+        "orjson", "sympy"]
+    assert undeclared_imports([tree], declared_modules({"project": project})) == ["orjson"]

@@ -7,7 +7,9 @@ the awkward cells of `csv_blocks` and `json_blocks` (signed zeros, NaN,
 infinities, repeats, `%` and `null` in the other fields), a property checks
 both against per-value spelling on random columns and documents, indented
 or not, with blocks of a few cells (one to six rows) so that every array
-crosses block boundaries.  A count shows each block spells its distinct
+crosses block boundaries, and the JSON speller is held to `json.dumps` on
+arbitrary float64 bit patterns and at the bounds of the range it hands to
+orjson.  A count shows each block spells its distinct
 values once, a memory test shows that streaming does not hold the whole
 document, and another bounds one writer's memory in absolute terms when
 every cell is distinct."""
@@ -185,6 +187,30 @@ def test_writers_spell_every_cell_like_a_single_value(cols, fields, arrays, rng,
         patch.setattr(columns, "BLOCK_CELLS", block_cells)
         assert csv_text(keys, cols) == csv_file(",".join(keys), rows)
         assert json_text(doc, indent) == json.dumps(expanded(doc), indent=indent) + "\n"
+
+
+def json_dumps_words(values):
+    return [json.dumps(v) for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=64))
+def test_json_words_are_json_dumps_of_any_bit_pattern(bits):
+    # subnormals, NaN of either sign and any payload, infinities and signed
+    # zeros: whatever the installed orjson spells must be `json.dumps`' text
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    assert columns._json_words(values) == json_dumps_words(values)
+
+
+def test_json_words_at_the_bounds_of_orjson_s_range():
+    bounds = [np.nextafter(b, toward) for b in (1e-4, 1e16) for toward in (0.0, np.inf)]
+    near_2_53 = [2.0 ** 53 + k for k in range(-4, 5)]
+    table = np.array([*bounds, 1e-4, 1e16, 5e-324, np.finfo(np.float64).max,
+                      1.0, 2.0, 100.0, 1e15, 123456789.0, *near_2_53])
+    values = np.concatenate([table, -table])
+    words = columns._json_words(values)
+    assert words == json_dumps_words(values)
+    assert "9.999999999999999e-05" in words and "1e+16" in words
 
 
 def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
