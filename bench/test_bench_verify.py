@@ -18,13 +18,14 @@ eigen-branch, the one-step PVI oracle on both branches, the Schlesinger
 propagation oracle, `pvi-integrate`'s sweep of the direct PVI integrator
 (at n = 1 with 201 samples and n = 3 with 801), the whole report, the
 command line's parse of one `verify` argv, and the files of
-`trace --n 3 --samples 2001` (its JSON document, and its three CSVs) built
-from the transcendent and written to a null sink.  Each benchmark's
+`trace --n 3 --samples 2001` (its JSON document, and its three CSVs) and
+of `pvi-integrate --n 3 --samples 801` (its CSV), built from the
+transcendent and written to a null sink.  Each benchmark's
 `extra_info` records the count that does not move with machine noise:
 profile pieces, right-hand-side evaluations of the
 integrating oracles and the direct integrator, and the writers' blocks,
-the values each speller spelled (`%.17g`, orjson, `json.dumps`) and the
-`tracemalloc` peak of one run (kB).  The JSON
+the values spelled through orjson and through `json.dumps`, and the
+trace files' `tracemalloc` peak of one run (kB).  The JSON
 keeps each benchmark's summary statistics, not its raw rounds
 (`bench/conftest.py`).
 """
@@ -89,23 +90,22 @@ def count(monkeypatch, name, fn):
 
 
 def spelled(monkeypatch, fn):
-    """Values each speller of `columns` spelled during one fn() call:
-    `%.17g` (CSV), orjson and `json.dumps` (JSON)."""
+    """Values `columns._words` spelled during one fn() call, through orjson
+    and through `json.dumps`."""
     sizes = Counter()
     with monkeypatch.context() as m:
-        for name in ("_csv_words", "_json_words"):
-            def counted(values, _real=getattr(columns, name), _name=name):
-                sizes[_name] += len(values)
-                return _real(values)
-            m.setattr(columns, name, counted)
+        def words(values, _real=columns._words):
+            sizes["words"] += len(values)
+            return _real(values)
+        m.setattr(columns, "_words", words)
 
         def dumps(obj, *args, _real=columns.orjson.dumps, **kwargs):
             sizes["orjson"] += len(obj)
             return _real(obj, *args, **kwargs)
         m.setattr(columns.orjson, "dumps", dumps)
         fn()
-    return {"spelled_17g": sizes["_csv_words"], "spelled_orjson": sizes["orjson"],
-            "spelled_json_dumps": sizes["_json_words"] - sizes["orjson"]}
+    return {"spelled_orjson": sizes["orjson"],
+            "spelled_json_dumps": sizes["words"] - sizes["orjson"]}
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 21, 63, 101, 201, 451])
@@ -241,4 +241,20 @@ def test_trace_files(benchmark, monkeypatch, fmt):
             benchmark.extra_info["tracemalloc_peak_kb"] = tracemalloc.get_traced_memory()[1] // 1000
         finally:
             tracemalloc.stop()
+        benchmark(write)
+
+
+def test_pvi_integrate_file(benchmark, monkeypatch):
+    # `pvi-integrate --n 3 --samples 801`'s CSV, from the integrated sample:
+    # its residual column, its rows and their spelling
+    w = window(3, 801)
+    sample, k = w["sample"]["plus"], 2
+    integrated = sample.integrate(w["params"]["plus"], k)
+    with open(os.devnull, "w") as sink:
+        def write():
+            pvi = cli._transcendent(integrated, np.abs(integrated.ys - sample.ys[k:]))
+            sink.writelines(columns.csv_blocks(columns.TRANSCENDENT, pvi))
+
+        benchmark.extra_info["blocks"] = count(monkeypatch, "_fill", write)
+        benchmark.extra_info.update(spelled(monkeypatch, write))
         benchmark(write)

@@ -9,8 +9,8 @@ argv: `--opt=value`, unambiguous prefixes, negative numbers as values and
 `painleve-instanton COMMAND --help`) and every usage error: usage and
 message on stderr, exit code 2.
 
-Output is deterministic (CSV numbers with 17 significant digits, JSON
-numbers as `json.dumps` spells them, fixed column order), streamed in
+Output is deterministic (every number in the shortest spelling that
+round-trips, as `json.dumps` writes it; fixed column order), streamed in
 blocks of rows once every value is computed, and written atomically (temp
 file + rename, with the mode `open` gives a new file).
 Exit codes: 0 success, 1 invalid configuration, 2 usage error or solver

@@ -7,27 +7,28 @@ most `BLOCK_CELLS` cells (or one row), so its memory does not grow with the
 row count.  Both formats share one core, applied to each block on its own:
 the block's cells are keyed by bit pattern (`np.unique` on
 `.view(np.int64)`, so `-0.0` and `0.0` stay distinct), each distinct value
-is spelled once, and the spellings fill a `%s` template with one copy per
-row.  A block holds one spelled string per distinct cell, so it is largest
-when every cell is distinct; `BLOCK_CELLS` is sized for that case, which
-bounds one writer's working memory at a few hundred kB, whatever the row
-count and however the values repeat.  CSV spells `%.17g`.  JSON spells the
-text `json.dumps` writes for each value, the shortest that round-trips, and
-its row template is `json.dumps` of the skeleton, re-indented to the
-array's depth, so numbers, `NaN`, `Infinity`, keys, separators and
-indentation are exactly what `json.dumps` writes for dict rows.  Every JSON
-document (profile, trace and verify report) goes through `json_blocks`.
+is spelled once by `_words`, and the spellings fill a `%s` template with
+one copy per row.  A block holds one spelled string per distinct cell, so
+it is largest when every cell is distinct; `BLOCK_CELLS` is sized for that
+case, which bounds one writer's working memory at a few hundred kB,
+whatever the row count and however the values repeat.
 
-A block's values at ±0 and 1e-4 <= |x| < 1e16 are spelled by `orjson` (a
-runtime dependency), whose digits are `repr`'s and whose text is then
-`json.dumps`' own; the others go through `json.dumps`.  Outside that range
-orjson lays the same digits out differently (`0.00001` for `1e-05`, `1e16`
-for `1e+16`, `null` for NaN and ±inf).  `tests/test_writers.py` holds the
-rule to the installed orjson on arbitrary bit patterns.  On a 2-core guest
-with Python 3.11.7 and orjson 3.8.3, a standard normal value costs about
-30 ns through orjson and 550 ns through `json.dumps`, and
-`trace --n 3 --samples 2001 --format json` takes about 11 ms in process
-instead of 24 ms.
+Both formats spell each number as `json.dumps` does, the shortest text
+that parses back to the same float64 (`0.05`, `1.0`, `-0.0`, `1e-05`,
+`NaN`, `Infinity`), and a JSON row template is `json.dumps` of the
+skeleton, re-indented to the array's depth, so every JSON document
+(profile, trace and verify report, all through `json_blocks`) is exactly
+the text `json.dumps` writes with dict rows.  `_words` spells ±0 and
+1e-4 <= |x| < 1e16 with `orjson` (a runtime dependency), whose digits are
+`repr`'s and whose text is then `json.dumps`' own, and the rest with
+`json.dumps`: outside that range orjson lays the same digits out
+differently (`0.00001` for `1e-05`, `1e16` for `1e+16`, `null` for NaN
+and ±inf).  `tests/test_writers.py` holds the rule to the installed
+orjson on arbitrary bit patterns.  On a 2-core guest with Python 3.11.7
+and orjson 3.8.3, a standard normal value costs about 30 ns through
+orjson, 550 ns through `json.dumps` and 500 ns through `%.17g`, and the
+`trace --n 3 --samples 2001` files take about 10 ms in process as JSON
+(24 ms through `json.dumps` alone) and 6 ms as CSV (11 ms with `%.17g`).
 
 The output schemas are declared here, once each, beside the writers that
 spell them; `cli` fills them for the files and `report` for the verify
@@ -83,13 +84,10 @@ class Rows(NamedTuple):
 _SLOT = json.dumps("\0")
 
 
-def _csv_words(values):
-    return (",".join(["%.17g"] * len(values)) % tuple(values.tolist())).split(",")
-
-
-def _json_words(values):
-    """`json.dumps` of each value: orjson's spelling where it is the same
-    text, ±0 and 1e-4 <= |x| < 1e16, and `json.dumps`' own elsewhere."""
+def _words(values):
+    """An object array of `json.dumps` of each value, the shortest text
+    that round-trips: orjson's spelling where it is the same text, ±0 and
+    1e-4 <= |x| < 1e16, and `json.dumps`' own elsewhere."""
     magnitude = np.abs(values)
     same = (magnitude < 1e16) & ((magnitude >= 1e-4) | (magnitude == 0.0))
     words = np.empty(len(values), dtype=object)
@@ -98,27 +96,26 @@ def _json_words(values):
         words[same] = text[1:-1].split(",")
     if not same.all():
         words[~same] = json.dumps(values[~same].tolist())[1:-1].split(", ")
-    return words.tolist()
+    return words
 
 
-def _fill(template, columns, spell):
+def _fill(template, columns):
     """`template` with its `%s` slots filled, in order, by the cells of
-    `columns`, row by row.  `spell` is called once, on their distinct
+    `columns`, row by row: `_words` is called once, on their distinct
     values."""
     cells = np.column_stack(columns).astype(np.float64, copy=False).ravel()
     keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    words = np.array(spell(keys.view(np.float64)), dtype=object)
-    return template % tuple(words[inverse].tolist())
+    return template % tuple(_words(keys.view(np.float64))[inverse].tolist())
 
 
-def _rows_text(item, sep, columns, spell):
+def _rows_text(item, sep, columns):
     """The rows of `columns`, each the `%s` template `item`, joined by `sep`:
     one filled block of as many rows as fit in `BLOCK_CELLS` at a time."""
     lead = ""
     rows = max(1, BLOCK_CELLS // np.column_stack([c[:1] for c in columns]).shape[1])
     for start in range(0, len(columns[0]), rows):
         block = [c[start:start + rows] for c in columns]
-        yield _fill(lead + sep.join([item] * len(block[0])), block, spell)
+        yield _fill(lead + sep.join([item] * len(block[0])), block)
         lead = sep
 
 
@@ -131,15 +128,15 @@ def _array(rows, indent):
         pad = "\n" + " " * (2 * indent)
         item, sep, close = pad + line.replace("\n", pad), ",", "\n" + " " * indent + "]"
     yield "["
-    yield from _rows_text(item, sep, rows.columns, _json_words)
+    yield from _rows_text(item, sep, rows.columns)
     yield close if len(rows.columns[0]) else "]"
 
 
 def csv_blocks(header, columns):
-    """The CSV file: the header line, then one `%.17g` line per row."""
+    """The CSV file: the header line, then one line per row."""
     yield ",".join(header) + "\n"
     line = ",".join(["%s"] * len(header)) + "\n"
-    yield from _rows_text(line, "", columns, _csv_words)
+    yield from _rows_text(line, "", columns)
 
 
 def json_blocks(doc, indent=None):

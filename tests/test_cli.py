@@ -33,7 +33,7 @@ def test_profile_trivial(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,a1,a2,a3"
     for line in lines[1:]:
-        assert line.endswith(",1,1,1")
+        assert line.endswith(",1.0,1.0,1.0")
 
 
 @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])

@@ -557,7 +557,7 @@ def test_profile_serialization(capsys):
     assert main([*window]) == 0
     csv = capsys.readouterr().out
     assert csv.splitlines()[0] == ",".join(PROFILE) == "t,a1,a2,a3"
-    assert csv.splitlines()[1] == "0.25,1,1,1"
+    assert csv.splitlines()[1] == "0.25,1.0,1.0,1.0"
     assert main([*window, "--format", "json"]) == 0
     js = capsys.readouterr().out
     assert '"kind": "trivial"' in js and '"sign_convention"' in js

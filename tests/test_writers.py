@@ -1,18 +1,19 @@
 """The column writers against the per-sample writers they replaced: every
 `trace` file (three CSV schemas and the JSON document), both `profile`
-formats and the `verify` report, byte for byte.  The reference formats each
-numpy scalar on its own (`f"{v:.17g}"`, `float(v)`), one sample at a time;
-the trace outputs include the NaN `residual_abs` ends.  Direct tests pin
-the awkward cells of `csv_blocks` and `json_blocks` (signed zeros, NaN,
-infinities, repeats, `%` and `null` in the other fields), a property checks
-both against per-value spelling on random columns and documents, indented
-or not, with blocks of a few cells (one to six rows) so that every array
-crosses block boundaries, and the JSON speller is held to `json.dumps` on
-arbitrary float64 bit patterns and at the bounds of the range it hands to
-orjson.  A count shows each block spells its distinct
-values once, a memory test shows that streaming does not hold the whole
-document, and another bounds one writer's memory in absolute terms when
-every cell is distinct."""
+formats and the `verify` report, byte for byte.  The reference spells each
+numpy scalar on its own as `json.dumps(float(v))`, one sample at a time, in
+both formats.  Direct tests pin the awkward cells of `csv_blocks` and
+`json_blocks` (signed zeros, NaN, infinities, repeats, `%` and `null` in
+the other fields), a property checks both against per-value spelling on
+random columns and documents, indented or not, with blocks of a few cells
+(one to six rows) so that every array crosses block boundaries, the one
+speller is held to `json.dumps` on arbitrary float64 bit patterns and at
+the bounds of the range it hands to orjson, and every CSV cell parses back
+to its bit pattern.  The `trace` CSVs and JSON spell their shared cells
+alike.  Counts show each block of either format spells its distinct values
+once, a memory test shows that streaming does not hold the whole document,
+and another bounds one writer's memory in absolute terms when every cell
+is distinct."""
 
 import json
 import tracemalloc
@@ -35,7 +36,7 @@ SAMPLES = 21
 
 
 def csv_line(row):
-    return ",".join(f"{v:.17g}" for v in row)
+    return ",".join(json.dumps(float(v)) for v in row)
 
 
 def csv_file(header, rows):
@@ -118,7 +119,7 @@ def test_csv_text_signed_zero_nan_and_rounding():
     # the cells the per-sample writer produced for each awkward value
     col = np.array([-0.0, np.nan, 0.1])
     text = csv_text(("v", "w"), (col, -col))
-    assert text == "v,w\n-0,0\nnan,nan\n0.10000000000000001,-0.10000000000000001\n"
+    assert text == "v,w\n-0.0,0.0\nNaN,NaN\n0.1,-0.1\n"
     assert text == csv_file("v,w", np.column_stack((col, -col)))
 
 
@@ -199,7 +200,7 @@ def test_json_words_are_json_dumps_of_any_bit_pattern(bits):
     # subnormals, NaN of either sign and any payload, infinities and signed
     # zeros: whatever the installed orjson spells must be `json.dumps`' text
     values = np.array(bits, dtype=np.int64).view(np.float64)
-    assert columns._json_words(values) == json_dumps_words(values)
+    assert columns._words(values).tolist() == json_dumps_words(values)
 
 
 def test_json_words_at_the_bounds_of_orjson_s_range():
@@ -208,46 +209,122 @@ def test_json_words_at_the_bounds_of_orjson_s_range():
     table = np.array([*bounds, 1e-4, 1e16, 5e-324, np.finfo(np.float64).max,
                       1.0, 2.0, 100.0, 1e15, 123456789.0, *near_2_53])
     values = np.concatenate([table, -table])
-    words = columns._json_words(values)
+    words = columns._words(values).tolist()
     assert words == json_dumps_words(values)
     assert "9.999999999999999e-05" in words and "1e+16" in words
 
 
-def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
+def counting_words(monkeypatch):
+    """The list to which each `columns._words` call appends the bit patterns
+    of the values it spells."""
     spelled = []
+    words = columns._words
 
     def counting(values):
         spelled.append(values.view(np.int64))
-        return json_words(values)
+        return words(values)
 
-    json_words = columns._json_words
-    monkeypatch.setattr(columns, "_json_words", counting)
+    monkeypatch.setattr(columns, "_words", counting)
+    return spelled
+
+
+def trace_blocks(sections):
+    """The cells of each block the writers spell, for files or arrays whose
+    columns are `sections`: as many rows of each as fit in BLOCK_CELLS."""
+    blocks = []
+    for cols in sections:
+        rows = np.column_stack(cols)
+        step = columns.BLOCK_CELLS // rows.shape[1]
+        blocks += [rows[i:i + step].ravel() for i in range(0, len(rows), step)]
+    return blocks
+
+
+def assert_each_block_spelled_once(spelled, blocks):
+    # each call spells exactly the distinct values of one block
+    assert len(spelled) == len(blocks)
+    for words, block in zip(spelled, blocks):
+        assert np.array_equal(words, np.unique(block.view(np.int64)))
+
+
+def test_trace_json_spells_each_distinct_value_once(monkeypatch, capsys):
+    spelled = counting_words(monkeypatch)
     assert main(["trace", "--n", "3", "--samples", "2001", "--format", "json"]) == 0
     capsys.readouterr()
     _, fam = line_family(3, 0.05, 0.95, 2001)
     sample, params = transcendent(fam, "plus")
     residuals = np.abs(pvi_residual(sample, params))
-    sections = (  # twistor, mu, pvi: the columns of each, as the document nests them
+    blocks = trace_blocks((  # twistor, mu, pvi: the columns of each, as the document nests them
         # the residues' nonzero cells: [0][0].re, [0][1].im, [1][0].im, [1][1].re
         (fam.t, fam.x) + tuple(np.stack((A.real, A.imag), -1).reshape(-1, 8)[:, [0, 3, 5, 6]]
                                for A in fam.residues()),
         (sample.ts,) + mu_pair(sample.ts),
         (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
          residuals),
-    )
-    # each call spells exactly the distinct values of one block of one array:
-    # as many rows of its width (18, 3 and 6 cells) as fit in BLOCK_CELLS
-    steps = [columns.BLOCK_CELLS // width for width in (18, 3, 6)]
-    blocks = [np.column_stack([c[i:i + step] for c in cols]).ravel()
-              for cols, step in zip(sections, steps) for i in range(0, 2001, step)]
-    assert len(spelled) == len(blocks) == 18 + 3 + 6
-    for words, block in zip(spelled, blocks):
-        assert np.array_equal(words, np.unique(block.view(np.int64)))
+    ))
+    # 18, 3 and 6 blocks, of rows 18, 3 and 6 cells wide
+    assert len(blocks) == 18 + 3 + 6
+    assert_each_block_spelled_once(spelled, blocks)
     # a twistor row spells 8 distinct values in its 18 cells: t, x, and the
     # Klein-four residues' +-w1, +-(w2 + w3) and +-(w2 - w3)
     twistor = np.concatenate(blocks[:18])
     assert twistor.size == 2001 * 18
     assert np.unique(twistor.view(np.int64)).size == 2001 * 8
+
+
+def test_trace_csv_spells_each_distinct_value_once(monkeypatch, tmp_path):
+    spelled = counting_words(monkeypatch)
+    assert main(["trace", "--n", "3", "--samples", "2001", "--out", str(tmp_path / "tr")]) == 0
+    _, fam = line_family(3, 0.05, 0.95, 2001)
+    sample, params = transcendent(fam, "plus")
+    mu_plus, mu_minus = mu_pair(sample.ts)
+    blocks = trace_blocks((  # the twistor, mu and pvi files, as written
+        (fam.t, fam.x, fam.x.imag) + fam.trace_squares(),
+        (sample.ts, mu_plus, mu_minus, mu_plus * mu_minus),
+        (sample.ts, sample.xs.real, sample.xs.imag, sample.ys.real, sample.ys.imag,
+         np.abs(pvi_residual(sample, params))),
+    ))
+    # 7, 4 and 6 blocks, of rows 7, 4 and 6 cells wide
+    assert len(blocks) == 7 + 4 + 6
+    assert_each_block_spelled_once(spelled, blocks)
+
+
+def test_trace_csv_and_json_spell_shared_cells_alike(tmp_path, capsys):
+    window = ("trace", "--n", "3", "--samples", "201")
+    assert main([*window, "--out", str(tmp_path / "tr")]) == 0
+    # each JSON number as its text
+    doc = json.loads(cli_bytes(capsys, *window, "--format", "json"),
+                     parse_float=str, parse_constant=str)
+
+    def cells(suffix):
+        header, *lines = (tmp_path / ("tr" + suffix)).read_text().splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    twistor = [(r["t"], r["x"]["re"], r["x"]["im"]) for r in doc["twistor"]]
+    assert [(r["t"], r["x_re"], r["x_im"]) for r in cells(".twistor.csv")] == twistor
+    for suffix, section, keys in ((".mu.csv", "mu", MU[:3]),
+                                  (".pvi.csv", "pvi", TRANSCENDENT)):
+        rows = [[r[k] for k in keys] for r in doc[section]]
+        assert len(rows) == 201
+        assert [[r[k] for k in keys] for r in cells(suffix)] == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=64),
+       st.integers(1, 12))
+def test_csv_cells_parse_back_to_their_bit_patterns(bits, block_cells):
+    # subnormals, NaN of either sign and any payload, infinities and signed
+    # zeros, in blocks of one to six rows
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    cols = (values, values[::-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columns, "BLOCK_CELLS", block_cells)
+        header, *lines = csv_text(("v", "w"), cols).splitlines()
+    assert header == "v,w"
+    back = np.array([[float(cell) for cell in line.split(",")] for line in lines]).T
+    for col, parsed in zip(cols, back, strict=True):
+        nan = np.isnan(col)
+        assert np.array_equal(np.isnan(parsed), nan)
+        assert np.array_equal(parsed[~nan].view(np.int64), col[~nan].view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -256,7 +333,7 @@ def test_trace_files_match_per_sample_writers(n, tmp_path, capsys):
     files, doc = reference_trace(n, 0.5, 0.95)
     # every sample has a residual; the spelling of NaN is pinned by the
     # text tests above
-    assert "nan" not in files[".pvi.csv"]
+    assert "NaN" not in files[".pvi.csv"]
     assert "NaN" not in doc
     assert main(["trace", *window, "--out", str(tmp_path / "tr")]) == 0
     for suffix, text in files.items():
